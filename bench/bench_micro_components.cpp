@@ -86,21 +86,28 @@ void BM_AbstractSetJoinMay(benchmark::State& state) {
 BENCHMARK(BM_AbstractSetJoinMay)->Arg(2)->Arg(4);
 
 void BM_AbstractCacheCopy(benchmark::State& state) {
-  // The dominant constant of the fixpoint: propagating a state along an
-  // edge copies the whole abstract cache. kConfig (2-way, 32 sets) matches
-  // the mid-grid working state; fill every set so the copy moves real data.
-  analysis::AbstractCache cache(kConfig);
-  for (cache::MemBlockId b = 0; b < 2u * kConfig.num_sets(); ++b) {
+  // What the fixpoint pays per transfer: copy a state along an edge, then
+  // apply one block access to it. The copy alone is a refcount bump; the
+  // first write is where copy-on-write storage pays. Arg = set count: 32
+  // (2-way 1 KB, mid-grid) and 512 (direct-mapped 8 KB, the widest grid
+  // point). Every set is filled so detaching moves real data.
+  const auto sets = static_cast<std::uint32_t>(state.range(0));
+  const cache::CacheConfig config{sets == 512 ? 1u : 2u, 16,
+                                  sets == 512 ? 8192u : 1024u};
+  analysis::AbstractCache cache(config);
+  for (cache::MemBlockId b = 0; b < 2u * config.num_sets(); ++b) {
     cache.update_must(b);
     cache.update_may(b);
   }
+  cache::MemBlockId block = 0;
   for (auto _ : state) {
     analysis::AbstractCache copy = cache;
+    copy.update_must(block++);
     benchmark::DoNotOptimize(copy.num_sets());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_AbstractCacheCopy);
+BENCHMARK(BM_AbstractCacheCopy)->Arg(32)->Arg(512);
 
 // The hash-consing payoff at the join points: joining a state with a
 // shared-payload copy of itself is a pointer compare (the dominant

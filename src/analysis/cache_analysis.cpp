@@ -167,6 +167,8 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
   std::uint64_t deduped = 0;
   std::size_t peak_worklist = 0;
   std::uint32_t pops = 0;
+  const std::uint64_t copied_before =
+      AbstractCache::sets_copied_on_this_thread();
 
   if (mode == FixpointMode::kGlobalWorklist) {
     // Legacy global FIFO worklist in topological order (only REST back
@@ -282,6 +284,13 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
     }
   }
 
+  // Final classification pass with the converged states.
+  result.per_node.assign(n, {});
+  for (NodeId id = 0; id < n; ++id) {
+    const ir::BasicBlock& bb = program.block(graph.node(id).block);
+    classify_block(result.in_states[id], bb, layout, result.per_node[id]);
+  }
+
   if (obs::enabled()) {
     static obs::Counter& c_runs =
         obs::registry().counter("analysis.cache.fixpoints");
@@ -293,6 +302,8 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
         obs::registry().counter("analysis.cache.scc_count");
     static obs::Counter& c_dedup =
         obs::registry().counter("analysis.cache.states_deduped");
+    static obs::Counter& c_copied =
+        obs::registry().counter("analysis.cache.sets_copied");
     static obs::Gauge& g_peak =
         obs::registry().gauge("analysis.cache.peak_worklist");
     c_runs.increment();
@@ -300,14 +311,9 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
     c_joins.add(joins);
     c_sccs.add(graph.scc_count());
     c_dedup.add(deduped);
+    c_copied.add(AbstractCache::sets_copied_on_this_thread() -
+                 copied_before);
     g_peak.set_max(static_cast<std::int64_t>(peak_worklist));
-  }
-
-  // Final classification pass with the converged states.
-  result.per_node.assign(n, {});
-  for (NodeId id = 0; id < n; ++id) {
-    const ir::BasicBlock& bb = program.block(graph.node(id).block);
-    classify_block(result.in_states[id], bb, layout, result.per_node[id]);
   }
   return result;
 }
@@ -349,6 +355,8 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
         obs::registry().counter("analysis.incremental.trials");
     c_trials.increment();
   }
+  const std::uint64_t copied_before =
+      AbstractCache::sets_copied_on_this_thread();
   TrialResult t{ir::Layout(trial, config_.block_bytes), {}, {}, {}, {}};
 
   // Blocks whose abstract transfer changed: an edit to the instruction list
@@ -471,6 +479,12 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
   for (std::size_t i = 0; i < m; ++i) {
     const ir::BasicBlock& bb = trial.block(graph_->node(t.affected[i]).block);
     classify_block(t.in_states[i], bb, t.layout, t.cls[i]);
+  }
+  if (obs::enabled()) {
+    static obs::Counter& c_copied =
+        obs::registry().counter("analysis.cache.sets_copied");
+    c_copied.add(AbstractCache::sets_copied_on_this_thread() -
+                 copied_before);
   }
   return t;
 }

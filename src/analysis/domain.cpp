@@ -166,26 +166,49 @@ std::string AbstractSet::to_string() const {
   return os.str();
 }
 
+namespace {
+
+/// Per-thread tally behind AbstractCache::sets_copied_on_this_thread().
+thread_local std::uint64_t t_sets_copied = 0;
+
+}  // namespace
+
 AbstractCache::AbstractCache(const cache::CacheConfig& config) {
   config.validate();
   UCP_REQUIRE(config.assoc <= 255, "associativity too large for age domain");
   set_mask_ = config.num_sets() - 1;
-  payload_ = std::make_shared<Payload>();
-  payload_->sets.assign(config.num_sets(),
-                        AbstractSet(static_cast<std::uint8_t>(config.assoc)));
+  // Every chunk of the empty state is the same empty chunk; the first write
+  // to a set gives its chunk a private copy.
+  auto empty = std::make_shared<Chunk>();
+  empty->sets.fill(AbstractSet(static_cast<std::uint8_t>(config.assoc)));
+  root_ = std::make_shared<Root>();
+  root_->chunks.assign((num_sets() + kSetsPerChunk - 1) / kSetsPerChunk,
+                       empty);
 }
 
 const AbstractSet& AbstractCache::set_at(std::uint32_t index) const {
-  UCP_REQUIRE(index < payload_->sets.size(), "set index out of range");
-  return payload_->sets[index];
+  UCP_REQUIRE(index < num_sets(), "set index out of range");
+  return set_ref(index);
+}
+
+std::uint64_t AbstractCache::sets_copied_on_this_thread() {
+  return t_sets_copied;
+}
+
+void AbstractCache::detach_root() {
+  root_ = std::make_shared<Root>(*root_);
+}
+
+void AbstractCache::detach_chunk(std::shared_ptr<Chunk>& chunk) {
+  chunk = std::make_shared<Chunk>(*chunk);
+  t_sets_copied += std::min(kSetsPerChunk, num_sets());
 }
 
 namespace {
 
 void require_same_geometry(const AbstractCache& a, const AbstractCache& b) {
   UCP_REQUIRE(a.num_sets() == b.num_sets() &&
-                  (a.num_sets() == 0 ||
-                   a.set_at(0).assoc() == b.set_at(0).assoc()),
+                  a.set_at(0).assoc() == b.set_at(0).assoc(),
               "joining caches of different geometry");
 }
 
@@ -207,25 +230,49 @@ AbstractCache AbstractCache::join_may(const AbstractCache& a,
   return out;
 }
 
-bool AbstractCache::join_must_with(const AbstractCache& other) {
+template <bool kMust>
+bool AbstractCache::join_with(const AbstractCache& other) {
   require_same_geometry(*this, other);
-  if (payload_ == other.payload_) return false;  // join(x, x) = x
-  detach();
-  // detach() copies when shared, so `other` can never alias payload_ here.
+  if (root_ == other.root_) return false;  // join(x, x) = x
   bool changed = false;
-  for (std::size_t i = 0; i < payload_->sets.size(); ++i)
-    changed |= payload_->sets[i].join_must_with(other.payload_->sets[i]);
+  const std::uint32_t n = num_sets();
+  for (std::uint32_t c = 0; c < root_->chunks.size(); ++c) {
+    if (root_->chunks[c] == other.root_->chunks[c]) continue;
+    const std::uint32_t end = std::min(n, (c + 1) * kSetsPerChunk);
+    for (std::uint32_t i = c * kSetsPerChunk; i < end; ++i) {
+      const AbstractSet& theirs = other.set_ref(i);
+      if (set_ref(i) == theirs) continue;  // join is idempotent
+      // Join into a scratch copy so that only a set the join changes gets
+      // written — and only then is its chunk detached.
+      AbstractSet joined = set_ref(i);
+      const bool set_changed = kMust ? joined.join_must_with(theirs)
+                                     : joined.join_may_with(theirs);
+      if (!set_changed) continue;
+      writable_set(i) = std::move(joined);
+      changed = true;
+    }
+  }
   return changed;
 }
 
+bool AbstractCache::join_must_with(const AbstractCache& other) {
+  return join_with<true>(other);
+}
+
 bool AbstractCache::join_may_with(const AbstractCache& other) {
-  require_same_geometry(*this, other);
-  if (payload_ == other.payload_) return false;  // join(x, x) = x
-  detach();
-  bool changed = false;
-  for (std::size_t i = 0; i < payload_->sets.size(); ++i)
-    changed |= payload_->sets[i].join_may_with(other.payload_->sets[i]);
-  return changed;
+  return join_with<false>(other);
+}
+
+bool AbstractCache::same_content(const AbstractCache& a,
+                                 const AbstractCache& b) {
+  // Unused tail sets of a partial chunk are never written, so whole-chunk
+  // comparison equals comparison of the live sets.
+  for (std::size_t c = 0; c < a.root_->chunks.size(); ++c) {
+    const Chunk* ca = a.root_->chunks[c].get();
+    const Chunk* cb = b.root_->chunks[c].get();
+    if (ca != cb && ca->sets != cb->sets) return false;
+  }
+  return true;
 }
 
 std::uint64_t AbstractCache::content_hash() const {
@@ -234,7 +281,8 @@ std::uint64_t AbstractCache::content_hash() const {
     h ^= v;
     h *= 1099511628211ull;
   };
-  for (const AbstractSet& s : payload_->sets) {
+  for (std::uint32_t i = 0; i < num_sets(); ++i) {
+    const AbstractSet& s = set_ref(i);
     mix(s.size() + 0x9e3779b97f4a7c15ull);
     for (const AgedBlock& e : s.entries()) {
       mix(e.block);
@@ -246,9 +294,10 @@ std::uint64_t AbstractCache::content_hash() const {
 
 std::string AbstractCache::to_string() const {
   std::ostringstream os;
-  for (std::size_t i = 0; i < payload_->sets.size(); ++i) {
-    if (payload_->sets[i].size() == 0) continue;
-    os << "set" << i << " " << payload_->sets[i].to_string() << "\n";
+  for (std::uint32_t i = 0; i < num_sets(); ++i) {
+    const AbstractSet& s = set_ref(i);
+    if (s.size() == 0) continue;
+    os << "set" << i << " " << s.to_string() << "\n";
   }
   return os.str();
 }

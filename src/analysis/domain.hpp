@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -79,35 +80,42 @@ class AbstractSet {
 /// c-hat : L -> P(S). Geometry (set count, associativity, set mapping) is
 /// borrowed from a shared CacheConfig instead of copied per state.
 ///
-/// The set vector lives behind a refcounted copy-on-write payload: copying a
-/// state (worklist seeding, incremental-trial boundary snapshots, interning)
-/// bumps a refcount instead of cloning age vectors, and every mutator
-/// detaches first. Pointer equality of payloads is both a free equality
-/// witness and a join fast path (`join(x, x) = x`), which is what makes the
-/// hash-consing in the fixpoint driver pay off — identical states collapse
-/// to one allocation and compare in O(1).
+/// Storage is a two-level copy-on-write tree. A refcounted root holds one
+/// refcounted chunk pointer per kSetsPerChunk consecutive sets:
+///  - copying a state (worklist seeding, incremental-trial boundary
+///    snapshots, interning) bumps the root's refcount;
+///  - a write clones the root's pointer vector if the root is shared, then
+///    the one chunk it touches if that chunk is shared — an LRU update
+///    changes exactly one set, so it never copies the other sets;
+///  - joins skip pointer-equal chunks and detach a chunk only when the join
+///    changes one of its sets, so a no-op join keeps all sharing intact;
+///  - pointer equality of roots or chunks is a free equality witness for
+///    `operator==` and for the join fast path (`join(x, x) = x`), which is
+///    what makes the hash-consing in the fixpoint driver pay off.
+/// A root or chunk is written only while its holder has the sole reference,
+/// and neither carries cached (`mutable`) fields, so shared storage is never
+/// written at all.
 class AbstractCache {
  public:
+  /// Sets per copy-on-write chunk: the unit a write detaches.
+  static constexpr std::uint32_t kSetsPerChunk = 8;
+
   explicit AbstractCache(const cache::CacheConfig& config);
 
-  std::uint32_t num_sets() const {
-    return static_cast<std::uint32_t>(payload_->sets.size());
-  }
+  std::uint32_t num_sets() const { return set_mask_ + 1; }
   std::uint32_t set_index_of(MemBlockId block) const {
     return block & set_mask_;
   }
   const AbstractSet& set_for_block(MemBlockId block) const {
-    return payload_->sets[set_index_of(block)];
+    return set_ref(set_index_of(block));
   }
   const AbstractSet& set_at(std::uint32_t index) const;
 
   void update_must(MemBlockId block) {
-    detach();
-    payload_->sets[set_index_of(block)].update_must(block);
+    writable_set(set_index_of(block)).update_must(block);
   }
   void update_may(MemBlockId block) {
-    detach();
-    payload_->sets[set_index_of(block)].update_may(block);
+    writable_set(set_index_of(block)).update_may(block);
   }
   bool must_contain(MemBlockId block) const {
     return set_for_block(block).contains(block);
@@ -121,14 +129,15 @@ class AbstractCache {
   static AbstractCache join_may(const AbstractCache& a, const AbstractCache& b);
 
   /// In-place accumulating joins; *this becomes join(*this, other). Returns
-  /// true iff any set changed. Joining a state with itself (shared payload)
-  /// is a pointer compare — the dominant reconvergence case under interning.
+  /// true iff any set changed. Joining a state with itself (shared root) is
+  /// a pointer compare — the dominant reconvergence case under interning —
+  /// and a join that changes nothing leaves this state's storage untouched.
   bool join_must_with(const AbstractCache& other);
   bool join_may_with(const AbstractCache& other);
 
-  /// True iff both states alias one payload (=> equal, O(1)).
+  /// True iff both states alias one root (=> equal, O(1)).
   bool shares_storage_with(const AbstractCache& other) const {
-    return payload_ == other.payload_;
+    return root_ == other.root_;
   }
 
   /// FNV-1a over the entry lists; the hash-consing key of the fixpoint's
@@ -137,22 +146,43 @@ class AbstractCache {
 
   friend bool operator==(const AbstractCache& a, const AbstractCache& b) {
     return a.set_mask_ == b.set_mask_ &&
-           (a.payload_ == b.payload_ || a.payload_->sets == b.payload_->sets);
+           (a.root_ == b.root_ || same_content(a, b));
   }
 
   std::string to_string() const;
 
+  /// AbstractSets the calling thread has copied while detaching chunks,
+  /// since the thread started. Callers publish differences of this tally
+  /// (DESIGN.md §11: hot paths never touch shared state).
+  static std::uint64_t sets_copied_on_this_thread();
+
  private:
-  struct Payload {
-    std::vector<AbstractSet> sets;
+  struct Chunk {
+    std::array<AbstractSet, kSetsPerChunk> sets;  // unused tail stays empty
   };
-  void detach() {
-    if (payload_.use_count() != 1)
-      payload_ = std::make_shared<Payload>(*payload_);
+  struct Root {
+    std::vector<std::shared_ptr<Chunk>> chunks;
+  };
+
+  const AbstractSet& set_ref(std::uint32_t index) const {
+    return root_->chunks[index / kSetsPerChunk]->sets[index % kSetsPerChunk];
   }
+  /// The set at `index`, writable: detaches the root and that set's chunk
+  /// when either is shared.
+  AbstractSet& writable_set(std::uint32_t index) {
+    if (root_.use_count() != 1) detach_root();
+    std::shared_ptr<Chunk>& chunk = root_->chunks[index / kSetsPerChunk];
+    if (chunk.use_count() != 1) detach_chunk(chunk);
+    return chunk->sets[index % kSetsPerChunk];
+  }
+  void detach_root();
+  void detach_chunk(std::shared_ptr<Chunk>& chunk);
+  template <bool kMust>
+  bool join_with(const AbstractCache& other);
+  static bool same_content(const AbstractCache& a, const AbstractCache& b);
 
   std::uint32_t set_mask_ = 0;  ///< num_sets - 1 (power of two)
-  std::shared_ptr<Payload> payload_;
+  std::shared_ptr<Root> root_;
 };
 
 }  // namespace ucp::analysis

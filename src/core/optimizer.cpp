@@ -19,6 +19,7 @@
 #include "support/check.hpp"
 #include "support/checked.hpp"
 #include "support/fault_injection.hpp"
+#include "support/small_vector.hpp"
 #include "wcet/ipet.hpp"
 
 namespace ucp::core {
@@ -65,10 +66,15 @@ bool prefetch_can_survive(const WcetPath& path, std::size_t evictor_pos,
                           std::size_t use_pos, cache::MemBlockId target,
                           const cache::CacheConfig& config) {
   const std::uint32_t set = config.set_of(target);
-  std::set<cache::MemBlockId> conflicting;
+  // Holds fewer than `assoc` blocks between checks, so a linear find beats
+  // a tree.
+  SmallVector<cache::MemBlockId, 8> conflicting;
   for (std::size_t k = evictor_pos + 1; k < use_pos; ++k) {
     const cache::MemBlockId blk = path.refs[k].block;
-    if (blk != target && config.set_of(blk) == set) conflicting.insert(blk);
+    if (blk != target && config.set_of(blk) == set &&
+        std::find(conflicting.begin(), conflicting.end(), blk) ==
+            conflicting.end())
+      conflicting.push_back(blk);
     if (conflicting.size() >= config.assoc) return false;
   }
   return true;
@@ -243,6 +249,10 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
   // Candidates already tried (accepted or rejected), keyed by
   // (evictor, target) — identical physical insertions are not retried.
   std::set<std::pair<ir::InstrId, ir::InstrId>> tried;
+  // Condition-3 baseline: the concrete run of the current `p`, kept until
+  // an acceptance replaces `p`. Only a successful run is kept — a failed
+  // one is retried by the next candidate, exactly as if never cached.
+  std::optional<sim::RunMetrics> acet_base;
 
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     if (cancelled()) return result;
@@ -393,23 +403,27 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
       // Cheap here — candidates reaching this point are rare and the
       // concrete runs take microseconds.
       if (options.require_acet_non_increase) {
-        const Expected<sim::RunMetrics> acet_before =
-            sim::run_program_checked(p, config, timing);
+        if (!acet_base) {
+          Expected<sim::RunMetrics> before =
+              sim::run_program_checked(p, config, timing);
+          if (before.ok()) acet_base = *before;
+        }
         const Expected<sim::RunMetrics> acet_after =
             sim::run_program_checked(best_trial, config, timing);
-        if (!acet_before.ok() || !acet_after.ok()) {
+        if (!acet_base || !acet_after.ok()) {
           // A run that blows its budget cannot prove Condition 3; reject
           // the candidate rather than the whole optimization.
           ++report.rejected_acet;
           continue;
         }
-        if (acet_after->mem_cycles > acet_before->mem_cycles) {
+        if (acet_after->mem_cycles > acet_base->mem_cycles) {
           ++report.rejected_acet;
           continue;
         }
       }
 
       p = std::move(best_trial);
+      acet_base.reset();
       if (incr) {
         // Fold the accepted trial into the base analysis and refresh the
         // affected nodes' τ contributions (the affected id list survives the

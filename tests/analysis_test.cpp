@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 
 #include "analysis/cache_analysis.hpp"
@@ -532,6 +533,135 @@ TEST(AbstractCache, SharedPayloadJoinIsIdentityFastPath) {
   c.update_must(2);
   EXPECT_FALSE(b.join_must_with(c));
   EXPECT_EQ(b, a);
+}
+
+TEST(AbstractCache, WriteAfterCopyClonesOneChunk) {
+  // 8 KB direct-mapped: 512 sets, the widest state of the Table-2 grid.
+  const cache::CacheConfig wide{1, 16, 8192};
+  AbstractCache a(wide);
+  for (MemBlockId b = 0; b < 2 * wide.num_sets(); ++b) {
+    a.update_must(b);
+    a.update_may(b);
+  }
+
+  AbstractCache b = a;
+  const std::uint64_t before = AbstractCache::sets_copied_on_this_thread();
+  b.update_must(5);
+  const std::uint64_t copied =
+      AbstractCache::sets_copied_on_this_thread() - before;
+  EXPECT_GE(copied, 1u);
+  EXPECT_LE(copied, AbstractCache::kSetsPerChunk);
+  EXPECT_TRUE(b.must_contain(5));
+  EXPECT_FALSE(a.must_contain(5));
+
+  // A join that changes one set detaches only that set's chunk.
+  AbstractCache c = a;
+  const std::uint64_t before_join =
+      AbstractCache::sets_copied_on_this_thread();
+  EXPECT_TRUE(c.join_must_with(b));
+  EXPECT_LE(AbstractCache::sets_copied_on_this_thread() - before_join,
+            AbstractCache::kSetsPerChunk);
+  EXPECT_FALSE(c.must_contain(5 + wide.num_sets()));
+}
+
+// ---------------------------------------------------------------------------
+// Property: the chunked copy-on-write state behaves exactly like a flat
+// vector of sets under any sequence of updates, joins and copies.
+// ---------------------------------------------------------------------------
+
+/// Reference model: one plain AbstractSet per cache set, no sharing.
+struct FlatCache {
+  explicit FlatCache(const cache::CacheConfig& config)
+      : sets(config.num_sets(),
+             AbstractSet(static_cast<std::uint8_t>(config.assoc))) {}
+  AbstractSet& set_for(MemBlockId block) {
+    return sets[block % sets.size()];
+  }
+  bool join_with(const FlatCache& other, bool must) {
+    bool changed = false;
+    for (std::size_t i = 0; i < sets.size(); ++i)
+      changed |= must ? sets[i].join_must_with(other.sets[i])
+                      : sets[i].join_may_with(other.sets[i]);
+    return changed;
+  }
+  std::vector<AbstractSet> sets;
+};
+
+void expect_matches(const AbstractCache& c, const FlatCache& model) {
+  ASSERT_EQ(c.num_sets(), model.sets.size());
+  for (std::uint32_t i = 0; i < c.num_sets(); ++i)
+    ASSERT_EQ(c.set_at(i), model.sets[i]) << "set " << i;
+}
+
+TEST(AbstractCache, MatchesFlatReferenceModel) {
+  const std::vector<cache::CacheConfig> geometries = {
+      {2, 16, 32},    // 1 set: one partial chunk
+      {2, 16, 64},    // 2 sets
+      {1, 16, 64},    // 4 sets
+      {2, 16, 256},   // 8 sets: exactly one chunk
+      {1, 16, 256},   // 16 sets
+      {4, 16, 2048},  // 32 sets
+      {1, 16, 8192},  // 512 sets
+  };
+  constexpr std::size_t kPool = 6;
+  constexpr int kOps = 1500;
+  for (const cache::CacheConfig& config : geometries) {
+    for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(config.to_string() + " seed " + std::to_string(seed));
+      std::mt19937 rng(seed * 7919u + config.num_sets());
+      const auto pick = [&rng](std::uint32_t n) {
+        return std::uniform_int_distribution<std::uint32_t>(0, n - 1)(rng);
+      };
+      // Few distinct blocks per set, so updates hit, age and evict.
+      const std::uint32_t block_range =
+          config.num_sets() * (config.assoc + 2);
+
+      std::vector<AbstractCache> states(kPool, AbstractCache(config));
+      std::vector<FlatCache> models(kPool, FlatCache(config));
+      for (int op = 0; op < kOps; ++op) {
+        const std::uint32_t i = pick(kPool);
+        const std::uint32_t j = pick(kPool);
+        switch (pick(6)) {
+          case 0:
+          case 1: {
+            const MemBlockId b = pick(block_range);
+            states[i].update_must(b);
+            models[i].set_for(b).update_must(b);
+            break;
+          }
+          case 2: {
+            const MemBlockId b = pick(block_range);
+            states[i].update_may(b);
+            models[i].set_for(b).update_may(b);
+            break;
+          }
+          case 3:
+          case 4: {
+            const bool must = pick(2) == 0;
+            const AbstractCache before = states[i];
+            const bool changed = must ? states[i].join_must_with(states[j])
+                                      : states[i].join_may_with(states[j]);
+            ASSERT_EQ(changed, models[i].join_with(models[j], must));
+            // A join that changes nothing keeps all sharing intact.
+            if (!changed) ASSERT_TRUE(states[i].shares_storage_with(before));
+            break;
+          }
+          case 5:
+            states[i] = states[j];
+            models[i] = models[j];
+            ASSERT_TRUE(states[i].shares_storage_with(states[j]));
+            break;
+        }
+        expect_matches(states[i], models[i]);
+        const bool equal = models[i].sets == models[j].sets;
+        ASSERT_EQ(states[i] == states[j], equal);
+        if (equal)
+          ASSERT_EQ(states[i].content_hash(), states[j].content_hash());
+      }
+      for (std::size_t k = 0; k < kPool; ++k)
+        expect_matches(states[k], models[k]);
+    }
+  }
 }
 
 }  // namespace
