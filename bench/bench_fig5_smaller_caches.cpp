@@ -14,6 +14,7 @@
 #include "core/optimizer.hpp"
 #include "energy/model.hpp"
 #include "suite/suite.hpp"
+#include "support/parallel.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
                "original on full capacity (" << grid.size()
             << " base cases)\n";
 
-  exp::parallel_for_index(grid.size(), args.threads, [&](std::size_t idx) {
+  support::parallel_for_index(grid.size(), args.threads, [&](std::size_t idx) {
     const Case& c = grid[idx];
     const ir::Program program = suite::build_benchmark(c.program);
     const exp::Metrics base =

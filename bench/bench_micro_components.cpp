@@ -19,6 +19,7 @@
 #include "ilp/model.hpp"
 #include "ilp/sparse.hpp"
 #include "ir/layout.hpp"
+#include "reference/reference.hpp"
 #include "sim/interpreter.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
@@ -204,31 +205,39 @@ void BM_IpetSystemResolve(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_IpetSystemResolve, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_IpetSystemResolve, statemate, "statemate");
 
-// ILP presolve on/off over the whole IpetSystem life cycle (build the
-// sparse snapshot including its one-time phase 1, then solve once): the
-// reduction pays for itself when the eliminated equality rows save more
-// construction/solve pivots than the presolve passes cost. `rows` records
-// what the simplex actually factorizes in each mode.
-void BM_IpetBuildSolveKernel(benchmark::State& state, const char* name,
-                             bool presolve) {
+// ILP presolve on/off over the whole IPET life cycle (build the sparse
+// snapshot including its one-time phase 1, then solve once): the reduction
+// pays for itself when the eliminated equality rows save more
+// construction/solve pivots than the presolve passes cost. The unreduced
+// arm is the reference oracle, which builds its sparse LP from the full
+// model inside every solve. `rows` records what the simplex actually
+// factorizes in each arm.
+void BM_IpetBuildSolvePresolved(benchmark::State& state, const char* name) {
   const ir::Program program = suite::build_benchmark(name);
   const ir::Layout layout(program, kConfig.block_bytes);
   const analysis::ContextGraph graph(program);
   const auto cls = analysis::analyze_cache(graph, layout, kConfig);
   std::size_t rows = 0;
   for (auto _ : state) {
-    const wcet::IpetSystem system(graph, wcet::IpetOptions{presolve});
+    const wcet::IpetSystem system(graph);
     const auto wcet = system.solve(cls, kTiming);
     rows = system.lp_rows();
     benchmark::DoNotOptimize(wcet.tau_mem);
   }
   state.counters["rows"] = static_cast<double>(rows);
 }
-void BM_IpetBuildSolvePresolved(benchmark::State& state, const char* name) {
-  BM_IpetBuildSolveKernel(state, name, /*presolve=*/true);
-}
 void BM_IpetBuildSolveUnreduced(benchmark::State& state, const char* name) {
-  BM_IpetBuildSolveKernel(state, name, /*presolve=*/false);
+  const ir::Program program = suite::build_benchmark(name);
+  const ir::Layout layout(program, kConfig.block_bytes);
+  const analysis::ContextGraph graph(program);
+  const auto cls = analysis::analyze_cache(graph, layout, kConfig);
+  const wcet::IpetSystem system(graph);
+  for (auto _ : state) {
+    const auto wcet = reference::solve_unpresolved(system, cls, kTiming);
+    benchmark::DoNotOptimize(wcet.tau_mem);
+  }
+  state.counters["rows"] = static_cast<double>(
+      system.model_with_objective(cls, kTiming).num_constraints());
 }
 BENCHMARK_CAPTURE(BM_IpetBuildSolvePresolved, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_IpetBuildSolveUnreduced, fdct, "fdct");

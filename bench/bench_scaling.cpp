@@ -2,16 +2,19 @@
 // fixed seeded suite of generated programs at 10×/30×/100× the Mälardalen
 // scale (the default GenKnobs CFG size ≈ the paper suite's average).
 //
-// Every program is run through TWO pipelines over the same inputs:
-//   legacy   — global FIFO worklist fixpoint, no ILP presolve
-//              (the pre-PR pipeline, retained behind options)
+// Every program is analyzed and solved by TWO engine pairs over the same
+// inputs:
+//   legacy   — global FIFO worklist fixpoint and the unreduced IPET model
+//              (the reference engines of tests/reference)
 //   default  — SCC-sparse fixpoint + hash-consed states + ILP presolve
-// and the bench *fails* (exit 1) if they disagree on τ_mem, the optimized
-// τ_mem, or the insertion count — the scaling suite doubles as a
-// differential oracle at sizes the unit suite never reaches.
+// and the bench *fails* (exit 1) if they disagree on τ_mem — the scaling
+// suite doubles as a differential oracle at sizes the unit suite never
+// reaches. The optimizer has a single analysis path, so only the default
+// arm runs it. The legacy arm builds its unreduced sparse LP inside its
+// solve stage, so its build stage stays zero.
 //
-// Per-stage wall-clock (analyze / IPET build / solve / optimize) for both
-// pipelines, plus the speedups, land in BENCH_scaling.json.
+// Per-stage wall-clock (analyze / IPET build / solve, plus the default
+// arm's optimize) and the analyze+IPET speedup land in BENCH_scaling.json.
 //
 //   --smoke        one small 10× program only; prints a result fingerprint
 //                  (pinned by the scaling_smoke ctest) and skips the JSON
@@ -40,6 +43,7 @@
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "reference/reference.hpp"
 #include "wcet/ipet.hpp"
 
 namespace {
@@ -55,9 +59,9 @@ struct StageTimes {
   double ipet_build_s = 0.0;
   double solve_s = 0.0;
   double optimize_s = 0.0;
-  double total() const {
-    return analyze_s + ipet_build_s + solve_s + optimize_s;
-  }
+  double total() const { return ipet_total() + optimize_s; }
+  /// The stages both arms run: analyze, IPET build and solve.
+  double ipet_total() const { return analyze_s + ipet_build_s + solve_s; }
   void add(const StageTimes& o) {
     analyze_s += o.analyze_s;
     ipet_build_s += o.ipet_build_s;
@@ -73,23 +77,17 @@ struct PipelineOutcome {
   std::size_t insertions = 0;
   std::size_t graph_nodes = 0;
   std::size_t ilp_rows = 0;   ///< rows of the system the simplex actually saw
-  std::size_t ilp_cols = 0;
 };
 
-/// One program through analyze→IPET-build→solve→optimize. `modern` selects
-/// the full feature set; legacy runs the pre-PR engines. The optimizer knob
-/// set is identical across modes (same candidate budget, same accept rule),
-/// so any output divergence is an engine bug, not a budget artifact.
+/// One program through analyze→IPET-build→solve, then (default arm only)
+/// optimize. `modern` selects the production engines; legacy runs the
+/// reference engines.
 PipelineOutcome run_pipeline(const ucp::ir::Program& program,
                              const ucp::cache::CacheConfig& config,
                              const ucp::cache::MemTiming& timing,
                              bool modern) {
   using namespace ucp;
   PipelineOutcome out;
-
-  const analysis::FixpointMode mode = modern
-                                          ? analysis::FixpointMode::kSccSparse
-                                          : analysis::FixpointMode::kGlobalWorklist;
 
   Clock::time_point t = Clock::now();
   std::optional<analysis::CacheAnalysisResult> cls;
@@ -98,26 +96,29 @@ PipelineOutcome run_pipeline(const ucp::ir::Program& program,
     obs::Span span("scaling.analyze");
     graph.emplace(program);
     const ir::Layout layout(program, config.block_bytes);
-    cls = analysis::analyze_cache(*graph, layout, config, mode);
+    cls = modern ? analysis::analyze_cache(*graph, layout, config)
+                 : reference::analyze_cache_global_worklist(*graph, layout,
+                                                            config);
   }
   out.times.analyze_s = seconds_since(t);
   out.graph_nodes = graph->num_nodes();
 
+  // The legacy arm needs the system only for its unreduced model, which
+  // it builds (and pays for) inside its own solve stage.
   t = Clock::now();
   std::optional<wcet::IpetSystem> ipet;
   {
     obs::Span span("scaling.ipet_build");
-    ipet.emplace(*graph, wcet::IpetOptions{modern});
+    ipet.emplace(*graph);
   }
-  out.times.ipet_build_s = seconds_since(t);
-  out.ilp_rows = ipet->lp_rows();
-  out.ilp_cols = ipet->lp_cols();
+  if (modern) out.times.ipet_build_s = seconds_since(t);
 
   t = Clock::now();
   wcet::WcetResult wcet;
   {
     obs::Span span("scaling.solve");
-    wcet = ipet->solve(*cls, timing);
+    wcet = modern ? ipet->solve(*cls, timing)
+                  : reference::solve_unpresolved(*ipet, *cls, timing);
   }
   out.times.solve_s = seconds_since(t);
   if (!wcet.ok()) {
@@ -126,14 +127,14 @@ PipelineOutcome run_pipeline(const ucp::ir::Program& program,
     std::exit(1);
   }
   out.tau_mem = wcet.tau_mem;
+  out.ilp_rows = modern ? ipet->lp_rows()
+                        : ipet->model_with_objective(*cls, timing)
+                              .num_constraints();
+  if (!modern) return out;
 
   t = Clock::now();
   core::OptimizerOptions opt;
-  opt.fixpoint_mode = mode;
-  opt.ipet_presolve = modern;  // moot with a shared system, set for honesty
-  // A deterministic budget that keeps the 100× tier tractable. Identical in
-  // both modes — the budget influences which candidates get tried, so it
-  // must never differ between the pipelines being compared.
+  // A deterministic budget that keeps the 100× tier tractable.
   opt.max_evaluations = 96;
   std::optional<core::OptimizationResult> result;
   {
@@ -166,8 +167,11 @@ struct TierResult {
   std::size_t insertions = 0;
   std::uint64_t fingerprint = 14695981039346656037ull;  ///< FNV-1a offset
 
+  /// Over the stages both arms run (analyze, IPET build, solve).
   double speedup() const {
-    return modern.total() > 0.0 ? legacy.total() / modern.total() : 0.0;
+    return modern.ipet_total() > 0.0
+               ? legacy.ipet_total() / modern.ipet_total()
+               : 0.0;
   }
   void mix(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -203,14 +207,10 @@ TierResult run_tier(const Tier& tier, const ucp::cache::CacheConfig& config,
     const PipelineOutcome modern =
         run_pipeline(program, config, timing, /*modern=*/true);
 
-    if (legacy.tau_mem != modern.tau_mem ||
-        legacy.tau_optimized != modern.tau_optimized ||
-        legacy.insertions != modern.insertions) {
+    if (legacy.tau_mem != modern.tau_mem) {
       std::cerr << "[bench] FATAL: legacy/default divergence on seed " << seed
                 << " (" << tier.name << "): tau " << legacy.tau_mem << "/"
-                << modern.tau_mem << ", tau_opt " << legacy.tau_optimized
-                << "/" << modern.tau_optimized << ", insertions "
-                << legacy.insertions << "/" << modern.insertions << "\n";
+                << modern.tau_mem << "\n";
       std::exit(1);
     }
 
@@ -228,20 +228,26 @@ TierResult run_tier(const Tier& tier, const ucp::cache::CacheConfig& config,
     std::cerr << "  [scaling] " << tier.name << " seed " << seed << ": "
               << modern.graph_nodes << " ctx nodes, rows "
               << legacy.ilp_rows << "->" << modern.ilp_rows << ", legacy "
-              << legacy.times.total() << "s, default "
-              << modern.times.total() << "s\n";
+              << legacy.times.ipet_total() << "s, default "
+              << modern.times.ipet_total() << "s + optimize "
+              << modern.times.optimize_s << "s\n";
   }
   return r;
 }
 
-void print_stage_row(std::ostream& os, const char* label, const StageTimes& t) {
+void print_stage_row(std::ostream& os, const char* label, const StageTimes& t,
+                     bool optimized) {
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "    %-8s analyze %8.3fs  build %8.3fs  solve %8.3fs  "
-                "optimize %8.3fs  total %8.3fs\n",
-                label, t.analyze_s, t.ipet_build_s, t.solve_s, t.optimize_s,
-                t.total());
+                "    %-8s analyze %8.3fs  build %8.3fs  solve %8.3fs", label,
+                t.analyze_s, t.ipet_build_s, t.solve_s);
   os << buf;
+  if (optimized) {
+    std::snprintf(buf, sizeof buf, "  optimize %8.3fs  total %8.3fs",
+                  t.optimize_s, t.total());
+    os << buf;
+  }
+  os << "\n";
 }
 
 void write_json(const std::string& path, const std::vector<TierResult>& tiers) {
@@ -251,12 +257,13 @@ void write_json(const std::string& path, const std::vector<TierResult>& tiers) {
      << ucp::obs::build_info_json() << ",\n  \"tiers\": [\n";
   for (std::size_t i = 0; i < tiers.size(); ++i) {
     const TierResult& r = tiers[i];
-    auto stages = [&os](const char* key, const StageTimes& t) {
+    auto stages = [&os](const char* key, const StageTimes& t,
+                        bool optimized) {
       os << "      \"" << key << "\": {\"analyze_s\": " << t.analyze_s
          << ", \"ipet_build_s\": " << t.ipet_build_s
-         << ", \"solve_s\": " << t.solve_s
-         << ", \"optimize_s\": " << t.optimize_s
-         << ", \"total_s\": " << t.total() << "}";
+         << ", \"solve_s\": " << t.solve_s;
+      if (optimized) os << ", \"optimize_s\": " << t.optimize_s;
+      os << ", \"total_s\": " << t.total() << "}";
     };
     char fp[32];
     std::snprintf(fp, sizeof fp, "%016" PRIx64, r.fingerprint);
@@ -269,9 +276,9 @@ void write_json(const std::string& path, const std::vector<TierResult>& tiers) {
        << "      \"ilp_rows_reduced\": " << r.ilp_rows_reduced << ",\n"
        << "      \"insertions\": " << r.insertions << ",\n"
        << "      \"fingerprint\": \"" << fp << "\",\n";
-    stages("legacy", r.legacy);
+    stages("legacy", r.legacy, false);
     os << ",\n";
-    stages("default", r.modern);
+    stages("default", r.modern, true);
     os << ",\n      \"speedup\": " << r.speedup() << "\n    }"
        << (i + 1 < tiers.size() ? ",\n" : "\n");
   }
@@ -331,13 +338,14 @@ int main(int argc, char** argv) {
     results.push_back(run_tier(tier, config, timing));
 
   std::cout << "[bench] scaling suite (" << (smoke ? "smoke" : "full")
-            << "), legacy = global worklist + unreduced ILP\n";
+            << "), legacy = global worklist + unreduced ILP; speedup over "
+               "analyze + IPET\n";
   for (const TierResult& r : results) {
     std::cout << "  " << r.tier->name << " (" << r.tier->programs
               << " programs, " << r.graph_nodes << " ctx nodes, ILP rows "
               << r.ilp_rows_full << "->" << r.ilp_rows_reduced << "):\n";
-    print_stage_row(std::cout, "legacy", r.legacy);
-    print_stage_row(std::cout, "default", r.modern);
+    print_stage_row(std::cout, "legacy", r.legacy, false);
+    print_stage_row(std::cout, "default", r.modern, true);
     char buf[64];
     std::snprintf(buf, sizeof buf, "    speedup %.2fx\n", r.speedup());
     std::cout << buf;

@@ -1,7 +1,6 @@
 #include "analysis/cache_analysis.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <queue>
 #include <unordered_map>
 
@@ -138,16 +137,14 @@ class StateInterner {
 
 CacheAnalysisResult analyze_cache(const ContextGraph& graph,
                                   const ir::Layout& layout,
-                                  const cache::CacheConfig& config,
-                                  FixpointMode mode) {
-  return analyze_cache(graph, graph.program(), layout, config, mode);
+                                  const cache::CacheConfig& config) {
+  return analyze_cache(graph, graph.program(), layout, config);
 }
 
 CacheAnalysisResult analyze_cache(const ContextGraph& graph,
                                   const ir::Program& program,
                                   const ir::Layout& layout,
-                                  const cache::CacheConfig& config,
-                                  FixpointMode mode) {
+                                  const cache::CacheConfig& config) {
   UCP_REQUIRE(program.num_blocks() == graph.program().num_blocks(),
               "program CFG does not match the context graph");
   obs::Span span("analysis.cache.fixpoint");
@@ -170,117 +167,72 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
   const std::uint64_t copied_before =
       AbstractCache::sets_copied_on_this_thread();
 
-  if (mode == FixpointMode::kGlobalWorklist) {
-    // Legacy global FIFO worklist in topological order (only REST back
-    // edges iterate). Kept verbatim as the differential oracle for the
-    // SCC-sparse default below.
-    std::deque<NodeId> work;
-    std::vector<bool> queued(n, false);
-    for (NodeId id : graph.topo_order()) {
-      work.push_back(id);
-      queued[id] = true;
-    }
-    peak_worklist = work.size();
-    while (!work.empty()) {
-      // Cancellation point: the fixpoint is the longest uninterruptible
-      // stretch of a measurement, so the watchdog needs a poll inside it.
-      if ((++pops & 0x3F) == 0) throw_if_cancelled("analyze_cache fixpoint");
-      const NodeId id = work.front();
-      work.pop_front();
-      queued[id] = false;
-      if (!has_in[id]) continue;  // no predecessor state yet
+  // SCC-sparse fixpoint: finalize one SCC at a time in condensation
+  // order. A node's in-state only ever receives contributions from its
+  // own SCC (still iterating) or earlier SCCs (already final), so once an
+  // SCC reaches its local fixpoint its states are final — no global
+  // re-seeding, no revisiting. Trivial SCCs (single node, no self edge)
+  // are a single transfer. Within an SCC, a min-heap on topo position
+  // propagates states in ACFG order, which converges loop bodies in few
+  // sweeps. Out-states are hash-consed so the reconvergence test and
+  // identical-state joins are pointer compares.
+  StateInterner interner;
+  const std::vector<NodeId>& topo = graph.topo_order();
+  const std::vector<NodeId>& order = graph.scc_order();
+  const std::vector<std::uint32_t>& begin = graph.scc_begin();
+  std::vector<std::uint8_t> queued(n, 0);
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                      std::greater<std::uint32_t>>
+      heap;
 
-      const ir::BasicBlock& bb = program.block(graph.node(id).block);
-      MustMay out = transfer_block(result.in_states[id], bb, layout);
-      // Any non-empty block caches its own memory blocks, so a freshly
-      // computed out-state never equals the empty initializer; an unchanged
-      // out-state therefore means successors already merged it.
-      const bool out_changed = !(out == result.out_states[id]);
-      result.out_states[id] = std::move(out);
-      if (!out_changed) continue;
+  const auto process = [&](NodeId id) {
+    if ((++pops & 0x3F) == 0) throw_if_cancelled("analyze_cache fixpoint");
+    if (!has_in[id]) return;  // no predecessor state yet
 
-      for (std::uint32_t ei : graph.out_edges(id)) {
-        const CgEdge& e = graph.edges()[ei];
-        bool was_in = has_in[e.to];
-        ++joins;
-        if (merge_in(result.in_states[e.to], was_in, result.out_states[id])) {
-          has_in[e.to] = true;
-          if (!queued[e.to]) {
-            work.push_back(e.to);
-            queued[e.to] = true;
-            peak_worklist = std::max(peak_worklist, work.size());
-          }
+    const ir::BasicBlock& bb = program.block(graph.node(id).block);
+    MustMay out = transfer_block(result.in_states[id], bb, layout);
+    deduped += interner.intern(out.must) ? 1 : 0;
+    deduped += interner.intern(out.may) ? 1 : 0;
+    // Canonicalized states make this a pointer compare on the hot
+    // (reconverged) path.
+    const bool out_changed = !(out == result.out_states[id]);
+    result.out_states[id] = std::move(out);
+    if (!out_changed) return;
+
+    const std::uint32_t my_scc = graph.scc_of(id);
+    for (std::uint32_t ei : graph.out_edges(id)) {
+      const CgEdge& e = graph.edges()[ei];
+      bool was_in = has_in[e.to];
+      ++joins;
+      if (merge_in(result.in_states[e.to], was_in, result.out_states[id])) {
+        has_in[e.to] = true;
+        // Successors in later SCCs keep the merged state and run when
+        // their SCC's turn comes; only same-SCC successors re-enter the
+        // local worklist (skip-propagation).
+        if (graph.scc_of(e.to) == my_scc && !queued[e.to]) {
+          queued[e.to] = 1;
+          heap.push(graph.topo_pos(e.to));
+          peak_worklist = std::max(peak_worklist, heap.size());
         }
       }
     }
-  } else {
-    // SCC-sparse fixpoint: finalize one SCC at a time in condensation
-    // order. A node's in-state only ever receives contributions from its
-    // own SCC (still iterating) or earlier SCCs (already final), so once an
-    // SCC reaches its local fixpoint its states are final — no global
-    // re-seeding, no revisiting. Trivial SCCs (single node, no self edge)
-    // are a single transfer. Within an SCC, a min-heap on topo position
-    // propagates states in ACFG order, which converges loop bodies in few
-    // sweeps. Out-states are hash-consed so the reconvergence test and
-    // identical-state joins are pointer compares.
-    StateInterner interner;
-    const std::vector<NodeId>& topo = graph.topo_order();
-    const std::vector<NodeId>& order = graph.scc_order();
-    const std::vector<std::uint32_t>& begin = graph.scc_begin();
-    std::vector<std::uint8_t> queued(n, 0);
-    std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                        std::greater<std::uint32_t>>
-        heap;
+  };
 
-    const auto process = [&](NodeId id) {
-      if ((++pops & 0x3F) == 0) throw_if_cancelled("analyze_cache fixpoint");
-      if (!has_in[id]) return;  // no predecessor state yet
-
-      const ir::BasicBlock& bb = program.block(graph.node(id).block);
-      MustMay out = transfer_block(result.in_states[id], bb, layout);
-      deduped += interner.intern(out.must) ? 1 : 0;
-      deduped += interner.intern(out.may) ? 1 : 0;
-      // Canonicalized states make this a pointer compare on the hot
-      // (reconverged) path.
-      const bool out_changed = !(out == result.out_states[id]);
-      result.out_states[id] = std::move(out);
-      if (!out_changed) return;
-
-      const std::uint32_t my_scc = graph.scc_of(id);
-      for (std::uint32_t ei : graph.out_edges(id)) {
-        const CgEdge& e = graph.edges()[ei];
-        bool was_in = has_in[e.to];
-        ++joins;
-        if (merge_in(result.in_states[e.to], was_in, result.out_states[id])) {
-          has_in[e.to] = true;
-          // Successors in later SCCs keep the merged state and run when
-          // their SCC's turn comes; only same-SCC successors re-enter the
-          // local worklist (skip-propagation).
-          if (graph.scc_of(e.to) == my_scc && !queued[e.to]) {
-            queued[e.to] = 1;
-            heap.push(graph.topo_pos(e.to));
-            peak_worklist = std::max(peak_worklist, heap.size());
-          }
-        }
-      }
-    };
-
-    for (std::uint32_t s = 0; s < graph.scc_count(); ++s) {
-      if (graph.scc_trivial(s)) {
-        process(order[begin[s]]);
-        continue;
-      }
-      for (std::uint32_t i = begin[s]; i < begin[s + 1]; ++i) {
-        heap.push(graph.topo_pos(order[i]));
-        queued[order[i]] = 1;
-      }
-      peak_worklist = std::max(peak_worklist, heap.size());
-      while (!heap.empty()) {
-        const NodeId id = topo[heap.top()];
-        heap.pop();
-        queued[id] = 0;
-        process(id);
-      }
+  for (std::uint32_t s = 0; s < graph.scc_count(); ++s) {
+    if (graph.scc_trivial(s)) {
+      process(order[begin[s]]);
+      continue;
+    }
+    for (std::uint32_t i = begin[s]; i < begin[s + 1]; ++i) {
+      heap.push(graph.topo_pos(order[i]));
+      queued[order[i]] = 1;
+    }
+    peak_worklist = std::max(peak_worklist, heap.size());
+    while (!heap.empty()) {
+      const NodeId id = topo[heap.top()];
+      heap.pop();
+      queued[id] = 0;
+      process(id);
     }
   }
 

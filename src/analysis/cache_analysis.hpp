@@ -54,23 +54,12 @@ class CacheAnalysisResult {
   std::vector<MustMay> out_states;                    // [node]
 };
 
-/// Fixpoint iteration strategy. Both compute the same least fixpoint (the
-/// equation system has a unique lfp, so iteration order cannot change the
-/// result — DESIGN.md §14); they differ only in how much work convergence
-/// takes.
-enum class FixpointMode : std::uint8_t {
-  /// Default: Tarjan-decompose the context graph once, finalize one SCC at
-  /// a time in condensation order with a topo-position priority worklist,
-  /// and hash-cons out-states so reconvergence checks and re-joins of
-  /// identical states are pointer comparisons.
-  kSccSparse,
-  /// Legacy global FIFO worklist over all nodes; retained as the
-  /// differential oracle for the equivalence suite.
-  kGlobalWorklist,
-};
-
 /// Runs the must+may fixpoint over `graph` with instruction addresses taken
-/// from `layout`, for cache geometry `config`.
+/// from `layout`, for cache geometry `config`. It Tarjan-decomposes
+/// the context graph once, finalizes one SCC at a time in condensation
+/// order with a topo-position priority worklist, and hash-conses out-states
+/// so reconvergence checks and re-joins of identical states are pointer
+/// comparisons.
 ///
 /// `program` may differ from `graph.program()` as long as it has the same
 /// CFG structure (same blocks and successors); the optimizer exploits this
@@ -80,14 +69,12 @@ enum class FixpointMode : std::uint8_t {
 CacheAnalysisResult analyze_cache(const ContextGraph& graph,
                                   const ir::Program& program,
                                   const ir::Layout& layout,
-                                  const cache::CacheConfig& config,
-                                  FixpointMode mode = FixpointMode::kSccSparse);
+                                  const cache::CacheConfig& config);
 
 /// Convenience overload using the graph's own program.
 CacheAnalysisResult analyze_cache(const ContextGraph& graph,
                                   const ir::Layout& layout,
-                                  const cache::CacheConfig& config,
-                                  FixpointMode mode = FixpointMode::kSccSparse);
+                                  const cache::CacheConfig& config);
 
 /// Applies one instruction's effect (its own fetch, plus the prefetch
 /// install if it is a kPrefetch) to a MustMay state. Shared by the fixpoint

@@ -24,7 +24,6 @@
 
 namespace ucp::core {
 
-using analysis::CacheAnalysisResult;
 using analysis::ContextGraph;
 
 ir::Instruction make_prefetch(ir::InstrId target) {
@@ -35,18 +34,6 @@ ir::Instruction make_prefetch(ir::InstrId target) {
 }
 
 namespace {
-
-/// Evaluates τ_w of `program` under the frozen worst-case counts.
-std::uint64_t fixed_tau(const ContextGraph& graph, const ir::Program& program,
-                        const cache::CacheConfig& config,
-                        const cache::MemTiming& timing,
-                        const std::vector<std::uint64_t>& counts,
-                        analysis::FixpointMode mode) {
-  const ir::Layout layout(program, config.block_bytes);
-  const CacheAnalysisResult cls =
-      analysis::analyze_cache(graph, program, layout, config, mode);
-  return wcet::tau_with_fixed_counts(graph, cls, timing, counts);
-}
 
 struct Candidate {
   ir::InstrId evictor = ir::kInvalidInstr;  ///< insert right after this
@@ -121,8 +108,6 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
           obs::registry().counter("core.optimizer.rejected_cannot_survive");
       static obs::Counter& c_passes =
           obs::registry().counter("core.optimizer.passes");
-      static obs::Counter& c_full =
-          obs::registry().counter("core.optimizer.full_reanalyses");
       static obs::Counter& c_incr =
           obs::registry().counter("core.optimizer.incremental_reanalyses");
       static obs::Counter& c_nodes =
@@ -136,7 +121,6 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
       c_acet.add(report.rejected_acet);
       c_surv.add(report.rejected_cannot_survive);
       c_passes.add(report.passes);
-      c_full.add(report.full_reanalyses);
       c_incr.add(report.incremental_reanalyses);
       c_nodes.add(report.nodes_reanalyzed);
     }
@@ -181,7 +165,7 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
   std::optional<wcet::IpetSystem> own_ipet;
   if (!shared_ipet) {
     own_graph.emplace(input);
-    own_ipet.emplace(*own_graph, wcet::IpetOptions{options.ipet_presolve});
+    own_ipet.emplace(*own_graph);
   }
   const wcet::IpetSystem& ipet = shared_ipet ? *shared_ipet : *own_ipet;
   const ContextGraph& graph = ipet.graph();
@@ -189,20 +173,12 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
   report.graph_nodes = graph.num_nodes();
 
   // Preliminary WCET analysis: classifications, τ_w, and the frozen
-  // worst-case counts n_w the whole profit arithmetic runs against. On the
-  // incremental path the same base analysis lives inside `incr` and is then
-  // reused for every per-pass path derivation and the final audit.
-  std::optional<analysis::IncrementalCacheAnalysis> incr;
-  std::optional<CacheAnalysisResult> cls0_scratch;
-  if (options.incremental_reanalysis) {
-    incr.emplace(graph, input, config);
-  } else {
-    const ir::Layout layout0(input, config.block_bytes);
-    cls0_scratch =
-        analysis::analyze_cache(graph, layout0, config, options.fixpoint_mode);
-  }
-  const CacheAnalysisResult& cls0 = incr ? incr->result() : *cls0_scratch;
-  const wcet::WcetResult wcet0 = ipet.solve(cls0, timing);
+  // worst-case counts n_w the whole profit arithmetic runs against. The
+  // base analysis lives inside `incr`: every trial is evaluated against it,
+  // every acceptance is promoted into it, and it serves each pass's path
+  // derivation and the final audit.
+  analysis::IncrementalCacheAnalysis incr(graph, input, config);
+  const wcet::WcetResult wcet0 = ipet.solve(incr.result(), timing);
   report.solver.add(wcet0.stats);
   if (!wcet0.ok()) {
     report.wcet_failed = true;
@@ -229,19 +205,16 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
       per_exec += wcet::ref_cycles(c, timing);
     return checked_mul(per_exec, n_w[v], "node tau contribution");
   };
-  std::vector<std::uint64_t> node_tau;
+  std::vector<std::uint64_t> node_tau(graph.num_nodes());
   std::uint64_t tau_base_sum = 0;
-  if (incr) {
-    node_tau.resize(graph.num_nodes());
-    for (analysis::NodeId v = 0; v < graph.num_nodes(); ++v) {
-      node_tau[v] = node_contribution(cls0.per_node[v], v);
-      tau_base_sum += node_tau[v];
-    }
+  for (analysis::NodeId v = 0; v < graph.num_nodes(); ++v) {
+    node_tau[v] = node_contribution(incr.result().per_node[v], v);
+    tau_base_sum += node_tau[v];
   }
 
-  // One candidate evaluation costs a full must/may pass over the graph, so
-  // the effective budget shrinks with graph size to keep per-program
-  // optimization time roughly constant.
+  // The effective budget shrinks with graph size to keep per-program
+  // optimization time roughly constant. It decides which candidates get
+  // tried, and so the output program: changing it changes the results.
   const std::size_t eval_budget = std::min(
       options.max_evaluations,
       std::max<std::size_t>(48, 160000 / std::max<std::size_t>(
@@ -266,18 +239,9 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
 
     // Re-derive the WCET path against the current program. The incremental
     // engine already holds the converged analysis of `p` (promoted on every
-    // acceptance), so no fresh fixpoint is needed there.
-    std::optional<ir::Layout> layout_scratch;
-    std::optional<CacheAnalysisResult> cls_scratch;
-    if (!incr) {
-      layout_scratch.emplace(p, config.block_bytes);
-      cls_scratch = analysis::analyze_cache(graph, p, *layout_scratch, config,
-                                            options.fixpoint_mode);
-    }
-    const ir::Layout& layout = incr ? incr->layout() : *layout_scratch;
-    const CacheAnalysisResult& cls = incr ? incr->result() : *cls_scratch;
-    const WcetPath path =
-        build_wcet_path(graph, p, layout, config, timing, cls, wcet0);
+    // acceptance), so no fresh fixpoint is needed.
+    const WcetPath path = build_wcet_path(graph, p, incr.layout(), config,
+                                          timing, incr.result(), wcet0);
 
     // Collect candidates: replaced-block misses on the WCET path, visited
     // in reverse execution order as Algorithm 3 prescribes.
@@ -350,22 +314,15 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
           return result;
         }
         const auto reanalysis_start = std::chrono::steady_clock::now();
-        std::uint64_t tau_trial = 0;
-        std::optional<analysis::IncrementalCacheAnalysis::TrialResult> t;
-        if (incr) {
-          t = incr->analyze_trial(trial);
-          ++report.incremental_reanalyses;
-          tau_trial = tau_base_sum;
-          for (std::size_t i = 0; i < t->affected.size(); ++i) {
-            const analysis::NodeId v = t->affected[i];
-            if (n_w[v] == 0) continue;
-            tau_trial -= node_tau[v];
-            tau_trial += node_contribution(t->cls[i], v);
-          }
-        } else {
-          tau_trial = fixed_tau(graph, trial, config, timing, n_w,
-                                options.fixpoint_mode);
-          ++report.full_reanalyses;
+        analysis::IncrementalCacheAnalysis::TrialResult t =
+            incr.analyze_trial(trial);
+        ++report.incremental_reanalyses;
+        std::uint64_t tau_trial = tau_base_sum;
+        for (std::size_t i = 0; i < t.affected.size(); ++i) {
+          const analysis::NodeId v = t.affected[i];
+          if (n_w[v] == 0) continue;
+          tau_trial -= node_tau[v];
+          tau_trial += node_contribution(t.cls[i], v);
         }
         report.reanalysis_ns += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -424,17 +381,15 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
 
       p = std::move(best_trial);
       acet_base.reset();
-      if (incr) {
-        // Fold the accepted trial into the base analysis and refresh the
-        // affected nodes' τ contributions (the affected id list survives the
-        // move — promote consumes only the state payloads).
-        const std::vector<analysis::NodeId> accepted_nodes = best_t->affected;
-        incr->promote(p, std::move(*best_t));
-        for (analysis::NodeId v : accepted_nodes) {
-          tau_base_sum -= node_tau[v];
-          node_tau[v] = node_contribution(incr->result().per_node[v], v);
-          tau_base_sum += node_tau[v];
-        }
+      // Fold the accepted trial into the base analysis and refresh the
+      // affected nodes' τ contributions (the affected id list survives the
+      // move — promote consumes only the state payloads).
+      const std::vector<analysis::NodeId> accepted_nodes = best_t->affected;
+      incr.promote(p, std::move(*best_t));
+      for (analysis::NodeId v : accepted_nodes) {
+        tau_base_sum -= node_tau[v];
+        node_tau[v] = node_contribution(incr.result().per_node[v], v);
+        tau_base_sum += node_tau[v];
       }
       tau_current = static_cast<std::uint64_t>(
           static_cast<std::int64_t>(tau_current) - profit);
@@ -456,26 +411,17 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
   // Final audit: fresh IPET on the optimized program. The frozen-counts
   // profit test matches the paper's Theorem 1 arithmetic; the audit guards
   // the remaining gap (the true WCET path may differ after insertion).
-  {
-    std::optional<CacheAnalysisResult> cls_scratch;
-    if (!incr) {
-      const ir::Layout layout(p, config.block_bytes);
-      cls_scratch = analysis::analyze_cache(graph, p, layout, config,
-                                            options.fixpoint_mode);
-    }
-    const CacheAnalysisResult& cls = incr ? incr->result() : *cls_scratch;
-    const wcet::WcetResult wcet_final = ipet.solve(cls, timing);
-    report.solver.add(wcet_final.stats);
-    if (!wcet_final.ok()) {
-      // The optimized program cannot be certified; ship the input instead.
-      degrade(wcet::solve_error_code(wcet_final.status),
-              "final IPET unsolved (" + ilp::status_name(wcet_final.status) +
-                  ") on optimized '" + input.name() + "'");
-      return result;
-    }
-    report.tau_optimized = wcet_final.tau_mem;
+  const wcet::WcetResult wcet_final = ipet.solve(incr.result(), timing);
+  report.solver.add(wcet_final.stats);
+  if (!wcet_final.ok()) {
+    // The optimized program cannot be certified; ship the input instead.
+    degrade(wcet::solve_error_code(wcet_final.status),
+            "final IPET unsolved (" + ilp::status_name(wcet_final.status) +
+                ") on optimized '" + input.name() + "'");
+    return result;
   }
-  if (incr) report.nodes_reanalyzed = incr->nodes_reanalyzed();
+  report.tau_optimized = wcet_final.tau_mem;
+  report.nodes_reanalyzed = incr.nodes_reanalyzed();
   if (options.final_audit && report.tau_optimized > report.tau_original &&
       !report.insertions.empty()) {
     result.program = input;

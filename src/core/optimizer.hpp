@@ -46,10 +46,11 @@ struct OptimizerOptions {
   /// WCET regressed (guards the fixed-counts approximation; see DESIGN.md).
   bool final_audit = true;
   std::uint64_t max_prefetches = 4096;
-  /// Budget on full candidate re-analyses per optimization run. Each
-  /// evaluation costs one must/may pass over the whole VIVU graph, which
-  /// dominates runtime on the largest kernels (nsichneu-class); candidates
-  /// beyond the budget are left untried (reported in the rejection stats).
+  /// Budget on candidate re-analyses per optimization run. Each evaluation
+  /// re-runs the must/may fixpoint over the nodes its insertion affects,
+  /// which dominates runtime on the largest kernels (nsichneu-class);
+  /// candidates beyond the budget are left untried (reported in the
+  /// rejection stats).
   std::size_t max_evaluations = 320;
   /// Wall-clock budget for one optimization run, in milliseconds; 0 means
   /// unlimited. On expiry the optimizer degrades to the identity transform
@@ -59,25 +60,6 @@ struct OptimizerOptions {
   /// dependent; sweeps that want reproducible output leave this at 0 and
   /// rely on the deterministic pivot/node/evaluation budgets instead.
   std::uint32_t deadline_ms = 0;
-  /// Evaluate candidates with `IncrementalCacheAnalysis` (worklist seeded
-  /// only from relocation-affected contexts) instead of a from-scratch
-  /// `analyze_cache` per trial. Produces bit-identical results (the
-  /// recomputed fixpoint is the same least fixpoint — DESIGN.md §8); the
-  /// flag exists so the equivalence suite can pin that claim against the
-  /// reference path. Note the evaluation budget formula is deliberately
-  /// unchanged between modes, since it influences which candidates get
-  /// tried and therefore the output program.
-  bool incremental_reanalysis = true;
-  /// Fixpoint driver for the optimizer's own from-scratch cache analyses
-  /// (base analysis when `incremental_reanalysis` is off, per-pass path
-  /// re-derivation, fixed-τ trials, final audit). Both modes compute the
-  /// same least fixpoint (DESIGN.md §14); the knob exists so the scaling
-  /// bench and equivalence suite can drive the pre-PR pipeline end to end.
-  analysis::FixpointMode fixpoint_mode = analysis::FixpointMode::kSccSparse;
-  /// Presolve toggle for the optimizer-owned IPET system (only consulted
-  /// when no shared system is passed in). Presolve is exact, so results are
-  /// identical either way; the knob exists for differential benchmarking.
-  bool ipet_presolve = true;
 };
 
 /// One accepted insertion.
@@ -112,16 +94,13 @@ struct OptimizationReport {
   std::size_t rejected_cannot_survive = 0;
   std::size_t passes = 0;
   // --- candidate re-analysis accounting (perf acceptance instrumentation).
-  /// From-scratch `analyze_cache` runs spent on candidate evaluation; stays
-  /// zero on the incremental path (the one base analysis is not counted).
-  std::size_t full_reanalyses = 0;
   /// Incremental trial re-analyses (one per evaluated candidate variant).
   std::size_t incremental_reanalyses = 0;
   /// Cumulative context nodes recomputed across incremental trials; compare
   /// against `graph_nodes * incremental_reanalyses` for the saving.
   std::size_t nodes_reanalyzed = 0;
   std::size_t graph_nodes = 0;  ///< VIVU context-graph size, for scale
-  /// Wall time spent in candidate re-analysis (either mode), nanoseconds.
+  /// Wall time spent in candidate re-analysis, nanoseconds.
   std::uint64_t reanalysis_ns = 0;
   /// ILP work of the initial and final IPET solves (plus the constraint
   /// system's one-time construction when this run had to build its own).

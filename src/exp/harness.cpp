@@ -31,7 +31,6 @@
 #include "support/check.hpp"
 #include "support/durable_io.hpp"
 #include "support/fault_injection.hpp"
-#include "support/parallel.hpp"
 #include "wcet/ipet.hpp"
 
 namespace ucp::exp {
@@ -149,63 +148,6 @@ void degrade_to_original(UseCaseResult& result, const std::string& stage,
 }
 
 }  // namespace
-
-UseCaseResult run_use_case(const ir::Program& program,
-                           const std::string& program_name,
-                           const cache::NamedCacheConfig& config,
-                           energy::TechNode tech,
-                           const core::OptimizerOptions& options,
-                           const wcet::IpetSystem* shared_ipet) {
-  UseCaseResult result;
-  result.program = program_name;
-  result.config_id = config.id;
-  result.config = config.config;
-  result.tech = tech;
-
-  if (UCP_FAULT_POINT("exp.task")) {
-    throw InternalError("injected failure at the sweep task boundary for '" +
-                        program_name + "'");
-  }
-
-  Expected<Metrics> original =
-      measure_checked(program, config.config, tech, shared_ipet);
-  if (!original.ok()) {
-    // No baseline: nothing sound can be reported for this case.
-    result.outcome = CaseOutcome::kFailed;
-    result.fail_stage = "measure_original";
-    result.fail_code = original.code();
-    result.fail_detail = original.status().detail();
-    return result;
-  }
-  result.original = std::move(original).value();
-
-  const cache::MemTiming timing = energy::derive_timing(config.config, tech);
-  core::OptimizationResult opt = core::optimize_prefetches(
-      program, config.config, timing, options, shared_ipet);
-  if (opt.report.code != ErrorCode::kOk) {
-    // Theorem 1 fallback: the identity transform is always sound, so a
-    // solver blowup inside the optimizer degrades the case instead of
-    // killing the sweep.
-    degrade_to_original(result, "optimize", opt.report.code,
-                        opt.report.detail);
-    return result;
-  }
-  result.report = opt.report;
-
-  // No insertions means the optimized program IS the input program, so the
-  // shared system still applies; otherwise the program changed and the
-  // measurement builds its own graph.
-  Expected<Metrics> optimized = measure_checked(
-      opt.program, config.config, tech,
-      opt.report.insertions.empty() ? shared_ipet : nullptr);
-  if (!optimized.ok()) {
-    degrade_to_original(result, "measure_optimized", optimized.code(),
-                        optimized.status().detail());
-    return result;
-  }
-  result.optimized = std::move(optimized).value();
-  return result;
-}
 
 namespace {
 
@@ -416,6 +358,13 @@ std::vector<UseCaseResult> run_use_case_group(
       *optimized_out = opt.program;
   }
   return out;
+}
+
+UseCaseResult run_use_case(const ir::Program& program,
+                           const std::string& program_name,
+                           const cache::NamedCacheConfig& config,
+                           energy::TechNode tech) {
+  return run_use_case_group(program, program_name, config, {tech}).front();
 }
 
 // ---------------------------------------------------------------------------
@@ -743,14 +692,13 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.construction_pivots", sweep.report.construction_pivots);
 
   std::uint64_t attempts = 0, insertions = 0, cand_found = 0, cand_eval = 0;
-  std::uint64_t passes = 0, full_re = 0, incr_re = 0, nodes_re = 0;
+  std::uint64_t passes = 0, incr_re = 0, nodes_re = 0;
   for (const UseCaseResult& r : sweep.results) {
     attempts += r.attempts;
     insertions += r.report.insertions.size();
     cand_found += r.report.candidates_found;
     cand_eval += r.report.candidates_evaluated;
     passes += r.report.passes;
-    full_re += r.report.full_reanalyses;
     incr_re += r.report.incremental_reanalyses;
     nodes_re += r.report.nodes_reanalyzed;
   }
@@ -759,7 +707,6 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.candidates_found", cand_found);
   add("exp.sweep.candidates_evaluated", cand_eval);
   add("exp.sweep.optimizer_passes", passes);
-  add("exp.sweep.full_reanalyses", full_re);
   add("exp.sweep.incremental_reanalyses", incr_re);
   add("exp.sweep.nodes_reanalyzed", nodes_re);
 }
@@ -1147,16 +1094,9 @@ Sweep run_sweep(const SweepOptions& options) {
     const wcet::IpetSystem* shared =
         systems[p] ? &systems[p]->ipet : nullptr;
     try {
-      if (options.share_across_techs) {
-        std::vector<UseCaseResult> rs = run_use_case_group(
-            programs[p], names[p], configs[t.config], options.techs,
-            opt_options, &stages, shared, options.audit_soundness);
-        for (std::size_t k = 0; k < rs.size(); ++k) rows[k] = std::move(rs[k]);
-      } else {
-        for (std::size_t k = 0; k < options.techs.size(); ++k)
-          rows[k] = run_use_case(programs[p], names[p], configs[t.config],
-                                 options.techs[k], opt_options, shared);
-      }
+      rows = run_use_case_group(programs[p], names[p], configs[t.config],
+                                options.techs, opt_options, &stages, shared,
+                                options.audit_soundness);
     } catch (const CancelledError& e) {
       fill_rows_failed(t, rows, ErrorCode::kCancelled, "cancelled", e.what());
     } catch (const std::exception& e) {
@@ -1507,11 +1447,6 @@ Sweep run_sweep(const SweepOptions& options) {
                saved.message());
   }
   return sweep;
-}
-
-void parallel_for_index(std::size_t n, std::uint32_t threads,
-                        const std::function<void(std::size_t)>& fn) {
-  support::parallel_for_index(n, threads, fn);
 }
 
 std::vector<SizeAggregate> aggregate_by_size(

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -132,14 +131,12 @@ struct UseCaseResult {
 };
 
 /// Runs one use case: optimize for (config, tech), then measure both
-/// binaries on that same configuration. This is the from-scratch reference
-/// path; sweeps go through `run_use_case_group` instead.
+/// binaries on that same configuration. A group of one: the row equals
+/// what `run_use_case_group` (the sweep's call) produces for this tech.
 UseCaseResult run_use_case(const ir::Program& program,
                            const std::string& program_name,
                            const cache::NamedCacheConfig& config,
-                           energy::TechNode tech,
-                           const core::OptimizerOptions& options = {},
-                           const wcet::IpetSystem* shared_ipet = nullptr);
+                           energy::TechNode tech);
 
 /// Wall time spent per pipeline stage, summed across the use cases of one
 /// sweep (analysis + IPET + trace simulation count as "measure"; the
@@ -201,12 +198,6 @@ struct SweepOptions {
   /// fails validation (stale version, wrong grid fingerprint, corrupt rows,
   /// truncation) is reported and transparently recomputed, never trusted.
   std::string cache_path;
-  /// Process each (program, configuration) pair as one task through
-  /// `run_use_case_group`, sharing analysis/optimization/simulation across
-  /// tech nodes with identical derived timing. Bit-identical results; the
-  /// equivalence suite switches it off to pin that claim against the
-  /// per-case reference path.
-  bool share_across_techs = true;
   /// Crash-safe checkpoint journal. Every finished task appends its rows
   /// (checksummed, fsync'd) before they count as done; a killed sweep
   /// re-opened with the same journal path resumes from the last durable row
@@ -395,13 +386,6 @@ Status save_sweep_cache(const std::string& path,
 
 Expected<std::vector<UseCaseResult>> load_sweep_cache(
     const std::string& path);
-
-/// Runs fn(0..n-1) on a worker pool (0 threads = hardware concurrency).
-/// Used by benches whose grids differ from the standard sweep. Thin alias
-/// of support::parallel_for_index: exceptions surface deterministically as
-/// the error of the lowest failing index (see support/parallel.hpp).
-void parallel_for_index(std::size_t n, std::uint32_t threads,
-                        const std::function<void(std::size_t)>& fn);
 
 /// Per-cache-size averages over a batch of results — the data series behind
 /// Figures 3, 4 and 5.

@@ -23,9 +23,11 @@ namespace {
 const char kJournalMagic[] = "# ucp-sweep-journal v";
 // v2: rows are journaled in deterministic heaviest-first schedule order (v1
 // journaled them in nondeterministic completion order), and sharded sweeps
-// declare their slice in the header. v1 journals reset on open.
-constexpr std::uint32_t kJournalVersion = 2;
-constexpr std::size_t kJournalCells = 40;  ///< data cells + trailing checksum
+// declare their slice in the header. v3: rows drop the full-reanalysis
+// count and the selection fingerprint drops the removed optimizer modes.
+// Journals of any other version reset on open.
+constexpr std::uint32_t kJournalVersion = 3;
+constexpr std::size_t kJournalCells = 39;  ///< data cells + trailing checksum
 
 std::uint64_t fnv1a(std::string_view s,
                     std::uint64_t h = 1469598103934665603ull) {
@@ -137,7 +139,6 @@ std::string SweepJournal::selection_fingerprint(
   h = fnv1a("stride=" + std::to_string(options.config_stride), h);
   for (const energy::TechNode t : options.techs)
     h = fnv1a(energy::tech_name(t), h);
-  h = fnv1a("share=" + std::to_string(options.share_across_techs), h);
   h = fnv1a("attempts=" + std::to_string(options.max_attempts), h);
   h = fnv1a("deadline=" + std::to_string(options.case_deadline_ms), h);
   h = fnv1a("audit=" + std::to_string(options.audit_soundness), h);
@@ -147,8 +148,7 @@ std::string SweepJournal::selection_fingerprint(
   opt << "opt=" << o.max_passes << '/' << o.require_effectiveness << '/'
       << o.require_acet_non_increase << '/'
       << static_cast<int>(o.accept_rule) << '/' << o.final_audit << '/'
-      << o.max_prefetches << '/' << o.max_evaluations << '/' << o.deadline_ms
-      << '/' << o.incremental_reanalysis;
+      << o.max_prefetches << '/' << o.max_evaluations << '/' << o.deadline_ms;
   h = fnv1a(opt.str(), h);
   return to_hex(h);
 }
@@ -179,11 +179,10 @@ std::string SweepJournal::journal_row(const UseCaseResult& r,
       << double_bits(r.optimized.energy.total_nj()) << ','
       << r.report.insertions.size() << ',' << r.report.candidates_found
       << ',' << r.report.candidates_evaluated << ',' << r.report.passes
-      << ',' << r.report.full_reanalyses << ','
-      << r.report.incremental_reanalyses << ',' << r.report.nodes_reanalyzed
-      << ',' << solver.lp_solves << ',' << solver.pivots << ','
-      << solver.bb_nodes << ',' << solver.warm_starts << ','
-      << solver.phase1_skipped << ',' << escape_cell(r.fail_detail);
+      << ',' << r.report.incremental_reanalyses << ','
+      << r.report.nodes_reanalyzed << ',' << solver.lp_solves << ','
+      << solver.pivots << ',' << solver.bb_nodes << ',' << solver.warm_starts
+      << ',' << solver.phase1_skipped << ',' << escape_cell(r.fail_detail);
   const std::string prefix = row.str();
   return prefix + ',' + to_hex(fnv1a(prefix));
 }
@@ -210,10 +209,10 @@ bool SweepJournal::parse_journal_row(const std::string& line,
           cells.back())
     return false;
 
-  std::uint64_t u[31];
-  const int cols[] = {1,  5,  6,  8,  9,  10, 11, 12, 13, 14, 15,
-                      16, 17, 19, 20, 21, 22, 23, 24, 26, 27, 28,
-                      29, 30, 31, 32, 33, 34, 35, 36, 37};
+  std::uint64_t u[30];
+  const int cols[] = {1,  5,  6,  8,  9,  10, 11, 12, 13, 14,
+                      15, 16, 17, 19, 20, 21, 22, 23, 24, 26,
+                      27, 28, 29, 30, 31, 32, 33, 34, 35, 36};
   for (std::size_t i = 0; i < std::size(cols); ++i)
     if (!parse_u64(cells[static_cast<std::size_t>(cols[i])], u[i]))
       return false;
@@ -266,17 +265,16 @@ bool SweepJournal::parse_journal_row(const std::string& line,
   // sweeps publish the same exp.sweep.* metrics as an uninterrupted run.
   r.report.candidates_evaluated = static_cast<std::size_t>(u[21]);
   r.report.passes = static_cast<std::size_t>(u[22]);
-  r.report.full_reanalyses = static_cast<std::size_t>(u[23]);
-  r.report.incremental_reanalyses = static_cast<std::size_t>(u[24]);
-  r.report.nodes_reanalyzed = static_cast<std::size_t>(u[25]);
+  r.report.incremental_reanalyses = static_cast<std::size_t>(u[23]);
+  r.report.nodes_reanalyzed = static_cast<std::size_t>(u[24]);
   // The task's summed solver work rides in the report slot so a resumed
   // sweep reports the same end-to-end solver totals as an uninterrupted one.
-  r.report.solver.lp_solves = u[26];
-  r.report.solver.pivots = u[27];
-  r.report.solver.bb_nodes = u[28];
-  r.report.solver.warm_starts = u[29];
-  r.report.solver.phase1_skipped = u[30];
-  r.fail_detail = unescape_cell(cells[38]);
+  r.report.solver.lp_solves = u[25];
+  r.report.solver.pivots = u[26];
+  r.report.solver.bb_nodes = u[27];
+  r.report.solver.warm_starts = u[28];
+  r.report.solver.phase1_skipped = u[29];
+  r.fail_detail = unescape_cell(cells[37]);
   // Reconstruct the report invariants degrade_to_original / the optimizer
   // maintain; none of these enter the fingerprint row.
   r.report.code = r.quarantined() ? r.fail_code : ErrorCode::kOk;
@@ -312,10 +310,19 @@ Status SweepJournal::open(
       if (!std::getline(is, line)) {
         reset_reason = "empty journal";
       } else if (line != header) {
-        reset_reason =
-            line.rfind(kJournalMagic, 0) == 0
-                ? "grid/selection/shard fingerprint changed since last run"
-                : "not a sweep journal";
+        const std::string expected = std::to_string(kJournalVersion);
+        const std::size_t at = sizeof kJournalMagic - 1;
+        if (line.rfind(kJournalMagic, 0) != 0) {
+          reset_reason = "not a sweep journal";
+        } else if (const std::string version =
+                       line.substr(at, line.find(' ', at) - at);
+                   version != expected) {
+          reset_reason =
+              "journal format v" + version + ", expected v" + expected;
+        } else {
+          reset_reason =
+              "grid/selection/shard fingerprint changed since last run";
+        }
       } else {
         offset = static_cast<long>(line.size()) + 1;
         while (std::getline(is, line)) {

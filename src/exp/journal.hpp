@@ -17,11 +17,11 @@
 //  - every row carries a trailing FNV-1a checksum; a torn tail (partial
 //    last record after a crash mid-append) fails its checksum and is
 //    truncated away on open, never trusted;
-//  - a header that does not match the current grid/selection/shard
-//    fingerprints resets the journal (stale checkpoints are worthless, not
-//    dangerous).
+//  - a header that does not match the current format version or
+//    grid/selection/shard fingerprints resets the journal (stale
+//    checkpoints are worthless, not dangerous).
 //
-// Row order (format v2): rows appear in the sweep's deterministic
+// Row order (since format v2): rows appear in the sweep's deterministic
 // heaviest-first schedule order, whatever the thread count — workers buffer
 // finished rows and a single flusher appends them when the schedule
 // frontier reaches them (DESIGN.md §13). The journal of an N-thread run is

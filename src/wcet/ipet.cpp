@@ -120,12 +120,11 @@ ilp::Model IpetSystem::build_model(const ContextGraph& graph) {
   return model;
 }
 
-IpetSystem::IpetSystem(const ContextGraph& graph, const IpetOptions& options)
+IpetSystem::IpetSystem(const ContextGraph& graph)
     : graph_(&graph),
       model_(build_model(graph)),
       source_var_(static_cast<ilp::VarId>(graph.edges().size())),
-      presolve_(options.presolve ? ilp::Presolve::reduce(model_)
-                                 : std::nullopt),
+      presolve_(ilp::Presolve::reduce(model_)),
       lp_(presolve_ ? presolve_->reduced() : model_) {}
 
 namespace {

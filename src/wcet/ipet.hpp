@@ -59,21 +59,14 @@ struct WcetResult {
 /// and all cache configurations of one program swap objective vectors over
 /// the same canonical basis. Solves clone that immutable snapshot, so a
 /// const IpetSystem is safe to share across sweep worker threads and its
-/// answers never depend on which caller solved first.
-/// Construction options for IpetSystem.
-struct IpetOptions {
-  /// Run the exact ILP presolve (ilp::Presolve, DESIGN.md §14) on the
-  /// constraint system before snapshotting the sparse LP. Every reduction
-  /// is objective-independent and exact, so solves return the same optimal
-  /// objective either way; off is the legacy path, kept as the
-  /// differential oracle for the equivalence suite.
-  bool presolve = true;
-};
-
+/// answers never depend on which caller solved first. Construction runs
+/// the exact ILP presolve (ilp::Presolve, DESIGN.md §14) on the constraint
+/// system before snapshotting the sparse LP; every reduction is
+/// objective-independent and exact, so solves return the optimum of the
+/// unreduced model.
 class IpetSystem {
  public:
-  explicit IpetSystem(const analysis::ContextGraph& graph,
-                      const IpetOptions& options = {});
+  explicit IpetSystem(const analysis::ContextGraph& graph);
 
   const analysis::ContextGraph& graph() const { return *graph_; }
 
@@ -96,12 +89,6 @@ class IpetSystem {
     return lp_.construction_pivots();
   }
 
-  /// The engaged presolve, or nullptr when construction disabled it (or it
-  /// found nothing to remove). Diagnostics and micro-benches only.
-  const ilp::Presolve* presolve() const {
-    return presolve_ ? &*presolve_ : nullptr;
-  }
-
   /// Dimensions of the system the simplex actually factorizes (post-presolve
   /// when engaged) — the scaling bench reports the reduction.
   std::size_t lp_rows() const { return lp_.num_rows(); }
@@ -122,8 +109,8 @@ class IpetSystem {
   const analysis::ContextGraph* graph_;
   ilp::Model model_;  ///< constraints + bounds; objective left empty
   ilp::VarId source_var_ = 0;
-  /// Engaged iff options.presolve and the reduction removed something; the
-  /// sparse snapshot below is then built over reduced() instead of model_.
+  /// Engaged iff the reduction removed something; the sparse snapshot
+  /// below is then built over reduced() instead of model_.
   std::optional<ilp::Presolve> presolve_;
   ilp::SparseLp lp_;
 };

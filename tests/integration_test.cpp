@@ -13,6 +13,7 @@
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
 #include "suite/suite.hpp"
+#include "support/parallel.hpp"
 
 namespace ucp::exp {
 namespace {
@@ -222,7 +223,7 @@ TEST(Regimes, FiltersSelectCorrectCases) {
 TEST(ParallelForIndex, VisitsEachIndexOnce) {
   std::vector<std::atomic<int>> hits(100);
   for (auto& h : hits) h = 0;
-  parallel_for_index(100, 4, [&](std::size_t i) { ++hits[i]; });
+  support::parallel_for_index(100, 4, [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -230,11 +231,12 @@ TEST(ParallelForIndex, RethrowsWorkerExceptionOnCaller) {
   // An exception escaping `fn` on a worker thread must not terminate the
   // process; the first one surfaces on the calling thread after the pool
   // drains.
-  EXPECT_THROW(parallel_for_index(64, 4,
-                                  [&](std::size_t i) {
-                                    if (i == 17)
-                                      throw std::runtime_error("boom");
-                                  }),
+  EXPECT_THROW(support::parallel_for_index(64, 4,
+                                           [&](std::size_t i) {
+                                             if (i == 17)
+                                               throw std::runtime_error(
+                                                   "boom");
+                                           }),
                std::runtime_error);
 }
 

@@ -279,6 +279,24 @@ TEST(Parallel, MergeRejectionsCarryStructuredDiagnostics) {
     EXPECT_STREQ(merge_reason_name(diagnostic.reason), "gap");
   }
 
+  // bad-header: a shard journal of an older format version is not merged,
+  // whatever its fingerprints say.
+  {
+    TempFile old_format("parallel_diag_version");
+    std::vector<std::string> lines = shard0_lines;
+    const std::string magic = "# ucp-sweep-journal v3 ";
+    ASSERT_EQ(lines[0].rfind(magic, 0), 0u) << lines[0];
+    lines[0].replace(0, magic.size(), "# ucp-sweep-journal v2 ");
+    write_lines(old_format.path, lines);
+    auto stale = merge_sweep_journals({old_format.path, shard1_journal.path},
+                                      reduced_sweep(1), "", &diagnostic);
+    EXPECT_FALSE(stale.ok());
+    EXPECT_EQ(diagnostic.reason, Reason::kBadHeader);
+    EXPECT_EQ(diagnostic.file, old_format.path);
+    EXPECT_FALSE(diagnostic.has_row);
+    EXPECT_STREQ(merge_reason_name(diagnostic.reason), "bad-header");
+  }
+
   // A clean merge leaves the diagnostic at kNone.
   auto clean = merge_sweep_journals({shard0_journal.path, shard1_journal.path},
                                     reduced_sweep(1), "", &diagnostic);

@@ -140,6 +140,34 @@ TEST(Recovery, StaleSelectionFingerprintResetsJournal) {
       << second.report.journal_note;
 }
 
+TEST(Recovery, OlderJournalFormatResetsWithVersionReason) {
+  TempFile journal("recovery_version_journal");
+  fault::disarm_all();
+  ASSERT_TRUE(run_sweep(journaled_sweep(journal.path)).report.clean());
+
+  // Relabel the header as format v2, leaving grid and selection intact: the
+  // rows must not be reinterpreted, and the reset must name the version
+  // rather than blame the fingerprints.
+  std::ifstream in(journal.path, std::ios::binary);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  in.close();
+  const std::string magic = "# ucp-sweep-journal v3 ";
+  ASSERT_EQ(contents.rfind(magic, 0), 0u) << contents.substr(0, 80);
+  contents.replace(0, magic.size(), "# ucp-sweep-journal v2 ");
+  std::ofstream out(journal.path, std::ios::binary | std::ios::trunc);
+  out << contents;
+  out.close();
+
+  const Sweep second = run_sweep(journaled_sweep(journal.path));
+  EXPECT_TRUE(second.report.clean());
+  EXPECT_EQ(second.report.resumed_rows, 0u);
+  EXPECT_NE(second.report.journal_note.find(
+                "journal reset (journal format v2, expected v3)"),
+            std::string::npos)
+      << second.report.journal_note;
+}
+
 TEST(Recovery, JournalWriteFaultDisablesJournalNotTheSweep) {
   TempFile journal("recovery_wfault_journal");
   const std::string want = reference_fingerprint();
