@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   std::cout << "Ablation of the joint improvement criterion (Section 4.3)\n";
   // A reduced but representative grid keeps the three-way sweep affordable.
   exp::SweepOptions sweep = args.sweep();
-  // Each variant runs a *different* optimizer, so the shared memo of the
-  // default-optimizer sweep must not serve these results.
-  sweep.cache_path.clear();
+  // Each variant runs a *different* optimizer; its selection fingerprint
+  // would reset the default sweep's shared journal.
+  sweep.journal_path.clear();
   if (sweep.programs.empty())
     sweep.programs = {"fdct", "jfdctint", "minver", "adpcm", "cover",
                       "statemate", "crc", "ndes", "whet", "ludcmp"};

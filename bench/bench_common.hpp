@@ -42,9 +42,10 @@ struct BenchArgs {
     options.programs = programs;
     options.config_stride = fast ? 4 : 1;
     options.threads = threads;
-    // Full default sweeps are deterministic; memoize them so the figure
-    // benches share one computation (delete the file to force a re-run).
-    if (programs.empty() && !fast) options.cache_path = "ucp_sweep_cache.csv";
+    // Full default sweeps are deterministic, so the figure benches share one
+    // journal: the first computes the grid, the others resume every row
+    // from it (delete the file to force a re-run).
+    if (programs.empty() && !fast) options.journal_path = "ucp_sweep.journal";
     return options;
   }
 };

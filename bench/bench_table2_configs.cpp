@@ -3,7 +3,7 @@
 // both technology nodes so every downstream number is reproducible.
 //
 // Doubles as the sweep performance harness:
-//   --sweep[=STRIDE]   run the evaluation sweep cold (no memo cache) and
+//   --sweep[=STRIDE]   run the evaluation sweep cold (no shared journal) and
 //                      write BENCH_sweep.json with wall-clock, throughput,
 //                      per-stage timing and thread count, so the perf
 //                      trajectory is tracked across PRs
@@ -208,8 +208,8 @@ ucp::exp::SweepOptions sweep_options(const Args& args) {
   options.programs = args.programs;
   options.config_stride = args.stride;
   options.threads = args.threads;
-  // No cache_path: this bench exists to *measure* the sweep, so it always
-  // computes (the figure benches share the memo cache instead).
+  // Only an explicit --journal: this bench exists to *measure* the sweep, so
+  // it computes (the figure benches share one journal instead).
   options.journal_path = args.journal;
   // Production sweep defaults: full ladder, generous watchdog. The ladder's
   // budget escalation only changes rows whose first attempt failed, so a

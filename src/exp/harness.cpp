@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
 #include <sstream>
-#include <string_view>
 #include <thread>
 
 #include "analysis/cache_analysis.hpp"
@@ -29,8 +24,8 @@
 #include "suite/suite.hpp"
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
-#include "support/durable_io.hpp"
 #include "support/fault_injection.hpp"
+#include "support/record_log.hpp"
 #include "wcet/ipet.hpp"
 
 namespace ucp::exp {
@@ -146,10 +141,6 @@ void degrade_to_original(UseCaseResult& result, const std::string& stage,
   result.report.tau_optimized = result.original.tau_wcet;
   result.report.tau_fixed_final = result.original.tau_wcet;
 }
-
-}  // namespace
-
-namespace {
 
 std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
   return static_cast<std::uint64_t>(
@@ -368,68 +359,8 @@ UseCaseResult run_use_case(const ir::Program& program,
 }
 
 // ---------------------------------------------------------------------------
-// Sweep memo cache, format v2 (versioned, fingerprinted, checksummed).
+// Result rows and fingerprints.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-const char kCacheMagic[] = "# ucp-sweep-cache v";
-const char kCacheColumns[] =
-    "program,config,tech,o_tau,o_mem,o_instr,o_energy,o_fetches,"
-    "o_misses,o_cycles,p_tau,p_mem,p_instr,p_energy,p_fetches,p_misses,"
-    "p_cycles,prefetches,candidates,checksum";
-constexpr std::size_t kCacheCells = 20;  ///< data cells + trailing checksum
-
-std::uint64_t fnv1a(std::string_view s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string to_hex(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-/// Strict unsigned parse: digits only, full consume, no exceptions.
-bool parse_u64(const std::string& cell, std::uint64_t& out) {
-  if (cell.empty() ||
-      cell.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(cell.c_str(), &end, 10);
-  if (errno != 0 || end != cell.c_str() + cell.size()) return false;
-  out = v;
-  return true;
-}
-
-/// Strict finite-double parse: full consume, no exceptions, no inf/nan.
-bool parse_double(const std::string& cell, double& out) {
-  if (cell.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(cell.c_str(), &end);
-  if (errno != 0 || end != cell.c_str() + cell.size() || !std::isfinite(v))
-    return false;
-  out = v;
-  return true;
-}
-
-Status corrupt(const std::string& path, const std::string& why) {
-  return Status(ErrorCode::kCorruptCache,
-                "sweep cache '" + path + "': " + why);
-}
-
-}  // namespace
 
 std::string sweep_cache_row(const UseCaseResult& r) {
   std::ostringstream row;
@@ -447,20 +378,23 @@ std::string sweep_cache_row(const UseCaseResult& r) {
       << r.optimized.run.cache.misses << ','
       << r.optimized.run.total_cycles << ','
       << r.report.insertions.size() << ',' << r.report.candidates_found;
-  const std::string prefix = row.str();
-  return prefix + ',' + to_hex(fnv1a(prefix));
+  return support::seal_record(row.str());
 }
 
 std::string sweep_results_fingerprint(
     const std::vector<UseCaseResult>& results) {
-  std::uint64_t h = fnv1a("ucp-sweep-rows");
-  for (const UseCaseResult& r : results) h = fnv1a(sweep_cache_row(r), h);
-  return to_hex(h);
+  std::uint64_t h = support::fnv1a("ucp-sweep-rows");
+  for (const UseCaseResult& r : results)
+    h = support::fnv1a(sweep_cache_row(r), h);
+  return support::to_hex(h);
 }
 
 std::string sweep_grid_fingerprint() {
+  using support::fnv1a;
   std::uint64_t h = fnv1a("ucp-sweep-grid");
-  h = fnv1a("v" + std::to_string(kSweepCacheVersion), h);
+  // "v2" was the format version of the removed sweep memo. It stays in the
+  // hash so journals written before the memo was removed still resume.
+  h = fnv1a("v2", h);
   for (const suite::BenchmarkInfo& info : suite::all_benchmarks())
     h = fnv1a(info.name, h);
   for (const cache::NamedCacheConfig& named : cache::paper_cache_configs()) {
@@ -468,151 +402,7 @@ std::string sweep_grid_fingerprint() {
     h = fnv1a(named.config.to_string(), h);
   }
   h = fnv1a("45nm,32nm", h);
-  return to_hex(h);
-}
-
-Status save_sweep_cache(const std::string& path,
-                        const std::vector<UseCaseResult>& results) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os || UCP_FAULT_POINT("exp.cache_write")) {
-      std::remove(tmp.c_str());
-      return Status(ErrorCode::kInternal,
-                    "cannot open '" + tmp + "' for writing");
-    }
-    os << kCacheMagic << kSweepCacheVersion
-       << " grid=" << sweep_grid_fingerprint() << "\n"
-       << kCacheColumns << "\n";
-    for (const UseCaseResult& r : results) os << sweep_cache_row(r) << '\n';
-    os.flush();
-    if (!os) {
-      std::remove(tmp.c_str());
-      return Status(ErrorCode::kInternal, "write to '" + tmp + "' failed");
-    }
-  }
-  // Durable atomic publish: fsync the temp file *before* the rename (a
-  // rename can survive a crash that loses the renamed file's bytes) and the
-  // parent directory after it (making the new directory entry itself
-  // durable). A bench killed or powered off mid-save leaves only the tmp
-  // file (or nothing), never a truncated cache that poisons the next run.
-  const Status synced = support::fsync_path(tmp);
-  if (!synced.ok()) {
-    std::remove(tmp.c_str());
-    return synced;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status(ErrorCode::kInternal,
-                  "rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  return support::fsync_parent(path);
-}
-
-Expected<std::vector<UseCaseResult>> load_sweep_cache(
-    const std::string& path) {
-  std::ifstream is(path);
-  if (!is)
-    return Status(ErrorCode::kNotFound, "no sweep cache at '" + path + "'");
-  if (UCP_FAULT_POINT("exp.cache_read"))
-    return corrupt(path, "injected read failure");
-
-  std::string line;
-  if (!std::getline(is, line)) return corrupt(path, "empty file");
-  if (line.rfind(kCacheMagic, 0) != 0)
-    return corrupt(path, "missing version header (pre-v2 or foreign file)");
-  std::string rest = line.substr(sizeof(kCacheMagic) - 1);
-  const std::size_t space = rest.find(' ');
-  std::uint64_t version = 0;
-  if (space == std::string::npos || !parse_u64(rest.substr(0, space), version))
-    return corrupt(path, "unparseable version header");
-  if (version != kSweepCacheVersion)
-    return corrupt(path, "stale format version v" + std::to_string(version) +
-                             " (want v" + std::to_string(kSweepCacheVersion) +
-                             ")");
-  const std::string grid_field = rest.substr(space + 1);
-  if (grid_field.rfind("grid=", 0) != 0 ||
-      grid_field.substr(5) != sweep_grid_fingerprint())
-    return corrupt(path,
-                   "grid fingerprint mismatch (programs/configs changed "
-                   "since this cache was written)");
-
-  if (!std::getline(is, line) || line != kCacheColumns)
-    return corrupt(path, "unexpected column header");
-
-  std::vector<UseCaseResult> out;
-  std::size_t row_no = 2;
-  while (std::getline(is, line)) {
-    ++row_no;
-    const std::string where = "row " + std::to_string(row_no);
-    std::stringstream ss(line);
-    std::string cell;
-    std::vector<std::string> cells;
-    while (std::getline(ss, cell, ',')) cells.push_back(cell);
-    if (cells.size() != kCacheCells)
-      return corrupt(path, where + ": expected " +
-                               std::to_string(kCacheCells) + " cells, got " +
-                               std::to_string(cells.size()) +
-                               " (truncated or stale row?)");
-    const std::size_t checksum_at = line.rfind(',');
-    if (to_hex(fnv1a(std::string_view(line).substr(0, checksum_at))) !=
-        cells.back())
-      return corrupt(path, where + ": row checksum mismatch");
-
-    UseCaseResult r;
-    r.program = cells[0];
-    r.config_id = cells[1];
-    const auto& configs = cache::paper_cache_configs();
-    const auto it =
-        std::find_if(configs.begin(), configs.end(),
-                     [&](const cache::NamedCacheConfig& named) {
-                       return named.id == r.config_id;
-                     });
-    if (it == configs.end())
-      return corrupt(path, where + ": unknown configuration '" +
-                               r.config_id + "'");
-    r.config = it->config;
-    if (cells[2] == "45nm") {
-      r.tech = energy::TechNode::k45nm;
-    } else if (cells[2] == "32nm") {
-      r.tech = energy::TechNode::k32nm;
-    } else {
-      return corrupt(path, where + ": unknown technology '" + cells[2] + "'");
-    }
-    std::uint64_t u[17];
-    double d[2];
-    bool cells_ok = true;
-    for (int i = 0; i < 14; ++i) {
-      // Numeric cells 3..18, with 6 and 13 (energies) parsed as doubles.
-      const int col[] = {3, 4, 5, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18};
-      cells_ok &= parse_u64(cells[static_cast<std::size_t>(col[i])],
-                            u[static_cast<std::size_t>(i)]);
-    }
-    cells_ok &= parse_double(cells[6], d[0]);
-    cells_ok &= parse_double(cells[13], d[1]);
-    if (!cells_ok)
-      return corrupt(path, where + ": non-numeric cell");
-    r.original.tau_wcet = u[0];
-    r.original.run.mem_cycles = u[1];
-    r.original.run.instructions = u[2];
-    // Only the total matters downstream; park it in one component.
-    r.original.energy.cache_dynamic_nj = d[0];
-    r.original.run.cache.fetches = u[3];
-    r.original.run.cache.misses = u[4];
-    r.original.run.total_cycles = u[5];
-    r.optimized.tau_wcet = u[6];
-    r.optimized.run.mem_cycles = u[7];
-    r.optimized.run.instructions = u[8];
-    r.optimized.energy.cache_dynamic_nj = d[1];
-    r.optimized.run.cache.fetches = u[9];
-    r.optimized.run.cache.misses = u[10];
-    r.optimized.run.total_cycles = u[11];
-    r.report.insertions.resize(static_cast<std::size_t>(u[12]));
-    r.report.candidates_found = static_cast<std::size_t>(u[13]);
-    out.push_back(std::move(r));
-  }
-  if (out.empty()) return corrupt(path, "no data rows");
-  return out;
+  return support::to_hex(h);
 }
 
 // ---------------------------------------------------------------------------
@@ -623,16 +413,13 @@ void SweepReport::print(std::ostream& os) const {
   os << "[sweep health] " << total << " use cases: " << completed
      << " completed, " << degraded << " degraded, " << failed << " failed, "
      << degenerate_ratios << " degenerate ratios"
-     << (cache_hit ? " (memoized)" : "") << (interrupted ? " (INTERRUPTED)"
-                                                         : "")
-     << "\n";
+     << (interrupted ? " (INTERRUPTED)" : "") << "\n";
   if (retried + recovered + resumed_rows + audited > 0)
     os << "[sweep supervision] " << audited << " audited ("
        << audit_violations << " violations, " << audit_inconclusive
        << " inconclusive), " << retried << " retried, " << recovered
        << " recovered, " << resumed_rows << " rows resumed from journal\n";
   if (!journal_note.empty()) os << "  [journal] " << journal_note << "\n";
-  if (!cache_note.empty()) os << "  [cache] " << cache_note << "\n";
   constexpr std::size_t kMaxListed = 8;
   for (std::size_t i = 0; i < quarantine.size() && i < kMaxListed; ++i) {
     const DegradedCase& q = quarantine[i];
@@ -709,6 +496,26 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.optimizer_passes", passes);
   add("exp.sweep.incremental_reanalyses", incr_re);
   add("exp.sweep.nodes_reanalyzed", nodes_re);
+}
+
+bool retryable(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kIterationLimit:
+    case ErrorCode::kStepBudgetExhausted:
+    case ErrorCode::kDeadlineExceeded:
+    case ErrorCode::kCancelled:
+    case ErrorCode::kAnalysisFailed:
+    case ErrorCode::kInternal:
+      return true;
+    default:
+      return false;
+  }
+}
+
+int outcome_rank(const UseCaseResult& r) {
+  return r.outcome == CaseOutcome::kCompleted
+             ? 2
+             : (r.outcome == CaseOutcome::kDegraded ? 1 : 0);
 }
 
 SweepPlan build_sweep_plan(const SweepOptions& options) {
@@ -805,45 +612,6 @@ Sweep run_sweep(const SweepOptions& options) {
                     "/" + std::to_string(options.shard_count));
   const bool sharded = options.shard_count > 1;
   Sweep sweep;
-  // Serve (a filtered view of) the memoized full sweep when available. A
-  // sharded run never consults the memo: the cache stores finished full
-  // grids, and a shard neither produces nor wants one.
-  if (!options.cache_path.empty() && !sharded) {
-    Expected<std::vector<UseCaseResult>> cached =
-        load_sweep_cache(options.cache_path);
-    if (cached.ok()) {
-      std::vector<UseCaseResult> filtered;
-      const bool all_programs = options.programs.empty();
-      for (UseCaseResult& r : *cached) {
-        if (!all_programs &&
-            std::find(options.programs.begin(), options.programs.end(),
-                      r.program) == options.programs.end())
-          continue;
-        if (std::find(options.techs.begin(), options.techs.end(), r.tech) ==
-            options.techs.end())
-          continue;
-        filtered.push_back(std::move(r));
-      }
-      obs::log(obs::LogLevel::kInfo, "sweep", "memo_loaded",
-               options.cache_path,
-               obs::LogFields().num(
-                   "cases", static_cast<std::uint64_t>(filtered.size())));
-      sweep.report.cache_hit = true;
-      sweep.report.cache_note = "served from " + options.cache_path;
-      sweep.report.total = filtered.size();
-      sweep.report.completed = filtered.size();
-      sweep.results = std::move(filtered);
-      return sweep;
-    }
-    if (cached.code() != ErrorCode::kNotFound) {
-      // Corrupt / stale cache: report it and recompute — never trust it.
-      sweep.report.cache_note =
-          cached.status().message() + " — recomputing";
-      obs::log(obs::LogLevel::kWarn, "sweep", "memo_rejected",
-               sweep.report.cache_note);
-    }
-  }
-
   // Materialize the grid as (program, configuration) tasks; the tech nodes
   // run inside one task (sharing work when their timings coincide) and land
   // at consecutive result indices, so the output order stays the
@@ -924,14 +692,14 @@ Sweep run_sweep(const SweepOptions& options) {
         matches_grid);
     sweep.report.journal_note = journal.note();
     sweep.report.resumed_rows = journal.resumed_rows();
-    if (!opened.ok())
+    if (opened.ok()) {
+      reporter.announce(sweep.report.journal_note);
+    } else {
       sweep.report.journal_note +=
           " — journaling disabled: " + opened.message();
-    if (!opened.ok())
       obs::log(obs::LogLevel::kWarn, "sweep", "journal_disabled",
                sweep.report.journal_note);
-    else
-      reporter.announce(sweep.report.journal_note);
+    }
   }
   std::size_t resumed_cases = 0;
   std::vector<bool> task_pending(tasks.size(), true);
@@ -941,8 +709,12 @@ Sweep run_sweep(const SweepOptions& options) {
       continue;
     }
     bool complete = true;
-    for (std::size_t k = 0; k < options.techs.size(); ++k)
+    for (std::size_t k = 0; k < options.techs.size(); ++k) {
+      // Journal rows carry the config id, not the configuration itself.
+      if (have_row[tasks[t].first + k])
+        results[tasks[t].first + k].config = configs[tasks[t].config].config;
       complete = complete && have_row[tasks[t].first + k];
+    }
     if (complete) {
       task_pending[t] = false;
       resumed_cases += options.techs.size();
@@ -1107,29 +879,6 @@ Sweep run_sweep(const SweepOptions& options) {
     }
   };
 
-  // Failure classes worth another rung on the ladder: budget/deadline/
-  // cancellation exhaustion and contained internal errors. Semantic
-  // verdicts (infeasible, loop-bound violations, audit failures) are
-  // deterministic properties of the case — retrying cannot change them.
-  auto retryable = [](ErrorCode code) {
-    switch (code) {
-      case ErrorCode::kIterationLimit:
-      case ErrorCode::kStepBudgetExhausted:
-      case ErrorCode::kDeadlineExceeded:
-      case ErrorCode::kCancelled:
-      case ErrorCode::kAnalysisFailed:
-      case ErrorCode::kInternal:
-        return true;
-      default:
-        return false;
-    }
-  };
-  auto rank = [](const UseCaseResult& r) {
-    return r.outcome == CaseOutcome::kCompleted
-               ? 2
-               : (r.outcome == CaseOutcome::kDegraded ? 1 : 0);
-  };
-
   // Worker task boundary with the retry-with-degradation ladder:
   //   rung 1: configured budgets;
   //   rung 2: escalated budgets (2x evaluations, 4x deadlines), fresh token;
@@ -1186,7 +935,7 @@ Sweep run_sweep(const SweepOptions& options) {
         for (std::size_t k = 0; k < n; ++k) {
           if (!(rows[k].quarantined() && retryable(rows[k].fail_code)))
             continue;
-          if (rank(retry[k]) <= rank(rows[k])) continue;
+          if (outcome_rank(retry[k]) <= outcome_rank(rows[k])) continue;
           rows[k] = std::move(retry[k]);
           if (rows[k].outcome == CaseOutcome::kCompleted)
             rows[k].degradation_level = 1;
@@ -1210,7 +959,7 @@ Sweep run_sweep(const SweepOptions& options) {
                 repaired, rows[k].fail_stage, rows[k].fail_code,
                 rows[k].fail_detail + " (identity-transform fallback)");
             rows[k] = std::move(repaired);
-          } else if (rank(fallback[k]) > rank(rows[k])) {
+          } else if (outcome_rank(fallback[k]) > outcome_rank(rows[k])) {
             rows[k] = std::move(fallback[k]);
           }
         }
@@ -1435,17 +1184,6 @@ Sweep run_sweep(const SweepOptions& options) {
   journal.close();
   reporter.finish();
 
-  // Persist only full default grids; partial sweeps would poison the memo
-  // for the other figure benches, and a degraded sweep must never be served
-  // as if it were the true result set.
-  if (!options.cache_path.empty() && !sharded && options.programs.empty() &&
-      options.config_stride == 1 && options.techs.size() == 2 &&
-      sweep.report.clean()) {
-    const Status saved = save_sweep_cache(options.cache_path, results);
-    if (!saved.ok())
-      obs::log(obs::LogLevel::kWarn, "sweep", "memo_not_saved",
-               saved.message());
-  }
   return sweep;
 }
 

@@ -171,6 +171,14 @@ std::vector<UseCaseResult> run_use_case_group(
     bool audit_soundness = false,
     ir::Program* optimized_out = nullptr);
 
+/// Failure classes worth another rung of the retry ladder (budgets,
+/// deadlines, cancellation, contained internal errors; semantic verdicts
+/// are deterministic, so retrying cannot change them). The sweep and ucpd
+/// share the list, so a request degrades like its case does in a sweep.
+bool retryable(ErrorCode code);
+/// Ladder order of outcomes: completed (2) > degraded (1) > failed (0).
+int outcome_rank(const UseCaseResult& result);
+
 /// The full evaluation grid of the paper: every suite program × the 36
 /// configurations of Table 2 × {45nm, 32nm} = 2664 use cases (or a subset
 /// when `config_stride`/`programs` narrow it). Use cases run in parallel;
@@ -190,19 +198,11 @@ struct SweepOptions {
   /// throughput and ETA, rate-limited to at most one line per second
   /// regardless of thread count.
   std::uint32_t progress_every = 64;
-  /// Memoization file. The sweep is fully deterministic, so the figure
-  /// benches share one result set: the first bench to run computes and
-  /// saves it; the others load and (if they sweep a subset, e.g. one
-  /// technology) filter. Empty = always compute. Delete the file to force
-  /// recomputation. Only used with default optimizer options. A file that
-  /// fails validation (stale version, wrong grid fingerprint, corrupt rows,
-  /// truncation) is reported and transparently recomputed, never trusted.
-  std::string cache_path;
   /// Crash-safe checkpoint journal. Every finished task appends its rows
   /// (checksummed, fsync'd) before they count as done; a killed sweep
   /// re-opened with the same journal path resumes from the last durable row
-  /// and produces bit-identical results. Empty = no journal. Unlike the memo
-  /// cache, the journal stores partial grids and quarantined rows.
+  /// and produces bit-identical results; a finished journal serves the
+  /// whole result set without recomputing. Empty = no journal.
   std::string journal_path;
   /// Retry-with-degradation ladder depth per use case. 1 = no retries (a
   /// quarantined row stays quarantined — the equivalence suite pins this).
@@ -251,8 +251,6 @@ struct SweepReport {
   std::size_t degraded = 0;  ///< fell back to the original binary
   std::size_t failed = 0;    ///< no valid baseline either
   std::size_t degenerate_ratios = 0;  ///< cases with a zero denominator
-  bool cache_hit = false;    ///< results served from the memo file
-  std::string cache_note;    ///< e.g. why a memo file was rejected
   std::vector<DegradedCase> quarantine;  ///< one entry per non-completed case
 
   // --- supervision ---------------------------------------------------------
@@ -265,15 +263,13 @@ struct SweepReport {
   bool interrupted = false;  ///< stopped early by request_sweep_interrupt()
   std::string journal_note;  ///< journal state (resumed/reset/disabled/...)
 
-  // --- performance accounting (zero when served from the memo cache) -------
+  // --- performance accounting ----------------------------------------------
   std::uint32_t threads_used = 0;
   std::uint64_t wall_ms = 0;       ///< compute wall-clock of the sweep
   double cases_per_sec = 0.0;
   StageTimings stages;             ///< summed across workers (CPU-ish time)
   /// ILP work summed over the whole sweep (per-case solves plus the
-  /// once-per-program constraint-system constructions). Zero when the
-  /// results were served from the memo cache — the cache stores rows, not
-  /// work counters.
+  /// once-per-program constraint-system constructions).
   ilp::SolveStats solver;
   /// The once-per-shared-IpetSystem phase-1 pivots folded into `solver`
   /// above (charge_construction). Published as exp.sweep.construction_pivots
@@ -331,7 +327,7 @@ SweepPlan build_sweep_plan(const SweepOptions& options);
 /// supervision accounting, summed per-row solver work, the quarantine list.
 /// Pure function of the rows: identical however they were computed
 /// (threads, shards, journal resume, merge). run_sweep layers the
-/// process-scoped fields (wall clock, threads_used, journal/cache notes,
+/// process-scoped fields (wall clock, threads_used, the journal note,
 /// IPET construction charges) on top.
 SweepReport derive_row_report(const std::vector<UseCaseResult>& results);
 
@@ -356,36 +352,20 @@ void request_sweep_interrupt();
 bool sweep_interrupt_requested();
 void clear_sweep_interrupt();
 
-// --- sweep memo cache (hardened) -------------------------------------------
-// Format v2: a `# ucp-sweep-cache v<N> grid=<fingerprint>` header line, the
-// column header, then one row per use case with a trailing FNV-1a checksum
-// column. Loads validate version, grid fingerprint, cell syntax, config ids
-// and row checksums; any mismatch rejects the whole file (kCorruptCache) so
-// the sweep recomputes instead of serving poisoned figures. Saves write to
-// a temporary file and rename it into place, so a killed bench never leaves
-// a truncated cache behind.
-
-inline constexpr std::uint32_t kSweepCacheVersion = 2;
+// --- result rows and fingerprints -----------------------------------------
 
 /// Fingerprint of the full evaluation grid (program set, configurations,
-/// technologies, format version): stale caches from older code disqualify
-/// themselves instead of poisoning the next run.
+/// technologies): journals from a different grid reset instead of resuming.
 std::string sweep_grid_fingerprint();
 
-/// The canonical v2 cache row of one result, including the trailing FNV-1a
-/// checksum cell — the bit-identity unit of the equivalence suite and the
-/// perf-smoke divergence check.
+/// The canonical row of one result, including the trailing FNV-1a checksum
+/// cell — the bit-identity unit of the equivalence suite, the perf-smoke
+/// divergence check and the results fingerprint.
 std::string sweep_cache_row(const UseCaseResult& result);
 
 /// FNV-1a over all rows of a result set, as hex. Two sweeps agree on this
 /// fingerprint iff they produced bit-identical rows in the same order.
 std::string sweep_results_fingerprint(const std::vector<UseCaseResult>& results);
-
-Status save_sweep_cache(const std::string& path,
-                        const std::vector<UseCaseResult>& results);
-
-Expected<std::vector<UseCaseResult>> load_sweep_cache(
-    const std::string& path);
 
 /// Per-cache-size averages over a batch of results — the data series behind
 /// Figures 3, 4 and 5.

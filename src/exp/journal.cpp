@@ -1,73 +1,33 @@
 #include "exp/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <bit>
-#include <cerrno>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <charconv>
 #include <sstream>
 #include <string_view>
 
 #include "energy/model.hpp"
-#include "support/durable_io.hpp"
-#include "support/fault_injection.hpp"
 
 namespace ucp::exp {
 
 namespace {
 
-const char kJournalMagic[] = "# ucp-sweep-journal v";
+using support::fnv1a;
+using support::to_hex;
+
+const char kJournalName[] = "ucp-sweep-journal";
 // v2: rows are journaled in deterministic heaviest-first schedule order (v1
 // journaled them in nondeterministic completion order), and sharded sweeps
 // declare their slice in the header. v3: rows drop the full-reanalysis
 // count and the selection fingerprint drops the removed optimizer modes.
 // Journals of any other version reset on open.
 constexpr std::uint32_t kJournalVersion = 3;
-constexpr std::size_t kJournalCells = 39;  ///< data cells + trailing checksum
-
-std::uint64_t fnv1a(std::string_view s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string to_hex(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-bool parse_u64(const std::string& cell, std::uint64_t& out) {
-  if (cell.empty() ||
-      cell.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(cell.c_str(), &end, 10);
-  if (errno != 0 || end != cell.c_str() + cell.size()) return false;
-  out = v;
-  return true;
-}
+constexpr std::size_t kRowCells = 38;  ///< cells of a row body
 
 bool parse_hex64(const std::string& cell, std::uint64_t& out) {
   if (cell.size() != 16 ||
       cell.find_first_not_of("0123456789abcdef") != std::string::npos)
     return false;
-  out = 0;
-  for (const char c : cell)
-    out = (out << 4) | static_cast<std::uint64_t>(
-                           c <= '9' ? c - '0' : c - 'a' + 10);
+  std::from_chars(cell.data(), cell.data() + cell.size(), out, 16);
   return true;
 }
 
@@ -78,83 +38,24 @@ std::string double_bits(double v) {
   return to_hex(std::bit_cast<std::uint64_t>(v));
 }
 
-/// Free-text cells (failure stage/detail) may contain the separator; escape
-/// backslash, comma and newline so the row stays one line of N cells.
-std::string escape_cell(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case ',':
-        out += "\\c";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string unescape_cell(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 == s.size()) {
-      out += s[i];
-      continue;
-    }
-    const char next = s[++i];
-    out += next == 'c' ? ',' : next == 'n' ? '\n' : next;
-  }
-  return out;
-}
-
-std::string journal_header(const std::string& grid_fp,
-                           const std::string& selection_fp,
-                           std::uint32_t shard_index,
-                           std::uint32_t shard_count) {
-  std::string header = std::string(kJournalMagic) +
-                       std::to_string(kJournalVersion) + " grid=" + grid_fp +
-                       " sel=" + selection_fp;
+support::RecordLog::Format journal_format(const std::string& grid_fp,
+                                          const std::string& selection_fp,
+                                          std::uint32_t shard_index,
+                                          std::uint32_t shard_count) {
+  support::RecordLog::Format format{
+      kJournalName, kJournalVersion,
+      " grid=" + grid_fp + " sel=" + selection_fp,
+      "grid/selection/shard fingerprint changed since last run"};
   // Unsharded journals carry no shard field, so a merged N-shard journal is
   // byte-identical to a single-process one starting from the header.
   if (shard_count > 1)
-    header += " shard=" + std::to_string(shard_index) + "/" +
-              std::to_string(shard_count);
-  return header;
+    format.fields += " shard=" + std::to_string(shard_index) + "/" +
+                     std::to_string(shard_count);
+  return format;
 }
 
-}  // namespace
-
-std::string SweepJournal::selection_fingerprint(
-    const SweepOptions& options, const std::vector<std::string>& names) {
-  std::uint64_t h = fnv1a("ucp-sweep-selection");
-  for (const std::string& n : names) h = fnv1a(n + ";", h);
-  h = fnv1a("stride=" + std::to_string(options.config_stride), h);
-  for (const energy::TechNode t : options.techs)
-    h = fnv1a(energy::tech_name(t), h);
-  h = fnv1a("attempts=" + std::to_string(options.max_attempts), h);
-  h = fnv1a("deadline=" + std::to_string(options.case_deadline_ms), h);
-  h = fnv1a("audit=" + std::to_string(options.audit_soundness), h);
-  // Optimizer knobs that influence which rows a sweep produces.
-  const core::OptimizerOptions& o = options.optimizer;
-  std::ostringstream opt;
-  opt << "opt=" << o.max_passes << '/' << o.require_effectiveness << '/'
-      << o.require_acet_non_increase << '/'
-      << static_cast<int>(o.accept_rule) << '/' << o.final_audit << '/'
-      << o.max_prefetches << '/' << o.max_evaluations << '/' << o.deadline_ms;
-  h = fnv1a(opt.str(), h);
-  return to_hex(h);
-}
-
-std::string SweepJournal::journal_row(const UseCaseResult& r,
-                                      std::size_t index) {
+/// One row record without its checksum (journal_row() seals it).
+std::string row_body(const UseCaseResult& r, std::size_t index) {
   const std::uint32_t audit_flags =
       (r.audit.performed ? 1u : 0u) | (r.audit.violated ? 2u : 0u) |
       (r.audit.inconclusive ? 4u : 0u);
@@ -162,10 +63,10 @@ std::string SweepJournal::journal_row(const UseCaseResult& r,
   solver.add(r.report.solver);
   solver.add(r.optimized.solver);
   std::ostringstream row;
-  row << "row," << index << ',' << escape_cell(r.program) << ','
+  row << "row," << index << ',' << support::escape_cell(r.program) << ','
       << r.config_id << ',' << energy::tech_name(r.tech) << ','
       << static_cast<int>(r.outcome) << ',' << static_cast<int>(r.fail_code)
-      << ',' << escape_cell(r.fail_stage) << ',' << r.attempts << ','
+      << ',' << support::escape_cell(r.fail_stage) << ',' << r.attempts << ','
       << r.degradation_level << ',' << audit_flags << ','
       << r.audit.tau_dense << ',' << r.original.tau_wcet << ','
       << r.original.run.mem_cycles << ',' << r.original.run.instructions
@@ -182,39 +83,23 @@ std::string SweepJournal::journal_row(const UseCaseResult& r,
       << ',' << r.report.incremental_reanalyses << ','
       << r.report.nodes_reanalyzed << ',' << solver.lp_solves << ','
       << solver.pivots << ',' << solver.bb_nodes << ',' << solver.warm_starts
-      << ',' << solver.phase1_skipped << ',' << escape_cell(r.fail_detail);
-  const std::string prefix = row.str();
-  return prefix + ',' + to_hex(fnv1a(prefix));
+      << ',' << solver.phase1_skipped << ','
+      << support::escape_cell(r.fail_detail);
+  return row.str();
 }
 
-bool SweepJournal::parse_journal_row(const std::string& line,
-                                     std::size_t& index, UseCaseResult& r) {
-  // Split on unescaped commas ("\c" is an escaped comma inside a cell).
-  std::vector<std::string> cells(1);
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      cells.back() += line[i];
-      cells.back() += line[i + 1];
-      ++i;
-    } else if (line[i] == ',') {
-      cells.emplace_back();
-    } else {
-      cells.back() += line[i];
-    }
-  }
-  if (cells.size() != kJournalCells || cells[0] != "row") return false;
-  const std::size_t checksum_at = line.rfind(',');
-  if (checksum_at == std::string::npos ||
-      to_hex(fnv1a(std::string_view(line).substr(0, checksum_at))) !=
-          cells.back())
-    return false;
+/// Inverse of row_body().
+bool parse_row_body(std::string_view body, std::size_t& index,
+                    UseCaseResult& r) {
+  const std::vector<std::string> cells = support::split_cells(body);
+  if (cells.size() != kRowCells || cells[0] != "row") return false;
 
   std::uint64_t u[30];
   const int cols[] = {1,  5,  6,  8,  9,  10, 11, 12, 13, 14,
                       15, 16, 17, 19, 20, 21, 22, 23, 24, 26,
                       27, 28, 29, 30, 31, 32, 33, 34, 35, 36};
   for (std::size_t i = 0; i < std::size(cols); ++i)
-    if (!parse_u64(cells[static_cast<std::size_t>(cols[i])], u[i]))
+    if (!support::parse_u64(cells[static_cast<std::size_t>(cols[i])], u[i]))
       return false;
   std::uint64_t e_orig = 0, e_opt = 0;
   if (!parse_hex64(cells[18], e_orig) || !parse_hex64(cells[25], e_opt))
@@ -225,7 +110,7 @@ bool SweepJournal::parse_journal_row(const std::string& line,
 
   r = UseCaseResult{};
   index = static_cast<std::size_t>(u[0]);
-  r.program = unescape_cell(cells[2]);
+  r.program = support::unescape_cell(cells[2]);
   r.config_id = cells[3];
   if (cells[4] == "45nm") {
     r.tech = energy::TechNode::k45nm;
@@ -236,7 +121,7 @@ bool SweepJournal::parse_journal_row(const std::string& line,
   }
   r.outcome = static_cast<CaseOutcome>(u[1]);
   r.fail_code = static_cast<ErrorCode>(u[2]);
-  r.fail_stage = unescape_cell(cells[7]);
+  r.fail_stage = support::unescape_cell(cells[7]);
   r.attempts = static_cast<std::uint32_t>(u[3]);
   r.degradation_level = static_cast<std::uint32_t>(u[4]);
   r.audit.performed = (u[5] & 1u) != 0;
@@ -274,7 +159,7 @@ bool SweepJournal::parse_journal_row(const std::string& line,
   r.report.solver.bb_nodes = u[27];
   r.report.solver.warm_starts = u[28];
   r.report.solver.phase1_skipped = u[29];
-  r.fail_detail = unescape_cell(cells[37]);
+  r.fail_detail = support::unescape_cell(cells[37]);
   // Reconstruct the report invariants degrade_to_original / the optimizer
   // maintain; none of these enter the fingerprint row.
   r.report.code = r.quarantined() ? r.fail_code : ErrorCode::kOk;
@@ -285,6 +170,41 @@ bool SweepJournal::parse_journal_row(const std::string& line,
   return true;
 }
 
+}  // namespace
+
+std::string SweepJournal::selection_fingerprint(
+    const SweepOptions& options, const std::vector<std::string>& names) {
+  std::uint64_t h = fnv1a("ucp-sweep-selection");
+  for (const std::string& n : names) h = fnv1a(n + ";", h);
+  h = fnv1a("stride=" + std::to_string(options.config_stride), h);
+  for (const energy::TechNode t : options.techs)
+    h = fnv1a(energy::tech_name(t), h);
+  h = fnv1a("attempts=" + std::to_string(options.max_attempts), h);
+  h = fnv1a("deadline=" + std::to_string(options.case_deadline_ms), h);
+  h = fnv1a("audit=" + std::to_string(options.audit_soundness), h);
+  // Optimizer knobs that influence which rows a sweep produces.
+  const core::OptimizerOptions& o = options.optimizer;
+  std::ostringstream opt;
+  opt << "opt=" << o.max_passes << '/' << o.require_effectiveness << '/'
+      << o.require_acet_non_increase << '/'
+      << static_cast<int>(o.accept_rule) << '/' << o.final_audit << '/'
+      << o.max_prefetches << '/' << o.max_evaluations << '/' << o.deadline_ms;
+  h = fnv1a(opt.str(), h);
+  return to_hex(h);
+}
+
+std::string SweepJournal::journal_row(const UseCaseResult& result,
+                                      std::size_t index) {
+  return support::seal_record(row_body(result, index));
+}
+
+bool SweepJournal::parse_journal_row(const std::string& line,
+                                     std::size_t& index,
+                                     UseCaseResult& result) {
+  const std::optional<std::string_view> body = support::unseal_record(line);
+  return body && parse_row_body(*body, index, result);
+}
+
 Status SweepJournal::open(
     const std::string& path, const std::string& grid_fp,
     const std::string& selection_fp, std::uint32_t shard_index,
@@ -292,198 +212,57 @@ Status SweepJournal::open(
     std::vector<bool>& have_row,
     const std::function<bool(std::size_t, const UseCaseResult&)>&
         matches_grid) {
-  close();
-  path_ = path;
   resumed_ = 0;
-  const std::string header =
-      journal_header(grid_fp, selection_fp, shard_index, shard_count);
-
-  std::string reset_reason;
-  long truncate_at = -1;  ///< byte offset of the first invalid line
-  {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      note_ = "journal started at '" + path + "'";
-    } else {
-      std::string line;
-      long offset = 0;
-      if (!std::getline(is, line)) {
-        reset_reason = "empty journal";
-      } else if (line != header) {
-        const std::string expected = std::to_string(kJournalVersion);
-        const std::size_t at = sizeof kJournalMagic - 1;
-        if (line.rfind(kJournalMagic, 0) != 0) {
-          reset_reason = "not a sweep journal";
-        } else if (const std::string version =
-                       line.substr(at, line.find(' ', at) - at);
-                   version != expected) {
-          reset_reason =
-              "journal format v" + version + ", expected v" + expected;
-        } else {
-          reset_reason =
-              "grid/selection/shard fingerprint changed since last run";
-        }
-      } else {
-        offset = static_cast<long>(line.size()) + 1;
-        while (std::getline(is, line)) {
-          if (line.empty() || line[0] == '#') {
-            // Annotation comment (e.g. "# metrics {...}"): observability
-            // metadata, not row data — skip it, keep the offset accounting.
-            offset += static_cast<long>(line.size()) + 1;
-            continue;
-          }
-          std::size_t index = 0;
-          UseCaseResult r;
-          const bool valid = parse_journal_row(line, index, r) &&
-                             index < rows.size() && matches_grid(index, r);
-          if (!valid) {
-            // Torn tail (crash mid-append) or foreign bytes: drop this line
-            // and everything after it; every earlier row checksummed clean.
-            truncate_at = offset;
-            break;
-          }
-          if (have_row[index]) {
-            // Duplicate index: a task re-appended in full after a torn tail
-            // left part of it. Identical content is harmless; divergent
-            // content is corruption and truncates like a torn tail.
-            if (journal_row(rows[index], index) != line) {
-              truncate_at = offset;
-              break;
-            }
-          } else {
-            rows[index] = std::move(r);
-            have_row[index] = true;
-            ++resumed_;
-          }
-          offset += static_cast<long>(line.size()) + 1;
-        }
-        note_ = resumed_ > 0
-                    ? "resumed " + std::to_string(resumed_) +
-                          " journaled rows from '" + path + "'" +
-                          (truncate_at >= 0 ? " (torn tail truncated)" : "")
-                    : "journal at '" + path + "' held no reusable rows";
-      }
-    }
-  }
-
-  if (!reset_reason.empty()) {
-    // Stale or foreign journal: checkpoints for a different sweep are
-    // worthless. Start over with a fresh header.
-    std::fill(have_row.begin(), have_row.end(), false);
-    resumed_ = 0;
-    note_ = "journal reset (" + reset_reason + ")";
-    std::remove(path.c_str());
-  } else if (truncate_at >= 0) {
-    if (::truncate(path.c_str(), truncate_at) != 0)
-      return Status(ErrorCode::kInternal,
-                    "cannot truncate torn journal tail of '" + path +
-                        "': " + std::strerror(errno));
-  }
-
-  const bool creating = !std::ifstream(path).good();
-  file_ = std::fopen(path.c_str(), "ab");
-  if (!file_)
-    return Status(ErrorCode::kInternal,
-                  "cannot open journal '" + path + "' for append: " +
-                      std::strerror(errno));
-  if (creating) {
-    const std::string first = header + "\n";
-    if (std::fwrite(first.data(), 1, first.size(), file_) != first.size() ||
-        std::fflush(file_) != 0) {
-      close();
-      return Status(ErrorCode::kInternal,
-                    "cannot write journal header to '" + path + "'");
-    }
-    Status synced = support::fsync_fd(fileno(file_), "journal '" + path + "'");
-    if (synced.ok()) synced = support::fsync_parent(path);
-    if (!synced.ok()) {
-      close();
-      return synced;
-    }
-  }
-  return Status::Ok();
-}
-
-Status SweepJournal::append(const std::vector<UseCaseResult>& results,
-                            std::size_t first, std::size_t count) {
-  return append_batch(results, {{first, count}});
+  const Status opened = log_.open(
+      path, journal_format(grid_fp, selection_fp, shard_index, shard_count),
+      [&](std::string_view body) {
+        std::size_t index = 0;
+        UseCaseResult r;
+        if (!parse_row_body(body, index, r) || index >= rows.size() ||
+            !matches_grid(index, r))
+          return false;
+        // Duplicate index: a task re-appended in full after a torn tail left
+        // part of it. Identical content is harmless; divergent content is
+        // corruption and truncates like a torn tail.
+        if (have_row[index]) return row_body(rows[index], index) == body;
+        rows[index] = std::move(r);
+        have_row[index] = true;
+        ++resumed_;
+        return true;
+      });
+  if (!log_.reset_reason().empty())
+    note_ = "journal reset (" + log_.reset_reason() + ")";
+  else if (log_.created())
+    note_ = "journal started at '" + path + "'";
+  else if (resumed_ > 0)
+    note_ = "resumed " + std::to_string(resumed_) + " journaled rows from '" +
+            path + "'" + (log_.truncated() ? " (torn tail truncated)" : "");
+  else
+    note_ = "journal at '" + path + "' held no reusable rows";
+  return opened;
 }
 
 Status SweepJournal::append_batch(
     const std::vector<UseCaseResult>& results,
     const std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
-  if (!active())
-    return Status(ErrorCode::kInternal, "journal is not active");
-  std::string buffer;
+  std::vector<std::string> bodies;
   for (const auto& [first, count] : ranges)
     for (std::size_t k = 0; k < count; ++k)
-      buffer += journal_row(results[first + k], first + k) + "\n";
-  if (buffer.empty()) return Status::Ok();
-
-  if (UCP_FAULT_POINT("io.journal_kill")) {
-    // Simulated power loss mid-append: flush a *partial* record to disk and
-    // die without unwinding. The recovery test asserts the torn tail is
-    // truncated on resume and the rows before it survive.
-    const std::size_t torn = buffer.size() > 7 ? buffer.size() - 7 : 0;
-    std::fwrite(buffer.data(), 1, torn, file_);
-    std::fflush(file_);
-    ::fsync(fileno(file_));
-    ::raise(SIGKILL);
-  }
-
-  const bool injected = UCP_FAULT_POINT("io.journal_write");
-  if (injected ||
-      std::fwrite(buffer.data(), 1, buffer.size(), file_) != buffer.size() ||
-      std::fflush(file_) != 0) {
-    // A sweep without checkpoints beats no sweep: disable the journal and
-    // let the caller report it.
-    const std::string why =
-        injected ? "injected journal write failure"
-                 : std::string("journal append failed: ") +
-                       std::strerror(errno);
-    close();
-    return Status(ErrorCode::kInternal, why);
-  }
-  return support::fsync_fd(fileno(file_), "journal '" + path_ + "'");
-}
-
-Status SweepJournal::annotate(const std::string& text) {
-  if (!active())
-    return Status(ErrorCode::kInternal, "journal is not active");
-  // Comments are skipped (and offset-accounted) by open(), so annotations
-  // never perturb resume. Newlines would turn one comment into a torn-tail
-  // candidate; flatten them.
-  std::string line = "# ";
-  for (const char c : text) line += c == '\n' ? ' ' : c;
-  line += '\n';
-  if (UCP_FAULT_POINT("obs.sink_write") ||
-      std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0) {
-    // Annotations are observability, not checkpoints: report the failure
-    // but leave the journal active — rows still append.
-    return Status(ErrorCode::kInternal,
-                  "journal annotation failed on '" + path_ + "'");
-  }
-  return support::fsync_fd(fileno(file_), "journal '" + path_ + "'");
-}
-
-void SweepJournal::close() {
-  if (file_) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+      bodies.push_back(row_body(results[first + k], first + k));
+  return log_.append(bodies);
 }
 
 namespace {
 
-/// Parses "<magic><version> grid=<fp> sel=<fp>[ shard=<i>/<N>]". Returns
-/// false on anything else (including other versions: row-order semantics
-/// changed in v2, so older journals cannot be merged).
+/// Parses "# ucp-sweep-journal v3 grid=<fp> sel=<fp>[ shard=<i>/<N>]".
+/// Returns false on anything else (including other versions: row-order
+/// semantics changed in v2, so older journals cannot be merged).
 bool parse_merge_header(const std::string& line, std::string& grid_fp,
                         std::string& sel_fp, std::uint64_t& shard_index,
                         std::uint64_t& shard_count) {
   const std::string magic =
-      std::string(kJournalMagic) + std::to_string(kJournalVersion) + " grid=";
+      support::RecordLog::Format{kJournalName, kJournalVersion}.header() +
+      " grid=";
   if (line.rfind(magic, 0) != 0) return false;
   std::string rest = line.substr(magic.size());
   const std::size_t sel_at = rest.find(" sel=");
@@ -501,8 +280,8 @@ bool parse_merge_header(const std::string& line, std::string& grid_fp,
   const std::string shard = rest.substr(shard_at + 7);
   const std::size_t slash = shard.find('/');
   if (slash == std::string::npos) return false;
-  return parse_u64(shard.substr(0, slash), shard_index) &&
-         parse_u64(shard.substr(slash + 1), shard_count) &&
+  return support::parse_u64(shard.substr(0, slash), shard_index) &&
+         support::parse_u64(shard.substr(slash + 1), shard_count) &&
          shard_count > 1 && shard_index < shard_count;
 }
 
@@ -551,7 +330,7 @@ Expected<JournalMerge> merge_sweep_journals(
   JournalMerge merge;
   merge.results.resize(plan.result_rows);
   merge.rows = plan.result_rows;
-  std::vector<std::string> row_line(plan.result_rows);
+  std::vector<std::string> row_text(plan.result_rows);
   std::vector<bool> have(plan.result_rows, false);
   std::vector<bool> shard_seen;
 
@@ -572,16 +351,10 @@ Expected<JournalMerge> merge_sweep_journals(
   };
 
   for (const std::string& path : inputs) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      if (diagnostic) {
-        diagnostic->reason = MergeDiagnostic::Reason::kMissingFile;
-        diagnostic->file = path;
-        diagnostic->detail = "cannot open journal '" + path + "' for merge";
-      }
-      return Status(ErrorCode::kNotFound,
-                    "cannot open journal '" + path + "' for merge");
-    }
+    support::RecordReader reader(path);
+    if (!reader.is_open())
+      return fail(MergeDiagnostic::Reason::kMissingFile, path,
+                  "cannot open it for merge", ErrorCode::kNotFound);
     auto reject = [&](MergeDiagnostic::Reason reason, const std::string& why) {
       return fail(reason, path, why);
     };
@@ -596,8 +369,8 @@ Expected<JournalMerge> merge_sweep_journals(
     };
     using Reason = MergeDiagnostic::Reason;
     std::string line;
-    if (!std::getline(is, line))
-      return reject(Reason::kBadHeader, "empty file");
+    if (!reader.header(line))
+      return reject(Reason::kBadHeader, "empty file or torn header");
     std::string got_grid, got_sel;
     std::uint64_t shard_index = 0, shard_count = 1;
     if (!parse_merge_header(line, got_grid, got_sel, shard_index,
@@ -629,14 +402,15 @@ Expected<JournalMerge> merge_sweep_journals(
                         std::to_string(shard_count));
     shard_seen[static_cast<std::size_t>(shard_index)] = true;
 
+    // Strict read: a torn tail is legal in a crashed journal, but a *merge*
+    // needs every row, so it fails loudly instead of dropping the tail.
     std::size_t rows_read = 0;
-    while (std::getline(is, line)) {
-      if (line.empty() || line[0] == '#') continue;  // annotations
+    for (auto next = reader.next(); next != support::RecordReader::Next::kEnd;
+         next = reader.next()) {
       std::size_t index = 0;
       UseCaseResult r;
-      if (!SweepJournal::parse_journal_row(line, index, r))
-        // A torn tail is legal in a crashed journal, but a *merge* needs
-        // every row; fail loudly rather than silently dropping the tail.
+      if (next == support::RecordReader::Next::kInvalid ||
+          !parse_row_body(reader.body(), index, r))
         // Report the 0-based position of the bad row within this file's
         // data rows — its grid index is unknowable when the row is torn.
         return reject_row(
@@ -666,14 +440,15 @@ Expected<JournalMerge> merge_sweep_journals(
       if (have[index]) {
         // Within one shard a task may be re-appended after a torn tail;
         // identical content is harmless, divergence is corruption.
-        if (row_line[index] != line)
+        if (row_text[index] != reader.body())
           return reject_row(Reason::kDivergent, index,
                             "row " + std::to_string(index) +
                                 " appears twice with divergent content");
         continue;
       }
+      r.config = configs[plan.tasks[t].config].config;
       merge.results[index] = std::move(r);
-      row_line[index] = line;
+      row_text[index] = reader.body();
       have[index] = true;
     }
   }
@@ -709,36 +484,16 @@ Expected<JournalMerge> merge_sweep_journals(
 
   if (!output_path.empty()) {
     // Reassemble the byte-identical unsharded journal: same header (no
-    // shard field), same rows, same deterministic schedule order, and the
-    // original row bytes (never re-serialized). Published durably —
-    // temp + fsync + rename — like the memo cache.
-    const std::string tmp = output_path + ".tmp";
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os)
-        return Status(ErrorCode::kInternal,
-                      "cannot open '" + tmp + "' for writing");
-      os << journal_header(grid_fp, sel_fp, 0, 1) << '\n';
-      for (const std::size_t t : plan.schedule) {
-        const std::size_t first = plan.tasks[t].first;
-        for (std::size_t k = 0; k < options.techs.size(); ++k)
-          os << row_line[first + k] << '\n';
-      }
-      os.flush();
-      if (!os) {
-        std::remove(tmp.c_str());
-        return Status(ErrorCode::kInternal, "write to '" + tmp + "' failed");
-      }
+    // shard field), same rows in the same deterministic schedule order,
+    // each the journaled row body, never re-serialized.
+    std::string out = journal_format(grid_fp, sel_fp, 0, 1).header() + "\n";
+    for (const std::size_t t : plan.schedule) {
+      const std::size_t first = plan.tasks[t].first;
+      for (std::size_t k = 0; k < options.techs.size(); ++k)
+        out += support::seal_record(row_text[first + k]) + "\n";
     }
-    Status synced = support::fsync_path(tmp);
-    if (synced.ok() && std::rename(tmp.c_str(), output_path.c_str()) != 0)
-      synced = Status(ErrorCode::kInternal, "rename '" + tmp + "' -> '" +
-                                                output_path + "' failed");
-    if (synced.ok()) synced = support::fsync_parent(output_path);
-    if (!synced.ok()) {
-      std::remove(tmp.c_str());
-      return synced;
-    }
+    const Status published = support::RecordLog::publish(output_path, out);
+    if (!published.ok()) return published;
   }
   return merge;
 }

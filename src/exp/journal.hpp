@@ -1,25 +1,21 @@
 #pragma once
 
-// Crash-safe sweep checkpoint journal.
+// Crash-safe sweep checkpoint journal, on support::RecordLog.
 //
-// The memo cache (harness.hpp) stores only *finished, clean, full-grid*
-// sweeps; the journal is its complement for the failure path: an append-only
-// row log that survives kill -9 at any byte. Every finished task's rows are
-// appended, checksummed and fsync'd before the task counts as done, so a
-// re-opened journal resumes the sweep from the last durable row and the
-// combined result set is bit-identical to an uninterrupted run.
+// An append-only row log that survives kill -9 at any byte. Every finished
+// task's rows are appended, checksummed and fsync'd before the task counts
+// as done, so a re-opened journal resumes the sweep from the last durable
+// row and the combined result set is bit-identical to an uninterrupted
+// run. A finished unsharded journal holds the whole result set, so the
+// figure benches share one journal instead of recomputing the grid.
 //
-// Durability discipline:
-//  - the header (version + grid + selection fingerprints, plus the shard
-//    slice for sharded sweeps) is written and fsync'd — file and parent
-//    directory — when the journal is created;
-//  - appends go through fwrite + fflush + fsync before returning;
-//  - every row carries a trailing FNV-1a checksum; a torn tail (partial
-//    last record after a crash mid-append) fails its checksum and is
-//    truncated away on open, never trusted;
-//  - a header that does not match the current format version or
-//    grid/selection/shard fingerprints resets the journal (stale
-//    checkpoints are worthless, not dangerous).
+// RecordLog owns the durability discipline (fsync'd header, checksummed
+// rows, one fsync per append batch, torn-tail truncation, reset on a header
+// mismatch). This class keeps the row codec and the sweep's policy: a row
+// is reused only if it belongs to this grid, selection and shard, and a
+// duplicate row must repeat the first one byte for byte. The header names
+// the format version and the grid + selection fingerprints, plus the shard
+// slice for sharded sweeps.
 //
 // Row order (since format v2): rows appear in the sweep's deterministic
 // heaviest-first schedule order, whatever the thread count — workers buffer
@@ -28,24 +24,19 @@
 // therefore byte-identical to a 1-thread run's, and merge_sweep_journals
 // can reassemble shard journals into the byte-identical unsharded file.
 
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exp/harness.hpp"
+#include "support/record_log.hpp"
 #include "support/status.hpp"
 
 namespace ucp::exp {
 
 class SweepJournal {
  public:
-  SweepJournal() = default;
-  ~SweepJournal() { close(); }
-  SweepJournal(const SweepJournal&) = delete;
-  SweepJournal& operator=(const SweepJournal&) = delete;
-
   /// Opens (or creates) the journal at `path` for the sweep identified by
   /// `grid_fp` + `selection_fp`, owned by shard `shard_index` of
   /// `shard_count` (0 of 1 = unsharded; the header only names the shard
@@ -67,7 +58,9 @@ class SweepJournal {
   /// sweep continues without checkpoints) and is returned as a Status.
   /// Not thread-safe; the sweep's single flusher serializes appends.
   Status append(const std::vector<UseCaseResult>& results, std::size_t first,
-                std::size_t count);
+                std::size_t count) {
+    return append_batch(results, {{first, count}});
+  }
 
   /// Appends several row ranges as one batch with a single fflush + fsync:
   /// the deterministic flusher uses this so a frontier advance over many
@@ -78,19 +71,16 @@ class SweepJournal {
       const std::vector<UseCaseResult>& results,
       const std::vector<std::pair<std::size_t, std::size_t>>& ranges);
 
-  /// Appends `text` as a `# `-prefixed comment line (newlines flattened).
-  /// Comments are skipped on open, so annotations never affect resume; the
-  /// sweep uses this to merge the end-of-run metrics snapshot into the
-  /// journal. Sits behind the obs.sink_write fault point: a failure is
-  /// reported but leaves the journal active (annotations are observability,
-  /// not checkpoints).
-  Status annotate(const std::string& text);
+  /// Appends `text` as a `#` annotation, skipped on resume; the sweep merges
+  /// its end-of-run metrics snapshot into the journal this way. A failure
+  /// (fault point obs.sink_write) leaves the journal active.
+  Status annotate(const std::string& text) { return log_.annotate(text); }
 
-  bool active() const { return file_ != nullptr; }
+  bool active() const { return log_.active(); }
   const std::string& note() const { return note_; }
   std::size_t resumed_rows() const { return resumed_; }
 
-  void close();
+  void close() { log_.close(); }
 
   /// Fingerprint of everything that must match for journal rows to be
   /// reusable: the resolved program list, configuration subset, tech nodes,
@@ -105,8 +95,7 @@ class SweepJournal {
                                 UseCaseResult& result);
 
  private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  support::RecordLog log_{{"io.journal_write", "io.journal_kill"}};
   std::string note_;
   std::size_t resumed_ = 0;
 };
@@ -156,7 +145,7 @@ const char* merge_reason_name(MergeDiagnostic::Reason reason);
 /// journaled it, and that the union is exactly the full grid — overlapping
 /// rows must be byte-identical and gaps are an error, never padded. On
 /// success, when `output_path` is non-empty, writes a merged journal there
-/// (durably: temp + fsync + rename) that is byte-identical to the journal
+/// (RecordLog::publish) that is byte-identical to the journal
 /// an unsharded run would have produced — same header, same rows, same
 /// deterministic schedule order. On rejection, when `diagnostic` is
 /// non-null, it is filled with the structured reason alongside the Status.

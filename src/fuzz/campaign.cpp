@@ -1,9 +1,6 @@
 #include "fuzz/campaign.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -14,33 +11,17 @@
 #include "fuzz/shrink.hpp"
 #include "gen/generator.hpp"
 #include "obs/metrics.hpp"
-#include "support/durable_io.hpp"
 #include "support/fault_injection.hpp"
 #include "support/parallel.hpp"
+#include "support/record_log.hpp"
 #include "support/rng.hpp"
 
 namespace ucp::fuzz {
 
 namespace {
 
-std::uint64_t fnv1a(const std::string& s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string to_hex(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
+using support::fnv1a;
+using support::to_hex;
 
 /// Compute-path sites crossed with the oracles when fault_every > 0.
 /// exp.* and io.* sites are NOT on check_program's path; every site here
@@ -66,116 +47,25 @@ const cache::NamedCacheConfig& case_config(const CampaignOptions& options,
 }
 
 // --- campaign journal -------------------------------------------------------
-// Same durability discipline as the sweep journal, smaller scope: a header
-// binding the root seed and options that affect verdicts, then one
-// checksummed verdict line per finished case. The header deliberately
-// EXCLUDES the case count: seeds derive from split_seed(root, index), so a
-// 200-case journal resumes seamlessly into a 1000-case run of the same
-// campaign.
+// A RecordLog whose header binds the root seed and the options that affect
+// verdicts, then one checksummed verdict line per finished case. The header
+// deliberately EXCLUDES the case count: seeds derive from
+// split_seed(root, index), so a 200-case journal resumes seamlessly into a
+// 1000-case run of the same campaign. v2: rows are `<verdict>,<checksum>`
+// RecordLog records (v1 separated the checksum with a tab).
 
-constexpr const char* kJournalMagic = "# ucp-fuzz-journal v1";
-
-std::string journal_header(const CampaignOptions& options) {
+support::RecordLog::Format journal_format(const CampaignOptions& options) {
   std::ostringstream os;
-  os << kJournalMagic << " seed=" << to_hex(options.seed)
+  os << " seed=" << to_hex(options.seed)
      << " rotation=" << options.config_rotation
      << " fault_every=" << options.fault_every;
-  // Only sharded campaigns name their slice, so pre-shard journals (and
-  // unsharded ones) keep resuming unchanged.
+  // Only sharded campaigns name their slice, so unsharded journals keep
+  // resuming unchanged.
   if (options.shard_count > 1)
     os << " shard=" << options.shard_index << "/" << options.shard_count;
-  return os.str();
+  return {"ucp-fuzz-journal", 2, os.str(),
+          "campaign options changed since last run"};
 }
-
-class CampaignJournal {
- public:
-  ~CampaignJournal() { close(); }
-
-  void open(const std::string& path, const CampaignOptions& options,
-            std::vector<CaseVerdict>& resumed, std::string& note) {
-    path_ = path;
-    const std::string header = journal_header(options);
-    // Read back whatever is durable; truncate at the first invalid row.
-    std::string keep;
-    std::size_t keep_rows = 0;
-    {
-      std::ifstream in(path);
-      std::string line;
-      bool first = true;
-      bool valid = true;
-      while (valid && std::getline(in, line)) {
-        if (first) {
-          first = false;
-          if (line != header) {
-            note = "reset: header mismatch (different campaign options)";
-            keep.clear();
-            break;
-          }
-          keep += line + "\n";
-          continue;
-        }
-        const auto tab = line.rfind('\t');
-        if (tab == std::string::npos ||
-            line.substr(tab + 1) != to_hex(fnv1a(line.substr(0, tab)))) {
-          valid = false;  // torn tail; truncate from here
-          break;
-        }
-        CaseVerdict v;
-        if (!CaseVerdict::parse(line.substr(0, tab), v)) {
-          valid = false;
-          break;
-        }
-        // Rows must follow this campaign's owned-index sequence: the r-th
-        // row is case shard_index + r * shard_count (identity when
-        // unsharded). Anything else is out of order; distrust the rest.
-        const std::uint32_t shards = std::max(1u, options.shard_count);
-        if (v.index !=
-            options.shard_index +
-                static_cast<std::uint32_t>(resumed.size()) * shards) {
-          valid = false;
-          break;
-        }
-        resumed.push_back(std::move(v));
-        keep += line + "\n";
-        ++keep_rows;
-      }
-    }
-    file_ = std::fopen(path.c_str(), "w");
-    if (file_ == nullptr) {
-      note = "disabled: cannot open '" + path + "'";
-      return;
-    }
-    if (keep.empty()) keep = header + "\n";
-    std::fwrite(keep.data(), 1, keep.size(), file_);
-    std::fflush(file_);
-    support::fsync_fd(fileno(file_), path_);
-    support::fsync_parent(path_);
-    if (note.empty())
-      note = keep_rows > 0 ? "resumed " + std::to_string(keep_rows) + " case(s)"
-                           : "started";
-  }
-
-  void append(const CaseVerdict& verdict) {
-    if (file_ == nullptr) return;
-    const std::string body = verdict.line();
-    const std::string row = body + "\t" + to_hex(fnv1a(body)) + "\n";
-    if (std::fwrite(row.data(), 1, row.size(), file_) != row.size()) {
-      close();  // journal write failure: continue without checkpoints
-      return;
-    }
-    std::fflush(file_);
-    support::fsync_fd(fileno(file_), path_);
-  }
-
-  void close() {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = nullptr;
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
-};
 
 }  // namespace
 
@@ -251,13 +141,33 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     if (shards == 1 || i % shards == options.shard_index % shards)
       own.push_back(i);
 
-  CampaignJournal journal;
+  support::RecordLog journal({"io.journal_write", "io.journal_kill"});
   if (!options.journal_path.empty()) {
-    std::vector<CaseVerdict> resumed;
-    std::string note;
-    journal.open(options.journal_path, options, resumed, note);
+    const Status opened = journal.open(
+        options.journal_path, journal_format(options),
+        [&](std::string_view body) {
+          // Rows must follow this campaign's owned-index sequence: the r-th
+          // row is case shard_index + r * shard_count (identity when
+          // unsharded). Anything else is out of order; distrust the rest.
+          CaseVerdict v;
+          if (!CaseVerdict::parse(std::string(body), v) ||
+              v.index != options.shard_index +
+                             static_cast<std::uint32_t>(
+                                 result.verdicts.size()) * shards)
+            return false;
+          result.verdicts.push_back(std::move(v));
+          return true;
+        });
+    const std::string note =
+        !opened.ok() ? "disabled: " + opened.message()
+        : !journal.reset_reason().empty()
+            ? "reset (" + journal.reset_reason() + ")"
+        : result.verdicts.empty()
+            ? "started"
+            : "resumed " + std::to_string(result.verdicts.size()) +
+                  " case(s)" +
+                  (journal.truncated() ? " (torn tail truncated)" : "");
     result.journal_note += result.journal_note.empty() ? note : "; " + note;
-    result.verdicts = std::move(resumed);
     // A journal from a longer run of the same campaign may hold cases past
     // this run's count; indices are increasing, so trim from the tail.
     while (!result.verdicts.empty() &&
@@ -335,7 +245,9 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         verdict.note = std::string("generator: ") + e.what();
       }
     }
-    fault::disarm_all();
+    // Disarm only this case's site: a site armed by the caller (a kill
+    // test arming io.journal_kill) must survive the case boundary.
+    if (!verdict.fault_site.empty()) fault::disarm(verdict.fault_site);
 
     if (verdict.violated()) {
       // (unexplained/violation totals are recomputed over all verdicts at
@@ -397,10 +309,11 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   auto flush_done = [&](std::size_t k) {
     std::lock_guard<std::mutex> lock(flush_mutex);
     slot_done[k] = 1;
+    std::vector<std::string> rows;
     while (frontier < slots.size() && slot_done[frontier] != 0) {
       const CaseVerdict& v = slots[frontier];
       if (options.trace) std::cerr << "[fuzz] " << v.line() << "\n";
-      journal.append(v);
+      if (journal.active()) rows.push_back(v.line());
       ++frontier;
       const std::size_t emitted = start + frontier;
       if (options.progress_every > 0 &&
@@ -408,6 +321,12 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         std::cerr << "[fuzz] " << emitted << "/" << own.size()
                   << " cases\n";
     }
+    // One append (one fsync) per frontier advance; a failure deactivates
+    // the journal and the campaign carries on without checkpoints.
+    if (rows.empty()) return;
+    const Status appended = journal.append(rows);
+    if (!appended.ok())
+      result.journal_note += "; journaling disabled: " + appended.message();
   };
   support::parallel_for_index(slots.size(), threads, [&](std::size_t k) {
     slots[k] = run_case(own[start + k]);

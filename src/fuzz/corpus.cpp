@@ -1,9 +1,6 @@
 #include "fuzz/corpus.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <dirent.h>
 #include <fstream>
 #include <sstream>
@@ -12,6 +9,7 @@
 #include "ir/text_codec.hpp"
 #include "ir/verify.hpp"
 #include "support/fault_injection.hpp"
+#include "support/record_log.hpp"
 
 namespace ucp::fuzz {
 
@@ -78,15 +76,7 @@ CorpusEntry corpus_from_text(const std::string& text, std::string name) {
 }
 
 Status write_corpus_entry(const std::string& path, const CorpusEntry& entry) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out)
-    return Status(ErrorCode::kNotFound,
-                  "cannot open corpus file '" + path + "' for writing");
-  out << corpus_to_text(entry);
-  out.flush();
-  if (!out)
-    return Status(ErrorCode::kInternal, "write to '" + path + "' failed");
-  return Status::Ok();
+  return support::RecordLog::publish(path, corpus_to_text(entry));
 }
 
 Expected<CorpusEntry> read_corpus_entry(const std::string& path) {

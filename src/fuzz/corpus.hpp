@@ -32,6 +32,7 @@ std::string corpus_to_text(const CorpusEntry& entry);
 /// Parses serialized form; throws InvalidArgument on malformed input.
 CorpusEntry corpus_from_text(const std::string& text, std::string name = "");
 
+/// Writes the entry atomically and durably (RecordLog::publish).
 Status write_corpus_entry(const std::string& path, const CorpusEntry& entry);
 Expected<CorpusEntry> read_corpus_entry(const std::string& path);
 

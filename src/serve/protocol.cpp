@@ -1,10 +1,11 @@
 #include "serve/protocol.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <vector>
+
+#include "support/record_log.hpp"
 
 namespace ucp::serve {
 
@@ -13,20 +14,8 @@ namespace {
 constexpr char kRequestMagic[] = "ucp-request v1";
 constexpr char kResponseMagic[] = "ucp-response v1";
 
-std::uint64_t fnv1a(const std::string& s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
+using support::fnv1a;
+using support::to_hex;
 
 Status malformed(const std::string& why) {
   return Status(ErrorCode::kMalformedInput, why);
@@ -85,10 +74,10 @@ Expected<std::string> unescape_field(const std::string& s) {
 }
 
 Expected<std::uint64_t> parse_u64(const std::string& w, const char* what) {
-  if (w.empty() || w.size() > 19 ||
-      w.find_first_not_of("0123456789") != std::string::npos)
+  std::uint64_t v = 0;
+  if (w.size() > 19 || !support::parse_u64(w, v))
     return malformed(std::string("bad ") + what + " '" + w + "'");
-  return static_cast<std::uint64_t>(std::stoull(w));
+  return v;
 }
 
 Expected<std::uint32_t> parse_u32(const std::string& w, const char* what) {

@@ -1,236 +1,60 @@
 #include "serve/request_journal.hpp"
 
-#include <unistd.h>
-
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string_view>
-#include <vector>
-
-#include "support/durable_io.hpp"
-#include "support/fault_injection.hpp"
-
 namespace ucp::serve {
 
 namespace {
 
-const char kMagic[] = "# ucp-serve-journal v1";
-
-std::uint64_t fnv1a(std::string_view s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-std::string escape_cell(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case ',':
-        out += "\\c";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string unescape_cell(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 == s.size()) {
-      out += s[i];
-      continue;
-    }
-    const char next = s[++i];
-    out += next == 'c' ? ',' : next == 'n' ? '\n' : next;
-  }
-  return out;
-}
-
-std::string journal_row(const std::string& id, const std::string& fingerprint,
-                        const std::string& response_text) {
-  const std::string prefix = "req," + escape_cell(id) + "," + fingerprint +
-                             "," + escape_cell(response_text);
-  return prefix + ',' + to_hex(fnv1a(prefix));
-}
-
-bool parse_row(const std::string& line, std::string& id,
-               std::string& fingerprint, std::string& response_text) {
-  std::vector<std::string> cells(1);
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      cells.back() += line[i];
-      cells.back() += line[i + 1];
-      ++i;
-    } else if (line[i] == ',') {
-      cells.emplace_back();
-    } else {
-      cells.back() += line[i];
-    }
-  }
-  if (cells.size() != 5 || cells[0] != "req") return false;
-  const std::size_t checksum_at = line.rfind(',');
-  if (checksum_at == std::string::npos ||
-      to_hex(fnv1a(std::string_view(line).substr(0, checksum_at))) !=
-          cells[4])
-    return false;
-  id = unescape_cell(cells[1]);
-  fingerprint = cells[2];
-  if (id.empty() || fingerprint.size() != 16) return false;
-  response_text = unescape_cell(cells[3]);
-  return true;
+std::string row_body(const std::string& id, const std::string& fingerprint,
+                     const std::string& response_text) {
+  return "req," + support::escape_cell(id) + "," + fingerprint + "," +
+         support::escape_cell(response_text);
 }
 
 }  // namespace
 
 Status RequestJournal::open(const std::string& path) {
-  close();
-  path_ = path;
   restored_ = 0;
   entries_.clear();
-
-  std::string reset_reason;
-  long truncate_at = -1;
-  {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      note_ = "request journal started at '" + path + "'";
-    } else {
-      std::string line;
-      long offset = 0;
-      if (!std::getline(is, line)) {
-        reset_reason = "empty journal";
-      } else if (line != kMagic) {
-        reset_reason = "not a serve journal";
-      } else {
-        offset = static_cast<long>(line.size()) + 1;
-        while (std::getline(is, line)) {
-          if (line.empty() || line[0] == '#') {
-            offset += static_cast<long>(line.size()) + 1;
-            continue;
-          }
-          std::string id, fp, response;
-          if (!parse_row(line, id, fp, response)) {
-            // Torn tail from a crash mid-append: every earlier row
-            // checksummed clean, this one (and anything after) is dropped.
-            truncate_at = offset;
-            break;
-          }
-          // Later rows win: a duplicate id can only appear if a torn-tail
-          // truncation re-ran the request, and the re-run's row is the one
-          // that was acknowledged last.
-          auto [it, inserted] = entries_.insert_or_assign(
-              std::move(id), Entry{std::move(fp), std::move(response)});
-          (void)it;
-          if (inserted) ++restored_;
-          offset += static_cast<long>(line.size()) + 1;
-        }
-        note_ = "restored " + std::to_string(restored_) +
-                " journaled responses from '" + path + "'" +
-                (truncate_at >= 0 ? " (torn tail truncated)" : "");
-      }
-    }
-  }
-
-  if (!reset_reason.empty()) {
-    entries_.clear();
-    restored_ = 0;
-    note_ = "request journal reset (" + reset_reason + ")";
-    std::remove(path.c_str());
-  } else if (truncate_at >= 0) {
-    if (::truncate(path.c_str(), truncate_at) != 0)
-      return Status(ErrorCode::kInternal,
-                    "cannot truncate torn journal tail of '" + path +
-                        "': " + std::strerror(errno));
-  }
-
-  const bool creating = !std::ifstream(path).good();
-  file_ = std::fopen(path.c_str(), "ab");
-  if (!file_)
-    return Status(ErrorCode::kInternal,
-                  "cannot open request journal '" + path + "' for append: " +
-                      std::strerror(errno));
-  if (creating) {
-    const std::string first = std::string(kMagic) + "\n";
-    if (std::fwrite(first.data(), 1, first.size(), file_) != first.size() ||
-        std::fflush(file_) != 0) {
-      close();
-      return Status(ErrorCode::kInternal,
-                    "cannot write journal header to '" + path + "'");
-    }
-    Status synced =
-        support::fsync_fd(fileno(file_), "request journal '" + path + "'");
-    if (synced.ok()) synced = support::fsync_parent(path);
-    if (!synced.ok()) {
-      close();
-      return synced;
-    }
-  }
-  return Status::Ok();
+  const Status opened =
+      log_.open(path, {"ucp-serve-journal", 1}, [&](std::string_view body) {
+        const std::vector<std::string> cells = support::split_cells(body);
+        if (cells.size() != 4 || cells[0] != "req" || cells[2].size() != 16)
+          return false;
+        std::string id = support::unescape_cell(cells[1]);
+        if (id.empty()) return false;
+        // Later rows win: a duplicate id can only appear if a torn-tail
+        // truncation re-ran the request, and the re-run's row is the one
+        // that was acknowledged last.
+        Entry entry{cells[2], support::unescape_cell(cells[3])};
+        if (entries_.insert_or_assign(std::move(id), std::move(entry)).second)
+          ++restored_;
+        return true;
+      });
+  if (!log_.reset_reason().empty())
+    note_ = "request journal reset (" + log_.reset_reason() + ")";
+  else if (log_.created())
+    note_ = "request journal started at '" + path + "'";
+  else
+    note_ = "restored " + std::to_string(restored_) +
+            " journaled responses from '" + path + "'" +
+            (log_.truncated() ? " (torn tail truncated)" : "");
+  return opened;
 }
 
 Status RequestJournal::append(const std::string& id,
                               const std::string& fingerprint,
                               const std::string& response_text) {
-  if (!active())
-    return Status(ErrorCode::kInternal, "request journal is not active");
-  const std::string line = journal_row(id, fingerprint, response_text) + "\n";
-  const bool injected = UCP_FAULT_POINT("serve.journal_write");
-  if (injected ||
-      std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0) {
-    // A daemon without replay durability beats no daemon: deactivate the
-    // journal and keep serving; the caller reports the degradation.
-    const std::string why =
-        injected ? "injected request-journal write failure"
-                 : std::string("request-journal append failed: ") +
-                       std::strerror(errno);
-    close();
-    return Status(ErrorCode::kInternal, why);
-  }
-  Status synced =
-      support::fsync_fd(fileno(file_), "request journal '" + path_ + "'");
-  if (!synced.ok()) {
-    close();
-    return synced;
-  }
-  entries_.insert_or_assign(id, Entry{fingerprint, response_text});
-  return Status::Ok();
+  const Status appended =
+      log_.append({row_body(id, fingerprint, response_text)});
+  if (appended.ok())
+    entries_.insert_or_assign(id, Entry{fingerprint, response_text});
+  return appended;
 }
 
 const RequestJournal::Entry* RequestJournal::find(const std::string& id)
     const {
   const auto it = entries_.find(id);
   return it == entries_.end() ? nullptr : &it->second;
-}
-
-void RequestJournal::close() {
-  if (file_) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
 }
 
 }  // namespace ucp::serve

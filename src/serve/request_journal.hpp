@@ -1,16 +1,17 @@
 #pragma once
 
 // Crash-safe request journal of the ucpd daemon — the idempotent-replay
-// store. Every *terminal* response (ok / degraded / structured error, but
-// never overload sheds) is appended, checksummed and fsync'd before the
-// bytes go to the client, so a daemon killed at any instant and restarted
-// on the same journal answers a re-sent request id with the byte-identical
-// response instead of recomputing (or worse, recomputing differently).
+// store, on support::RecordLog. Every *terminal* response (ok / degraded /
+// structured error, but never overload sheds) is appended, checksummed and
+// fsync'd before the bytes go to the client, so a daemon killed at any
+// instant and restarted on the same journal answers a re-sent request id
+// with the byte-identical response instead of recomputing (or worse,
+// recomputing differently).
 //
-// Same durability discipline as the sweep journal (exp/journal.hpp):
-// fsync'd magic header, `\`/`\c`/`\n` cell escaping, trailing FNV-1a row
-// checksum, torn-tail truncation on open. Rows map a request id to its
-// request fingerprint and full serialized response:
+// RecordLog owns the durability (header `# ucp-serve-journal v1`, checksummed
+// rows, torn-tail truncation on open); this class keeps the row codec and
+// the later-id-wins policy. Rows map a request id to its request
+// fingerprint and full serialized response:
 //
 //   req,<id>,<fingerprint>,<escaped response bytes>,<checksum>
 //
@@ -19,10 +20,10 @@
 // the same id with a *different* fingerprint is a client bug and gets a
 // structured kMalformedInput error.
 
-#include <cstdio>
 #include <map>
 #include <string>
 
+#include "support/record_log.hpp"
 #include "support/status.hpp"
 
 namespace ucp::serve {
@@ -33,11 +34,6 @@ class RequestJournal {
     std::string fingerprint;
     std::string response_text;  ///< serialize_response bytes, replayed 0
   };
-
-  RequestJournal() = default;
-  ~RequestJournal() { close(); }
-  RequestJournal(const RequestJournal&) = delete;
-  RequestJournal& operator=(const RequestJournal&) = delete;
 
   /// Opens (or creates) the journal at `path`, restoring every valid row
   /// into the in-memory replay map. A missing file starts fresh; a bad
@@ -55,16 +51,15 @@ class RequestJournal {
   /// Replay lookup; nullptr when the id was never journaled.
   const Entry* find(const std::string& id) const;
 
-  bool active() const { return file_ != nullptr; }
+  bool active() const { return log_.active(); }
   const std::string& note() const { return note_; }
   std::size_t restored() const { return restored_; }
   std::size_t rows() const { return entries_.size(); }
 
-  void close();
+  void close() { log_.close(); }
 
  private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  support::RecordLog log_{{"serve.journal_write", nullptr}};
   std::string note_;
   std::size_t restored_ = 0;
   std::map<std::string, Entry> entries_;

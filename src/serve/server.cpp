@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <chrono>
-#include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -26,6 +25,7 @@
 #include "serve/request_journal.hpp"
 #include "support/cancellation.hpp"
 #include "support/fault_injection.hpp"
+#include "support/record_log.hpp"
 #include "support/socket.hpp"
 #include "wcet/ipet.hpp"
 
@@ -39,43 +39,9 @@ std::int64_t now_ms() {
       .count();
 }
 
-std::uint64_t fnv1a(std::string_view s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using support::fnv1a;
+using support::to_hex;
 
-std::string to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-/// Failure classes worth another rung on the ladder — must match the
-/// sweep's list (exp/harness.cpp run_task) so a request degrades exactly
-/// like the same case would in a sweep.
-bool retryable(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kIterationLimit:
-    case ErrorCode::kStepBudgetExhausted:
-    case ErrorCode::kDeadlineExceeded:
-    case ErrorCode::kCancelled:
-    case ErrorCode::kAnalysisFailed:
-    case ErrorCode::kInternal:
-      return true;
-    default:
-      return false;
-  }
-}
-
-int rank(const exp::UseCaseResult& r) {
-  return r.outcome == exp::CaseOutcome::kCompleted
-             ? 2
-             : (r.outcome == exp::CaseOutcome::kDegraded ? 1 : 0);
-}
 
 Response error_response(ErrorCode code, const std::string& detail) {
   Response r;
@@ -657,7 +623,8 @@ Response Server::Impl::run_pipeline(const Request& request,
   run_attempt(options.optimizer, row, optimized);
   disarm_watchdog();
 
-  if (max_attempts >= 2 && row.quarantined() && retryable(row.fail_code)) {
+  if (max_attempts >= 2 && row.quarantined() &&
+      exp::retryable(row.fail_code)) {
     ++attempts;
     core::OptimizerOptions escalated = options.optimizer;
     escalated.max_evaluations *= 2;
@@ -668,14 +635,15 @@ Response Server::Impl::run_pipeline(const Request& request,
     arm_watchdog(4);
     run_attempt(escalated, retry_row, retry_optimized);
     disarm_watchdog();
-    if (rank(retry_row) > rank(row)) {
+    if (exp::outcome_rank(retry_row) > exp::outcome_rank(row)) {
       row = std::move(retry_row);
       optimized = std::move(retry_optimized);
       if (row.outcome == exp::CaseOutcome::kCompleted)
         row.degradation_level = 1;
     }
   }
-  if (max_attempts >= 3 && row.quarantined() && retryable(row.fail_code)) {
+  if (max_attempts >= 3 && row.quarantined() &&
+      exp::retryable(row.fail_code)) {
     ++attempts;
     core::OptimizerOptions identity = options.optimizer;
     identity.max_passes = 0;  // ship the input program
@@ -697,7 +665,7 @@ Response Server::Impl::run_pipeline(const Request& request,
           row.fail_detail + " (identity-transform fallback)";
       row = std::move(repaired);
       optimized = std::move(fallback_optimized);
-    } else if (rank(fallback_row) > rank(row)) {
+    } else if (exp::outcome_rank(fallback_row) > exp::outcome_rank(row)) {
       row = std::move(fallback_row);
       optimized = std::move(fallback_optimized);
     }

@@ -21,14 +21,6 @@ Status fsync_fd(int fd, const std::string& what) {
   return Status::Ok();
 }
 
-Status fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return io_error("open '" + path + "' for fsync");
-  Status s = fsync_fd(fd, "'" + path + "'");
-  ::close(fd);
-  return s;
-}
-
 Status fsync_parent(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos

@@ -1,19 +1,17 @@
 #pragma once
 
-// POSIX durability helpers for the crash-safe sweep artifacts (journal,
-// memo cache). A rename alone publishes atomically but does not persist: a
-// power loss can still surface the old name, a zero-length file, or a torn
-// tail. The durable sequence is fsync(temp) → rename → fsync(parent dir),
-// and append-style writers fsync their descriptor after each batch.
+// POSIX durability helpers behind support::RecordLog (record_log.hpp), the
+// one writer of crash-safe files. A rename alone publishes atomically but
+// does not persist: a power loss can still surface the old name, a
+// zero-length file, or a torn tail. The durable sequence is fsync(temp) →
+// rename → fsync(parent dir), and appenders fsync their descriptor after
+// each batch.
 
 #include <string>
 
 #include "support/status.hpp"
 
 namespace ucp::support {
-
-/// fsync(2) the file at `path` (opened read-only; Linux permits that).
-Status fsync_path(const std::string& path);
 
 /// fsync(2) the parent directory of `path`, making a rename/creation of the
 /// entry itself durable.

@@ -23,9 +23,7 @@ const char* const kSites[] = {
     "core.deadline",   // per-use-case wall-clock deadline check
     "exp.measure",     // analyze+simulate boundary of one binary
     "exp.task",        // sweep worker task boundary (arbitrary exception)
-    "exp.cache_read",  // sweep memo load boundary
-    "exp.cache_write", // sweep memo save boundary
-    "io.journal_write",   // sweep journal append (durable checkpoint write)
+    "io.journal_write",   // sweep/fuzz journal append (durable checkpoint)
     "io.journal_kill",    // hard-kill (SIGKILL) mid-append, torn record left
     "supervisor.cancel",  // watchdog cancellation at task registration
     "audit.mismatch",     // soundness auditor forced to report a violation

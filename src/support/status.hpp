@@ -5,7 +5,7 @@
 // Exceptions (UCP_CHECK / UCP_REQUIRE) remain the channel for *bugs and API
 // misuse*; Status is the channel for failures that a production sweep must
 // survive: solver budget exhaustion, runaway simulations, wall-clock
-// deadlines, corrupt memo files. Any stage that can fail recoverably returns
+// deadlines, corrupt journals. Any stage that can fail recoverably returns
 // Status (or Expected<T>) so the experiment harness can quarantine the use
 // case and degrade to the identity transform instead of dying (the identity
 // transform — ship the original binary — trivially satisfies Theorem 1, so
@@ -29,7 +29,7 @@ enum class ErrorCode : std::uint8_t {
   kAnalysisFailed,       ///< cache/WCET analysis could not complete
   kInfeasible,           ///< ILP infeasible
   kUnbounded,            ///< ILP unbounded
-  kCorruptCache,         ///< sweep memo file failed validation
+  kCorruptCache,         ///< persisted file (journal, corpus) failed validation
   kNotFound,             ///< expected file absent
   kFaultInjected,        ///< forced by the fault-injection registry
   kDegraded,             ///< result fell back to the safe identity transform

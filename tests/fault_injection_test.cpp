@@ -268,15 +268,12 @@ TEST(FaultRegistry, EveryKnownSiteIsExercisedByTheBattery) {
   for (const std::string& site : sites) before.push_back(fault::hit_count(site));
 
   // The battery: one journaled, audited, watchdog-supervised sweep with the
-  // full retry ladder, plus a memo-cache save/load round trip. Together
-  // these reach every registered site, including the supervision and
-  // durable-I/O ones.
+  // full retry ladder reaches the compute, supervision and durable-I/O
+  // sites.
   const std::string tmp =
       testing::TempDir() + "fault_battery." + std::to_string(::getpid());
   const std::string journal = tmp + ".journal";
-  const std::string cache = tmp + ".cache";
   std::remove(journal.c_str());
-  std::remove(cache.c_str());
 
   SweepOptions options = small_sweep();
   options.journal_path = journal;
@@ -284,8 +281,6 @@ TEST(FaultRegistry, EveryKnownSiteIsExercisedByTheBattery) {
   options.case_deadline_ms = 120000;  // watchdog on, far from firing
   const Sweep sweep = run_sweep(options);
   EXPECT_TRUE(sweep.report.clean());
-  ASSERT_TRUE(save_sweep_cache(cache, sweep.results).ok());
-  EXPECT_TRUE(load_sweep_cache(cache).ok());
 
   // The fuzz sites (gen.build, fuzz.oracle, fuzz.shrink) sit on the
   // synthetic-program path: one generated case through the oracle battery
@@ -360,7 +355,6 @@ TEST(FaultRegistry, EveryKnownSiteIsExercisedByTheBattery) {
   }
   fault::disarm_all();
   std::remove(journal.c_str());
-  std::remove(cache.c_str());
 }
 
 TEST(FaultOps, AdminWriteFaultDropsScrapeNotTheResponse) {

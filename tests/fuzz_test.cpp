@@ -3,11 +3,14 @@
 // and campaign determinism / resume / fault-crossing.
 
 #include <dirent.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <algorithm>
+#include <csignal>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -428,6 +431,79 @@ TEST(Campaign, MismatchedOptionsResetTheJournal) {
   EXPECT_EQ(r.resumed, 0u);
   EXPECT_NE(r.journal_note.find("reset"), std::string::npos)
       << r.journal_note;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(Campaign, KilledMidAppendResumesToTheSameFingerprint) {
+  fault::disarm_all();
+  TempFile journal("fuzz_kill_journal");
+  fuzz::CampaignOptions options = small_campaign();
+  options.journal_path = journal.path;
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << "fork failed";
+  if (child == 0) {
+    // The third append writes a torn record, fsyncs it and dies by SIGKILL.
+    fault::arm("io.journal_kill", /*skip=*/2);
+    fuzz::run_campaign(options);
+    std::_Exit(42);  // only reached if the fault never fired
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(wstatus))
+      << "child exited normally; the kill fault did not fire";
+  ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+
+  const fuzz::CampaignResult resumed = fuzz::run_campaign(options);
+  EXPECT_EQ(resumed.resumed, 2u) << resumed.journal_note;
+  EXPECT_NE(resumed.journal_note.find("torn tail truncated"),
+            std::string::npos)
+      << resumed.journal_note;
+  EXPECT_EQ(resumed.fingerprint,
+            fuzz::run_campaign(small_campaign()).fingerprint);
+}
+
+TEST(Campaign, OpeningAValidJournalLeavesItsBytesUnchanged) {
+  fault::disarm_all();
+  TempFile journal("fuzz_unchanged_journal");
+  fuzz::CampaignOptions options = small_campaign();
+  options.journal_path = journal.path;
+  fuzz::run_campaign(options);
+  const std::string bytes = slurp(journal.path);
+  ASSERT_FALSE(bytes.empty());
+
+  // Every case resumes, none runs: the journal must not be rewritten.
+  const fuzz::CampaignResult again = fuzz::run_campaign(options);
+  EXPECT_EQ(again.resumed, options.cases);
+  EXPECT_EQ(slurp(journal.path), bytes);
+}
+
+TEST(Campaign, VersionOneJournalResetsWithAVersionReason) {
+  fault::disarm_all();
+  TempFile journal("fuzz_v1_journal");
+  fuzz::CampaignOptions options = small_campaign();
+  options.journal_path = journal.path;
+  const fuzz::CampaignResult first = fuzz::run_campaign(options);
+
+  // v1 journals separated the checksum with a tab; relabel the header as v1
+  // and check that its rows are not reinterpreted.
+  std::string bytes = slurp(journal.path);
+  const std::string magic = "# ucp-fuzz-journal v2 ";
+  ASSERT_EQ(bytes.rfind(magic, 0), 0u) << bytes.substr(0, 80);
+  bytes.replace(0, magic.size(), "# ucp-fuzz-journal v1 ");
+  std::ofstream(journal.path, std::ios::binary | std::ios::trunc) << bytes;
+
+  const fuzz::CampaignResult r = fuzz::run_campaign(options);
+  EXPECT_EQ(r.resumed, 0u);
+  EXPECT_NE(r.journal_note.find("reset (journal format v1, expected v2)"),
+            std::string::npos)
+      << r.journal_note;
+  EXPECT_EQ(r.fingerprint, first.fingerprint);
 }
 
 // Crossing the oracles with the fault registry: every armed compute-path

@@ -1,279 +1,23 @@
-// Sweep memo cache hardening: versioned header, grid fingerprint, row
-// checksums, tolerant cell parsing, atomic save. Every corruption mode must
-// be *detected and reported* (kCorruptCache), never parsed into garbage
-// figures or crash the loader; the sweep then recomputes.
+// Result-row helpers of the sweep harness: the grid fingerprint, degenerate
+// ratio accounting and the health report.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "cache/config.hpp"
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
-#include "support/fault_injection.hpp"
 
 namespace ucp::exp {
 namespace {
 
-std::vector<UseCaseResult> two_rows() {
-  std::vector<UseCaseResult> rows(2);
-  rows[0].program = "bs";
-  rows[0].config_id = "k1";
-  rows[0].config = cache::paper_cache_config("k1").config;
-  rows[0].tech = energy::TechNode::k45nm;
-  rows[0].original.tau_wcet = 100;
-  rows[0].original.run.mem_cycles = 80;
-  rows[0].original.run.instructions = 50;
-  rows[0].original.energy.cache_dynamic_nj = 12.5;
-  rows[0].original.run.cache.fetches = 50;
-  rows[0].original.run.cache.misses = 5;
-  rows[0].original.run.total_cycles = 200;
-  rows[0].optimized = rows[0].original;
-  rows[0].optimized.tau_wcet = 90;
-  rows[0].report.insertions.resize(2);
-  rows[0].report.candidates_found = 7;
-  rows[1] = rows[0];
-  rows[1].program = "fibcall";
-  rows[1].tech = energy::TechNode::k32nm;
-  return rows;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream is(path);
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-void spit(const std::string& path, const std::string& text) {
-  std::ofstream os(path, std::ios::trunc);
-  os << text;
-}
-
-struct TempFile {
-  explicit TempFile(std::string p) : path(std::move(p)) {
-    std::remove(path.c_str());
-  }
-  ~TempFile() {
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
-  }
-  std::string path;
-};
-
-TEST(SweepCache, RoundTripPreservesEveryPersistedField) {
-  TempFile f("cache_roundtrip.csv");
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  const Expected<std::vector<UseCaseResult>> loaded =
-      load_sweep_cache(f.path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  ASSERT_EQ(loaded->size(), 2u);
-  const UseCaseResult& r = (*loaded)[0];
-  EXPECT_EQ(r.program, "bs");
-  EXPECT_EQ(r.config_id, "k1");
-  EXPECT_EQ(r.tech, energy::TechNode::k45nm);
-  EXPECT_EQ(r.original.tau_wcet, 100u);
-  EXPECT_EQ(r.original.run.mem_cycles, 80u);
-  EXPECT_EQ(r.original.run.instructions, 50u);
-  EXPECT_DOUBLE_EQ(r.original.energy.total_nj(), 12.5);
-  EXPECT_EQ(r.original.run.cache.fetches, 50u);
-  EXPECT_EQ(r.original.run.cache.misses, 5u);
-  EXPECT_EQ(r.original.run.total_cycles, 200u);
-  EXPECT_EQ(r.optimized.tau_wcet, 90u);
-  EXPECT_EQ(r.report.insertions.size(), 2u);
-  EXPECT_EQ(r.report.candidates_found, 7u);
-  EXPECT_EQ((*loaded)[1].program, "fibcall");
-  EXPECT_EQ((*loaded)[1].tech, energy::TechNode::k32nm);
-}
-
-TEST(SweepCache, MissingFileIsNotFoundNotCorrupt) {
-  const auto loaded = load_sweep_cache("definitely_absent.csv");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kNotFound);
-}
-
-TEST(SweepCache, CorruptCellIsDetected) {
-  TempFile f("cache_badcell.csv");
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  // Flip one digit of the first data row; the row checksum must catch it.
-  std::string text = slurp(f.path);
-  const std::size_t pos = text.find("bs,k1,45nm,100");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos + 11] = '9';  // 100 -> 900
-  spit(f.path, text);
-  const auto loaded = load_sweep_cache(f.path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorruptCache);
-  EXPECT_NE(loaded.status().detail().find("checksum"), std::string::npos);
-}
-
-TEST(SweepCache, NonNumericCellIsDetectedEvenWithValidChecksum) {
-  // An attacker-grade corruption: garbage cell plus a recomputed checksum.
-  // The strict cell parser still rejects it (the old loader would have
-  // thrown std::invalid_argument out of std::stoull and crashed the bench).
-  TempFile f("cache_garbage.csv");
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  std::string text = slurp(f.path);
-  const std::size_t pos = text.find("bs,k1,45nm,100");
-  ASSERT_NE(pos, std::string::npos);
-  std::string row = "bs,k1,45nm,XYZ";  // tau cell is not a number
-  // Rebuild the row with the same tail and a fresh (valid) checksum: find
-  // the original row's end and checksum boundary.
-  const std::size_t eol = text.find('\n', pos);
-  const std::string orig_row = text.substr(pos, eol - pos);
-  const std::size_t ck = orig_row.rfind(',');
-  std::string tampered = orig_row.substr(0, ck);
-  tampered.replace(11, 3, "XYZ");
-  // Recompute the checksum the same way the writer does (FNV-1a, hex).
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : tampered) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  static const char* digits = "0123456789abcdef";
-  std::string hex(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    hex[static_cast<std::size_t>(i)] = digits[h & 0xf];
-    h >>= 4;
-  }
-  text.replace(pos, eol - pos, tampered + "," + hex);
-  spit(f.path, text);
-  const auto loaded = load_sweep_cache(f.path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorruptCache);
-  EXPECT_NE(loaded.status().detail().find("non-numeric"), std::string::npos);
-}
-
-TEST(SweepCache, TruncatedRowIsDetected) {
-  TempFile f("cache_truncated.csv");
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  std::string text = slurp(f.path);
-  // Drop the last 10 characters: final row loses its checksum tail.
-  text.resize(text.size() - 10);
-  spit(f.path, text);
-  const auto loaded = load_sweep_cache(f.path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorruptCache);
-}
-
-TEST(SweepCache, StaleVersionIsDetected) {
-  TempFile f("cache_stale.csv");
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  std::string text = slurp(f.path);
-  const std::string tag = "ucp-sweep-cache v" +
-                          std::to_string(kSweepCacheVersion);
-  const std::size_t pos = text.find(tag);
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, tag.size(), "ucp-sweep-cache v1");
-  spit(f.path, text);
-  const auto loaded = load_sweep_cache(f.path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorruptCache);
-  EXPECT_NE(loaded.status().detail().find("stale"), std::string::npos);
-}
-
-TEST(SweepCache, LegacyHeaderlessFormatIsRejected) {
-  TempFile f("cache_legacy.csv");
-  spit(f.path,
-       "program,config,tech,o_tau,o_mem,o_instr,o_energy,o_fetches,"
-       "o_misses,o_cycles,p_tau,p_mem,p_instr,p_energy,p_fetches,p_misses,"
-       "p_cycles,prefetches,candidates\n"
-       "bs,k1,45nm,100,80,50,12.5,50,5,200,90,75,50,11.5,50,4,190,2,7\n");
-  const auto loaded = load_sweep_cache(f.path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorruptCache);
-}
-
-TEST(SweepCache, WrongGridFingerprintIsDetected) {
-  TempFile f("cache_grid.csv");
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  std::string text = slurp(f.path);
-  const std::size_t pos = text.find("grid=");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos + 5] = text[pos + 5] == '0' ? '1' : '0';
-  spit(f.path, text);
-  const auto loaded = load_sweep_cache(f.path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorruptCache);
-  EXPECT_NE(loaded.status().detail().find("fingerprint"), std::string::npos);
-}
-
-TEST(SweepCache, UnknownConfigIdIsDetectedNotThrown) {
-  TempFile f("cache_cfg.csv");
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  std::string text = slurp(f.path);
-  const std::size_t pos = text.find("bs,k1,");
-  ASSERT_NE(pos, std::string::npos);
-  // k1 -> k0 (nonexistent): checksum catches the edit; that is fine — the
-  // point is the loader reports corruption instead of throwing.
-  text[pos + 4] = '0';
-  spit(f.path, text);
-  Expected<std::vector<UseCaseResult>> loaded =
-      load_sweep_cache("nonexistent-placeholder");
-  ASSERT_NO_THROW(loaded = load_sweep_cache(f.path));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorruptCache);
-}
-
-TEST(SweepCache, SaveIsAtomicUnderWriteFault) {
-  TempFile f("cache_wfault.csv");
-  // Seed a valid cache, then fail a re-save: the valid file must survive
-  // untouched and no temporary may be left behind.
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  const std::string before = slurp(f.path);
-  {
-    fault::ScopedFault fi("exp.cache_write");
-    const Status s = save_sweep_cache(f.path, two_rows());
-    EXPECT_FALSE(s.ok());
-  }
-  EXPECT_EQ(slurp(f.path), before);
-  std::ifstream tmp(f.path + ".tmp");
-  EXPECT_FALSE(tmp.good()) << "temporary file leaked";
-}
-
-TEST(SweepCache, CorruptFileIsReportedAndRecomputed) {
-  TempFile f("cache_recompute.csv");
-  spit(f.path, "total garbage, not a cache at all\n");
-  SweepOptions options;
-  options.programs = {"bs"};
-  options.config_stride = 12;
-  options.techs = {energy::TechNode::k45nm};
-  options.threads = 1;
-  options.progress_every = 0;
-  options.cache_path = f.path;
-  const Sweep sweep = run_sweep(options);
-  // Recomputed from scratch, with the rejection visible in the report.
-  EXPECT_FALSE(sweep.report.cache_hit);
-  EXPECT_NE(sweep.report.cache_note.find("corrupt-cache"),
-            std::string::npos);
-  ASSERT_EQ(sweep.results.size(), 3u);
-  for (const auto& r : sweep.results) EXPECT_GT(r.original.tau_wcet, 0u);
-}
-
-TEST(SweepCache, ReadFaultFallsBackToRecompute) {
-  TempFile f("cache_rfault.csv");
-  ASSERT_TRUE(save_sweep_cache(f.path, two_rows()).ok());
-  SweepOptions options;
-  options.programs = {"bs"};
-  options.config_stride = 12;
-  options.techs = {energy::TechNode::k45nm};
-  options.threads = 1;
-  options.progress_every = 0;
-  options.cache_path = f.path;
-  fault::ScopedFault fi("exp.cache_read");
-  const Sweep sweep = run_sweep(options);
-  EXPECT_FALSE(sweep.report.cache_hit);
-  EXPECT_TRUE(sweep.report.clean());
-  ASSERT_EQ(sweep.results.size(), 3u);
-}
-
-TEST(SweepCache, FingerprintIsStableAcrossCalls) {
+TEST(SweepFingerprint, GridFingerprintIsStableAndPinned) {
   EXPECT_EQ(sweep_grid_fingerprint(), sweep_grid_fingerprint());
-  EXPECT_EQ(sweep_grid_fingerprint().size(), 16u);
+  // Every journal header carries this value; a change resets every journal
+  // written before it.
+  EXPECT_EQ(sweep_grid_fingerprint(), "e90378f295028396");
 }
 
 TEST(DegenerateRatios, ZeroDenominatorIsFlaggedAndCounted) {

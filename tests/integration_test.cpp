@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "cache/config.hpp"
@@ -130,79 +128,6 @@ TEST(Aggregate, GrandMeansAndRegressions) {
   EXPECT_GE(grand.max_instr_ratio, 1.0);
 }
 
-
-namespace {
-
-/// Two hand-made memo rows (bs/k1 at both technologies) for cache tests.
-std::vector<UseCaseResult> fake_memo_rows() {
-  std::vector<UseCaseResult> rows(2);
-  rows[0].program = "bs";
-  rows[0].config_id = "k1";
-  rows[0].config = cache::paper_cache_config("k1").config;
-  rows[0].tech = energy::TechNode::k45nm;
-  rows[0].original.tau_wcet = 100;
-  rows[0].original.run.mem_cycles = 80;
-  rows[0].original.run.instructions = 50;
-  rows[0].original.energy.cache_dynamic_nj = 12.5;
-  rows[0].original.run.cache.fetches = 50;
-  rows[0].original.run.cache.misses = 5;
-  rows[0].original.run.total_cycles = 200;
-  rows[0].optimized.tau_wcet = 90;
-  rows[0].optimized.run.mem_cycles = 75;
-  rows[0].optimized.run.instructions = 50;
-  rows[0].optimized.energy.cache_dynamic_nj = 11.5;
-  rows[0].optimized.run.cache.fetches = 50;
-  rows[0].optimized.run.cache.misses = 4;
-  rows[0].optimized.run.total_cycles = 190;
-  rows[0].report.insertions.resize(2);
-  rows[0].report.candidates_found = 7;
-  rows[1] = rows[0];
-  rows[1].tech = energy::TechNode::k32nm;
-  rows[1].original.tau_wcet = 110;
-  rows[1].optimized.tau_wcet = 95;
-  rows[1].report.insertions.resize(1);
-  rows[1].report.candidates_found = 3;
-  return rows;
-}
-
-}  // namespace
-
-TEST(SweepMemo, SaveLoadRoundTrip) {
-  const std::string path = "test_sweep_memo.csv";
-  std::remove(path.c_str());
-
-  SweepOptions compute;
-  compute.programs = {};  // full program set is required for persistence
-  compute.config_stride = 1;
-  compute.techs = {energy::TechNode::k45nm, energy::TechNode::k32nm};
-  compute.progress_every = 0;
-  compute.cache_path = path;
-  // Shrink the grid via a focused stand-in: writing the full sweep here
-  // would be too slow for a unit test, so exercise load() on a saved
-  // file through the public API instead: first verify that a *partial*
-  // sweep does NOT poison the memo...
-  SweepOptions partial = compute;
-  partial.programs = {"bs"};
-  const Sweep partial_sweep = run_sweep(partial);
-  EXPECT_FALSE(partial_sweep.results.empty());
-  std::ifstream probe(path);
-  EXPECT_FALSE(probe.good()) << "partial sweeps must not be memoized";
-
-  // ...then that a saved memo round-trips through load+filter.
-  ASSERT_TRUE(save_sweep_cache(path, fake_memo_rows()).ok());
-  SweepOptions load = compute;
-  load.techs = {energy::TechNode::k32nm};
-  const Sweep loaded_sweep = run_sweep(load);
-  EXPECT_TRUE(loaded_sweep.report.cache_hit);
-  const auto& loaded = loaded_sweep.results;
-  ASSERT_EQ(loaded.size(), 1u);  // filtered to 32nm
-  EXPECT_EQ(loaded[0].program, "bs");
-  EXPECT_EQ(loaded[0].original.tau_wcet, 110u);
-  EXPECT_EQ(loaded[0].report.insertions.size(), 1u);
-  EXPECT_EQ(loaded[0].report.candidates_found, 3u);
-  EXPECT_NEAR(loaded[0].wcet_ratio(), 95.0 / 110.0, 1e-12);
-  std::remove(path.c_str());
-}
 
 TEST(Regimes, FiltersSelectCorrectCases) {
   std::vector<UseCaseResult> results(3);

@@ -4,7 +4,9 @@
 // torn tails and stale checkpoints are truncated or reset, never trusted;
 // a journal write failure disables checkpointing but not the sweep; the
 // retry ladder recovers supervisor cancellations; and an auditor violation
-// quarantines deterministically.
+// quarantines deterministically. The RecordLog cases pin the durable log
+// every journal is built on: checksums, torn tails, version and header
+// resets, annotations and write-fault deactivation.
 
 #include <gtest/gtest.h>
 #include <sys/types.h>
@@ -16,12 +18,14 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
 #include "exp/journal.hpp"
 #include "support/fault_injection.hpp"
+#include "support/record_log.hpp"
 
 namespace ucp::exp {
 namespace {
@@ -48,6 +52,17 @@ struct TempFile {
   }
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
 
 std::string reference_fingerprint() {
   fault::disarm_all();
@@ -256,6 +271,214 @@ TEST(Recovery, JournalRowRoundTripsQuarantinedRows) {
     EXPECT_EQ(parsed.fail_code, sweep.results[i].fail_code);
     EXPECT_EQ(parsed.attempts, sweep.results[i].attempts);
     EXPECT_EQ(parsed.degradation_level, sweep.results[i].degradation_level);
+  }
+}
+
+TEST(Recovery, ResumedRowsKeepTheirConfiguration) {
+  // Journal rows name their configuration by id; a resumed row must carry
+  // the configuration itself, or per-size figures lose it.
+  TempFile journal("recovery_config_journal");
+  fault::disarm_all();
+  const Sweep first = run_sweep(journaled_sweep(journal.path));
+  const Sweep resumed = run_sweep(journaled_sweep(journal.path));
+  ASSERT_EQ(resumed.report.resumed_rows, resumed.report.total);
+  ASSERT_EQ(resumed.results.size(), first.results.size());
+  for (std::size_t i = 0; i < first.results.size(); ++i)
+    EXPECT_EQ(resumed.results[i].config.to_string(),
+              first.results[i].config.to_string());
+  const auto a = aggregate_by_size(first.results);
+  const auto b = aggregate_by_size(resumed.results);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].capacity_bytes, b[i].capacity_bytes);
+    EXPECT_EQ(a[i].cases, b[i].cases);
+    EXPECT_EQ(a[i].mean_energy_ratio, b[i].mean_energy_ratio);
+  }
+}
+
+// --- RecordLog: the durable log under every journal -------------------------
+
+const support::RecordLog::Format kLogFormat{"ucp-test-log", 2, " key=1",
+                                            "key changed"};
+
+/// Opens `log` at `path`, accepting every record; returns the bodies read.
+std::vector<std::string> open_log(support::RecordLog& log,
+                                  const std::string& path,
+                                  const support::RecordLog::Format& format =
+                                      kLogFormat) {
+  std::vector<std::string> bodies;
+  const Status opened =
+      log.open(path, format, [&](std::string_view body) {
+        bodies.emplace_back(body);
+        return true;
+      });
+  EXPECT_TRUE(opened.ok()) << opened.message();
+  return bodies;
+}
+
+/// A log at `path` holding the records "r0", "r1", "r2".
+std::string three_record_log(const std::string& path) {
+  support::RecordLog log({});
+  open_log(log, path);
+  EXPECT_TRUE(log.append({"r0", "r1"}).ok());
+  EXPECT_TRUE(log.append({"r2"}).ok());
+  log.close();
+  return slurp(path);
+}
+
+TEST(RecordLog, RecordsRoundTripAndReopeningRewritesNothing) {
+  TempFile f("record_log_roundtrip");
+  support::RecordLog log({});
+  EXPECT_TRUE(open_log(log, f.path).empty());
+  EXPECT_TRUE(log.created());
+  const std::string cell = "a,b\\c\nd";
+  ASSERT_TRUE(log.append({"x," + support::escape_cell(cell)}).ok());
+  log.close();
+  const std::string bytes = slurp(f.path);
+  EXPECT_EQ(bytes.rfind("# ucp-test-log v2 key=1\n", 0), 0u) << bytes;
+
+  const std::vector<std::string> bodies = open_log(log, f.path);
+  EXPECT_FALSE(log.created());
+  EXPECT_FALSE(log.truncated());
+  log.close();
+  ASSERT_EQ(bodies.size(), 1u);
+  const std::vector<std::string> cells = support::split_cells(bodies[0]);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(support::unescape_cell(cells[1]), cell);
+  EXPECT_EQ(slurp(f.path), bytes);
+}
+
+TEST(RecordLog, ChecksumFlipTruncatesFromTheBadRecord) {
+  TempFile f("record_log_flip");
+  std::string bytes = three_record_log(f.path);
+  const std::size_t r1 = bytes.find("r1,");
+  ASSERT_NE(r1, std::string::npos);
+  bytes[r1 + 1] = '7';  // body "r7" no longer matches its checksum
+  spit(f.path, bytes);
+
+  support::RecordLog log({});
+  const std::vector<std::string> bodies = open_log(log, f.path);
+  EXPECT_TRUE(log.truncated());
+  log.close();
+  EXPECT_EQ(bodies, std::vector<std::string>{"r0"});
+  EXPECT_EQ(slurp(f.path), bytes.substr(0, r1));
+}
+
+TEST(RecordLog, RowWithoutItsNewlineIsTornAndAppendsResume) {
+  TempFile f("record_log_torn");
+  const std::string bytes = three_record_log(f.path);
+  // Only the final newline is lost: the checksum still holds, but a line
+  // without its newline is torn by definition.
+  spit(f.path, bytes.substr(0, bytes.size() - 1));
+
+  support::RecordLog log({});
+  EXPECT_EQ(open_log(log, f.path), (std::vector<std::string>{"r0", "r1"}));
+  EXPECT_TRUE(log.truncated());
+  ASSERT_TRUE(log.append({"r2"}).ok());
+  log.close();
+  EXPECT_EQ(slurp(f.path), bytes);
+}
+
+TEST(RecordLog, StaleVersionResetsWithVersionReason) {
+  TempFile f("record_log_version");
+  support::RecordLog::Format v1 = kLogFormat;
+  v1.version = 1;
+  {
+    support::RecordLog log({});
+    open_log(log, f.path, v1);
+    ASSERT_TRUE(log.append({"old"}).ok());
+  }
+  support::RecordLog log({});
+  EXPECT_TRUE(open_log(log, f.path).empty());
+  EXPECT_EQ(log.reset_reason(), "journal format v1, expected v2");
+  EXPECT_TRUE(log.created());
+  log.close();
+  EXPECT_EQ(slurp(f.path), kLogFormat.header() + "\n");
+}
+
+TEST(RecordLog, ForeignOrChangedHeaderResets) {
+  TempFile f("record_log_foreign");
+  spit(f.path, "total garbage, not a log\nr0,0000000000000000\n");
+  support::RecordLog log({});
+  EXPECT_TRUE(open_log(log, f.path).empty());
+  EXPECT_EQ(log.reset_reason(), "not a ucp-test-log file");
+  log.close();
+
+  support::RecordLog::Format other = kLogFormat;
+  other.fields = " key=2";
+  EXPECT_TRUE(open_log(log, f.path, other).empty());
+  EXPECT_EQ(log.reset_reason(), "key changed");
+  log.close();
+
+  spit(f.path, "");
+  EXPECT_TRUE(open_log(log, f.path).empty());
+  EXPECT_EQ(log.reset_reason(), "empty or torn header");
+}
+
+TEST(RecordLog, AnnotationsAreSkippedOnResume) {
+  TempFile f("record_log_annotate");
+  support::RecordLog log({});
+  open_log(log, f.path);
+  ASSERT_TRUE(log.append({"r0"}).ok());
+  ASSERT_TRUE(log.annotate("metrics {\"a\": 1}\nsecond line").ok());
+  ASSERT_TRUE(log.append({"r1"}).ok());
+  log.close();
+  EXPECT_NE(slurp(f.path).find("\n# metrics {\"a\": 1} second line\n"),
+            std::string::npos);
+  EXPECT_EQ(open_log(log, f.path), (std::vector<std::string>{"r0", "r1"}));
+  EXPECT_FALSE(log.truncated());
+}
+
+TEST(RecordLog, WriteFaultDeactivatesButAnnotationFaultDoesNot) {
+  TempFile f("record_log_wfault");
+  fault::disarm_all();
+  support::RecordLog log({"io.journal_write", nullptr});
+  open_log(log, f.path);
+  {
+    fault::ScopedFault annotation("obs.sink_write");
+    EXPECT_FALSE(log.annotate("dropped").ok());
+  }
+  EXPECT_TRUE(log.active());
+  {
+    fault::ScopedFault write("io.journal_write");
+    EXPECT_FALSE(log.append({"r0"}).ok());
+  }
+  EXPECT_FALSE(log.active());
+  EXPECT_FALSE(log.append({"r1"}).ok());
+  EXPECT_TRUE(open_log(log, f.path).empty());
+  EXPECT_FALSE(log.truncated());
+}
+
+TEST(RecordLog, RejectedSweepRowsAreTruncatedLikeATornTail) {
+  // Rows whose checksum holds but that the sweep's policy rejects are cut
+  // like a torn tail: a divergent repeat of a row (a row may repeat only
+  // byte for byte, after a task was re-appended), a row for a foreign
+  // configuration, and a row that does not parse.
+  TempFile journal("recovery_rejected_journal");
+  fault::disarm_all();
+  const Sweep first = run_sweep(journaled_sweep(journal.path));
+  ASSERT_TRUE(first.report.clean());
+  const std::string bytes = slurp(journal.path);
+  const std::string twin = SweepJournal::journal_row(first.results[0], 0);
+
+  UseCaseResult divergent = first.results[0];
+  divergent.attempts = 2;
+  UseCaseResult foreign = first.results[0];
+  foreign.config_id = "k99";
+  for (const std::string& bad :
+       {SweepJournal::journal_row(divergent, 0),
+        SweepJournal::journal_row(foreign, 0),
+        support::seal_record("row,0,bs,not-a-number")}) {
+    spit(journal.path, bytes + twin + "\n" + bad + "\n");
+    const Sweep resumed = run_sweep(journaled_sweep(journal.path));
+    EXPECT_EQ(resumed.report.resumed_rows, resumed.report.total);
+    EXPECT_NE(resumed.report.journal_note.find("torn tail truncated"),
+              std::string::npos)
+        << resumed.report.journal_note;
+    EXPECT_EQ(sweep_results_fingerprint(resumed.results),
+              sweep_results_fingerprint(first.results));
+    // The identical repeat survives; the rejected row is gone.
+    EXPECT_EQ(slurp(journal.path), bytes + twin + "\n");
   }
 }
 

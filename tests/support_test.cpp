@@ -11,6 +11,7 @@
 #include "support/check.hpp"
 #include "support/checked.hpp"
 #include "support/fault_injection.hpp"
+#include "support/record_log.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/status.hpp"
@@ -226,6 +227,30 @@ TEST(FaultInjection, ScopedFaultDisarmsOnExit) {
     // Not consumed inside the scope.
   }
   EXPECT_FALSE(fault::should_fail("wcet.solve"));
+}
+
+TEST(Fnv1a, NonStandardBasisIsPinned) {
+  // The basis is the standard FNV-1a offset basis with its last digit
+  // dropped. The pinned grid fingerprint, every ucpd request fingerprint
+  // and every journal checksum depend on it, so it must never be "fixed".
+  EXPECT_EQ(support::kFnvBasis, 1469598103934665603ull);
+  EXPECT_EQ(support::to_hex(support::fnv1a("")), "14650fb0739d0383");
+  EXPECT_EQ(support::to_hex(support::fnv1a("a")), "44bd8ad473cd9906");
+  // The standard basis would give af63dc4c8601ec8c for "a".
+  EXPECT_NE(support::to_hex(support::fnv1a("a")), "af63dc4c8601ec8c");
+}
+
+TEST(Fnv1a, HexAndDecimalCodecs) {
+  EXPECT_EQ(support::to_hex(0), "0000000000000000");
+  EXPECT_EQ(support::to_hex(0xabcULL), "0000000000000abc");
+  std::uint64_t v = 0;
+  EXPECT_TRUE(support::parse_u64("18446744073709551615", v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_FALSE(support::parse_u64("18446744073709551616", v));
+  EXPECT_FALSE(support::parse_u64("", v));
+  EXPECT_FALSE(support::parse_u64("-1", v));
+  EXPECT_FALSE(support::parse_u64("12a", v));
+  EXPECT_FALSE(support::parse_u64(" 1", v));
 }
 
 TEST(Checked, PassThroughOnHealthyValues) {
