@@ -149,6 +149,55 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+/// One row per tech for a (program, configuration) group, identified but
+/// unmeasured; a `code` other than kOk marks them failed at `stage`.
+std::vector<UseCaseResult> case_rows(const std::string& program_name,
+                                     const cache::NamedCacheConfig& config,
+                                     const std::vector<energy::TechNode>& techs,
+                                     ErrorCode code = ErrorCode::kOk,
+                                     const std::string& stage = {},
+                                     const std::string& detail = {}) {
+  std::vector<UseCaseResult> rows(techs.size());
+  for (std::size_t k = 0; k < techs.size(); ++k) {
+    UseCaseResult& r = rows[k];
+    r.program = program_name;
+    r.config_id = config.id;
+    r.config = config.config;
+    r.tech = techs[k];
+    if (code == ErrorCode::kOk) continue;
+    r.outcome = CaseOutcome::kFailed;
+    r.fail_code = code;
+    r.fail_stage = stage;
+    r.fail_detail = detail;
+    r.degradation_level = 3;
+  }
+  return rows;
+}
+
+/// Failure classes worth another rung of the retry ladder (budgets,
+/// deadlines, cancellation, contained internal errors; semantic verdicts
+/// are deterministic, so retrying cannot change them).
+bool retryable(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kIterationLimit:
+    case ErrorCode::kStepBudgetExhausted:
+    case ErrorCode::kDeadlineExceeded:
+    case ErrorCode::kCancelled:
+    case ErrorCode::kAnalysisFailed:
+    case ErrorCode::kInternal:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Ladder order of outcomes: completed (2) > degraded (1) > failed (0).
+int outcome_rank(const UseCaseResult& r) {
+  return r.outcome == CaseOutcome::kCompleted
+             ? 2
+             : (r.outcome == CaseOutcome::kDegraded ? 1 : 0);
+}
+
 }  // namespace
 
 std::vector<UseCaseResult> run_use_case_group(
@@ -162,13 +211,7 @@ std::vector<UseCaseResult> run_use_case_group(
   // (failed baseline, rejected optimization, audit demotion) vouches for
   // the input program, which is trivially Theorem-1 sound.
   if (optimized_out) *optimized_out = program;
-  std::vector<UseCaseResult> out(techs.size());
-  for (std::size_t i = 0; i < techs.size(); ++i) {
-    out[i].program = program_name;
-    out[i].config_id = config.id;
-    out[i].config = config.config;
-    out[i].tech = techs[i];
-  }
+  std::vector<UseCaseResult> out = case_rows(program_name, config, techs);
   if (techs.empty()) return out;
 
   if (UCP_FAULT_POINT("exp.task")) {
@@ -498,24 +541,111 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.nodes_reanalyzed", nodes_re);
 }
 
-bool retryable(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kIterationLimit:
-    case ErrorCode::kStepBudgetExhausted:
-    case ErrorCode::kDeadlineExceeded:
-    case ErrorCode::kCancelled:
-    case ErrorCode::kAnalysisFailed:
-    case ErrorCode::kInternal:
-      return true;
-    default:
-      return false;
+std::vector<UseCaseResult> solve_case(
+    const ir::Program& program, const std::string& program_name,
+    const cache::NamedCacheConfig& config,
+    const std::vector<energy::TechNode>& techs,
+    const core::OptimizerOptions& options, StageTimings* timings,
+    const wcet::IpetSystem* shared_ipet, bool audit_soundness,
+    ir::Program* optimized_out, std::uint32_t max_attempts,
+    std::uint32_t deadline_ms, Watchdog::Slot& slot) {
+  // One rung with every exception contained, CancelledError from the deep
+  // kernels included, so one pathological case can never terminate a
+  // sweep or the daemon. `deadline_scale` 0 runs the rung unsupervised.
+  auto attempt = [&](const core::OptimizerOptions& rung_options,
+                     std::int64_t deadline_scale, ir::Program* program_out) {
+    const bool supervised = deadline_scale > 0;
+    slot.token.reset();
+    // Deterministic watchdog fault: the supervisor "cancels" the rung the
+    // moment it registers, exercising cancel -> quarantine -> retry
+    // without any timing dependence.
+    if (supervised && UCP_FAULT_POINT("supervisor.cancel")) slot.token.cancel();
+    CancelScope scope(supervised ? &slot.token : nullptr);
+    if (supervised) slot.arm(std::int64_t{deadline_ms} * deadline_scale);
+    std::vector<UseCaseResult> rows;
+    try {
+      rows = run_use_case_group(program, program_name, config, techs,
+                                rung_options, timings, shared_ipet,
+                                audit_soundness, program_out);
+    } catch (const CancelledError& e) {
+      rows = case_rows(program_name, config, techs, ErrorCode::kCancelled,
+                       "cancelled", e.what());
+    } catch (const std::exception& e) {
+      rows = case_rows(program_name, config, techs, ErrorCode::kInternal,
+                       "task", e.what());
+    } catch (...) {
+      rows = case_rows(program_name, config, techs, ErrorCode::kInternal,
+                       "task", "non-standard exception");
+    }
+    if (supervised) slot.disarm();
+    return rows;
+  };
+  auto wants_retry = [](const UseCaseResult& r) {
+    return r.quarantined() && retryable(r.fail_code);
+  };
+  auto any_wants_retry = [&](const std::vector<UseCaseResult>& rows) {
+    return std::any_of(rows.begin(), rows.end(), wants_retry);
+  };
+
+  std::vector<UseCaseResult> rows = attempt(options, 1, optimized_out);
+  std::uint32_t attempts = 1;
+  if (max_attempts >= 2 && any_wants_retry(rows)) {
+    ++attempts;
+    core::OptimizerOptions escalated = options;
+    escalated.max_evaluations *= 2;
+    if (escalated.deadline_ms > 0) escalated.deadline_ms *= 4;
+    ir::Program retry_program(program.name());
+    std::vector<UseCaseResult> retry =
+        attempt(escalated, 4, optimized_out ? &retry_program : nullptr);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      if (!wants_retry(rows[k]) ||
+          outcome_rank(retry[k]) <= outcome_rank(rows[k]))
+        continue;
+      rows[k] = std::move(retry[k]);
+      if (rows[k].outcome == CaseOutcome::kCompleted)
+        rows[k].degradation_level = 1;
+      if (k == 0 && optimized_out) *optimized_out = std::move(retry_program);
+    }
   }
+  if (max_attempts >= 3 && any_wants_retry(rows)) {
+    ++attempts;
+    core::OptimizerOptions identity = options;
+    identity.max_passes = 0;  // ship the input program
+    std::vector<UseCaseResult> fallback = attempt(identity, 0, nullptr);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      if (!wants_retry(rows[k])) continue;
+      if (fallback[k].outcome == CaseOutcome::kCompleted) {
+        UseCaseResult repaired = std::move(fallback[k]);
+        degrade_to_original(
+            repaired, rows[k].fail_stage, rows[k].fail_code,
+            rows[k].fail_detail + " (identity-transform fallback)");
+        rows[k] = std::move(repaired);
+      } else if (outcome_rank(fallback[k]) > outcome_rank(rows[k])) {
+        rows[k] = std::move(fallback[k]);
+      }
+    }
+  }
+
+  for (UseCaseResult& r : rows) {
+    r.attempts = attempts;
+    if (r.outcome == CaseOutcome::kDegraded)
+      r.degradation_level = 2;
+    else if (r.outcome == CaseOutcome::kFailed)
+      r.degradation_level = 3;
+  }
+  if (optimized_out && !rows.empty() &&
+      rows.front().outcome != CaseOutcome::kCompleted)
+    *optimized_out = program;
+  return rows;
 }
 
-int outcome_rank(const UseCaseResult& r) {
-  return r.outcome == CaseOutcome::kCompleted
-             ? 2
-             : (r.outcome == CaseOutcome::kDegraded ? 1 : 0);
+std::shared_ptr<const ProgramSystem> make_program_system(
+    const ir::Program& program) {
+  try {
+    return std::make_shared<const ProgramSystem>(program);
+  } catch (...) {
+    return nullptr;
+  }
 }
 
 SweepPlan build_sweep_plan(const SweepOptions& options) {
@@ -635,27 +765,12 @@ Sweep run_sweep(const SweepOptions& options) {
           SweepPlan::shard_of(pos, options.shard_count) == options.shard_index;
   }
 
-  // One context graph + IPET constraint system per program, shared by all
-  // of its configurations, stages and worker threads (solves clone the
-  // system's immutable canonical basis, so sharing is bit-identical to
-  // rebuilding — see wcet::IpetSystem). A construction failure leaves the
-  // slot empty; the tasks then build their own inside the task boundary and
-  // the failure is quarantined per case, exactly as before.
-  struct ProgramIpet {
-    analysis::ContextGraph graph;
-    wcet::IpetSystem ipet;
-    explicit ProgramIpet(const ir::Program& program)
-        : graph(program), ipet(graph) {}
-  };
-  std::vector<std::unique_ptr<ProgramIpet>> systems(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (!build_error[i].empty()) continue;
-    try {
-      systems[i] = std::make_unique<ProgramIpet>(programs[i]);
-    } catch (...) {
-      systems[i] = nullptr;
-    }
-  }
+  // One ProgramSystem per program, shared by all of its configurations,
+  // stages and worker threads; a construction failure leaves the slot
+  // empty.
+  std::vector<std::shared_ptr<const ProgramSystem>> systems(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i)
+    if (build_error[i].empty()) systems[i] = make_program_system(programs[i]);
 
   std::vector<UseCaseResult>& results = sweep.results;
   results.resize(plan.result_rows);
@@ -825,154 +940,25 @@ Sweep run_sweep(const SweepOptions& options) {
           : std::max(1u, std::thread::hardware_concurrency());
   sweep.report.threads_used = threads;
 
-  // One cancellation token per worker slot; the watchdog cancels the slot
-  // whose armed deadline has passed, and the worker's deep kernels poll the
-  // token through the thread-local CancelScope.
-  struct WorkerSlot {
-    CancellationToken token;
-    std::atomic<std::int64_t> cancel_at_ms{-1};  ///< -1 = watchdog disarmed
-  };
-  std::vector<std::unique_ptr<WorkerSlot>> slots;
-  for (std::uint32_t w = 0; w < threads; ++w)
-    slots.push_back(std::make_unique<WorkerSlot>());
+  // One watchdog slot per worker; the poll thread runs only when a
+  // deadline is configured, so unsupervised sweeps carry no extra thread.
+  Watchdog watchdog(threads, options.case_deadline_ms > 0);
 
-  auto fill_rows_failed = [&](const SweepPlan::Task& t,
-                              std::vector<UseCaseResult>& rows,
-                              ErrorCode code, const std::string& stage,
-                              const std::string& detail) {
-    for (std::size_t k = 0; k < options.techs.size(); ++k) {
-      UseCaseResult& r = rows[k];
-      r = UseCaseResult{};
-      r.program = names[t.program];
-      r.config_id = configs[t.config].id;
-      r.config = configs[t.config].config;
-      r.tech = options.techs[k];
-      r.outcome = CaseOutcome::kFailed;
-      r.fail_code = code;
-      r.fail_stage = stage;
-      r.fail_detail = detail;
-    }
-  };
-
-  // One attempt at one task. *Every* exception is contained here —
-  // including CancelledError from the deep kernels — so one pathological
-  // use case can never std::terminate a 2664-case sweep.
-  auto run_attempt = [&](const SweepPlan::Task& t,
-                         const core::OptimizerOptions& opt_options,
-                         StageTimings& stages,
-                         std::vector<UseCaseResult>& rows) {
-    const std::size_t p = t.program;
-    rows.assign(options.techs.size(), UseCaseResult{});
-    const wcet::IpetSystem* shared =
-        systems[p] ? &systems[p]->ipet : nullptr;
-    try {
-      rows = run_use_case_group(programs[p], names[p], configs[t.config],
-                                options.techs, opt_options, &stages, shared,
-                                options.audit_soundness);
-    } catch (const CancelledError& e) {
-      fill_rows_failed(t, rows, ErrorCode::kCancelled, "cancelled", e.what());
-    } catch (const std::exception& e) {
-      fill_rows_failed(t, rows, ErrorCode::kInternal, "task", e.what());
-    } catch (...) {
-      fill_rows_failed(t, rows, ErrorCode::kInternal, "task",
-                       "non-standard exception");
-    }
-  };
-
-  // Worker task boundary with the retry-with-degradation ladder:
-  //   rung 1: configured budgets;
-  //   rung 2: escalated budgets (2x evaluations, 4x deadlines), fresh token;
-  //   rung 3: the identity transform — no optimization at all, trivially
-  //           Theorem-1 sound — recorded as *degraded* with the original
-  //           failure as its cause (an upgrade when the row had no baseline).
-  auto run_task = [&](const SweepPlan::Task& t, WorkerSlot& slot,
+  // The worker task boundary: the shared case solver runs the ladder; a
+  // program that failed to build fails all of its cases.
+  auto run_task = [&](const SweepPlan::Task& t, Watchdog::Slot& slot,
                       StageTimings& stages) {
     const std::size_t p = t.program;
-    const std::size_t n = options.techs.size();
-    std::vector<UseCaseResult> rows;
-    std::uint32_t attempts = 1;
-
-    if (!build_error[p].empty()) {
-      rows.assign(n, UseCaseResult{});
-      fill_rows_failed(t, rows, ErrorCode::kInternal, "task",
-                       build_error[p]);
-    } else {
-      auto arm_watchdog = [&](std::int64_t scale) {
-        if (options.case_deadline_ms > 0)
-          slot.cancel_at_ms.store(
-              now_ms() + static_cast<std::int64_t>(options.case_deadline_ms) *
-                             scale,
-              std::memory_order_relaxed);
-      };
-      auto disarm_watchdog = [&] {
-        slot.cancel_at_ms.store(-1, std::memory_order_relaxed);
-      };
-      auto any_retryable = [&] {
-        for (const UseCaseResult& r : rows)
-          if (r.quarantined() && retryable(r.fail_code)) return true;
-        return false;
-      };
-
-      slot.token.reset();
-      // Deterministic watchdog fault: the supervisor "cancels" this task the
-      // moment it registers, exercising the whole cancel -> quarantine ->
-      // retry path without any timing dependence.
-      if (UCP_FAULT_POINT("supervisor.cancel")) slot.token.cancel();
-      arm_watchdog(1);
-      run_attempt(t, options.optimizer, stages, rows);
-      disarm_watchdog();
-
-      if (options.max_attempts >= 2 && any_retryable()) {
-        ++attempts;
-        core::OptimizerOptions escalated = options.optimizer;
-        escalated.max_evaluations *= 2;
-        if (escalated.deadline_ms > 0) escalated.deadline_ms *= 4;
-        slot.token.reset();
-        std::vector<UseCaseResult> retry;
-        arm_watchdog(4);
-        run_attempt(t, escalated, stages, retry);
-        disarm_watchdog();
-        for (std::size_t k = 0; k < n; ++k) {
-          if (!(rows[k].quarantined() && retryable(rows[k].fail_code)))
-            continue;
-          if (outcome_rank(retry[k]) <= outcome_rank(rows[k])) continue;
-          rows[k] = std::move(retry[k]);
-          if (rows[k].outcome == CaseOutcome::kCompleted)
-            rows[k].degradation_level = 1;
-        }
-      }
-      if (options.max_attempts >= 3 && any_retryable()) {
-        ++attempts;
-        core::OptimizerOptions identity = options.optimizer;
-        identity.max_passes = 0;  // ship the input program
-        slot.token.reset();
-        std::vector<UseCaseResult> fallback;
-        arm_watchdog(4);
-        run_attempt(t, identity, stages, fallback);
-        disarm_watchdog();
-        for (std::size_t k = 0; k < n; ++k) {
-          if (!(rows[k].quarantined() && retryable(rows[k].fail_code)))
-            continue;
-          if (fallback[k].outcome == CaseOutcome::kCompleted) {
-            UseCaseResult repaired = std::move(fallback[k]);
-            degrade_to_original(
-                repaired, rows[k].fail_stage, rows[k].fail_code,
-                rows[k].fail_detail + " (identity-transform fallback)");
-            rows[k] = std::move(repaired);
-          } else if (outcome_rank(fallback[k]) > outcome_rank(rows[k])) {
-            rows[k] = std::move(fallback[k]);
-          }
-        }
-      }
-    }
-
-    for (std::size_t k = 0; k < n; ++k) {
-      rows[k].attempts = attempts;
-      if (rows[k].outcome == CaseOutcome::kDegraded)
-        rows[k].degradation_level = 2;
-      else if (rows[k].outcome == CaseOutcome::kFailed)
-        rows[k].degradation_level = 3;
-    }
+    std::vector<UseCaseResult> rows =
+        build_error[p].empty()
+            ? solve_case(programs[p], names[p], configs[t.config],
+                         options.techs, options.optimizer, &stages,
+                         systems[p] ? &systems[p]->ipet : nullptr,
+                         options.audit_soundness, nullptr,
+                         options.max_attempts, options.case_deadline_ms, slot)
+            : case_rows(names[p], configs[t.config], options.techs,
+                        ErrorCode::kInternal, "task", build_error[p]);
+    const std::uint32_t attempts = rows.empty() ? 1 : rows.front().attempts;
 
     if (attempts > 1)
       reporter.notice("retry", names[t.program] + "/" + configs[t.config].id +
@@ -1016,13 +1002,11 @@ Sweep run_sweep(const SweepOptions& options) {
       }
     }
 
-    for (std::size_t k = 0; k < n; ++k)
-      results[t.first + k] = std::move(rows[k]);
+    std::move(rows.begin(), rows.end(), results.begin() + t.first);
   };
 
   auto worker = [&](std::size_t slot_index) {
-    WorkerSlot& slot = *slots[slot_index];
-    CancelScope scope(&slot.token);
+    Watchdog::Slot& slot = watchdog.slot(slot_index);
     StageTimings local;
     // The slot is claimable from the moment the worker starts and again the
     // instant each task finishes; claimable-to-claim is the wait the
@@ -1066,37 +1050,11 @@ Sweep run_sweep(const SweepOptions& options) {
     sweep.report.stages.audit_ns += local.audit_ns;
   };
 
-  // The watchdog supervisor: a 20ms poll over the worker slots, cancelling
-  // any whose armed deadline has passed. Spawned only when a deadline is
-  // configured, so unsupervised sweeps carry zero extra threads.
-  std::atomic<bool> supervising{options.case_deadline_ms > 0};
-  std::thread watchdog_thread;
-  if (supervising.load(std::memory_order_relaxed)) {
-    watchdog_thread = std::thread([&] {
-      while (supervising.load(std::memory_order_relaxed)) {
-        const std::int64_t now = now_ms();
-        for (const std::unique_ptr<WorkerSlot>& s : slots) {
-          const std::int64_t at =
-              s->cancel_at_ms.load(std::memory_order_relaxed);
-          if (at >= 0 && now >= at) {
-            s->token.cancel();
-            s->cancel_at_ms.store(-1, std::memory_order_relaxed);
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    });
-  }
-
   std::vector<std::thread> pool;
   for (std::uint32_t t = 0; t + 1 < threads; ++t)
     pool.emplace_back(worker, static_cast<std::size_t>(t) + 1);
   worker(0);
   for (std::thread& t : pool) t.join();
-  if (watchdog_thread.joinable()) {
-    supervising.store(false, std::memory_order_relaxed);
-    watchdog_thread.join();
-  }
 
   // An interrupted sweep returns what it has: journaled + finished rows are
   // real results; everything unrun (among the tasks this shard owns) is
@@ -1108,19 +1066,11 @@ Sweep run_sweep(const SweepOptions& options) {
     const SweepPlan::Task& t = tasks[ti];
     if (!results[t.first].program.empty()) continue;
     any_unrun = true;
-    for (std::size_t k = 0; k < options.techs.size(); ++k) {
-      UseCaseResult& r = results[t.first + k];
-      r = UseCaseResult{};
-      r.program = names[t.program];
-      r.config_id = configs[t.config].id;
-      r.config = configs[t.config].config;
-      r.tech = options.techs[k];
-      r.outcome = CaseOutcome::kFailed;
-      r.fail_code = ErrorCode::kCancelled;
-      r.fail_stage = "interrupted";
-      r.fail_detail = "sweep interrupted before this use case ran";
-      r.degradation_level = 3;
-    }
+    std::vector<UseCaseResult> rows = case_rows(
+        names[t.program], configs[t.config], options.techs,
+        ErrorCode::kCancelled, "interrupted",
+        "sweep interrupted before this use case ran");
+    std::move(rows.begin(), rows.end(), results.begin() + t.first);
   }
   sweep.report.interrupted = any_unrun && sweep_interrupt_requested();
 
@@ -1165,7 +1115,7 @@ Sweep run_sweep(const SweepOptions& options) {
     sweep.report.quarantine = std::move(derived.quarantine);
     sweep.report.solver.add(derived.solver);
   }
-  for (const std::unique_ptr<ProgramIpet>& s : systems) {
+  for (const std::shared_ptr<const ProgramSystem>& s : systems) {
     if (!s) continue;
     s->ipet.charge_construction(sweep.report.solver);
     sweep.report.construction_pivots += s->ipet.construction_pivots();

@@ -2,20 +2,20 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "analysis/context_graph.hpp"
 #include "cache/config.hpp"
 #include "core/optimizer.hpp"
 #include "energy/model.hpp"
 #include "ilp/model.hpp"
 #include "ir/program.hpp"
 #include "sim/interpreter.hpp"
+#include "support/cancellation.hpp"
 #include "support/status.hpp"
-
-namespace ucp::wcet {
-class IpetSystem;
-}
+#include "wcet/ipet.hpp"
 
 namespace ucp::exp {
 
@@ -157,10 +157,8 @@ struct StageTimings {
 /// timing. Results are ordered like `techs`.
 ///
 /// `optimized_out`, when non-null, receives the program this call vouches
-/// for: the optimizer's output when the case completed, the input program
-/// (identity transform) otherwise — per timing group, so single-tech
-/// callers (ucpd serves one (config, tech) per request) get exactly their
-/// case's binary. The sweep passes nullptr; rows never carry programs.
+/// for: the output of the last timing group that completed, or the input
+/// program (identity transform) when none did.
 std::vector<UseCaseResult> run_use_case_group(
     const ir::Program& program, const std::string& program_name,
     const cache::NamedCacheConfig& config,
@@ -171,13 +169,48 @@ std::vector<UseCaseResult> run_use_case_group(
     bool audit_soundness = false,
     ir::Program* optimized_out = nullptr);
 
-/// Failure classes worth another rung of the retry ladder (budgets,
-/// deadlines, cancellation, contained internal errors; semantic verdicts
-/// are deterministic, so retrying cannot change them). The sweep and ucpd
-/// share the list, so a request degrades like its case does in a sweep.
-bool retryable(ErrorCode code);
-/// Ladder order of outcomes: completed (2) > degraded (1) > failed (0).
-int outcome_rank(const UseCaseResult& result);
+/// The case solver of run_sweep's workers and ucpd's request workers, so a
+/// request degrades like its case does in a sweep: `run_use_case_group`
+/// (same inputs) under the retry-with-degradation ladder, returning rows
+/// with `attempts` and `degradation_level` set. Rung 1 uses the configured
+/// budgets; rung 2 (max_attempts >= 2) escalated ones (2x evaluations, 4x
+/// optimizer and watchdog deadlines); rung 3 (max_attempts >= 3) the
+/// identity transform, recorded as *degraded* with the original failure as
+/// its cause. A later rung only replaces rows quarantined with a retryable
+/// cause, and every exception is contained per rung as a failed row. Rungs
+/// 1 and 2 run under `slot`'s token, armed at `deadline_ms` (0 = none); the
+/// identity rung is unsupervised, bounded by the simulator step budget and
+/// the ILP limits alone, so deadline pressure can degrade a case but never
+/// fail it. `optimized_out` receives the program row 0 vouches for.
+std::vector<UseCaseResult> solve_case(
+    const ir::Program& program, const std::string& program_name,
+    const cache::NamedCacheConfig& config,
+    const std::vector<energy::TechNode>& techs,
+    const core::OptimizerOptions& options, StageTimings* timings,
+    const wcet::IpetSystem* shared_ipet, bool audit_soundness,
+    ir::Program* optimized_out, std::uint32_t max_attempts,
+    std::uint32_t deadline_ms, Watchdog::Slot& slot);
+
+/// One program's configuration-independent analysis state: its context
+/// graph and IPET constraint system, shared by every configuration, stage,
+/// worker and request of that program (prefetch insertion never alters the
+/// CFG, and solves clone the system's immutable canonical basis, so sharing
+/// is bit-identical to rebuilding). The graph points into the program it
+/// was built from, so the system owns its own copy and may outlive the
+/// caller's.
+struct ProgramSystem {
+  ir::Program program;
+  analysis::ContextGraph graph;
+  wcet::IpetSystem ipet;
+  explicit ProgramSystem(const ir::Program& source)
+      : program(source), graph(program), ipet(graph) {}
+};
+
+/// Builds `program`'s system, or nullptr when construction throws: the
+/// cases then build their own inside the case boundary, which quarantines
+/// the failure per case.
+std::shared_ptr<const ProgramSystem> make_program_system(
+    const ir::Program& program);
 
 /// The full evaluation grid of the paper: every suite program × the 36
 /// configurations of Table 2 × {45nm, 32nm} = 2664 use cases (or a subset
@@ -204,15 +237,11 @@ struct SweepOptions {
   /// and produces bit-identical results; a finished journal serves the
   /// whole result set without recomputing. Empty = no journal.
   std::string journal_path;
-  /// Retry-with-degradation ladder depth per use case. 1 = no retries (a
-  /// quarantined row stays quarantined — the equivalence suite pins this).
-  /// 2 adds an escalated-budget retry for retryable failures; 3 adds the
-  /// final rung, the Theorem-1-sound identity transform (upgrades a failed
-  /// row to degraded when the baseline measures under escalated budgets).
+  /// Retry-ladder depth per task (see solve_case). 1 = no retries: a
+  /// quarantined row stays quarantined — the equivalence suite pins this.
   std::uint32_t max_attempts = 1;
-  /// Watchdog wall-clock deadline per task, in ms; 0 disables the watchdog.
-  /// An over-deadline task is cooperatively cancelled (kCancelled) and fed
-  /// to the retry ladder like any other retryable failure.
+  /// Watchdog wall-clock deadline per task in ms (see solve_case); 0
+  /// disables the watchdog.
   std::uint32_t case_deadline_ms = 0;
   /// Always-on soundness auditor: after every accepted optimization,
   /// re-derive the memory contribution via the dense-tableau reference

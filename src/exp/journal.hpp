@@ -53,20 +53,13 @@ class SweepJournal {
               const std::function<bool(std::size_t, const UseCaseResult&)>&
                   matches_grid);
 
-  /// Appends `count` result rows starting at `first` (their grid indices)
-  /// and makes them durable. A write failure disables the journal (the
-  /// sweep continues without checkpoints) and is returned as a Status.
-  /// Not thread-safe; the sweep's single flusher serializes appends.
-  Status append(const std::vector<UseCaseResult>& results, std::size_t first,
-                std::size_t count) {
-    return append_batch(results, {{first, count}});
-  }
-
-  /// Appends several row ranges as one batch with a single fflush + fsync:
-  /// the deterministic flusher uses this so a frontier advance over many
+  /// Appends several row ranges (first grid index, row count) as one batch
+  /// with a single fflush + fsync, so a flush-frontier advance over many
   /// buffered tasks costs one durability round-trip, not one per task.
   /// Ranges become durable together; a crash mid-batch loses (at most) a
-  /// checksummed-away torn tail.
+  /// checksummed-away torn tail. A write failure disables the journal (the
+  /// sweep continues without checkpoints) and is returned as a Status. Not
+  /// thread-safe; the sweep's single flusher serializes appends.
   Status append_batch(
       const std::vector<UseCaseResult>& results,
       const std::vector<std::pair<std::size_t, std::size_t>>& ranges);

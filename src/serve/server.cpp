@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/context_graph.hpp"
 #include "exp/harness.hpp"
 #include "ir/text_codec.hpp"
 #include "ir/verify.hpp"
@@ -27,7 +26,6 @@
 #include "support/fault_injection.hpp"
 #include "support/record_log.hpp"
 #include "support/socket.hpp"
-#include "wcet/ipet.hpp"
 
 namespace ucp::serve {
 
@@ -42,6 +40,9 @@ std::int64_t now_ms() {
 using support::fnv1a;
 using support::to_hex;
 
+// Warm cross-request cache bounds, in entries (LRU eviction).
+constexpr std::size_t kResponseCacheEntries = 256;
+constexpr std::size_t kSystemCacheEntries = 16;
 
 Response error_response(ErrorCode code, const std::string& detail) {
   Response r;
@@ -155,16 +156,7 @@ struct Server::Impl {
 
   std::thread accept_thread;
   std::vector<std::thread> worker_threads;
-  std::thread watchdog_thread;
-  std::atomic<bool> watchdog_stop{false};
-
-  // One cancellation token per worker; the watchdog cancels the slot whose
-  // armed wall-clock deadline has passed (same shape as the sweep's).
-  struct WorkerSlot {
-    CancellationToken token;
-    std::atomic<std::int64_t> cancel_at_ms{-1};
-  };
-  std::vector<std::unique_ptr<WorkerSlot>> slots;
+  std::unique_ptr<Watchdog> watchdog;  ///< one slot per worker
 
   // --- idempotent-replay journal -------------------------------------------
   std::mutex journal_mutex;
@@ -182,27 +174,15 @@ struct Server::Impl {
                      std::list<std::pair<std::string, Response>>::iterator>
       response_index;
 
-  // IPET-system cache: program-text hash -> shared constraint system.
-  // Prefetch insertion never alters the CFG, so re-requests of the same
-  // program share the context graph + canonical basis bit-identically,
-  // exactly like the sweep's per-program sharing.
-  struct ProgramIpet {
-    // The graph (and through it the IPET system) holds pointers into the
-    // program it was built from, and this entry outlives the request that
-    // built it — so it must own its own copy, not reference the request's.
-    ir::Program program;
-    analysis::ContextGraph graph;
-    wcet::IpetSystem ipet;
-    explicit ProgramIpet(const ir::Program& request_program)
-        : program(request_program), graph(program), ipet(graph) {}
-  };
-  std::mutex ipet_cache_mutex;
-  std::list<std::pair<std::string, std::shared_ptr<ProgramIpet>>> ipet_lru;
-  std::unordered_map<
-      std::string,
-      std::list<std::pair<std::string, std::shared_ptr<ProgramIpet>>>::
-          iterator>
-      ipet_index;
+  // Program-system cache: program-text hash -> exp::ProgramSystem, so
+  // re-requests of a program share its graph and IPET system like the
+  // sweep's per-program sharing.
+  using SystemEntry =
+      std::pair<std::string, std::shared_ptr<const exp::ProgramSystem>>;
+  std::mutex system_cache_mutex;
+  std::list<SystemEntry> system_lru;
+  std::unordered_map<std::string, std::list<SystemEntry>::iterator>
+      system_index;
 
   // --- stats ---------------------------------------------------------------
   std::atomic<std::uint64_t> n_accepted{0}, n_shed{0}, n_requests{0},
@@ -220,8 +200,8 @@ struct Server::Impl {
 
   // ---------------------------------------------------------------------
   void accept_loop();
-  void worker_loop(WorkerSlot& slot);
-  void watchdog_loop();
+  void worker_loop(Watchdog::Slot& slot);
+  void on_watchdog_fire(std::int64_t overdue_ms);
   void admin_loop();
   void handle_admin(support::Socket conn);
   std::string admin_payload(const std::string& verb, bool& ok);
@@ -230,11 +210,11 @@ struct Server::Impl {
   void maybe_dump_request_trace(const Request& request, std::uint64_t ctx,
                                 bool sampled);
   void shed_connection(support::Socket conn);
-  void handle_connection(support::Socket conn, WorkerSlot& slot);
-  Response process_request(const Request& request, WorkerSlot& slot);
-  Response run_pipeline(const Request& request, WorkerSlot& slot);
-  std::shared_ptr<ProgramIpet> ipet_for(const std::string& program_text,
-                                        const ir::Program& program);
+  void handle_connection(support::Socket conn, Watchdog::Slot& slot);
+  Response process_request(const Request& request, Watchdog::Slot& slot);
+  Response run_pipeline(const Request& request, Watchdog::Slot& slot);
+  std::shared_ptr<const exp::ProgramSystem> system_for(
+      const std::string& program_text, const ir::Program& program);
   void cache_response(const std::string& fingerprint,
                       const Response& response);
   bool cached_response(const std::string& fingerprint, Response& out);
@@ -303,8 +283,7 @@ void Server::Impl::shed_connection(support::Socket conn) {
   (void)write_all(conn, serialize_response(r));
 }
 
-void Server::Impl::worker_loop(WorkerSlot& slot) {
-  CancelScope scope(&slot.token);
+void Server::Impl::worker_loop(Watchdog::Slot& slot) {
   for (;;) {
     support::Socket conn;
     {
@@ -327,30 +306,16 @@ void Server::Impl::worker_loop(WorkerSlot& slot) {
   }
 }
 
-void Server::Impl::watchdog_loop() {
-  while (!watchdog_stop.load(std::memory_order_relaxed)) {
-    const std::int64_t now = now_ms();
-    for (const std::unique_ptr<WorkerSlot>& s : slots) {
-      const std::int64_t deadline =
-          s->cancel_at_ms.load(std::memory_order_relaxed);
-      if (deadline >= 0 && now >= deadline) {
-        s->token.cancel();
-        s->cancel_at_ms.store(-1, std::memory_order_relaxed);
-        n_watchdog_fires.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled())
-          obs::registry().counter("serve.watchdog_fires").increment();
-        obs::log(obs::LogLevel::kWarn, "serve", "watchdog_fire",
-                 "wall-clock deadline enforced; cancelling the worker slot",
-                 obs::LogFields().num("overdue_ms",
-                                      static_cast<std::int64_t>(
-                                          now - deadline)));
-        // A fired deadline is exactly the "what was the daemon doing?"
-        // moment the flight recorder exists for.
-        dump_flight("watchdog_fire", /*force=*/false);
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+void Server::Impl::on_watchdog_fire(std::int64_t overdue_ms) {
+  n_watchdog_fires.fetch_add(1, std::memory_order_relaxed);
+  if (obs::enabled())
+    obs::registry().counter("serve.watchdog_fires").increment();
+  obs::log(obs::LogLevel::kWarn, "serve", "watchdog_fire",
+           "wall-clock deadline enforced; cancelling the worker slot",
+           obs::LogFields().num("overdue_ms", overdue_ms));
+  // A fired deadline is exactly the "what was the daemon doing?" moment the
+  // flight recorder exists for.
+  dump_flight("watchdog_fire", /*force=*/false);
 }
 
 void Server::Impl::send_response(const support::Socket& conn,
@@ -392,7 +357,8 @@ void Server::Impl::count_status(const Response& response) {
   }
 }
 
-void Server::Impl::handle_connection(support::Socket conn, WorkerSlot& slot) {
+void Server::Impl::handle_connection(support::Socket conn,
+                                     Watchdog::Slot& slot) {
   obs::Span span("serve.request");
   const auto started_at = std::chrono::steady_clock::now();
   if (UCP_FAULT_POINT("serve.read")) {
@@ -464,7 +430,7 @@ void Server::Impl::handle_connection(support::Socket conn, WorkerSlot& slot) {
 }
 
 Response Server::Impl::process_request(const Request& request,
-                                       WorkerSlot& slot) {
+                                       Watchdog::Slot& slot) {
   const std::string fingerprint = request_fingerprint(request);
 
   // Idempotent replay: a journaled id answers from the journal — byte
@@ -525,7 +491,7 @@ Response Server::Impl::process_request(const Request& request,
 }
 
 Response Server::Impl::run_pipeline(const Request& request,
-                                    WorkerSlot& slot) {
+                                    Watchdog::Slot& slot) {
   obs::Span span("serve.process");
   if (UCP_FAULT_POINT("serve.process")) {
     // Injected pipeline failure, contained to this request: the client gets
@@ -554,127 +520,20 @@ Response Server::Impl::run_pipeline(const Request& request,
         " issue" + (issues.size() == 1 ? "" : "s") + "): " + issues.front());
 
   const ir::Program& program = *parsed;
-  const cache::NamedCacheConfig named{request.config_id, request.config};
-  const std::vector<energy::TechNode> techs{request.tech};
-  const std::shared_ptr<ProgramIpet> shared =
-      ipet_for(request.program_text, program);
-  const wcet::IpetSystem* shared_ipet = shared ? &shared->ipet : nullptr;
-
-  const std::uint32_t deadline_ms = request.deadline_ms > 0
-                                        ? request.deadline_ms
-                                        : options.default_deadline_ms;
-  const std::uint32_t max_attempts =
-      request.attempts > 0 ? request.attempts : options.default_attempts;
-
-  auto arm_watchdog = [&](std::int64_t scale) {
-    if (deadline_ms > 0)
-      slot.cancel_at_ms.store(
-          now_ms() + static_cast<std::int64_t>(deadline_ms) * scale,
-          std::memory_order_relaxed);
-  };
-  auto disarm_watchdog = [&] {
-    slot.cancel_at_ms.store(-1, std::memory_order_relaxed);
-  };
-  auto fill_failed = [&](exp::UseCaseResult& row, ErrorCode code,
-                         const std::string& stage,
-                         const std::string& detail) {
-    row = exp::UseCaseResult{};
-    row.program = "request";
-    row.config_id = request.config_id;
-    row.config = request.config;
-    row.tech = request.tech;
-    row.outcome = exp::CaseOutcome::kFailed;
-    row.fail_code = code;
-    row.fail_stage = stage;
-    row.fail_detail = detail;
-  };
-  // One ladder attempt, every exception contained — a pathological program
-  // must never take the daemon down.
-  auto run_attempt = [&](const core::OptimizerOptions& opt_options,
-                         exp::UseCaseResult& row, ir::Program& optimized) {
-    optimized = program;
-    try {
-      std::vector<exp::UseCaseResult> rows = exp::run_use_case_group(
-          program, "request", named, techs, opt_options, nullptr,
-          shared_ipet, options.audit_soundness, &optimized);
-      row = std::move(rows.front());
-    } catch (const CancelledError& e) {
-      fill_failed(row, ErrorCode::kCancelled, "cancelled", e.what());
-      optimized = program;
-    } catch (const std::exception& e) {
-      fill_failed(row, ErrorCode::kInternal, "task", e.what());
-      optimized = program;
-    } catch (...) {
-      fill_failed(row, ErrorCode::kInternal, "task",
-                  "non-standard exception");
-      optimized = program;
-    }
-  };
-
-  // The retry-with-degradation ladder, rung for rung the sweep's
-  // (exp/harness.cpp run_task): configured budgets; escalated budgets with
-  // a fresh token; the Theorem-1 identity transform as the terminal rung —
-  // recorded as *degraded* with the original failure as its cause.
-  std::uint32_t attempts = 1;
-  exp::UseCaseResult row;
-  ir::Program optimized = program;
-  slot.token.reset();
-  arm_watchdog(1);
-  run_attempt(options.optimizer, row, optimized);
-  disarm_watchdog();
-
-  if (max_attempts >= 2 && row.quarantined() &&
-      exp::retryable(row.fail_code)) {
-    ++attempts;
-    core::OptimizerOptions escalated = options.optimizer;
-    escalated.max_evaluations *= 2;
-    if (escalated.deadline_ms > 0) escalated.deadline_ms *= 4;
-    slot.token.reset();
-    exp::UseCaseResult retry_row;
-    ir::Program retry_optimized = program;
-    arm_watchdog(4);
-    run_attempt(escalated, retry_row, retry_optimized);
-    disarm_watchdog();
-    if (exp::outcome_rank(retry_row) > exp::outcome_rank(row)) {
-      row = std::move(retry_row);
-      optimized = std::move(retry_optimized);
-      if (row.outcome == exp::CaseOutcome::kCompleted)
-        row.degradation_level = 1;
-    }
-  }
-  if (max_attempts >= 3 && row.quarantined() &&
-      exp::retryable(row.fail_code)) {
-    ++attempts;
-    core::OptimizerOptions identity = options.optimizer;
-    identity.max_passes = 0;  // ship the input program
-    slot.token.reset();
-    exp::UseCaseResult fallback_row;
-    ir::Program fallback_optimized = program;
-    arm_watchdog(4);
-    run_attempt(identity, fallback_row, fallback_optimized);
-    disarm_watchdog();
-    if (fallback_row.outcome == exp::CaseOutcome::kCompleted) {
-      // The identity transform measured clean under escalated patience:
-      // the response is *degraded* — sound, with the original failure as
-      // its recorded cause — never an error.
-      exp::UseCaseResult repaired = std::move(fallback_row);
-      repaired.outcome = exp::CaseOutcome::kDegraded;
-      repaired.fail_stage = row.fail_stage;
-      repaired.fail_code = row.fail_code;
-      repaired.fail_detail =
-          row.fail_detail + " (identity-transform fallback)";
-      row = std::move(repaired);
-      optimized = std::move(fallback_optimized);
-    } else if (exp::outcome_rank(fallback_row) > exp::outcome_rank(row)) {
-      row = std::move(fallback_row);
-      optimized = std::move(fallback_optimized);
-    }
-  }
-  row.attempts = attempts;
-  if (row.outcome == exp::CaseOutcome::kDegraded)
-    row.degradation_level = 2;
-  else if (row.outcome == exp::CaseOutcome::kFailed)
-    row.degradation_level = 3;
+  const std::shared_ptr<const exp::ProgramSystem> system =
+      system_for(request.program_text, program);
+  ir::Program optimized(program.name());
+  const exp::UseCaseResult row =
+      exp::solve_case(
+          program, "request", {request.config_id, request.config},
+          {request.tech}, options.optimizer, nullptr,
+          system ? &system->ipet : nullptr, options.audit_soundness,
+          &optimized,
+          request.attempts > 0 ? request.attempts : options.default_attempts,
+          request.deadline_ms > 0 ? request.deadline_ms
+                                  : options.default_deadline_ms,
+          slot)
+          .front();
 
   if (row.audit.performed && row.audit.violated) {
     // A soundness-audit violation is the worst thing this daemon can
@@ -722,47 +581,41 @@ Response Server::Impl::run_pipeline(const Request& request,
     response.prefetches = row.report.insertions.size();
     // The program this response vouches for: the optimizer's output on ok,
     // the canonicalized input (identity transform) on degraded.
-    response.program_text = ir::to_text(
-        row.outcome == exp::CaseOutcome::kCompleted ? optimized : program);
+    response.program_text = ir::to_text(optimized);
   }
   return response;
 }
 
-std::shared_ptr<Server::Impl::ProgramIpet> Server::Impl::ipet_for(
+std::shared_ptr<const exp::ProgramSystem> Server::Impl::system_for(
     const std::string& program_text, const ir::Program& program) {
-  if (options.ipet_cache_entries == 0) return nullptr;
   const std::string key = to_hex(fnv1a(program_text));
   {
-    std::lock_guard<std::mutex> lock(ipet_cache_mutex);
-    auto it = ipet_index.find(key);
-    if (it != ipet_index.end()) {
-      ipet_lru.splice(ipet_lru.begin(), ipet_lru, it->second);
+    std::lock_guard<std::mutex> lock(system_cache_mutex);
+    auto it = system_index.find(key);
+    if (it != system_index.end()) {
+      system_lru.splice(system_lru.begin(), system_lru, it->second);
       return it->second->second;
     }
   }
-  std::shared_ptr<ProgramIpet> built;
-  try {
-    built = std::make_shared<ProgramIpet>(program);
-  } catch (...) {
-    // Construction failure: the request measures through its own path and
-    // quarantines per case, exactly like the sweep with an empty slot.
-    return nullptr;
-  }
-  std::lock_guard<std::mutex> lock(ipet_cache_mutex);
-  auto it = ipet_index.find(key);
-  if (it != ipet_index.end()) return it->second->second;  // raced; share
-  ipet_lru.emplace_front(key, built);
-  ipet_index[key] = ipet_lru.begin();
-  while (ipet_lru.size() > options.ipet_cache_entries) {
-    ipet_index.erase(ipet_lru.back().first);
-    ipet_lru.pop_back();
+  // A construction failure (nullptr) is not cached: the request measures
+  // through its own path and quarantines per case, like the sweep.
+  std::shared_ptr<const exp::ProgramSystem> built =
+      exp::make_program_system(program);
+  if (!built) return nullptr;
+  std::lock_guard<std::mutex> lock(system_cache_mutex);
+  auto it = system_index.find(key);
+  if (it != system_index.end()) return it->second->second;  // raced; share
+  system_lru.emplace_front(key, built);
+  system_index[key] = system_lru.begin();
+  while (system_lru.size() > kSystemCacheEntries) {
+    system_index.erase(system_lru.back().first);
+    system_lru.pop_back();
   }
   return built;
 }
 
 bool Server::Impl::cached_response(const std::string& fingerprint,
                                    Response& out) {
-  if (options.response_cache_entries == 0) return false;
   std::lock_guard<std::mutex> lock(response_cache_mutex);
   auto it = response_index.find(fingerprint);
   if (it == response_index.end()) return false;
@@ -773,13 +626,12 @@ bool Server::Impl::cached_response(const std::string& fingerprint,
 
 void Server::Impl::cache_response(const std::string& fingerprint,
                                   const Response& response) {
-  if (options.response_cache_entries == 0) return;
   std::lock_guard<std::mutex> lock(response_cache_mutex);
   auto it = response_index.find(fingerprint);
   if (it != response_index.end()) return;  // first computation wins
   response_lru.emplace_front(fingerprint, response);
   response_index[fingerprint] = response_lru.begin();
-  while (response_lru.size() > options.response_cache_entries) {
+  while (response_lru.size() > kResponseCacheEntries) {
     response_index.erase(response_lru.back().first);
     response_lru.pop_back();
   }
@@ -866,7 +718,7 @@ std::string Server::Impl::admin_payload(const std::string& verb, bool& ok) {
     out += ",\"queue_depth\":" + std::to_string(depth);
     out += ",\"inflight\":" +
            std::to_string(n_inflight.load(std::memory_order_relaxed));
-    out += ",\"workers\":" + std::to_string(slots.size());
+    out += ",\"workers\":" + std::to_string(std::max(1u, options.workers));
     out += ",\"build\":" + obs::build_info_json();
     out += "}\n";
     return out;
@@ -1033,14 +885,14 @@ Status Server::start() {
   }
 
   const std::uint32_t workers = std::max(1u, impl.options.workers);
-  for (std::uint32_t w = 0; w < workers; ++w)
-    impl.slots.push_back(std::make_unique<Impl::WorkerSlot>());
+  impl.watchdog = std::make_unique<Watchdog>(
+      workers, true,
+      [&impl](std::int64_t overdue_ms) { impl.on_watchdog_fire(overdue_ms); });
   impl.started = true;
   impl.accept_thread = std::thread([&impl] { impl.accept_loop(); });
   for (std::uint32_t w = 0; w < workers; ++w)
     impl.worker_threads.emplace_back(
-        [&impl, w] { impl.worker_loop(*impl.slots[w]); });
-  impl.watchdog_thread = std::thread([&impl] { impl.watchdog_loop(); });
+        [&impl, w] { impl.worker_loop(impl.watchdog->slot(w)); });
   if (impl.options.admin_enabled)
     impl.admin_thread = std::thread([&impl] { impl.admin_loop(); });
   obs::log(obs::LogLevel::kInfo, "serve", "started", impl.journal_note,
@@ -1071,8 +923,7 @@ void Server::stop() {
   for (std::thread& t : impl.worker_threads)
     if (t.joinable()) t.join();
   impl.worker_threads.clear();
-  impl.watchdog_stop.store(true, std::memory_order_relaxed);
-  if (impl.watchdog_thread.joinable()) impl.watchdog_thread.join();
+  impl.watchdog.reset();
   if (impl.admin_thread.joinable()) impl.admin_thread.join();
   impl.listener.close();
   impl.admin_listener.close();

@@ -2,32 +2,26 @@
 
 // The ucpd analysis daemon: a multi-threaded TCP server that accepts
 // optimization requests (serve/protocol.hpp), runs each through the
-// existing analyze -> optimize -> audit pipeline (exp::run_use_case_group),
-// and streams back the vouched-for program plus its metrics and audit
-// verdict. Robustness is the design center:
+// sweep's case solver (exp::solve_case: analyze -> optimize -> audit under
+// the retry ladder), and streams back the vouched-for program plus its
+// metrics and audit verdict. Robustness is the design center:
 //
 //  - bounded admission: a connection beyond the queue capacity is shed
 //    *before* any request bytes are read, with a structured kOverloaded
 //    response carrying an advisory retry_after_ms — never a hang, never an
 //    unbounded queue;
-//  - per-request watchdog deadlines: a worker slot arms a wall-clock
-//    deadline around the pipeline; the watchdog thread cooperatively
-//    cancels the slot's token, and the cancellation feeds the retry ladder
-//    like any other retryable failure;
-//  - retry-with-degradation ladder (mirrors exp::run_sweep's run_task rung
-//    for rung): configured budgets, then escalated budgets (2x evaluations,
-//    4x deadlines), then the Theorem-1 identity transform — a degraded
-//    response is still *sound*, never an error;
+//  - per-request watchdog deadlines and the retry-with-degradation ladder
+//    are exp::solve_case's, shared with the sweep: a cancelled or
+//    over-budget request is retried with escalated budgets and finally
+//    answered with the Theorem-1 identity transform — a degraded response
+//    is still *sound*, never an error;
 //  - crash-safe idempotent replay: terminal responses are journaled
 //    (fsync'd, checksummed) before the client sees a byte, so kill -9 and
 //    restart answers re-sent ids byte-identically (serve/request_journal);
 //  - warm cross-request caches: a response cache keyed by the request
 //    fingerprint (program text + geometry + tech + budgets — any change
 //    misses by construction, which is the whole invalidation story) and an
-//    LRU of IPET constraint systems keyed by program text (prefetch
-//    insertion never alters the CFG, so a program-text hit shares the
-//    graph + canonical basis bit-identically, exactly like the sweep's
-//    per-program sharing);
+//    LRU of exp::ProgramSystems keyed by program text;
 //  - graceful drain: stop accepting, finish queued requests, join every
 //    thread; pair with the request journal for SIGKILL coverage.
 
@@ -57,8 +51,6 @@ struct ServerOptions {
   /// Idempotent-replay journal; empty = no journal (replay map only lives
   /// for the process lifetime via the response cache).
   std::string journal_path;
-  std::size_t response_cache_entries = 256;
-  std::size_t ipet_cache_entries = 16;
   bool audit_soundness = true;
   core::OptimizerOptions optimizer;
   ProtocolLimits limits;

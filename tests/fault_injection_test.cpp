@@ -245,6 +245,91 @@ TEST(FaultLadder, NonRetryableFaultFailsOnTheFirstAttempt) {
   EXPECT_EQ(failed, 1u);
 }
 
+/// fdct/k1/45nm through both front ends with the full three-rung ladder:
+/// as a one-case sweep (the row) and as a request to a fresh ucpd (the
+/// response; fresh, so no warm cache can answer it).
+UseCaseResult sweep_fdct_k1() {
+  SweepOptions options = small_sweep();
+  options.programs = {"fdct"};
+  options.config_stride = 36;  // k1 only
+  options.max_attempts = 3;
+  const Sweep sweep = run_sweep(options);
+  EXPECT_EQ(sweep.results.size(), 1u);
+  return sweep.results.empty() ? UseCaseResult{} : sweep.results.front();
+}
+
+serve::Response serve_fdct_k1(const std::string& id) {
+  serve::ServerOptions options;
+  options.workers = 1;
+  serve::Server server(options);
+  EXPECT_TRUE(server.start().ok());
+  serve::Request request;
+  request.id = id;
+  request.config_id = "k1";
+  request.config = cache::paper_cache_config("k1").config;
+  request.tech = energy::TechNode::k45nm;
+  request.attempts = 3;
+  request.program_text = ir::to_text(suite::build_benchmark("fdct"));
+  const auto response = serve::call(server.port(), request);
+  server.stop();
+  EXPECT_TRUE(response.ok()) << response.status().message();
+  return response.ok() ? *response : serve::Response{};
+}
+
+/// The contract of the shared case solver: a request degrades exactly like
+/// its case does in a sweep.
+void expect_same_ladder_outcome(const UseCaseResult& row,
+                                const serve::Response& response) {
+  EXPECT_EQ(response.status, serve::ResponseStatus::kDegraded);
+  EXPECT_EQ(response.code, row.fail_code);
+  EXPECT_EQ(response.detail, row.fail_detail);
+  EXPECT_EQ(response.attempts, row.attempts);
+  EXPECT_EQ(response.degradation_level, row.degradation_level);
+  EXPECT_EQ(response.tau_original, row.original.tau_wcet);
+  EXPECT_EQ(response.tau_optimized, row.optimized.tau_wcet);
+  EXPECT_EQ(response.mem_cycles_original, row.original.run.mem_cycles);
+  EXPECT_EQ(response.mem_cycles_optimized, row.optimized.run.mem_cycles);
+  EXPECT_EQ(response.prefetches, 0u);
+}
+
+TEST(FaultLadder, SupervisorCancelOnBothArmedRungsDegradesAlikeInSweepAndUcpd) {
+  // The supervisor cancels rungs 1 and 2 as they register; the identity
+  // rung runs unsupervised, so the case degrades — never fails — in the
+  // sweep and in ucpd alike.
+  fault::disarm_all();
+  fault::arm("supervisor.cancel", /*skip=*/0, /*shots=*/2);
+  const UseCaseResult row = sweep_fdct_k1();
+  fault::arm("supervisor.cancel", /*skip=*/0, /*shots=*/2);
+  const serve::Response response = serve_fdct_k1("ladder.cancel");
+  fault::disarm_all();
+
+  EXPECT_EQ(row.outcome, CaseOutcome::kDegraded);
+  EXPECT_EQ(row.fail_code, ErrorCode::kCancelled);
+  EXPECT_EQ(row.attempts, 3u);
+  EXPECT_EQ(row.degradation_level, 2u);
+  EXPECT_GT(row.original.tau_wcet, 0u);
+  EXPECT_EQ(row.optimized.tau_wcet, row.original.tau_wcet);
+  expect_same_ladder_outcome(row, response);
+}
+
+TEST(FaultLadder, PersistentComputeFaultDegradesAlikeInSweepAndUcpd) {
+  fault::disarm_all();
+  fault::arm("core.reanalyze", /*skip=*/0, /*shots=*/2);
+  const UseCaseResult row = sweep_fdct_k1();
+  fault::arm("core.reanalyze", /*skip=*/0, /*shots=*/2);
+  const serve::Response response = serve_fdct_k1("ladder.reanalyze");
+  fault::disarm_all();
+
+  EXPECT_EQ(row.outcome, CaseOutcome::kDegraded);
+  EXPECT_EQ(row.fail_code, ErrorCode::kAnalysisFailed);
+  EXPECT_EQ(row.attempts, 3u);
+  EXPECT_EQ(row.degradation_level, 2u);
+  EXPECT_NE(row.fail_detail.find("identity-transform fallback"),
+            std::string::npos)
+      << row.fail_detail;
+  expect_same_ladder_outcome(row, response);
+}
+
 TEST(FaultRegistry, AllComputeSitesAreRegistered) {
   const auto& sites = fault::known_sites();
   for (const std::string& site : kComputeSites) {

@@ -24,6 +24,7 @@
 
 #include "cache/config.hpp"
 #include "energy/model.hpp"
+#include "exp/harness.hpp"
 #include "obs/flight.hpp"
 #include "ir/text_codec.hpp"
 #include "ir/verify.hpp"
@@ -254,18 +255,14 @@ TEST(Server, IpetCacheOutlivesTheRequestThatBuiltIt) {
   EXPECT_FALSE(second->cached);
   EXPECT_GT(second->tau_original, 0u);
 
-  // Same program + config served again from scratch (caches off) agrees —
-  // the shared IPET entry changed nothing semantically.
-  ServerOptions cold = quick_options();
-  cold.ipet_cache_entries = 0;
-  cold.response_cache_entries = 0;
-  Server fresh(cold);
-  ASSERT_TRUE(fresh.start().ok());
-  const auto rebuilt = call(fresh.port(), k2);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(rebuilt->tau_original, second->tau_original);
-  EXPECT_EQ(rebuilt->tau_optimized, second->tau_optimized);
-  fresh.stop();
+  // The same case computed from scratch, with no shared system, agrees —
+  // the shared entry changed nothing semantically.
+  const auto parsed = ir::from_text_checked(k2.program_text);
+  ASSERT_TRUE(parsed.ok());
+  const exp::UseCaseResult rebuilt = exp::run_use_case(
+      *parsed, "request", {k2.config_id, k2.config}, k2.tech);
+  EXPECT_EQ(rebuilt.original.tau_wcet, second->tau_original);
+  EXPECT_EQ(rebuilt.optimized.tau_wcet, second->tau_optimized);
   server.stop();
 }
 

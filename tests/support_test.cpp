@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
@@ -310,6 +313,42 @@ TEST(Cancellation, ThrowCarriesTheKernelLocation) {
     EXPECT_NE(std::string(e.what()).find("simplex pivot loop"),
               std::string::npos);
   }
+}
+
+/// Polls until `token` is cancelled or `limit_ms` passes.
+bool wait_cancelled(const CancellationToken& token, int limit_ms) {
+  for (int waited = 0; waited < limit_ms && !token.cancelled(); waited += 5)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  return token.cancelled();
+}
+
+TEST(Watchdog, CancelsOnlyTheOverdueSlotAndReportsTheFire) {
+  std::atomic<int> fires{0};
+  Watchdog watchdog(2, /*poll=*/true,
+                    [&fires](std::int64_t overdue_ms) {
+                      EXPECT_GE(overdue_ms, 0);
+                      fires.fetch_add(1);
+                    });
+  watchdog.slot(0).arm(1);
+  watchdog.slot(1).arm(600000);
+  EXPECT_TRUE(wait_cancelled(watchdog.slot(0).token, 10000));
+  // The fire disarms the slot: it is reported once, however long we wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(fires.load(), 1);
+  EXPECT_FALSE(watchdog.slot(1).token.cancelled());
+  watchdog.slot(1).disarm();
+}
+
+TEST(Watchdog, DisarmedAndUnpolledSlotsAreNeverCancelled) {
+  Watchdog polled(1, /*poll=*/true);
+  polled.slot(0).arm(50);
+  polled.slot(0).disarm();
+  polled.slot(0).arm(0);  // a zero deadline leaves the slot disarmed
+  Watchdog unpolled(1, /*poll=*/false);
+  unpolled.slot(0).arm(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  EXPECT_FALSE(polled.slot(0).token.cancelled());
+  EXPECT_FALSE(unpolled.slot(0).token.cancelled());
 }
 
 TEST(CsvWriter, EscapesSpecials) {
