@@ -1,7 +1,6 @@
 // Soundness-fuzzing campaign driver.
 //
-//   bench_fuzz_campaign --seed 0x2a --cases 1000 --shrink \
-//       --corpus tests/corpus --journal fuzz_journal.log
+//   bench_fuzz_campaign --seed 0x2a --cases 1000 --shrink --corpus tests/corpus --journal fuzz_journal.log
 //
 // Generates `cases` synthetic programs from the root seed and runs each
 // through the differential oracle battery (sim-vs-IPET, must/may/persistence

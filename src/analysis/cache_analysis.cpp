@@ -63,14 +63,6 @@ void apply_instruction(MustMay& state, const ir::Instruction& instr,
 
 namespace {
 
-MustMay transfer_block(const MustMay& in, const ir::BasicBlock& bb,
-                       const ir::Layout& layout) {
-  MustMay out = in;
-  for (const ir::Instruction& instr : bb.instrs)
-    apply_instruction(out, instr, layout);
-  return out;
-}
-
 /// Accumulates `contrib` into `in`: the first contribution is copied (the
 /// neutral element of the must join is "everything cached", which has no
 /// finite representation, so the fixpoint tracks has-state explicitly);
@@ -86,9 +78,14 @@ bool merge_in(MustMay& in, bool& has_in, const MustMay& contrib) {
   return must_changed || may_changed;
 }
 
-void classify_block(const MustMay& in, const ir::BasicBlock& bb,
-                    const ir::Layout& layout,
-                    std::vector<Classification>& cls) {
+/// The block transfer of both fixpoints: classifies every fetch of `bb`
+/// against the state it meets, writing the row into `cls`, and returns the
+/// block's out-state. A node's row therefore comes from its last transfer;
+/// that transfer saw the node's final in-state, because a worklist re-queues
+/// a node whenever a merge changes its in-state (DESIGN.md §8.1).
+MustMay classify_block(const MustMay& in, const ir::BasicBlock& bb,
+                       const ir::Layout& layout,
+                       std::vector<Classification>& cls) {
   MustMay state = in;
   cls.clear();
   cls.reserve(bb.instrs.size());
@@ -103,6 +100,7 @@ void classify_block(const MustMay& in, const ir::BasicBlock& bb,
     cls.push_back(c);
     apply_instruction(state, instr, layout);
   }
+  return state;
 }
 
 /// Hash-consing table for converged-enough abstract states: canonicalizes a
@@ -154,6 +152,7 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
   const MustMay empty{AbstractCache(config), AbstractCache(config)};
   result.in_states.assign(n, empty);
   result.out_states.assign(n, empty);
+  result.per_node.assign(n, {});
 
   std::vector<bool> has_in(n, false);
   has_in[graph.entry_node()] = true;  // cold cache at program start
@@ -190,7 +189,8 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
     if (!has_in[id]) return;  // no predecessor state yet
 
     const ir::BasicBlock& bb = program.block(graph.node(id).block);
-    MustMay out = transfer_block(result.in_states[id], bb, layout);
+    MustMay out =
+        classify_block(result.in_states[id], bb, layout, result.per_node[id]);
     deduped += interner.intern(out.must) ? 1 : 0;
     deduped += interner.intern(out.may) ? 1 : 0;
     // Canonicalized states make this a pointer compare on the hot
@@ -236,9 +236,10 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
     }
   }
 
-  // Final classification pass with the converged states.
-  result.per_node.assign(n, {});
+  // Every node with an in-state holds the row of its last transfer; only
+  // never-transferred nodes (no in-state) are classified here.
   for (NodeId id = 0; id < n; ++id) {
+    if (has_in[id]) continue;
     const ir::BasicBlock& bb = program.block(graph.node(id).block);
     classify_block(result.in_states[id], bb, layout, result.per_node[id]);
   }
@@ -288,10 +289,26 @@ void IncrementalCacheAnalysis::block_signature(const ir::BasicBlock& bb,
 IncrementalCacheAnalysis::IncrementalCacheAnalysis(
     const ContextGraph& graph, const ir::Program& program,
     const cache::CacheConfig& config)
+    : IncrementalCacheAnalysis(
+          graph, program, config,
+          analyze_cache(graph, program,
+                        ir::Layout(program, config.block_bytes), config)) {}
+
+IncrementalCacheAnalysis::IncrementalCacheAnalysis(
+    const ContextGraph& graph, const ir::Program& program,
+    const cache::CacheConfig& config, CacheAnalysisResult&& converged)
     : graph_(&graph),
       config_(config),
       layout_(program, config.block_bytes),
-      base_(analyze_cache(graph, program, layout_, config)) {
+      base_(std::move(converged)) {
+  UCP_REQUIRE(base_.per_node.size() == graph.num_nodes() &&
+                  base_.in_states.size() == graph.num_nodes() &&
+                  base_.out_states.size() == graph.num_nodes(),
+              "adopted analysis does not match the context graph");
+  sign_blocks(program);
+}
+
+void IncrementalCacheAnalysis::sign_blocks(const ir::Program& program) {
   base_sigs_.resize(program.num_blocks());
   for (ir::BlockId b = 0; b < program.num_blocks(); ++b)
     block_signature(program.block(b), layout_, base_sigs_[b]);
@@ -369,6 +386,7 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
   const MustMay empty{AbstractCache(config_), AbstractCache(config_)};
   t.in_states.assign(m, empty);
   t.out_states.assign(m, empty);
+  t.cls.resize(m);
   std::vector<std::uint8_t> has_in(m, 0);
   std::vector<std::uint8_t> has_out(m, 0);
 
@@ -399,6 +417,7 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
     queued[v] = 1;
   }
   std::uint32_t pops = 0;
+  std::size_t transfers = 0;
   while (!work.empty()) {
     if ((++pops & 0x3F) == 0)
       throw_if_cancelled("incremental re-analysis fixpoint");
@@ -409,7 +428,8 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
     if (!has_in[i]) continue;
 
     const ir::BasicBlock& bb = trial.block(graph_->node(v).block);
-    MustMay out = transfer_block(t.in_states[i], bb, t.layout);
+    MustMay out = classify_block(t.in_states[i], bb, t.layout, t.cls[i]);
+    ++transfers;
     if (has_out[i] && out == t.out_states[i]) continue;
     t.out_states[i] = std::move(out);
     has_out[i] = 1;
@@ -427,11 +447,12 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
     }
   }
 
-  t.cls.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
+    if (has_in[i]) continue;  // classified by its last transfer
     const ir::BasicBlock& bb = trial.block(graph_->node(t.affected[i]).block);
     classify_block(t.in_states[i], bb, t.layout, t.cls[i]);
   }
+  transfers_ += transfers;
   if (obs::enabled()) {
     static obs::Counter& c_copied =
         obs::registry().counter("analysis.cache.sets_copied");
@@ -450,8 +471,7 @@ void IncrementalCacheAnalysis::promote(const ir::Program& trial_program,
     base_.out_states[v] = std::move(t.out_states[i]);
     base_.per_node[v] = std::move(t.cls[i]);
   }
-  for (ir::BlockId b = 0; b < trial_program.num_blocks(); ++b)
-    block_signature(trial_program.block(b), layout_, base_sigs_[b]);
+  sign_blocks(trial_program);
 }
 
 }  // namespace ucp::analysis

@@ -97,6 +97,13 @@ class IncrementalCacheAnalysis {
   IncrementalCacheAnalysis(const ContextGraph& graph,
                            const ir::Program& program,
                            const cache::CacheConfig& config);
+  /// Adopts `converged`, the result of `analyze_cache(graph, program,
+  /// Layout(program, config.block_bytes), config)` that the caller already
+  /// holds, as the base instead of recomputing it.
+  IncrementalCacheAnalysis(const ContextGraph& graph,
+                           const ir::Program& program,
+                           const cache::CacheConfig& config,
+                           CacheAnalysisResult&& converged);
 
   /// Converged analysis of the current base program.
   const CacheAnalysisResult& result() const { return base_; }
@@ -126,6 +133,9 @@ class IncrementalCacheAnalysis {
   std::size_t trials() const { return trials_; }
   /// Cumulative nodes re-analyzed across all trials.
   std::size_t nodes_reanalyzed() const { return nodes_reanalyzed_; }
+  /// Cumulative block transfers across all trials; above
+  /// `nodes_reanalyzed()` when loops made some node iterate.
+  std::size_t transfers() const { return transfers_; }
   std::size_t graph_nodes() const { return graph_->num_nodes(); }
 
  private:
@@ -135,6 +145,8 @@ class IncrementalCacheAnalysis {
   using BlockSig = std::vector<MemBlockId>;
   static void block_signature(const ir::BasicBlock& bb,
                               const ir::Layout& layout, BlockSig& out);
+  /// Recomputes `base_sigs_` for `program` under `layout_`.
+  void sign_blocks(const ir::Program& program);
 
   const ContextGraph* graph_;
   cache::CacheConfig config_;
@@ -144,6 +156,7 @@ class IncrementalCacheAnalysis {
 
   std::size_t trials_ = 0;
   std::size_t nodes_reanalyzed_ = 0;
+  std::size_t transfers_ = 0;
 
   // Scratch buffers reused across trials (one allocation, many candidates).
   std::vector<std::uint8_t> affected_mark_;

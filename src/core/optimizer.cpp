@@ -73,7 +73,11 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
                                        const cache::CacheConfig& config,
                                        const cache::MemTiming& timing,
                                        const OptimizerOptions& options,
-                                       const wcet::IpetSystem* shared_ipet) {
+                                       const wcet::IpetSystem* shared_ipet,
+                                       InputBaseline* baseline) {
+  UCP_REQUIRE(baseline == nullptr || shared_ipet != nullptr,
+              "an input baseline needs the shared IPET system it was "
+              "computed on");
   config.validate();
   timing.validate();
   ir::verify_or_throw(input);
@@ -176,10 +180,16 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
   // worst-case counts n_w the whole profit arithmetic runs against. The
   // base analysis lives inside `incr`: every trial is evaluated against it,
   // every acceptance is promoted into it, and it serves each pass's path
-  // derivation and the final audit.
-  analysis::IncrementalCacheAnalysis incr(graph, input, config);
-  const wcet::WcetResult wcet0 = ipet.solve(incr.result(), timing);
-  report.solver.add(wcet0.stats);
+  // derivation and the final audit. A caller's baseline already holds the
+  // input's fixpoint and IPET solution; its solve was charged to the
+  // caller's measurement, so it is not charged here again.
+  analysis::IncrementalCacheAnalysis incr =
+      baseline ? analysis::IncrementalCacheAnalysis(
+                     graph, input, config, std::move(baseline->analysis))
+               : analysis::IncrementalCacheAnalysis(graph, input, config);
+  const wcet::WcetResult wcet0 = baseline ? std::move(baseline->wcet)
+                                          : ipet.solve(incr.result(), timing);
+  if (!baseline) report.solver.add(wcet0.stats);
   if (!wcet0.ok()) {
     report.wcet_failed = true;
     degrade(wcet::solve_error_code(wcet0.status),
@@ -226,6 +236,7 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
   // an acceptance replaces `p`. Only a successful run is kept — a failed
   // one is retried by the next candidate, exactly as if never cached.
   std::optional<sim::RunMetrics> acet_base;
+  if (baseline) acet_base = baseline->run;
 
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     if (cancelled()) return result;

@@ -8,11 +8,9 @@
 #include "cache/config.hpp"
 #include "ilp/model.hpp"
 #include "ir/program.hpp"
+#include "sim/interpreter.hpp"
 #include "support/status.hpp"
-
-namespace ucp::wcet {
-class IpetSystem;
-}
+#include "wcet/ipet.hpp"
 
 namespace ucp::core {
 
@@ -120,6 +118,17 @@ struct OptimizationResult {
   OptimizationReport report;
 };
 
+/// What a caller that has just measured the input already knows about it:
+/// its converged must/may analysis and its IPET solution over the shared
+/// IpetSystem's context graph, and its concrete run, all for the
+/// configuration and timing being optimized for (exp::measure_checked
+/// fills one). The optimizer adopts these instead of recomputing them.
+struct InputBaseline {
+  analysis::CacheAnalysisResult analysis;
+  wcet::WcetResult wcet;
+  sim::RunMetrics run;
+};
+
 /// The paper's optimization (Algorithm 3): identifies, along the WCET path,
 /// every cache miss whose block was displaced by an earlier access, and
 /// inserts a software prefetch right after the displacing access whenever
@@ -131,10 +140,16 @@ struct OptimizationResult {
 /// graph; the initial and final IPET solves then reuse its cached constraint
 /// system instead of rebuilding it (bit-identical results — see
 /// wcet::IpetSystem).
+/// `baseline`, when given (it requires `shared_ipet`), is consumed: its
+/// analysis becomes the optimizer's base, its IPET solution replaces the
+/// initial solve (whose solver work the caller has already accounted), and
+/// its run is the first Condition-3 reference. The result is bit-identical
+/// to a run without it.
 OptimizationResult optimize_prefetches(
     const ir::Program& input, const cache::CacheConfig& config,
     const cache::MemTiming& timing, const OptimizerOptions& options = {},
-    const wcet::IpetSystem* shared_ipet = nullptr);
+    const wcet::IpetSystem* shared_ipet = nullptr,
+    InputBaseline* baseline = nullptr);
 
 /// Builds a kPrefetch instruction for the block containing `target`.
 ir::Instruction make_prefetch(ir::InstrId target);

@@ -53,7 +53,11 @@ const char* case_outcome_name(CaseOutcome outcome) {
 Expected<Metrics> measure_checked(const ir::Program& program,
                                   const cache::CacheConfig& config,
                                   energy::TechNode tech,
-                                  const wcet::IpetSystem* shared_ipet) {
+                                  const wcet::IpetSystem* shared_ipet,
+                                  core::InputBaseline* baseline) {
+  UCP_REQUIRE(baseline == nullptr || shared_ipet != nullptr,
+              "a measurement baseline is only defined on a shared IPET "
+              "system's graph");
   if (UCP_FAULT_POINT("exp.measure")) {
     return Status(ErrorCode::kFaultInjected,
                   "injected measurement failure for '" + program.name() +
@@ -72,11 +76,11 @@ Expected<Metrics> measure_checked(const ir::Program& program,
   if (!shared_ipet) own_graph.emplace(program);
   const analysis::ContextGraph& graph =
       shared_ipet ? shared_ipet->graph() : *own_graph;
-  const analysis::CacheAnalysisResult cls =
+  analysis::CacheAnalysisResult cls =
       analysis::analyze_cache(graph, layout, config);
-  const wcet::WcetResult wcet = shared_ipet
-                                    ? shared_ipet->solve(cls, timing)
-                                    : wcet::compute_wcet(graph, cls, timing);
+  wcet::WcetResult wcet = shared_ipet
+                              ? shared_ipet->solve(cls, timing)
+                              : wcet::compute_wcet(graph, cls, timing);
   m.solver = wcet.stats;
   if (!wcet.ok()) {
     return Status(wcet::solve_error_code(wcet.status),
@@ -91,6 +95,11 @@ Expected<Metrics> measure_checked(const ir::Program& program,
   if (!run.ok()) return run.status();
   m.run = std::move(run).value();
   m.energy = energy::memory_energy(m.run, config, tech);
+  if (baseline) {
+    baseline->analysis = std::move(cls);
+    baseline->wcet = std::move(wcet);
+    baseline->run = m.run;
+  }
   return m;
 }
 
@@ -247,9 +256,16 @@ std::vector<UseCaseResult> run_use_case_group(
     const std::vector<std::size_t>& members = group_members[g];
     const energy::TechNode lead = techs[members.front()];
 
+    // The baseline hands the measured input's fixpoint, IPET solution and
+    // run to the optimizer, so the input is analysed and simulated once.
+    core::InputBaseline baseline;
+    core::InputBaseline* const handoff = shared_ipet ? &baseline : nullptr;
     auto stage_start = std::chrono::steady_clock::now();
-    const Expected<Metrics> original =
-        measure_checked(program, config.config, lead, shared_ipet);
+    const Expected<Metrics> original = [&] {
+      obs::Span span("exp.case.measure");
+      return measure_checked(program, config.config, lead, shared_ipet,
+                             handoff);
+    }();
     if (timings) timings->measure_ns += ns_since(stage_start);
     if (!original.ok()) {
       for (std::size_t m : members) {
@@ -271,8 +287,11 @@ std::vector<UseCaseResult> run_use_case_group(
     }
 
     stage_start = std::chrono::steady_clock::now();
-    const core::OptimizationResult opt = core::optimize_prefetches(
-        program, config.config, timing, options, shared_ipet);
+    const core::OptimizationResult opt = [&] {
+      obs::Span span("exp.case.optimize");
+      return core::optimize_prefetches(program, config.config, timing,
+                                       options, shared_ipet, handoff);
+    }();
     if (timings) timings->optimize_ns += ns_since(stage_start);
     if (opt.report.code != ErrorCode::kOk) {
       for (std::size_t m : members)
@@ -281,11 +300,19 @@ std::vector<UseCaseResult> run_use_case_group(
       continue;
     }
 
-    stage_start = std::chrono::steady_clock::now();
-    const Expected<Metrics> optimized = measure_checked(
-        opt.program, config.config, lead,
-        opt.report.insertions.empty() ? shared_ipet : nullptr);
-    if (timings) timings->measure_ns += ns_since(stage_start);
+    // Without insertions the optimized binary is the input, so its metrics
+    // mirror the original ones (re-priced per member, no solver work behind
+    // them, as in degrade_to_original). An optimized binary is measured
+    // afresh on its own context graph and IPET system, so nothing the
+    // optimizer computed vouches for it.
+    const bool unchanged = opt.report.insertions.empty();
+    Expected<Metrics> optimized = original;
+    if (!unchanged) {
+      stage_start = std::chrono::steady_clock::now();
+      obs::Span span("exp.case.measure");
+      optimized = measure_checked(opt.program, config.config, lead);
+      if (timings) timings->measure_ns += ns_since(stage_start);
+    }
     for (std::size_t m : members) {
       out[m].report = opt.report;
       if (m != members.front()) out[m].report.solver = ilp::SolveStats{};
@@ -297,7 +324,8 @@ std::vector<UseCaseResult> run_use_case_group(
       out[m].optimized = optimized.value();
       out[m].optimized.energy = energy::memory_energy(
           out[m].optimized.run, config.config, techs[m]);
-      if (m != members.front()) out[m].optimized.solver = ilp::SolveStats{};
+      if (unchanged || m != members.front())
+        out[m].optimized.solver = ilp::SolveStats{};
     }
 
     // --- soundness auditor ------------------------------------------------
@@ -312,6 +340,7 @@ std::vector<UseCaseResult> run_use_case_group(
     if (audit_soundness && opt.report.code == ErrorCode::kOk &&
         optimized.ok()) {
       stage_start = std::chrono::steady_clock::now();
+      obs::Span span("exp.case.audit");
       AuditRecord audit;
       audit.performed = true;
       const Metrics& orig = original.value();

@@ -43,12 +43,15 @@ Metrics measure(const ir::Program& program, const cache::CacheConfig& config,
 /// exception, so a sweep can quarantine the use case and keep running.
 /// `shared_ipet`, when given, must have been built from this exact program;
 /// the context graph and IPET constraint system are then reused instead of
-/// rebuilt (bit-identical results — see wcet::IpetSystem).
+/// rebuilt (bit-identical results — see wcet::IpetSystem). `baseline`, when
+/// given (it requires `shared_ipet`), receives the analysis, IPET solution
+/// and run behind a successful measurement, for core::optimize_prefetches.
 Expected<Metrics> measure_checked(const ir::Program& program,
                                   const cache::CacheConfig& config,
                                   energy::TechNode tech,
                                   const wcet::IpetSystem* shared_ipet =
-                                      nullptr);
+                                      nullptr,
+                                  core::InputBaseline* baseline = nullptr);
 
 /// What happened to one use case in a sweep.
 enum class CaseOutcome : std::uint8_t {

@@ -432,7 +432,9 @@ TEST(ContextGraph, SccNumberingIsCondensationTopological) {
   // a cycle, and they must stay inside one SCC.
   for (const CgEdge& e : g.edges()) {
     EXPECT_LE(g.scc_of(e.from), g.scc_of(e.to));
-    if (e.back) EXPECT_EQ(g.scc_of(e.from), g.scc_of(e.to));
+    if (e.back) {
+      EXPECT_EQ(g.scc_of(e.from), g.scc_of(e.to));
+    }
   }
 
   // scc_order/scc_begin partition the node set: each slice holds exactly
@@ -448,8 +450,9 @@ TEST(ContextGraph, SccNumberingIsCondensationTopological) {
       const NodeId v = g.scc_order()[i];
       EXPECT_EQ(g.scc_of(v), s);
       EXPECT_TRUE(seen.insert(v).second);
-      if (i > g.scc_begin()[s])
+      if (i > g.scc_begin()[s]) {
         EXPECT_LT(g.topo_pos(g.scc_order()[i - 1]), g.topo_pos(v));
+      }
     }
   }
   EXPECT_EQ(seen.size(), g.num_nodes());
@@ -457,7 +460,9 @@ TEST(ContextGraph, SccNumberingIsCondensationTopological) {
   // scc_trivial iff single member without a self edge.
   for (std::uint32_t s = 0; s < g.scc_count(); ++s) {
     const std::uint32_t size = g.scc_begin()[s + 1] - g.scc_begin()[s];
-    if (g.scc_trivial(s)) EXPECT_EQ(size, 1u);
+    if (g.scc_trivial(s)) {
+      EXPECT_EQ(size, 1u);
+    }
   }
 
   // A nested-bound-5/bound-3 loop nest must produce at least one
@@ -643,7 +648,9 @@ TEST(AbstractCache, MatchesFlatReferenceModel) {
                                       : states[i].join_may_with(states[j]);
             ASSERT_EQ(changed, models[i].join_with(models[j], must));
             // A join that changes nothing keeps all sharing intact.
-            if (!changed) ASSERT_TRUE(states[i].shares_storage_with(before));
+            if (!changed) {
+              ASSERT_TRUE(states[i].shares_storage_with(before));
+            }
             break;
           }
           case 5:
@@ -655,8 +662,9 @@ TEST(AbstractCache, MatchesFlatReferenceModel) {
         expect_matches(states[i], models[i]);
         const bool equal = models[i].sets == models[j].sets;
         ASSERT_EQ(states[i] == states[j], equal);
-        if (equal)
+        if (equal) {
           ASSERT_EQ(states[i].content_hash(), states[j].content_hash());
+        }
       }
       for (std::size_t k = 0; k < kPool; ++k)
         expect_matches(states[k], models[k]);

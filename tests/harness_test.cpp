@@ -1,14 +1,19 @@
 // Result-row helpers of the sweep harness: the grid fingerprint, degenerate
-// ratio accounting and the health report.
+// ratio accounting and the health report; and the work one case costs.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cache/config.hpp"
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "suite/suite.hpp"
 
 namespace ucp::exp {
 namespace {
@@ -72,6 +77,103 @@ TEST(SweepReport, PrintListsQuarantinedCases) {
   EXPECT_NE(text.find("crc/k7/32nm"), std::string::npos);
   EXPECT_NE(text.find("iteration-limit"), std::string::npos);
   EXPECT_NE(text.find("pivot budget"), std::string::npos);
+}
+
+// --- work per case: each program state is analysed once ---------------------
+
+struct CaseWork {
+  std::vector<UseCaseResult> rows;
+  std::uint64_t fixpoints = 0;
+  std::uint64_t sim_runs = 0;
+  std::uint64_t lp_solves = 0;
+  std::size_t measure_spans = 0;
+  std::size_t optimize_spans = 0;
+  std::size_t audit_spans = 0;
+};
+
+std::uint64_t counter_value(const obs::Snapshot& snap, const char* name) {
+  for (const auto& [n, v] : snap.counters)
+    if (n == name) return v;
+  return 0;
+}
+
+/// Runs one (program, config, tech) group the way a sweep worker does (the
+/// program's shared IPET system, auditor on) and returns the counter and
+/// span deltas it caused.
+CaseWork case_work(const std::string& name, const char* config_id,
+                   energy::TechNode tech) {
+  const ir::Program p = suite::build_benchmark(name);
+  const ProgramSystem system(p);
+  const bool metrics_were = obs::enabled();
+  const bool trace_was = obs::trace_enabled();
+  obs::set_enabled(true);
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  const obs::Snapshot before = obs::registry().snapshot();
+
+  CaseWork work;
+  work.rows = run_use_case_group(p, name, cache::paper_cache_config(config_id),
+                                 {tech}, {}, nullptr, &system.ipet,
+                                 /*audit_soundness=*/true);
+
+  const obs::Snapshot after = obs::registry().snapshot();
+  const std::vector<obs::TraceEvent> events = obs::drain_trace();
+  obs::set_trace_enabled(trace_was);
+  obs::set_enabled(metrics_were);
+  auto delta = [&](const char* counter) {
+    return counter_value(after, counter) - counter_value(before, counter);
+  };
+  work.fixpoints = delta("analysis.cache.fixpoints");
+  work.sim_runs = delta("sim.interp.runs");
+  work.lp_solves = delta("ilp.solve.lp_solves");
+  for (const obs::TraceEvent& e : events) {
+    const std::string span = e.name;
+    work.measure_spans += span == "exp.case.measure";
+    work.optimize_spans += span == "exp.case.optimize";
+    work.audit_spans += span == "exp.case.audit";
+  }
+  return work;
+}
+
+TEST(CaseWork, UnchangedProgramIsAnalysedSolvedAndSimulatedOnce) {
+  // crc/k7 inserts nothing: the measured input's analysis, IPET solution
+  // and run are handed to the optimizer, and the optimized metrics mirror
+  // the original ones. What remains is one fixpoint and one simulation
+  // (the baseline measurement) and two IPET solves (the baseline and the
+  // optimizer's final audit of its result).
+  const CaseWork w = case_work("crc", "k7", energy::TechNode::k32nm);
+  ASSERT_EQ(w.rows.size(), 1u);
+  const UseCaseResult& r = w.rows.front();
+  ASSERT_EQ(r.outcome, CaseOutcome::kCompleted);
+  ASSERT_TRUE(r.report.insertions.empty());
+  EXPECT_EQ(r.optimized.tau_wcet, r.original.tau_wcet);
+  EXPECT_EQ(r.optimized.run.mem_cycles, r.original.run.mem_cycles);
+  EXPECT_EQ(r.optimized.solver.pivots, 0u) << "mirrored, not re-solved";
+
+  EXPECT_EQ(w.fixpoints, 1u);
+  EXPECT_EQ(w.sim_runs, 1u);
+  EXPECT_EQ(w.lp_solves, 2u);
+  EXPECT_EQ(w.measure_spans, 1u);
+  EXPECT_EQ(w.optimize_spans, 1u);
+  EXPECT_EQ(w.audit_spans, 1u);
+}
+
+TEST(CaseWork, ChangedProgramIsMeasuredAfreshButTheInputOnlyOnce) {
+  // crc/k2 inserts two prefetches. The input is analysed once (the
+  // optimizer adopts the baseline's fixpoint); the optimized binary gets
+  // its own fresh measurement and the auditor its own fresh analysis.
+  const CaseWork w = case_work("crc", "k2", energy::TechNode::k32nm);
+  ASSERT_EQ(w.rows.size(), 1u);
+  const UseCaseResult& r = w.rows.front();
+  ASSERT_EQ(r.outcome, CaseOutcome::kCompleted);
+  ASSERT_EQ(r.report.insertions.size(), 2u);
+  ASSERT_TRUE(r.audit.performed);
+  EXPECT_FALSE(r.audit.violated);
+
+  EXPECT_EQ(w.fixpoints, 3u);
+  EXPECT_EQ(w.measure_spans, 2u);
+  EXPECT_EQ(w.optimize_spans, 1u);
+  EXPECT_EQ(w.audit_spans, 1u);
 }
 
 }  // namespace

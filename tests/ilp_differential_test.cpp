@@ -234,8 +234,9 @@ TEST(DifferentialIpet, WarmAndColdBranchAndBoundAgree) {
                 1e-6 * std::max(1.0, cold_sol.objective))
         << name;
     // A tree that branched at all must report its warm starts.
-    if (warm_sol.stats.bb_nodes > 1)
+    if (warm_sol.stats.bb_nodes > 1) {
       EXPECT_GT(warm_sol.stats.warm_starts, 0u) << name;
+    }
     EXPECT_EQ(cold_sol.stats.warm_starts, 0u) << name;
   }
 }

@@ -295,8 +295,9 @@ void expect_presolve_exact(const Model& m, const std::vector<Term>& objective,
     const Model::Var& var = m.var(static_cast<VarId>(v));
     EXPECT_GE(x[v], var.lower - 1e-6) << var.name;
     EXPECT_LE(x[v], var.upper + 1e-6) << var.name;
-    if (var.integer)
+    if (var.integer) {
       EXPECT_NEAR(x[v], std::round(x[v]), 1e-6) << var.name;
+    }
     expanded_objective += dense[v] * x[v];
   }
   for (std::size_t r = 0; r < m.constraints().size(); ++r) {

@@ -415,8 +415,9 @@ TEST(Dominators, DiamondDominance) {
   const DominatorTree dom(p);
   // Entry dominates everything; branch targets do not dominate the join.
   for (const BasicBlock& bb : p.blocks()) {
-    if (dom.reachable(bb.id))
+    if (dom.reachable(bb.id)) {
       EXPECT_TRUE(dom.dominates(p.entry(), bb.id));
+    }
   }
   EXPECT_TRUE(dom.dominates(p.entry(), p.entry()));
 }

@@ -156,7 +156,9 @@ TEST(Ipet, AntiCirculationKeepsFlowConnected) {
     }
   }
   for (analysis::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (w.node_counts[v] > 0) EXPECT_TRUE(reach[v]) << "node " << v;
+    if (w.node_counts[v] > 0) {
+      EXPECT_TRUE(reach[v]) << "node " << v;
+    }
   }
 }
 
