@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
     Variant v;
     v.name = "always accept";
     v.options.accept_rule = core::AcceptRule::kAlways;
-    v.options.final_audit = true;
     variants.push_back(v);
   }
 

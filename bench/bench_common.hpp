@@ -42,6 +42,13 @@ struct BenchArgs {
     options.programs = programs;
     options.config_stride = fast ? 4 : 1;
     options.threads = threads;
+    // The production ladder: three rungs and a generous watchdog. Escalation
+    // only changes rows whose first attempt failed, so a clean sweep is
+    // bit-identical with or without it. Every bench that runs the default
+    // grid (bench_table2_configs --sweep too) starts from these options, so
+    // their journals carry one selection fingerprint and resume each other.
+    options.max_attempts = 3;
+    options.case_deadline_ms = 120000;
     // Full default sweeps are deterministic, so the figure benches share one
     // journal: the first computes the grid, the others resume every row
     // from it (delete the file to force a re-run).

@@ -1,43 +1,26 @@
-// bench_serve_load: closed-loop load generator for the ucpd service layer.
+// bench_serve_load: the live-scrape gate for the ucpd ops plane (the
+// service's performance harness is perfbench/).
 //
 // Starts an in-process Server (same code path as the ucpd binary, minus
-// fork/exec noise) and drives it from N concurrent client threads, each
-// looping over a fixed request mix — real suite programs across both paper
-// cache configurations and both technology nodes. Every level runs an
-// unmeasured warmup pass first (populates the response and IPET caches the
-// way a long-running daemon would be warm), then a timed phase; client-side
-// latency of every request lands in a power-of-two obs::Histogram and the
-// reported p50/p90/p99 come from its quantile estimator — the same figures
-// a STATS scrape of a production daemon would report, instead of a
-// bench-only sorted-vector path.
+// fork/exec noise) with ucpd's steady-state ops stack on — metrics, the
+// admin plane and the flight recorder — and drives it from 1 and then 4
+// concurrent client threads, each looping over a fixed valid request mix:
+// real suite programs across both paper cache configurations and both
+// technology nodes. Every level runs a warm phase (the fixed mix after an
+// unmeasured warmup pass, response-cache dominated) and a cold phase
+// (every request fresh, so every one runs the full pipeline). Throughout
+// every phase a scraper thread hits HEALTH / STATS / "STATS prom" /
+// PROFILE. The gate fails on any unanswered scrape, any error or transport
+// loss on the valid-only workload, a final STATS request counter that does
+// not reconcile with the generator's own totals, or a FLIGHT scrape that
+// does not return a flight dump.
 //
-// Sustained req/s and latency quantiles per concurrency level go to
-// BENCH_serve.json, along with the server-side counter deltas for the
-// phase (shed / degraded / retried / watchdog fires / ...), the phase's
-// queue-depth high-water mark, and the build stamp. With --trace/--metrics
-// the server's serve.* spans and counters are written alongside — the
-// bench doubles as the observability check for the service layer.
-//
-//   --fast           1s per level, levels 1 and 4 only
-//   --levels=a,b,c   concurrency levels (default 1,2,4,8)
-//   --seconds=N      timed-phase length per level (default 3)
-//   --json=FILE      output path (default BENCH_serve.json)
-//   --ops-smoke      enable the admin plane + flight recorder and scrape
-//                    HEALTH/STATS/PROFILE concurrently with every timed
-//                    phase; fail unless every scrape answers and the final
-//                    STATS request counter reconciles with the
-//                    load-generator totals (the ops_smoke ctest gate)
 //   --trace=FILE / --metrics=FILE / --profile   as in every bench
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,7 +29,6 @@
 #include "cache/config.hpp"
 #include "energy/model.hpp"
 #include "ir/text_codec.hpp"
-#include "obs/build_info.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -57,15 +39,11 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+constexpr unsigned kLevels[] = {1, 4};
+constexpr double kPhaseSeconds = 1.0;
 
 struct Args {
-  bool fast = false;
   bool profile = false;
-  bool ops_smoke = false;
-  double seconds = 3.0;
-  std::vector<unsigned> levels{1, 2, 4, 8};
-  std::string json_path = "BENCH_serve.json";
   std::string trace_path;
   std::string metrics_path;
 };
@@ -74,22 +52,8 @@ Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--fast") {
-      args.fast = true;
-    } else if (a == "--profile") {
+    if (a == "--profile") {
       args.profile = true;
-    } else if (a == "--ops-smoke") {
-      args.ops_smoke = true;
-    } else if (a.rfind("--seconds=", 0) == 0) {
-      args.seconds = std::stod(a.substr(10));
-    } else if (a.rfind("--levels=", 0) == 0) {
-      args.levels.clear();
-      std::stringstream ss(a.substr(9));
-      std::string item;
-      while (std::getline(ss, item, ','))
-        args.levels.push_back(static_cast<unsigned>(std::stoul(item)));
-    } else if (a.rfind("--json=", 0) == 0) {
-      args.json_path = a.substr(7);
     } else if (a.rfind("--trace=", 0) == 0) {
       args.trace_path = a.substr(8);
     } else if (a.rfind("--metrics=", 0) == 0) {
@@ -97,15 +61,9 @@ Args parse_args(int argc, char** argv) {
     } else {
       std::cerr << "unknown argument: " << a << "\n"
                 << "usage: " << argv[0]
-                << " [--fast] [--levels=1,2,4] [--seconds=N] [--json=FILE]"
-                   " [--ops-smoke] [--trace=FILE] [--metrics=FILE]"
-                   " [--profile]\n";
+                << " [--trace=FILE] [--metrics=FILE] [--profile]\n";
       std::exit(2);
     }
-  }
-  if (args.fast) {
-    args.seconds = 1.0;
-    args.levels = {1, 4};
   }
   return args;
 }
@@ -134,66 +92,28 @@ std::vector<ucp::serve::Request> build_mix() {
   return mix;
 }
 
-struct LevelResult {
-  unsigned concurrency = 0;
-  bool cold = false;  ///< unique fingerprints: every request runs the pipeline
-  std::uint64_t requests = 0;           ///< completed in the timed phase
-  std::uint64_t ok = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t errors = 0;             ///< served error responses
-  std::uint64_t transport_failures = 0; ///< no response at all
-  double elapsed_s = 0.0;
-  double rps = 0.0;
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-  std::int64_t queue_depth_peak = 0;    ///< serve.queue_depth_peak, this phase
-  std::uint64_t scrapes = 0;            ///< admin scrapes answered (ops-smoke)
-  ucp::serve::ServerStats stats;        ///< server-side delta for the phase
+struct PhaseResult {
+  std::uint64_t answered = 0;  ///< responses of any status
+  std::uint64_t errors = 0;    ///< status error responses
+  std::uint64_t transport_failures = 0;  ///< no response at all
+  std::uint64_t malformed = 0;  ///< server-side kMalformedInput replies
+  std::uint64_t scrapes = 0;    ///< admin scrapes answered
 };
 
-ucp::serve::ServerStats stats_delta(const ucp::serve::ServerStats& a,
-                                    const ucp::serve::ServerStats& b) {
-  ucp::serve::ServerStats d;
-  d.accepted = b.accepted - a.accepted;
-  d.shed = b.shed - a.shed;
-  d.requests = b.requests - a.requests;
-  d.malformed = b.malformed - a.malformed;
-  d.dropped = b.dropped - a.dropped;
-  d.ok = b.ok - a.ok;
-  d.degraded = b.degraded - a.degraded;
-  d.errors = b.errors - a.errors;
-  d.cache_hits = b.cache_hits - a.cache_hits;
-  d.replayed = b.replayed - a.replayed;
-  d.retried = b.retried - a.retried;
-  d.admin_scrapes = b.admin_scrapes - a.admin_scrapes;
-  d.admin_dropped = b.admin_dropped - a.admin_dropped;
-  d.flight_dumps = b.flight_dumps - a.flight_dumps;
-  d.watchdog_fires = b.watchdog_fires - a.watchdog_fires;
-  d.trace_dumps = b.trace_dumps - a.trace_dumps;
-  return d;
-}
-
-/// One timed phase. Warm (`cold` false): the fixed mix, response-cache-hit
-/// dominated after warmup — the service-layer overhead floor. Cold (`cold`
-/// true): every request carries a unique deadline, so every fingerprint is
-/// fresh and every request runs the full analyze→optimize→audit pipeline
-/// (the IPET cache still shares topology work, as a warm daemon would).
-/// `admin_port` non-zero adds a scraper thread hitting HEALTH / STATS /
-/// "STATS prom" / PROFILE round-robin for the whole phase — the ops plane
-/// must answer *while* the workers are saturated, or it is not a live ops
-/// plane.
-LevelResult run_level(ucp::serve::Server& server, unsigned concurrency,
-                      double seconds, bool cold,
-                      const std::vector<ucp::serve::Request>& mix,
-                      std::uint64_t& id_counter, std::uint16_t admin_port,
-                      std::uint64_t& warmups) {
+/// One phase at `concurrency` clients. Warm (`cold` false): the fixed mix.
+/// Cold (`cold` true): every request carries a unique deadline, so every
+/// fingerprint is fresh and every request runs the full
+/// analyze→optimize→audit pipeline. A scraper thread hits the admin plane
+/// round-robin for the whole phase — the ops plane must answer *while* the
+/// workers are saturated, or it is not a live ops plane.
+PhaseResult run_phase(ucp::serve::Server& server, unsigned concurrency,
+                      bool cold, const std::vector<ucp::serve::Request>& mix,
+                      std::uint64_t& id_counter, std::uint64_t& warmups) {
   using namespace ucp;
   const std::uint16_t port = server.port();
 
-  // Warmup: one full pass over the mix, unmeasured, so the timed phase
-  // sees the caches a long-running daemon would have.
+  // Warmup: one full pass over the mix, so the phase sees the caches a
+  // long-running daemon would have.
   for (std::size_t i = 0; i < mix.size(); ++i) {
     serve::Request r = mix[i];
     r.id = "warm-" + std::to_string(id_counter++);
@@ -215,21 +135,11 @@ LevelResult run_level(ucp::serve::Server& server, unsigned concurrency,
     }
   }
 
-  // Per-phase high-water mark: the peak gauge is monotone, so it is reset
-  // at phase start and read at phase end.
-  obs::registry().gauge("serve.queue_depth_peak").set(0);
-
-  const serve::ServerStats before = server.stats();
+  const std::uint64_t malformed_before = server.stats().malformed;
   std::atomic<std::uint64_t> next_id{id_counter};
   std::atomic<bool> running{true};
-  // Latency lands in the same power-of-two histogram the daemon's own
-  // serve.request_us uses; the reported quantiles come from its estimator,
-  // not a bench-only sorted vector. (Heap-allocated: a Histogram is ~9KB of
-  // sharded cells.)
-  auto latency_us = std::make_unique<obs::Histogram>();
-  std::vector<std::uint64_t> oks(concurrency, 0), degradeds(concurrency, 0),
-      errors(concurrency, 0), transport(concurrency, 0);
-  std::vector<double> max_ms(concurrency, 0.0);
+  std::vector<std::uint64_t> answered(concurrency, 0), errors(concurrency, 0),
+      transport(concurrency, 0);
 
   auto client = [&](unsigned me) {
     std::size_t cursor = me % mix.size();
@@ -243,28 +153,13 @@ LevelResult run_level(ucp::serve::Server& server, unsigned concurrency,
       // fingerprint, so the response cache can never answer.
       if (cold)
         r.deadline_ms = static_cast<std::uint32_t>(60000 + id % 1000000);
-      const auto started = Clock::now();
       const auto response = serve::call(port, r);
-      const double ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - started)
-              .count();
       if (!response.ok()) {
         ++transport[me];
         continue;
       }
-      latency_us->record(static_cast<std::uint64_t>(ms * 1000.0));
-      max_ms[me] = std::max(max_ms[me], ms);
-      switch (response->status) {
-        case serve::ResponseStatus::kOk:
-          ++oks[me];
-          break;
-        case serve::ResponseStatus::kDegraded:
-          ++degradeds[me];
-          break;
-        case serve::ResponseStatus::kError:
-          ++errors[me];
-          break;
-      }
+      ++answered[me];
+      if (response->status == serve::ResponseStatus::kError) ++errors[me];
     }
   };
 
@@ -276,7 +171,7 @@ LevelResult run_level(ucp::serve::Server& server, unsigned concurrency,
     std::size_t i = 0;
     while (running.load(std::memory_order_relaxed)) {
       const char* verb = kVerbs[i++ % 4];
-      const auto reply = serve::admin_call(admin_port, verb);
+      const auto reply = serve::admin_call(server.admin_port(), verb);
       if (!reply.ok() || !reply->ok || reply->payload.empty()) {
         obs::log(obs::LogLevel::kError, "bench", "scrape_failed",
                  reply.ok() ? reply->payload : reply.status().message(),
@@ -289,83 +184,30 @@ LevelResult run_level(ucp::serve::Server& server, unsigned concurrency,
     }
   };
 
-  const auto phase_start = Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(concurrency + 1);
   for (unsigned i = 0; i < concurrency; ++i) threads.emplace_back(client, i);
-  if (admin_port != 0) threads.emplace_back(scraper);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  threads.emplace_back(scraper);
+  std::this_thread::sleep_for(std::chrono::duration<double>(kPhaseSeconds));
   running.store(false, std::memory_order_relaxed);
   for (std::thread& t : threads) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - phase_start).count();
   id_counter = next_id.load();
 
-  if (admin_port != 0 &&
-      (scrape_failed.load() || scrapes == 0)) {
+  if (scrape_failed.load() || scrapes == 0) {
     obs::log(obs::LogLevel::kError, "bench", "ops_smoke_failed",
              "admin plane did not answer scrapes during load");
     std::exit(1);
   }
 
-  LevelResult r;
-  r.concurrency = concurrency;
-  r.cold = cold;
-  r.elapsed_s = elapsed;
+  PhaseResult r;
   for (unsigned i = 0; i < concurrency; ++i) {
-    r.ok += oks[i];
-    r.degraded += degradeds[i];
+    r.answered += answered[i];
     r.errors += errors[i];
     r.transport_failures += transport[i];
-    r.max_ms = std::max(r.max_ms, max_ms[i]);
   }
-  r.requests = latency_us->count();
-  r.rps = elapsed > 0 ? static_cast<double>(r.requests) / elapsed : 0.0;
-  r.p50_ms = latency_us->p50() / 1000.0;
-  r.p90_ms = latency_us->p90() / 1000.0;
-  r.p99_ms = latency_us->p99() / 1000.0;
-  r.queue_depth_peak =
-      obs::registry().gauge("serve.queue_depth_peak").value();
+  r.malformed = server.stats().malformed - malformed_before;
   r.scrapes = scrapes;
-  r.stats = stats_delta(before, server.stats());
   return r;
-}
-
-void write_json(const std::string& path, double seconds,
-                const std::vector<LevelResult>& levels) {
-  std::ofstream os(path, std::ios::trunc);
-  os.precision(6);
-  os << "{\n  \"bench\": \"serve_load\",\n  \"build\": "
-     << ucp::obs::build_info_json()
-     << ",\n  \"seconds_per_level\": " << seconds << ",\n  \"levels\": [\n";
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    const LevelResult& r = levels[i];
-    os << "    {\"concurrency\": " << r.concurrency
-       << ", \"mode\": \"" << (r.cold ? "cold" : "warm") << "\""
-       << ", \"requests\": " << r.requests
-       << ", \"sustained_rps\": " << r.rps
-       << ", \"p50_ms\": " << r.p50_ms << ", \"p90_ms\": " << r.p90_ms
-       << ", \"p99_ms\": " << r.p99_ms << ", \"max_ms\": " << r.max_ms
-       << ",\n     \"ok\": " << r.ok << ", \"degraded\": " << r.degraded
-       << ", \"errors\": " << r.errors
-       << ", \"transport_failures\": " << r.transport_failures
-       << ", \"cache_hits\": " << r.stats.cache_hits
-       << ", \"shed\": " << r.stats.shed
-       << ", \"retried\": " << r.stats.retried
-       << ",\n     \"queue_depth_peak\": " << r.queue_depth_peak
-       << ", \"watchdog_fires\": " << r.stats.watchdog_fires
-       << ", \"flight_dumps\": " << r.stats.flight_dumps
-       << ", \"admin_scrapes\": " << r.stats.admin_scrapes
-       << ", \"scrapes\": " << r.scrapes << "}"
-       << (i + 1 < levels.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  if (!os) {
-    ucp::obs::log(ucp::obs::LogLevel::kError, "bench", "json_write_failed",
-                  path);
-    std::exit(1);
-  }
-  ucp::obs::log(ucp::obs::LogLevel::kInfo, "bench", "wrote_json", path);
 }
 
 /// First `"requests": N` in an admin STATS payload — field order in the
@@ -393,17 +235,13 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   bench::ObsSession obs_session(args.trace_path, args.metrics_path,
                                 args.profile);
-  // The serve.* gauges and the latency histogram are the bench's product,
-  // not an opt-in: metrics are always on here.
   obs::set_enabled(true);
+  obs::set_flight_enabled(true);
 
   serve::ServerOptions options;
-  options.workers = *std::max_element(args.levels.begin(), args.levels.end());
+  options.workers = kLevels[1];  // one worker per client at the top level
   options.queue_capacity = 2 * options.workers;
-  if (args.ops_smoke) {
-    options.admin_enabled = true;
-    obs::set_flight_enabled(true);
-  }
+  options.admin_enabled = true;
   serve::Server server(options);
   const Status started = server.start();
   if (!started.ok()) {
@@ -415,76 +253,59 @@ int main(int argc, char** argv) {
   const std::vector<serve::Request> mix = build_mix();
   std::uint64_t id_counter = 0;
   std::uint64_t warmups = 0;
-  std::vector<LevelResult> results;
-  std::printf("%-12s %5s %10s %10s %9s %9s %9s %9s\n", "concurrency",
-              "mode", "requests", "req/s", "p50 ms", "p90 ms", "p99 ms",
-              "max ms");
-  for (unsigned level : args.levels) {
+  std::uint64_t answered = 0;
+  std::uint64_t scrapes = 0;
+  for (const unsigned level : kLevels) {
     for (const bool cold : {false, true}) {
-      LevelResult r = run_level(server, level, args.seconds, cold, mix,
-                                id_counter, server.admin_port(), warmups);
-      std::printf("%-12u %5s %10llu %10.1f %9.3f %9.3f %9.3f %9.3f\n",
-                  r.concurrency, cold ? "cold" : "warm",
-                  static_cast<unsigned long long>(r.requests), r.rps,
-                  r.p50_ms, r.p90_ms, r.p99_ms, r.max_ms);
-      if (r.transport_failures > 0 || r.errors > 0 ||
-          r.stats.malformed > 0) {
+      const PhaseResult r =
+          run_phase(server, level, cold, mix, id_counter, warmups);
+      std::cout << "[ops-smoke] " << level << " client(s), "
+                << (cold ? "cold" : "warm") << ": " << r.answered
+                << " requests, " << r.scrapes << " scrapes\n";
+      if (r.transport_failures > 0 || r.errors > 0 || r.malformed > 0) {
         obs::log(obs::LogLevel::kError, "bench", "load_level_failed",
                  "failures on a valid-only workload",
                  obs::LogFields()
                      .num("level", static_cast<std::uint64_t>(level))
                      .num("transport_failures", r.transport_failures)
                      .num("errors", r.errors)
-                     .num("malformed", r.stats.malformed));
+                     .num("malformed", r.malformed));
         return 1;
       }
-      results.push_back(std::move(r));
+      answered += r.answered;
+      scrapes += r.scrapes;
     }
   }
 
-  if (args.ops_smoke) {
-    // Reconciliation: the daemon's well-formed-request counter must equal
-    // everything this generator got an answer for — timed-phase responses
-    // plus warmup passes. A live STATS scrape that cannot account for the
-    // load that produced it is an ops plane reporting fiction.
-    std::uint64_t client_total = warmups;
-    for (const LevelResult& r : results)
-      client_total += r.ok + r.degraded + r.errors;
-    const auto stats_reply = serve::admin_call(server.admin_port(), "STATS");
-    if (!stats_reply.ok() || !stats_reply->ok) {
-      obs::log(obs::LogLevel::kError, "bench", "ops_smoke_failed",
-               "final STATS scrape did not answer");
-      return 1;
-    }
-    const std::uint64_t served = parse_stats_requests(stats_reply->payload);
-    if (served != client_total) {
-      obs::log(obs::LogLevel::kError, "bench", "ops_smoke_failed",
-               "STATS request counter does not reconcile",
-               obs::LogFields()
-                   .num("served", served)
-                   .num("client_total", client_total));
-      return 1;
-    }
-    const auto flight_reply = serve::admin_call(server.admin_port(), "FLIGHT");
-    if (!flight_reply.ok() || !flight_reply->ok ||
-        flight_reply->payload.rfind("{\"kind\":\"header\"", 0) != 0) {
-      obs::log(obs::LogLevel::kError, "bench", "ops_smoke_failed",
-               "FLIGHT scrape did not return a flight dump");
-      return 1;
-    }
-    obs::log(obs::LogLevel::kInfo, "bench", "ops_smoke_ok", {},
+  // Reconciliation: the daemon's well-formed-request counter must equal
+  // everything this generator got an answer for — phase responses plus
+  // warmup passes. A live STATS scrape that cannot account for the load
+  // that produced it is an ops plane reporting fiction.
+  const std::uint64_t client_total = warmups + answered;
+  const auto stats_reply = serve::admin_call(server.admin_port(), "STATS");
+  if (!stats_reply.ok() || !stats_reply->ok) {
+    obs::log(obs::LogLevel::kError, "bench", "ops_smoke_failed",
+             "final STATS scrape did not answer");
+    return 1;
+  }
+  const std::uint64_t served = parse_stats_requests(stats_reply->payload);
+  if (served != client_total) {
+    obs::log(obs::LogLevel::kError, "bench", "ops_smoke_failed",
+             "STATS request counter does not reconcile",
              obs::LogFields()
-                 .num("requests", served)
-                 .num("scrapes",
-                      [&] {
-                        std::uint64_t total = 0;
-                        for (const LevelResult& r : results)
-                          total += r.scrapes;
-                        return total;
-                      }()));
+                 .num("served", served)
+                 .num("client_total", client_total));
+    return 1;
   }
+  const auto flight_reply = serve::admin_call(server.admin_port(), "FLIGHT");
+  if (!flight_reply.ok() || !flight_reply->ok ||
+      flight_reply->payload.rfind("{\"kind\":\"header\"", 0) != 0) {
+    obs::log(obs::LogLevel::kError, "bench", "ops_smoke_failed",
+             "FLIGHT scrape did not return a flight dump");
+    return 1;
+  }
+  obs::log(obs::LogLevel::kInfo, "bench", "ops_smoke_ok", {},
+           obs::LogFields().num("requests", served).num("scrapes", scrapes));
   server.stop();
-
-  write_json(args.json_path, args.seconds, results);
   return 0;
 }

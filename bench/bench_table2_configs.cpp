@@ -2,21 +2,21 @@
 // capacity) points, with the derived timing and energy model parameters at
 // both technology nodes so every downstream number is reproducible.
 //
-// Doubles as the sweep performance harness:
-//   --sweep[=STRIDE]   run the evaluation sweep cold (no shared journal) and
-//                      write BENCH_sweep.json with wall-clock, throughput,
-//                      per-stage timing and thread count, so the perf
-//                      trajectory is tracked across PRs
+// Doubles as the supervised-sweep driver and the sweep's CI gates (the
+// performance harness is perfbench/):
+//   --sweep[=STRIDE]   run the evaluation sweep cold (no shared journal,
+//                      unless --journal) and print its health report and
+//                      result fingerprint
 //   --perf-smoke       run a small strided sweep twice (cold and warm
 //                      process state) and fail on any result divergence
 //   --threads N        worker threads (default: hardware concurrency)
 //   --programs a,b     restrict the sweep to a program subset
 //   --journal PATH     crash-safe checkpoint journal: a killed sweep
 //                      resumes from the last durable row on the next run
-//   --attempts N       retry-with-degradation ladder depth (sweep mode
-//                      defaults to 3; 1 disables retries)
-//   --deadline-ms N    per-task watchdog deadline (sweep mode defaults to
-//                      120000; 0 disables the watchdog)
+//   --attempts N       retry-with-degradation ladder depth (defaults to the
+//                      figure benches' 3; 1 disables retries)
+//   --deadline-ms N    per-task watchdog deadline (defaults to the figure
+//                      benches' 120000; 0 disables the watchdog)
 //   --trace=FILE       write a Chrome trace_event JSON of the sweep
 //   --metrics=FILE     write the metrics registry snapshot (JSON)
 //   --profile          print the top-spans profile table after the sweep
@@ -35,19 +35,16 @@
 //                      plane never changed a number"
 //   --shard i/N        run only shard i of N (deterministic round-robin
 //                      partition of the heaviest-first schedule); requires
-//                      --journal, prints the shard fingerprint, writes no
-//                      BENCH_sweep.json (a shard is not the sweep)
+//                      --journal, prints the shard fingerprint
 //   --merge-journals a.jnl,b.jnl,...
 //                      reassemble a complete set of shard journals:
 //                      validates grid+selection fingerprints and shard
 //                      ownership, rejects overlaps and gaps, re-derives
 //                      the global sweep fingerprint and the row-derived
-//                      metrics, and (with --merge-out) writes the merged
-//                      journal byte-identical to a single-process run's
+//                      health report, and (with --merge-out) writes the
+//                      merged journal byte-identical to a single-process
+//                      run's
 //   --merge-out PATH   destination for the merged journal
-//   --scaling[=T1,T2]  thread-scaling benchmark: run the same sweep at
-//                      each thread count (default 1,2,4,8), assert one
-//                      fingerprint, record the curve in BENCH_sweep.json
 //   --scaling-smoke    CI gate: reduced slice at threads {1,4}; fails on
 //                      fingerprint divergence, and on < 1.5x speedup when
 //                      the host actually has >= 4 cores (skipped, loudly,
@@ -63,7 +60,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -76,7 +72,6 @@
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
 #include "exp/journal.hpp"
-#include "obs/build_info.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -105,9 +100,7 @@ struct Args {
   std::uint32_t shard_count = 1;
   std::vector<std::string> merge_inputs;
   std::string merge_out;
-  bool scaling = false;
   bool scaling_smoke = false;
-  std::vector<std::uint32_t> scaling_threads;  ///< empty = mode default
 };
 
 // Written by the signal handler, read after run_sweep returns.
@@ -176,15 +169,6 @@ Args parse(int argc, char** argv) {
       while (std::getline(ss, item, ',')) args.merge_inputs.push_back(item);
     } else if (a == "--merge-out" && i + 1 < argc) {
       args.merge_out = argv[++i];
-    } else if (a == "--scaling") {
-      args.scaling = true;
-    } else if (a.rfind("--scaling=", 0) == 0) {
-      args.scaling = true;
-      std::stringstream ss(a.substr(10));
-      std::string item;
-      while (std::getline(ss, item, ','))
-        args.scaling_threads.push_back(
-            static_cast<std::uint32_t>(std::stoul(item)));
     } else if (a == "--scaling-smoke") {
       args.scaling_smoke = true;
     } else {
@@ -195,7 +179,7 @@ Args parse(int argc, char** argv) {
                    " [--threads N] [--programs a,b,c] [--journal PATH]"
                    " [--attempts N] [--deadline-ms N] [--shard i/N]"
                    " [--merge-journals a,b,...] [--merge-out PATH]"
-                   " [--scaling[=T1,T2,...]] [--scaling-smoke]"
+                   " [--scaling-smoke]"
                    " [--trace=FILE] [--metrics=FILE] [--profile]\n";
       std::exit(2);
     }
@@ -204,108 +188,35 @@ Args parse(int argc, char** argv) {
 }
 
 ucp::exp::SweepOptions sweep_options(const Args& args) {
-  ucp::exp::SweepOptions options;
-  options.programs = args.programs;
+  // The figure benches' production options (full ladder, generous
+  // watchdog), so a --sweep journal and the figure benches' shared one
+  // carry the same selection fingerprint.
+  ucp::bench::BenchArgs bench_args;
+  bench_args.programs = args.programs;
+  bench_args.threads = args.threads;
+  ucp::exp::SweepOptions options = bench_args.sweep();
   options.config_stride = args.stride;
-  options.threads = args.threads;
-  // Only an explicit --journal: this bench exists to *measure* the sweep, so
-  // it computes (the figure benches share one journal instead).
+  // Only an explicit --journal: sweep mode computes the grid cold (the
+  // figure benches share one journal instead).
   options.journal_path = args.journal;
-  // Production sweep defaults: full ladder, generous watchdog. The ladder's
-  // budget escalation only changes rows whose first attempt failed, so a
-  // clean sweep is bit-identical with or without it.
-  options.max_attempts = args.attempts != 0 ? args.attempts : 3;
-  options.case_deadline_ms =
-      args.deadline_ms >= 0 ? static_cast<std::uint32_t>(args.deadline_ms)
-                            : 120000;
+  if (args.attempts != 0) options.max_attempts = args.attempts;
+  if (args.deadline_ms >= 0)
+    options.case_deadline_ms = static_cast<std::uint32_t>(args.deadline_ms);
   options.shard_index = args.shard_index;
   options.shard_count = args.shard_count;
   return options;
 }
 
-/// One point of the thread-scaling curve (--scaling mode).
-struct ScalingPoint {
-  std::uint32_t threads = 0;
-  std::uint64_t wall_ms = 0;
-  double cases_per_sec = 0.0;
-  std::string fingerprint;
-};
-
-void write_bench_json(const ucp::exp::Sweep& sweep, const Args& args,
-                      const std::string& fingerprint,
-                      const std::vector<ScalingPoint>* scaling = nullptr) {
-  const ucp::exp::SweepReport& r = sweep.report;
-  std::ofstream os("BENCH_sweep.json", std::ios::trunc);
-  os.precision(6);
-  os << "{\n"
-     << "  \"bench\": \"table2_sweep\",\n"
-     << "  \"build\": " << ucp::obs::build_info_json() << ",\n"
-     << "  \"total_cases\": " << r.total << ",\n"
-     << "  \"completed\": " << r.completed << ",\n"
-     << "  \"degraded\": " << r.degraded << ",\n"
-     << "  \"failed\": " << r.failed << ",\n"
-     << "  \"config_stride\": " << args.stride << ",\n"
-     << "  \"threads\": " << r.threads_used << ",\n"
-     << "  \"attempts_max\": " << (args.attempts != 0 ? args.attempts : 3)
-     << ",\n"
-     << "  \"retried\": " << r.retried << ",\n"
-     << "  \"recovered\": " << r.recovered << ",\n"
-     << "  \"resumed_rows\": " << r.resumed_rows << ",\n"
-     << "  \"audited\": " << r.audited << ",\n"
-     << "  \"audit_violations\": " << r.audit_violations << ",\n"
-     << "  \"audit_inconclusive\": " << r.audit_inconclusive << ",\n"
-     << "  \"journal\": \"" << args.journal << "\",\n"
-     << "  \"wall_seconds\": " << static_cast<double>(r.wall_ms) / 1000.0
-     << ",\n"
-     << "  \"cases_per_sec\": " << r.cases_per_sec << ",\n"
-     << "  \"stage_seconds\": {\n"
-     << "    \"measure\": "
-     << static_cast<double>(r.stages.measure_ns) / 1e9 << ",\n"
-     << "    \"optimize\": "
-     << static_cast<double>(r.stages.optimize_ns) / 1e9 << ",\n"
-     << "    \"audit\": "
-     << static_cast<double>(r.stages.audit_ns) / 1e9 << "\n"
-     << "  },\n";
-  if (scaling != nullptr && !scaling->empty()) {
-    os << "  \"scaling\": [\n";
-    for (std::size_t i = 0; i < scaling->size(); ++i) {
-      const ScalingPoint& p = (*scaling)[i];
-      os << "    {\"threads\": " << p.threads << ", \"wall_seconds\": "
-         << static_cast<double>(p.wall_ms) / 1000.0
-         << ", \"cases_per_sec\": " << p.cases_per_sec
-         << ", \"fingerprint\": \"" << p.fingerprint << "\"}"
-         << (i + 1 < scaling->size() ? ",\n" : "\n");
-    }
-    os << "  ],\n"
-       << "  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n";
-  }
-  os
-     // One code path for every metrics consumer: the sweep publishes its
-     // row-derived exp.sweep.* counters (solver totals included) into the
-     // obs registry, and this is the same snapshot --metrics files and the
-     // journal annotation carry.
-     << "  \"metrics\": " << ucp::obs::snapshot_json(
-            ucp::obs::registry().snapshot())
-     << ",\n"
-     << "  \"result_fingerprint\": \"" << fingerprint << "\"\n"
-     << "}\n";
-  std::cout << "[bench] wrote BENCH_sweep.json (" << r.total << " cases, "
-            << static_cast<double>(r.wall_ms) / 1000.0 << "s, "
-            << r.cases_per_sec << " cases/s)\n";
-}
-
 int run_sweep_mode(const Args& args) {
   using namespace ucp;
-  // Metrics are always on in sweep mode (BENCH_sweep.json embeds the
-  // snapshot); tracing/profiling only when asked for.
+  // Metrics and the flight recorder fly here exactly as in ucpd: the
+  // full-grid fingerprint (and its --expect-fingerprint CI pin) is measured
+  // with the daemon's steady-state ops stack on, so "observability never
+  // changes a number" is proven in the configuration that actually ships.
+  // Tracing/profiling only when asked for.
   bench::ObsSession obs_session(args.trace_path, args.metrics_path,
                                 args.profile);
   obs::set_enabled(true);
-  // The flight recorder flies here too, exactly as in ucpd: the full-grid
-  // fingerprint (and its --expect-fingerprint CI pin) is measured with the
-  // daemon's steady-state ops stack on, so "observability never changes a
-  // number" is proven in the configuration that actually ships.
   obs::set_flight_enabled(true);
 
   // Cooperative shutdown: ^C / SIGTERM stop the sweep at the next task
@@ -320,8 +231,8 @@ int run_sweep_mode(const Args& args) {
   const exp::Sweep sweep = exp::run_sweep(sweep_options(args));
   sweep.report.print(std::cout);
   if (sweep.report.interrupted) {
-    // Partial grid: never write BENCH_sweep.json (it would masquerade as a
-    // complete perf sample); the journal already holds the finished rows.
+    // Partial grid: no fingerprint (it would masquerade as the full
+    // result); the journal already holds the finished rows.
     std::cout << "[bench] interrupted by signal " << static_cast<int>(g_signal)
               << "; " << sweep.report.completed
               << " finished rows are durable"
@@ -333,8 +244,7 @@ int run_sweep_mode(const Args& args) {
   const std::string fp = exp::sweep_results_fingerprint(sweep.results);
   if (args.shard_count > 1) {
     // A shard is not the sweep: report its own (shard-local) fingerprint
-    // and row count for the merge step, but never write BENCH_sweep.json —
-    // that file means "the full grid ran".
+    // and row count for the merge step.
     std::cout << "[bench] shard " << args.shard_index << "/"
               << args.shard_count << " fingerprint " << fp << " ("
               << sweep.results.size() << " rows)"
@@ -352,13 +262,13 @@ int run_sweep_mode(const Args& args) {
                  "or they changed on purpose and the pin needs updating\n";
     return 1;
   }
-  write_bench_json(sweep, args, fp);
   return 0;
 }
 
 int run_merge_mode(const Args& args) {
   using namespace ucp;
-  obs::set_enabled(true);
+  bench::ObsSession obs_session(args.trace_path, args.metrics_path,
+                                args.profile);
   // The options must describe the *same sweep* the shards ran (programs,
   // stride, attempts, deadline); the merge re-derives the plan from them
   // and validates every journal against it.
@@ -380,10 +290,10 @@ int run_merge_mode(const Args& args) {
   }
 
   // Rebuild the sweep view from the merged rows. Everything row-derived —
-  // outcome totals, quarantine, solver sums, the exp.sweep.* counters and
-  // the fingerprint — is exactly what a single-process run reports;
-  // process-local measurements (wall clock, stage timings, construction
-  // charges) are not derivable from rows and stay zero.
+  // outcome totals, quarantine, solver sums, the exp.sweep.* counters (in
+  // a --metrics file) and the fingerprint — is exactly what a
+  // single-process run reports; process-local measurements (wall clock,
+  // construction charges) are not derivable from rows and stay zero.
   exp::Sweep sweep;
   sweep.results = std::move(merged->results);
   sweep.report = exp::derive_row_report(sweep.results);
@@ -397,90 +307,60 @@ int run_merge_mode(const Args& args) {
   if (!args.merge_out.empty())
     std::cout << "[merge] wrote merged journal to " << args.merge_out
               << "\n";
-  Args reported = unsharded;
-  reported.journal = args.merge_out;
-  write_bench_json(sweep, reported, merged->fingerprint);
   return 0;
 }
 
-int run_scaling(const Args& args, bool smoke) {
+int run_scaling_smoke(const Args& args) {
   using namespace ucp;
+  // Same reduced slice as --perf-smoke: crosses scheduling, sharing and the
+  // optimizer, small enough for CI budgets.
   Args base = args;
-  std::vector<std::uint32_t> thread_counts = args.scaling_threads;
-  if (smoke) {
-    // Same reduced slice as --perf-smoke: crosses scheduling, sharing and
-    // the optimizer, small enough for CI budgets.
-    if (base.stride == 1) base.stride = 12;
-    if (base.programs.empty()) base.programs = {"bs", "fdct", "crc"};
-    if (thread_counts.empty()) thread_counts = {1, 4};
-  } else if (thread_counts.empty()) {
-    thread_counts = {1, 2, 4, 8};
-  }
-  obs::set_enabled(true);
+  if (base.stride == 1) base.stride = 12;
+  if (base.programs.empty()) base.programs = {"bs", "fdct", "crc"};
+  constexpr std::uint32_t kThreads[] = {1, 4};
 
-  std::vector<ScalingPoint> curve;
-  exp::Sweep last;
-  for (const std::uint32_t t : thread_counts) {
+  std::uint64_t wall_ms[2] = {0, 0};
+  std::string fingerprint[2];
+  for (int i = 0; i < 2; ++i) {
     Args at = base;
-    at.threads = t;
-    exp::Sweep sweep = exp::run_sweep(sweep_options(at));
-    ScalingPoint p;
-    p.threads = t;
-    p.wall_ms = sweep.report.wall_ms;
-    p.cases_per_sec = sweep.report.cases_per_sec;
-    p.fingerprint = exp::sweep_results_fingerprint(sweep.results);
-    std::cout << "[scaling] threads " << t << ": "
-              << static_cast<double>(p.wall_ms) / 1000.0 << "s ("
-              << p.cases_per_sec << " cases/s), fingerprint "
-              << p.fingerprint << "\n";
-    curve.push_back(p);
-    last = std::move(sweep);
+    at.threads = kThreads[i];
+    const exp::Sweep sweep = exp::run_sweep(sweep_options(at));
+    wall_ms[i] = sweep.report.wall_ms;
+    fingerprint[i] = exp::sweep_results_fingerprint(sweep.results);
+    std::cout << "[scaling] threads " << kThreads[i] << ": "
+              << static_cast<double>(wall_ms[i]) / 1000.0
+              << "s, fingerprint " << fingerprint[i] << "\n";
   }
 
   int failures = 0;
-  for (const ScalingPoint& p : curve) {
-    if (p.fingerprint != curve.front().fingerprint) {
-      std::cerr << "[scaling] FAIL: threads " << p.threads
-                << " diverged from threads " << curve.front().threads << " ("
-                << p.fingerprint << " vs " << curve.front().fingerprint
-                << ")\n";
-      ++failures;
-    }
+  if (fingerprint[1] != fingerprint[0]) {
+    std::cerr << "[scaling] FAIL: threads " << kThreads[1]
+              << " diverged from threads " << kThreads[0] << " ("
+              << fingerprint[1] << " vs " << fingerprint[0] << ")\n";
+    ++failures;
   }
-
-  const std::uint32_t max_threads =
-      *std::max_element(thread_counts.begin(), thread_counts.end());
-  const double speedup =
-      curve.back().wall_ms > 0
-          ? static_cast<double>(curve.front().wall_ms) /
-                static_cast<double>(curve.back().wall_ms)
-          : 0.0;
-  std::cout << "[scaling] speedup at " << max_threads << " threads: "
+  const double speedup = wall_ms[1] > 0 ? static_cast<double>(wall_ms[0]) /
+                                              static_cast<double>(wall_ms[1])
+                                        : 0.0;
+  std::cout << "[scaling] speedup at " << kThreads[1] << " threads: "
             << speedup << "x (host has " << std::thread::hardware_concurrency()
             << " cores)\n";
-  if (smoke) {
-    // The speedup gate only means something when the host can actually run
-    // the workers in parallel; on smaller machines the determinism half of
-    // the gate still ran, so skip the perf half loudly rather than fail.
-    if (std::thread::hardware_concurrency() >= max_threads) {
-      if (speedup < 1.5) {
-        std::cerr << "[scaling] FAIL: speedup " << speedup << "x at "
-                  << max_threads << " threads is below the 1.5x floor\n";
-        ++failures;
-      }
-    } else {
-      std::cout << "[scaling] SKIP speedup floor: host has only "
-                << std::thread::hardware_concurrency() << " cores for "
-                << max_threads << " threads\n";
+  // The speedup floor only means something when the host can actually run
+  // the workers in parallel; on smaller machines the determinism half of
+  // the gate still ran, so skip the perf half loudly rather than fail.
+  if (std::thread::hardware_concurrency() >= kThreads[1]) {
+    if (speedup < 1.5) {
+      std::cerr << "[scaling] FAIL: speedup " << speedup << "x at "
+                << kThreads[1] << " threads is below the 1.5x floor\n";
+      ++failures;
     }
-  } else if (failures == 0) {
-    write_bench_json(last, base, curve.front().fingerprint, &curve);
+  } else {
+    std::cout << "[scaling] SKIP speedup floor: host has only "
+              << std::thread::hardware_concurrency() << " cores for "
+              << kThreads[1] << " threads\n";
   }
   std::cout << "[scaling] " << (failures == 0 ? "OK" : "FAIL")
-            << ": one fingerprint across threads {";
-  for (std::size_t i = 0; i < thread_counts.size(); ++i)
-    std::cout << thread_counts[i] << (i + 1 < thread_counts.size() ? "," : "");
-  std::cout << "}\n";
+            << ": one fingerprint across threads {1,4}\n";
   return failures == 0 ? 0 : 1;
 }
 
@@ -498,10 +378,9 @@ int run_perf_smoke(const Args& args) {
   const std::string fp_cold = exp::sweep_results_fingerprint(cold.results);
   const std::string fp_warm = exp::sweep_results_fingerprint(warm.results);
   std::cout << "[perf-smoke] " << cold.report.total << " cases; cold "
-            << static_cast<double>(cold.report.wall_ms) / 1000.0 << "s ("
-            << cold.report.cases_per_sec << " cases/s), warm "
-            << static_cast<double>(warm.report.wall_ms) / 1000.0 << "s ("
-            << warm.report.cases_per_sec << " cases/s)\n";
+            << static_cast<double>(cold.report.wall_ms) / 1000.0
+            << "s, warm "
+            << static_cast<double>(warm.report.wall_ms) / 1000.0 << "s\n";
   if (fp_cold != fp_warm) {
     std::cerr << "[perf-smoke] FAIL: result divergence between runs ("
               << fp_cold << " vs " << fp_warm << ")\n";
@@ -675,8 +554,7 @@ int main(int argc, char** argv) {
   using namespace ucp;
   const Args args = parse(argc, argv);
   if (!args.merge_inputs.empty()) return run_merge_mode(args);
-  if (args.scaling_smoke) return run_scaling(args, /*smoke=*/true);
-  if (args.scaling) return run_scaling(args, /*smoke=*/false);
+  if (args.scaling_smoke) return run_scaling_smoke(args);
   if (args.trace_smoke) return run_trace_smoke(args);
   if (args.ops_smoke) return run_ops_smoke(args);
   if (args.perf_smoke) return run_perf_smoke(args);

@@ -32,17 +32,7 @@ struct OptimizerOptions {
   std::uint32_t max_passes = 6;
   /// Enforce Definition 10 (Λ must fit in the slack before the use).
   bool require_effectiveness = true;
-  /// Enforce Condition 3 of Section 2.3 directly: a candidate that
-  /// increases the *simulated* memory ACET is rejected. The paper relies
-  /// on the WCET-ACET correlation instead of measuring; checking the
-  /// trace costs us microseconds and upholds the paper's "energy savings
-  /// for all use cases without increasing the ACET" observation even
-  /// where the worst-case and average paths diverge.
-  bool require_acet_non_increase = true;
   AcceptRule accept_rule = AcceptRule::kProfit;
-  /// Re-run the full IPET on the result and revert everything if the true
-  /// WCET regressed (guards the fixed-counts approximation; see DESIGN.md).
-  bool final_audit = true;
   std::uint64_t max_prefetches = 4096;
   /// Budget on candidate re-analyses per optimization run. Each evaluation
   /// re-runs the must/may fixpoint over the nodes its insertion affects,

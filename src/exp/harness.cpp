@@ -954,7 +954,6 @@ Sweep run_sweep(const SweepOptions& options) {
   };
 
   std::atomic<std::size_t> next{0};
-  std::mutex stage_mutex;
   const auto sweep_start = std::chrono::steady_clock::now();
   auto now_ms = [&] {
     return static_cast<std::int64_t>(
@@ -975,13 +974,12 @@ Sweep run_sweep(const SweepOptions& options) {
 
   // The worker task boundary: the shared case solver runs the ladder; a
   // program that failed to build fails all of its cases.
-  auto run_task = [&](const SweepPlan::Task& t, Watchdog::Slot& slot,
-                      StageTimings& stages) {
+  auto run_task = [&](const SweepPlan::Task& t, Watchdog::Slot& slot) {
     const std::size_t p = t.program;
     std::vector<UseCaseResult> rows =
         build_error[p].empty()
             ? solve_case(programs[p], names[p], configs[t.config],
-                         options.techs, options.optimizer, &stages,
+                         options.techs, options.optimizer, nullptr,
                          systems[p] ? &systems[p]->ipet : nullptr,
                          options.audit_soundness, nullptr,
                          options.max_attempts, options.case_deadline_ms, slot)
@@ -1036,7 +1034,6 @@ Sweep run_sweep(const SweepOptions& options) {
 
   auto worker = [&](std::size_t slot_index) {
     Watchdog::Slot& slot = watchdog.slot(slot_index);
-    StageTimings local;
     // The slot is claimable from the moment the worker starts and again the
     // instant each task finishes; claimable-to-claim is the wait the
     // *scheduler* caused, as opposed to time spent behind earlier tasks.
@@ -1049,7 +1046,7 @@ Sweep run_sweep(const SweepOptions& options) {
       {
         obs::Span span("exp.task.run");
         const std::int64_t claimed_ms = now_ms();
-        run_task(t, slot, local);
+        run_task(t, slot);
         if (obs::enabled()) {
           // Two distinct waits (DESIGN.md §13): enqueue_to_claim_ms counts
           // from sweep start (every task is enqueued when the schedule is
@@ -1073,10 +1070,6 @@ Sweep run_sweep(const SweepOptions& options) {
       reporter.case_done(options.techs.size(), t.weight);
       free_since_ms = now_ms();
     }
-    std::lock_guard<std::mutex> lock(stage_mutex);
-    sweep.report.stages.measure_ns += local.measure_ns;
-    sweep.report.stages.optimize_ns += local.optimize_ns;
-    sweep.report.stages.audit_ns += local.audit_ns;
   };
 
   std::vector<std::thread> pool;
@@ -1120,10 +1113,6 @@ Sweep run_sweep(const SweepOptions& options) {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - sweep_start)
           .count());
-  if (sweep.report.wall_ms > 0)
-    sweep.report.cases_per_sec = static_cast<double>(results.size()) /
-                                 (static_cast<double>(sweep.report.wall_ms) /
-                                  1000.0);
 
   // Health accounting, in deterministic grid order. The row-derived half is
   // shared with the journal merge (derive_row_report), so a merged N-shard

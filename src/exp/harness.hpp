@@ -141,9 +141,10 @@ UseCaseResult run_use_case(const ir::Program& program,
                            const cache::NamedCacheConfig& config,
                            energy::TechNode tech);
 
-/// Wall time spent per pipeline stage, summed across the use cases of one
-/// sweep (analysis + IPET + trace simulation count as "measure"; the
-/// optimizer, including its internal re-analysis, counts as "optimize").
+/// Wall time spent per pipeline stage, summed across the use cases a caller
+/// passes the same record to (analysis + IPET + trace simulation count as
+/// "measure"; the optimizer, including its internal re-analysis, counts as
+/// "optimize").
 struct StageTimings {
   std::uint64_t measure_ns = 0;
   std::uint64_t optimize_ns = 0;
@@ -298,8 +299,6 @@ struct SweepReport {
   // --- performance accounting ----------------------------------------------
   std::uint32_t threads_used = 0;
   std::uint64_t wall_ms = 0;       ///< compute wall-clock of the sweep
-  double cases_per_sec = 0.0;
-  StageTimings stages;             ///< summed across workers (CPU-ish time)
   /// ILP work summed over the whole sweep (per-case solves plus the
   /// once-per-program constraint-system constructions).
   ilp::SolveStats solver;
@@ -368,7 +367,7 @@ SweepReport derive_row_report(const std::vector<UseCaseResult>& results);
 /// accounting and the summed solver/optimizer work, all derived from the
 /// finished rows. Unlike the live per-layer counters (ilp.solve.*,
 /// core.optimizer.*, ...) these also cover journal-resumed rows that never
-/// executed in this process, and they are what BENCH_sweep.json and the
+/// executed in this process, and they are what --metrics files and the
 /// journal metrics annotation report. run_sweep calls this before
 /// returning; it is a no-op while obs is disabled, and it never publishes
 /// wall-clock-derived values (fingerprints must stay machine-independent).

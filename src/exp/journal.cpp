@@ -186,9 +186,8 @@ std::string SweepJournal::selection_fingerprint(
   const core::OptimizerOptions& o = options.optimizer;
   std::ostringstream opt;
   opt << "opt=" << o.max_passes << '/' << o.require_effectiveness << '/'
-      << o.require_acet_non_increase << '/'
-      << static_cast<int>(o.accept_rule) << '/' << o.final_audit << '/'
-      << o.max_prefetches << '/' << o.max_evaluations << '/' << o.deadline_ms;
+      << static_cast<int>(o.accept_rule) << '/' << o.max_prefetches << '/'
+      << o.max_evaluations << '/' << o.deadline_ms;
   h = fnv1a(opt.str(), h);
   return to_hex(h);
 }

@@ -201,17 +201,13 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         energy::derive_timing(named.config, energy::TechNode::k45nm);
 
     // Knobs and program derive from independent streams of the case seed,
-    // so neither sampling step can perturb the other.
+    // so neither sampling step can perturb the other. The designated large
+    // case takes the scaled-program recipe instead of sampled knobs.
     Rng knob_rng(split_seed(case_seed, 0));
-    gen::GenKnobs knobs = gen::sample_knobs(knob_rng);
-    if (options.large_scale > 0 && i + 1 == options.cases) {
-      // The designated large case: same knob recipe as bench_scaling's
-      // tiers, deterministic like every other case (the override depends
-      // only on the options, never on the sampled values).
-      knobs.target_blocks = 24 * options.large_scale;
-      knobs.max_loop_depth = 2;
-      knobs.working_set_words = 1024;
-    }
+    const gen::GenKnobs knobs =
+        options.large_scale > 0 && i + 1 == options.cases
+            ? gen::scaled_knobs(options.large_scale)
+            : gen::sample_knobs(knob_rng);
     const std::uint64_t gen_seed = split_seed(case_seed, 1);
 
     ir::Program program("pending");

@@ -39,11 +39,11 @@ struct CampaignOptions {
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
   /// Scale factor for the campaign's LAST case: its sampled knobs are
-  /// overridden to a generated program ~scale x the Mälardalen median
-  /// (scaling_bench's knob recipe), so every smoke run drives the SCC
-  /// fixpoint, state interner and ILP presolve through a model two orders
-  /// of magnitude above the shrunk-repro sizes the rest of the corpus
-  /// exercises. 0 = off (every case uses its sampled knobs).
+  /// replaced by gen::scaled_knobs(scale), a generated program ~scale x the
+  /// Mälardalen median, so every smoke run drives the SCC fixpoint, state
+  /// interner and ILP presolve through a model two orders of magnitude
+  /// above the shrunk-repro sizes the rest of the corpus exercises. 0 = off
+  /// (every case uses its sampled knobs).
   std::uint32_t large_scale = 0;
 };
 

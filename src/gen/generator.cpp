@@ -272,6 +272,14 @@ GenKnobs sample_knobs(Rng& rng) {
   return k;
 }
 
+GenKnobs scaled_knobs(std::uint32_t scale) {
+  GenKnobs k;
+  k.target_blocks = 24 * scale;
+  k.max_loop_depth = 2;
+  k.working_set_words = 1024;
+  return k;
+}
+
 ir::Program generate_program(std::uint64_t seed, const GenKnobs& knobs) {
   UCP_REQUIRE(knobs.working_set_words > 0 &&
                   (knobs.working_set_words &

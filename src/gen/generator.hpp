@@ -35,6 +35,14 @@ struct GenKnobs {
 /// Working-set sizes stay powers of two (address masking relies on it).
 GenKnobs sample_knobs(Rng& rng);
 
+/// The one recipe for a program `scale` times the Mälardalen-average CFG
+/// size (the default knobs are ≈ 1×): `24 * scale` target blocks, nesting
+/// capped at the suite-typical depth 2, a 1024-word working set. Deeper
+/// nesting would multiply VIVU contexts per block; the recipe scales the
+/// program, not the per-block context blowup. Used by the scaling
+/// differential tests and the fuzz campaign's designated large case.
+GenKnobs scaled_knobs(std::uint32_t scale);
+
 /// Generates a deterministic synthetic program from `seed` + `knobs`.
 /// The output is built through IrBuilder's structured combinators, so it is
 /// reducible, every loop carries a bound, and execution is UBSan-clean by

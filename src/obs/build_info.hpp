@@ -1,8 +1,8 @@
 #pragma once
 
 // Build metadata, stamped once at configure/compile time and carried by
-// every metrics snapshot, every BENCH_*.json and every flight-recorder
-// dump. Two runs are only comparable when their build stamps match — the
+// every metrics snapshot, every flight-recorder dump and the admin HEALTH
+// payload. Two runs are only comparable when their build stamps match — the
 // stamp is what lets a latency regression be blamed on a flag change (or a
 // sanitizer preset) instead of the code under test.
 

@@ -195,9 +195,9 @@ double histogram_quantile(
 /// Single-line JSON of a snapshot: {"build":{...},"counters":{...},
 /// "gauges":{...},"histograms":{name:{"count":..,"sum":..,
 /// "buckets":[[i,n],...]}}}. One code path feeds --metrics files, the
-/// BENCH_*.json "metrics" objects and the journal annotation. The build
-/// stamp (obs::build_info) rides in every snapshot so no metrics artifact
-/// is ever ambiguous about the binary that produced it.
+/// admin STATS payload and the journal annotation. The build stamp
+/// (obs::build_info) rides in every snapshot so no metrics artifact is ever
+/// ambiguous about the binary that produced it.
 std::string snapshot_json(const Snapshot& snapshot);
 
 /// Central instrument registry. Lookup takes a mutex — call sites cache the

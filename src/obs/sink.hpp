@@ -5,8 +5,8 @@
 // Three consumers of the same instrumentation:
 //  - Chrome `trace_event` JSON (complete 'X' events), loadable in Perfetto
 //    or chrome://tracing;
-//  - metrics snapshot JSON files (and the single-line form merged into
-//    BENCH_sweep.json and appended to the journal as a comment);
+//  - metrics snapshot JSON files (and the single-line form served by the
+//    admin STATS verb and appended to the journal as a comment);
 //  - a human-readable end-of-run profile table, top spans by inclusive /
 //    exclusive time.
 //

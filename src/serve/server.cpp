@@ -43,6 +43,9 @@ using support::to_hex;
 // Warm cross-request cache bounds, in entries (LRU eviction).
 constexpr std::size_t kResponseCacheEntries = 256;
 constexpr std::size_t kSystemCacheEntries = 16;
+// Minimum gap between trigger-initiated flight dumps (an admin FLIGHT
+// scrape always answers; see dump_flight).
+constexpr std::int64_t kFlightDumpMinGapMs = 5000;
 
 Response error_response(ErrorCode code, const std::string& detail) {
   Response r;
@@ -787,10 +790,7 @@ void Server::Impl::dump_flight(const std::string& reason, bool force) {
     const std::int64_t now = now_ms();
     const std::int64_t last =
         last_flight_dump_ms.load(std::memory_order_relaxed);
-    if (last >= 0 &&
-        now - last <
-            static_cast<std::int64_t>(options.flight_dump_min_gap_ms))
-      return;
+    if (last >= 0 && now - last < kFlightDumpMinGapMs) return;
     last_flight_dump_ms.store(now, std::memory_order_relaxed);
   }
   n_flight_dumps.fetch_add(1, std::memory_order_relaxed);

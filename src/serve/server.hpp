@@ -75,10 +75,6 @@ struct ServerOptions {
   /// Flight-recorder dump file for watchdog-fire / audit-violation / admin
   /// FLIGHT triggers; empty = dumps are logged to the structured log only.
   std::string flight_path;
-  /// Minimum gap between trigger-initiated flight dumps (an admin FLIGHT
-  /// scrape always answers): a watchdog storm must not turn the recorder
-  /// into an I/O amplifier.
-  std::uint32_t flight_dump_min_gap_ms = 5000;
 };
 
 /// Monotonic counters of one daemon's lifetime (stats() snapshot).

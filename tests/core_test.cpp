@@ -191,7 +191,6 @@ TEST(Optimizer, AcceptRuleAlwaysStillAuditsWcet) {
   const cache::CacheConfig config{1, 16, 256};
   OptimizerOptions options;
   options.accept_rule = AcceptRule::kAlways;
-  options.final_audit = true;
   const OptimizationResult r = optimize_prefetches(p, config, kTiming, options);
   // Whatever happened, the audited output may not regress.
   EXPECT_LE(r.report.tau_optimized, r.report.tau_original);

@@ -8,8 +8,9 @@
 // a from-scratch analyze_cache of every trial program, per-tech
 // run_use_case rows (compared via the v2 sweep-cache row including its
 // FNV-1a checksum), and the global-worklist and unpresolved-IPET oracles of
-// the test-only ucp_reference library. A mismatch here means the fast path
-// is wrong, not that the test is stale.
+// the test-only ucp_reference library — on the paper grid, the fuzz corpus
+// and generated programs up to 100× the suite's size. A mismatch here means
+// the fast path is wrong, not that the test is stale.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +28,14 @@
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
 #include "fuzz/corpus.hpp"
+#include "gen/generator.hpp"
 #include "ir/layout.hpp"
 #include "ir/program.hpp"
 #include "obs/metrics.hpp"
 #include "reference/reference.hpp"
 #include "suite/suite.hpp"
 #include "support/fault_injection.hpp"
+#include "support/record_log.hpp"
 #include "wcet/ipet.hpp"
 
 namespace ucp::exp {
@@ -581,6 +584,97 @@ TEST(Equivalence, SweepPivotCountersReconcile) {
   EXPECT_GT(live_construction, 0u);
   EXPECT_EQ(row_total, live_solve + live_construction);
   EXPECT_EQ(row_construction, live_construction);
+}
+
+// --- scaling differential: generated programs far above the suite -------
+// Fixed-seed programs of gen::scaled_knobs at 10×/30×/100× the Mälardalen
+// average go through two engine pairs over the same context graph and IPET
+// system: the reference arm (global-worklist fixpoint, then the unreduced
+// Li/Malik IPET model) and the production arm (SCC-sparse fixpoint, then the
+// presolved model). Both must agree on every classification and on τ_mem.
+// The production arm then runs the optimizer under a deterministic budget.
+// A tier's fingerprint — byte-wise FNV-1a over each program's τ_mem,
+// optimized τ, insertion count and context-node count — pins the generated
+// programs and every result against silent drift. The 10× tier runs with
+// tier 1; the 30× and 100× tiers are disabled here and run by the
+// `scaling_tiers` ctest (label solver).
+
+struct ScalingTier {
+  std::uint32_t scale;     ///< multiple of the Mälardalen-average CFG size
+  std::uint64_t seed_base;
+  std::uint32_t programs;
+};
+
+/// The tier fingerprint after each of its programs, in seed order.
+std::vector<std::string> scaling_tier_fingerprints(const ScalingTier& tier) {
+  // One mid-grid configuration: 2-way, 16-byte blocks, 1 KiB — large
+  // enough that must/may ages do real work, small enough that the generated
+  // working sets overflow it and misses exist to optimize.
+  cache::CacheConfig config;
+  config.assoc = 2;
+  config.block_bytes = 16;
+  config.capacity_bytes = 1024;
+  const cache::MemTiming timing;
+  core::OptimizerOptions options;
+  options.max_evaluations = 96;  // keeps the 100× tier tractable
+
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  std::vector<std::string> fingerprints;
+  for (std::uint32_t i = 0; i < tier.programs; ++i) {
+    const std::uint64_t seed = tier.seed_base + i;
+    const std::string what =
+        std::to_string(tier.scale) + "x seed " + std::to_string(seed);
+    const ir::Program program =
+        gen::generate_program(seed, gen::scaled_knobs(tier.scale));
+    const analysis::ContextGraph graph(program);
+    const ir::Layout layout(program, config.block_bytes);
+    const wcet::IpetSystem ipet(graph);
+
+    const analysis::CacheAnalysisResult ref_cls =
+        reference::analyze_cache_global_worklist(graph, layout, config);
+    const wcet::WcetResult ref =
+        reference::solve_unpresolved(ipet, ref_cls, timing);
+    const analysis::CacheAnalysisResult cls =
+        analysis::analyze_cache(graph, layout, config);
+    const wcet::WcetResult wcet = ipet.solve(cls, timing);
+    EXPECT_TRUE(ref.ok()) << what;
+    EXPECT_TRUE(wcet.ok()) << what;
+    EXPECT_EQ(ref_cls.per_node, cls.per_node) << what;
+    EXPECT_EQ(ref.tau_mem, wcet.tau_mem) << what;
+
+    const core::OptimizationResult opt =
+        core::optimize_prefetches(program, config, timing, options, &ipet);
+    mix(wcet.tau_mem);
+    mix(opt.report.tau_optimized);
+    mix(opt.report.insertions.size());
+    mix(graph.num_nodes());
+    fingerprints.push_back(support::to_hex(h));
+  }
+  return fingerprints;
+}
+
+TEST(ScalingDifferential, TenfoldTierMatchesReferenceAndPins) {
+  const std::vector<std::string> fp =
+      scaling_tier_fingerprints({10, 901010, 3});
+  ASSERT_EQ(fp.size(), 3u);
+  EXPECT_EQ(fp.front(), "eada5bb1e78f466a");  // the first program alone
+  EXPECT_EQ(fp.back(), "90b9df183b174acb");
+}
+
+TEST(ScalingDifferential, DISABLED_ThirtyfoldTierMatchesReferenceAndPins) {
+  EXPECT_EQ(scaling_tier_fingerprints({30, 903030, 2}).back(),
+            "cc252e279fa39906");
+}
+
+TEST(ScalingDifferential, DISABLED_HundredfoldTierMatchesReferenceAndPins) {
+  EXPECT_EQ(scaling_tier_fingerprints({100, 910100, 1}).back(),
+            "9b0a16d1f36e07f9");
 }
 
 }  // namespace

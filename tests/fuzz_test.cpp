@@ -325,8 +325,8 @@ TEST(Campaign, DeterministicAcrossRunsAndTraceFlag) {
 }
 
 TEST(Campaign, LargeScaleCaseIsLargeDeterministicAndClean) {
-  // The fuzz_smoke option: the final case's knobs are overridden to the
-  // scaling-bench recipe. It must dwarf every sampled-knob case, stay
+  // The fuzz_smoke option: the final case's knobs are replaced by the
+  // scaled-program recipe. It must dwarf every sampled-knob case, stay
   // deterministic, and come back violation-free like any other case.
   fault::disarm_all();
   fuzz::CampaignOptions options = small_campaign();
@@ -341,17 +341,12 @@ TEST(Campaign, LargeScaleCaseIsLargeDeterministicAndClean) {
   EXPECT_TRUE(large.pipeline_ok);
 
   // Pin the override recipe by regenerating the designated case outside
-  // the campaign: same seed split, scaling-bench knobs. The program must
-  // be statically large — the sampled knobs never approach 240 blocks.
+  // the campaign: same seed split, scaled knobs. The program must be
+  // statically large — the sampled knobs never approach 240 blocks.
   const std::uint64_t case_seed =
       split_seed(options.seed, options.cases - 1);
-  Rng knob_rng(split_seed(case_seed, 0));
-  gen::GenKnobs knobs = gen::sample_knobs(knob_rng);
-  knobs.target_blocks = 24 * options.large_scale;
-  knobs.max_loop_depth = 2;
-  knobs.working_set_words = 1024;
-  const ir::Program large_program =
-      gen::generate_program(split_seed(case_seed, 1), knobs);
+  const ir::Program large_program = gen::generate_program(
+      split_seed(case_seed, 1), gen::scaled_knobs(options.large_scale));
   EXPECT_GE(large_program.num_blocks(), 150u);
 
   // Only the designated case changes relative to a plain campaign: the
