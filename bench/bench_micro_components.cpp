@@ -276,10 +276,9 @@ BENCHMARK_CAPTURE(BM_IpetSolveDenseReference, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_IpetSolveSparse, statemate, "statemate");
 BENCHMARK_CAPTURE(BM_IpetSolveDenseReference, statemate, "statemate");
 
-// Warm vs cold branch-and-bound children on an ILP that actually branches:
-// a knapsack with deliberately fractional LP vertices. Warm children
-// reinstate the parent basis with a handful of dual pivots; cold children
-// re-enter phase 1 from the canonical basis.
+// Branch-and-bound on an ILP that actually branches: a knapsack with
+// deliberately fractional LP vertices. Every child clones the canonical
+// basis, applies its path bounds and re-enters phase 1.
 ilp::Model branching_knapsack(int items) {
   ilp::Model m;
   std::vector<ilp::VarId> xs;
@@ -299,17 +298,15 @@ ilp::Model branching_knapsack(int items) {
   return m;
 }
 
-void BM_BranchAndBound(benchmark::State& state, bool warm) {
+void BM_BranchAndBound(benchmark::State& state) {
   const ilp::Model model = branching_knapsack(24);
   const ilp::SparseLp lp(model);
   std::vector<double> obj(model.num_vars(), 0.0);
   for (const ilp::Term& t : model.objective())
     obj[static_cast<std::size_t>(t.var)] = t.coeff;
-  ilp::SolveOptions options;
-  options.warm_start = warm;
   std::uint64_t nodes = 0, pivots = 0;
   for (auto _ : state) {
-    const ilp::Solution s = lp.solve_ilp_with(obj, options);
+    const ilp::Solution s = lp.solve_ilp_with(obj);
     nodes += s.stats.bb_nodes;
     pivots += s.stats.pivots;
     benchmark::DoNotOptimize(s.objective);
@@ -321,14 +318,7 @@ void BM_BranchAndBound(benchmark::State& state, bool warm) {
   state.counters["pivots/solve"] =
       benchmark::Counter(static_cast<double>(pivots) / iters);
 }
-void BM_BranchAndBoundWarm(benchmark::State& state) {
-  BM_BranchAndBound(state, /*warm=*/true);
-}
-void BM_BranchAndBoundCold(benchmark::State& state) {
-  BM_BranchAndBound(state, /*warm=*/false);
-}
-BENCHMARK(BM_BranchAndBoundWarm);
-BENCHMARK(BM_BranchAndBoundCold);
+BENCHMARK(BM_BranchAndBound);
 
 void BM_Optimizer(benchmark::State& state, const char* name) {
   const ir::Program program = suite::build_benchmark(name);

@@ -20,10 +20,11 @@
 //   --trace=FILE       write a Chrome trace_event JSON of the sweep
 //   --metrics=FILE     write the metrics registry snapshot (JSON)
 //   --profile          print the top-spans profile table after the sweep
-//   --trace-smoke      observability gate: run a small sweep with tracing
+//   --trace-smoke      observability gate: run the timing slice (every
+//                      second configuration of every program) with tracing
 //                      off and on, fail on any fingerprint divergence,
 //                      missing pipeline layer in the trace, or slowdown
-//                      beyond the overhead budget
+//                      beyond the overhead budget (1% + 150 ms)
 //   --ops-smoke        ops-plane gate: run the same slice with the full
 //                      ops stack on (metrics + structured logging + flight
 //                      recorder) and with everything off; fail on any
@@ -45,10 +46,10 @@
 //                      merged journal byte-identical to a single-process
 //                      run's
 //   --merge-out PATH   destination for the merged journal
-//   --scaling-smoke    CI gate: reduced slice at threads {1,4}; fails on
-//                      fingerprint divergence, and on < 1.5x speedup when
-//                      the host actually has >= 4 cores (skipped, loudly,
-//                      on smaller machines)
+//   --scaling-smoke    CI gate: the timing slice at threads {1,4}; fails
+//                      on fingerprint divergence, and on < 1.5x speedup
+//                      when the host actually has >= 4 cores (skipped,
+//                      loudly, on smaller machines)
 //
 // SIGINT/SIGTERM stop the sweep cooperatively: finished rows are already
 // durable in the journal, the health report (with the quarantine summary)
@@ -57,6 +58,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -310,26 +312,90 @@ int run_merge_mode(const Args& args) {
   return 0;
 }
 
+/// The slice the three timing gates (--trace-smoke, --ops-smoke,
+/// --scaling-smoke) time: every second configuration of every program
+/// (unless --sweep=STRIDE/--programs narrow it), about 5 s of
+/// single-threaded work and 1.6 s at 4 threads on a 4-core x86 host. A
+/// slice of a few milliseconds would let the overhead budget's 150 ms
+/// floor hide a 40x slowdown, and a millisecond of thread start-up decide
+/// the speedup floor. Stride 4 is too coarse the other way: one nsichneu
+/// task is 1.7 s of its 2.5 s, which caps its 4-thread speedup near 1.5x.
+ucp::exp::SweepOptions timing_slice(Args args) {
+  if (args.stride == 1) args.stride = 2;
+  return sweep_options(args);
+}
+
+/// Runs one sweep and returns its wall-clock in microseconds, end to end
+/// (SweepReport::wall_ms rounds to whole milliseconds).
+std::uint64_t timed_sweep_us(const ucp::exp::SweepOptions& options,
+                             std::string& fingerprint) {
+  const auto start = std::chrono::steady_clock::now();
+  const ucp::exp::Sweep sweep = ucp::exp::run_sweep(options);
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  fingerprint = ucp::exp::sweep_results_fingerprint(sweep.results);
+  return static_cast<std::uint64_t>(us);
+}
+
+/// Microseconds as milliseconds with three decimals, for gate reports.
+std::string ms_text(double us) { return ucp::format_double(us / 1000.0, 3); }
+
+/// Wall clock and fingerprint of each arm of an overhead gate.
+struct ArmTimes {
+  std::uint64_t off_us = ~std::uint64_t{0};
+  std::uint64_t on_us = ~std::uint64_t{0};
+  std::string fp_off;
+  std::string fp_on;
+};
+
+/// Times the two arms of an overhead gate over `options`. The arms
+/// alternate (off first, which doubles as process warm-up) three times, so
+/// a drift in host load hits both alike, and each arm keeps its fastest
+/// run, the one least disturbed by other load. `instrument(on)` switches
+/// the instrumentation under test on or off.
+template <class Instrument>
+ArmTimes time_arms(const ucp::exp::SweepOptions& options,
+                   Instrument&& instrument) {
+  ArmTimes t;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const bool on : {false, true}) {
+      instrument(on);
+      std::uint64_t& best = on ? t.on_us : t.off_us;
+      best = std::min(best, timed_sweep_us(options, on ? t.fp_on : t.fp_off));
+      instrument(false);
+    }
+  }
+  return t;
+}
+
+/// The overhead budget of --trace-smoke and --ops-smoke: the instrumented
+/// arm may take at most 1% longer than the baseline, plus a 150 ms floor
+/// because scheduler noise alone exceeds 1% of a few-second sweep. Returns
+/// the number of failures (0 or 1) after reporting one.
+int overhead_failures(const char* gate, const char* arm, std::uint64_t us_off,
+                      std::uint64_t us_on) {
+  const double budget_us = static_cast<double>(us_off) * 1.01 + 150'000.0;
+  if (static_cast<double>(us_on) <= budget_us) return 0;
+  std::cerr << "[" << gate << "] FAIL: " << arm << " sweep took "
+            << ms_text(us_on) << "ms vs " << ms_text(us_off)
+            << "ms baseline (budget " << ms_text(budget_us) << "ms)\n";
+  return 1;
+}
+
 int run_scaling_smoke(const Args& args) {
   using namespace ucp;
-  // Same reduced slice as --perf-smoke: crosses scheduling, sharing and the
-  // optimizer, small enough for CI budgets.
-  Args base = args;
-  if (base.stride == 1) base.stride = 12;
-  if (base.programs.empty()) base.programs = {"bs", "fdct", "crc"};
   constexpr std::uint32_t kThreads[] = {1, 4};
 
-  std::uint64_t wall_ms[2] = {0, 0};
+  std::uint64_t wall_us[2] = {0, 0};
   std::string fingerprint[2];
   for (int i = 0; i < 2; ++i) {
-    Args at = base;
+    Args at = args;
     at.threads = kThreads[i];
-    const exp::Sweep sweep = exp::run_sweep(sweep_options(at));
-    wall_ms[i] = sweep.report.wall_ms;
-    fingerprint[i] = exp::sweep_results_fingerprint(sweep.results);
+    wall_us[i] = timed_sweep_us(timing_slice(at), fingerprint[i]);
     std::cout << "[scaling] threads " << kThreads[i] << ": "
-              << static_cast<double>(wall_ms[i]) / 1000.0
-              << "s, fingerprint " << fingerprint[i] << "\n";
+              << ms_text(wall_us[i]) << "ms, fingerprint " << fingerprint[i]
+              << "\n";
   }
 
   int failures = 0;
@@ -339,8 +405,8 @@ int run_scaling_smoke(const Args& args) {
               << fingerprint[1] << " vs " << fingerprint[0] << ")\n";
     ++failures;
   }
-  const double speedup = wall_ms[1] > 0 ? static_cast<double>(wall_ms[0]) /
-                                              static_cast<double>(wall_ms[1])
+  const double speedup = wall_us[1] > 0 ? static_cast<double>(wall_us[0]) /
+                                              static_cast<double>(wall_us[1])
                                         : 0.0;
   std::cout << "[scaling] speedup at " << kThreads[1] << " threads: "
             << speedup << "x (host has " << std::thread::hardware_concurrency()
@@ -396,34 +462,12 @@ int run_perf_smoke(const Args& args) {
 
 int run_trace_smoke(const Args& args) {
   using namespace ucp;
-  // Same small slice as --perf-smoke: big enough to cross every pipeline
-  // layer, small enough for CI budgets.
-  Args smoke = args;
-  if (smoke.stride == 1) smoke.stride = 12;
-  if (smoke.programs.empty()) smoke.programs = {"bs", "fdct", "crc"};
-  const exp::SweepOptions options = sweep_options(smoke);
-
-  // min-of-2 wall clock per configuration damps scheduler noise, and the
-  // first (discarded-by-min) disabled run doubles as process warmup.
-  auto timed = [&](bool instrumented, std::string& fp) {
-    std::uint64_t best = ~std::uint64_t{0};
-    for (int rep = 0; rep < 2; ++rep) {
-      obs::set_enabled(instrumented);
-      obs::set_trace_enabled(instrumented);
-      const exp::Sweep sweep = exp::run_sweep(options);
-      obs::set_enabled(false);
-      obs::set_trace_enabled(false);
-      fp = exp::sweep_results_fingerprint(sweep.results);
-      best = std::min<std::uint64_t>(best, sweep.report.wall_ms);
-    }
-    return best;
-  };
-
   obs::reset_trace();
-  std::string fp_off;
-  std::string fp_on;
-  const std::uint64_t ms_off = timed(false, fp_off);
-  const std::uint64_t ms_on = timed(true, fp_on);
+  const auto [us_off, us_on, fp_off, fp_on] =
+      time_arms(timing_slice(args), [](bool on) {
+        obs::set_enabled(on);
+        obs::set_trace_enabled(on);
+      });
 
   int failures = 0;
   if (fp_off != fp_on) {
@@ -447,21 +491,12 @@ int run_trace_smoke(const Args& args) {
     }
   }
 
-  // Overhead budget: full instrumentation may add at most 1% to the wall
-  // clock, with an absolute floor because a smoke sweep is sub-second and
-  // scheduler noise alone exceeds 1% at that scale.
-  const double budget = static_cast<double>(ms_off) * 1.01 + 150.0;
-  if (static_cast<double>(ms_on) > budget) {
-    std::cerr << "[trace-smoke] FAIL: instrumented sweep took " << ms_on
-              << "ms vs " << ms_off << "ms baseline (budget " << budget
-              << "ms)\n";
-    ++failures;
-  }
+  failures += overhead_failures("trace-smoke", "instrumented", us_off, us_on);
 
   std::cout << "[trace-smoke] " << (failures == 0 ? "OK" : "FAIL") << ": "
-            << events.size() << " spans, baseline " << ms_off
-            << "ms, instrumented " << ms_on << "ms, fingerprint " << fp_off
-            << "\n";
+            << events.size() << " spans, baseline " << ms_text(us_off)
+            << "ms, instrumented " << ms_text(us_on) << "ms, fingerprint "
+            << fp_off << "\n";
   return failures == 0 ? 0 : 1;
 }
 
@@ -473,42 +508,23 @@ int run_ops_smoke(const Args& args) {
   // This is the configuration ucpd actually flies with, so this is the
   // overhead number that matters for "observability is free enough to
   // leave on".
-  Args smoke = args;
-  if (smoke.stride == 1) smoke.stride = 12;
-  if (smoke.programs.empty()) smoke.programs = {"bs", "fdct", "crc"};
-  const exp::SweepOptions options = sweep_options(smoke);
-
   const std::string log_path =
       "ucp_ops_smoke." + std::to_string(::getpid()) + ".log.jsonl";
   std::remove(log_path.c_str());
 
-  auto timed = [&](bool ops, std::string& fp) {
-    std::uint64_t best = ~std::uint64_t{0};
-    for (int rep = 0; rep < 2; ++rep) {
-      if (ops) {
-        obs::LogOptions log_options;
-        log_options.json = true;
-        log_options.file_path = log_path;
-        log_options.rate_limit = 100;
-        obs::configure_logging(log_options);
-        obs::set_enabled(true);
-        obs::set_flight_enabled(true);
-      }
-      const exp::Sweep sweep = exp::run_sweep(options);
-      obs::set_enabled(false);
-      obs::set_flight_enabled(false);
-      obs::configure_logging(obs::LogOptions{});
-      fp = exp::sweep_results_fingerprint(sweep.results);
-      best = std::min<std::uint64_t>(best, sweep.report.wall_ms);
-    }
-    return best;
-  };
-
   obs::reset_flight();
-  std::string fp_off;
-  std::string fp_on;
-  const std::uint64_t ms_off = timed(false, fp_off);
-  const std::uint64_t ms_on = timed(true, fp_on);
+  const auto [us_off, us_on, fp_off, fp_on] =
+      time_arms(timing_slice(args), [&](bool on) {
+        obs::LogOptions log_options;
+        if (on) {
+          log_options.json = true;
+          log_options.file_path = log_path;
+          log_options.rate_limit = 100;
+        }
+        obs::configure_logging(log_options);
+        obs::set_enabled(on);
+        obs::set_flight_enabled(on);
+      });
 
   int failures = 0;
   if (fp_off != fp_on) {
@@ -530,20 +546,12 @@ int run_ops_smoke(const Args& args) {
   }
   obs::reset_flight();
 
-  // Same overhead budget as --trace-smoke: at most 1% plus an absolute
-  // floor that absorbs scheduler noise on a sub-second slice.
-  const double budget = static_cast<double>(ms_off) * 1.01 + 150.0;
-  if (static_cast<double>(ms_on) > budget) {
-    std::cerr << "[ops-smoke] FAIL: ops-enabled sweep took " << ms_on
-              << "ms vs " << ms_off << "ms baseline (budget " << budget
-              << "ms)\n";
-    ++failures;
-  }
+  failures += overhead_failures("ops-smoke", "ops-enabled", us_off, us_on);
 
   std::cout << "[ops-smoke] " << (failures == 0 ? "OK" : "FAIL") << ": "
-            << records.size() << " flight records, baseline " << ms_off
-            << "ms, ops-enabled " << ms_on << "ms, fingerprint " << fp_off
-            << "\n";
+            << records.size() << " flight records, baseline "
+            << ms_text(us_off) << "ms, ops-enabled " << ms_text(us_on)
+            << "ms, fingerprint " << fp_off << "\n";
   std::remove(log_path.c_str());
   return failures == 0 ? 0 : 1;
 }

@@ -355,9 +355,6 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
         case AcceptRule::kProfit:
           accept = profit > 0;
           break;
-        case AcceptRule::kAnyNonIncrease:
-          accept = profit >= 0;
-          break;
         case AcceptRule::kAlways:
           accept = true;
           break;

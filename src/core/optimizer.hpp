@@ -15,14 +15,12 @@
 namespace ucp::core {
 
 /// How candidate prefetches are accepted — the joint improvement criterion
-/// of Section 4.3 and two ablation variants for bench_ablation_criterion.
+/// of Section 4.3 and the ablation variant of bench_ablation_criterion.
 enum class AcceptRule : std::uint8_t {
   /// Paper criterion: accept only if τ_w (fixed worst-case counts) strictly
   /// decreases — this folds mcost/pcost gain and rcost relocation into one
   /// exact Δτ test (see DESIGN.md §3 interpretation notes).
   kProfit,
-  /// Accept if τ_w does not increase (drops the strict-gain requirement).
-  kAnyNonIncrease,
   /// Accept every effective candidate (shows why the criterion matters).
   kAlways,
 };

@@ -68,8 +68,10 @@ Expected<Metrics> measure_checked(const ir::Program& program,
   Metrics m;
   // Static side: VIVU + must/may + IPET. With a shared system the context
   // graph and IPET constraint matrix come prebuilt (they depend only on the
-  // program, not the configuration); only the classification-dependent
-  // objective is solved per call.
+  // CFG, not the configuration or the prefetches); only the
+  // classification-dependent objective is solved per call. The graph may
+  // have been built from the input of an optimization whose output is
+  // `program`, so the analysis reads `program`, not the graph's own.
   const ir::Layout layout(program, config.block_bytes);
   m.code_bytes = layout.code_bytes();
   std::optional<analysis::ContextGraph> own_graph;
@@ -77,7 +79,7 @@ Expected<Metrics> measure_checked(const ir::Program& program,
   const analysis::ContextGraph& graph =
       shared_ipet ? shared_ipet->graph() : *own_graph;
   analysis::CacheAnalysisResult cls =
-      analysis::analyze_cache(graph, layout, config);
+      analysis::analyze_cache(graph, program, layout, config);
   wcet::WcetResult wcet = shared_ipet
                               ? shared_ipet->solve(cls, timing)
                               : wcet::compute_wcet(graph, cls, timing);
@@ -228,6 +230,16 @@ std::vector<UseCaseResult> run_use_case_group(
                         program_name + "'");
   }
 
+  // One context graph and IPET system serve both binaries, the optimizer
+  // and the auditor: prefetch insertion never alters the CFG. A caller
+  // without a shared system gets one built here, and its one-time
+  // construction is charged to row 0 below.
+  std::optional<ProgramSystem> own_system;
+  if (!shared_ipet) {
+    own_system.emplace(program);
+    shared_ipet = &own_system->ipet;
+  }
+
   // Group the tech nodes by derived memory timing: every quantity except
   // the energy pricing depends on the tech node only through the timing, so
   // equal timings share one analysis/optimization/simulation verbatim.
@@ -259,12 +271,11 @@ std::vector<UseCaseResult> run_use_case_group(
     // The baseline hands the measured input's fixpoint, IPET solution and
     // run to the optimizer, so the input is analysed and simulated once.
     core::InputBaseline baseline;
-    core::InputBaseline* const handoff = shared_ipet ? &baseline : nullptr;
     auto stage_start = std::chrono::steady_clock::now();
     const Expected<Metrics> original = [&] {
       obs::Span span("exp.case.measure");
       return measure_checked(program, config.config, lead, shared_ipet,
-                             handoff);
+                             &baseline);
     }();
     if (timings) timings->measure_ns += ns_since(stage_start);
     if (!original.ok()) {
@@ -290,7 +301,7 @@ std::vector<UseCaseResult> run_use_case_group(
     const core::OptimizationResult opt = [&] {
       obs::Span span("exp.case.optimize");
       return core::optimize_prefetches(program, config.config, timing,
-                                       options, shared_ipet, handoff);
+                                       options, shared_ipet, &baseline);
     }();
     if (timings) timings->optimize_ns += ns_since(stage_start);
     if (opt.report.code != ErrorCode::kOk) {
@@ -303,14 +314,15 @@ std::vector<UseCaseResult> run_use_case_group(
     // Without insertions the optimized binary is the input, so its metrics
     // mirror the original ones (re-priced per member, no solver work behind
     // them, as in degrade_to_original). An optimized binary is measured
-    // afresh on its own context graph and IPET system, so nothing the
-    // optimizer computed vouches for it.
+    // afresh (fixpoint, IPET solve and run), so nothing the optimizer
+    // computed vouches for it.
     const bool unchanged = opt.report.insertions.empty();
     Expected<Metrics> optimized = original;
     if (!unchanged) {
       stage_start = std::chrono::steady_clock::now();
       obs::Span span("exp.case.measure");
-      optimized = measure_checked(opt.program, config.config, lead);
+      optimized = measure_checked(opt.program, config.config, lead,
+                                  shared_ipet);
       if (timings) timings->measure_ns += ns_since(stage_start);
     }
     for (std::size_t m : members) {
@@ -369,21 +381,14 @@ std::vector<UseCaseResult> run_use_case_group(
             std::to_string(orig.run.mem_cycles) + " > " +
             std::to_string(orig.tau_wcet) + ")";
       } else if (!opt.report.insertions.empty()) {
-        std::optional<analysis::ContextGraph> audit_graph;
-        std::optional<wcet::IpetSystem> audit_ipet;
-        if (!shared_ipet) {
-          audit_graph.emplace(program);
-          audit_ipet.emplace(*audit_graph);
-        }
-        const wcet::IpetSystem& ipet =
-            shared_ipet ? *shared_ipet : *audit_ipet;
         // Prefetch insertion never alters the CFG, so the input program's
         // context graph (and constraint matrix) still describes the
         // optimized program; only the layout-dependent objective changes.
         const ir::Layout opt_layout(opt.program, config.config.block_bytes);
         const analysis::CacheAnalysisResult cls = analysis::analyze_cache(
-            ipet.graph(), opt.program, opt_layout, config.config);
-        const ilp::Model model = ipet.model_with_objective(cls, timing);
+            shared_ipet->graph(), opt.program, opt_layout, config.config);
+        const ilp::Model model =
+            shared_ipet->model_with_objective(cls, timing);
         const ilp::Solution dense = ilp::solve_ilp_dense_reference(model);
         if (dense.status != ilp::SolveStatus::kOptimal) {
           audit.inconclusive = true;
@@ -420,6 +425,8 @@ std::vector<UseCaseResult> run_use_case_group(
         out[members.front()].outcome == CaseOutcome::kCompleted)
       *optimized_out = opt.program;
   }
+  if (own_system)
+    own_system->ipet.charge_construction(out.front().original.solver);
   return out;
 }
 
@@ -542,8 +549,6 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.lp_solves", sweep.report.solver.lp_solves);
   add("exp.sweep.pivots", sweep.report.solver.pivots);
   add("exp.sweep.bb_nodes", sweep.report.solver.bb_nodes);
-  add("exp.sweep.warm_starts", sweep.report.solver.warm_starts);
-  add("exp.sweep.phase1_skipped", sweep.report.solver.phase1_skipped);
   // Of the pivots above, the one-time shared-IpetSystem construction share
   // (charge_construction). Subtracting it recovers the pure per-solve total,
   // which equals the live ilp.solve.pivots on clean single-attempt runs —

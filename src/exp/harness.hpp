@@ -41,11 +41,13 @@ Metrics measure(const ir::Program& program, const cache::CacheConfig& config,
 /// Status-channel variant: IPET failure (solver budgets, infeasibility) and
 /// simulation budget exhaustion come back as a Status instead of an
 /// exception, so a sweep can quarantine the use case and keep running.
-/// `shared_ipet`, when given, must have been built from this exact program;
-/// the context graph and IPET constraint system are then reused instead of
-/// rebuilt (bit-identical results — see wcet::IpetSystem). `baseline`, when
-/// given (it requires `shared_ipet`), receives the analysis, IPET solution
-/// and run behind a successful measurement, for core::optimize_prefetches.
+/// `shared_ipet`, when given, must have been built from this program or
+/// from one it differs from only by prefetch insertions (which never alter
+/// the CFG); the context graph and IPET constraint system are then reused
+/// instead of rebuilt (bit-identical results — see wcet::IpetSystem).
+/// `baseline`, when given (it requires `shared_ipet`), receives the
+/// analysis, IPET solution and run behind a successful measurement, for
+/// core::optimize_prefetches.
 Expected<Metrics> measure_checked(const ir::Program& program,
                                   const cache::CacheConfig& config,
                                   energy::TechNode tech,
@@ -160,9 +162,12 @@ struct StageTimings {
 /// every shared quantity depends on the tech node only through the derived
 /// timing. Results are ordered like `techs`.
 ///
-/// `optimized_out`, when non-null, receives the program this call vouches
-/// for: the output of the last timing group that completed, or the input
-/// program (identity transform) when none did.
+/// `shared_ipet` is the program's IPET system; without one, the call builds
+/// its own up front and charges its construction to row 0's original
+/// solver work. Either way both binaries, the optimizer and the auditor
+/// share that one system. `optimized_out`, when non-null, receives the
+/// program this call vouches for: the output of the last timing group that
+/// completed, or the input program (identity transform) when none did.
 std::vector<UseCaseResult> run_use_case_group(
     const ir::Program& program, const std::string& program_name,
     const cache::NamedCacheConfig& config,

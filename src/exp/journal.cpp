@@ -19,9 +19,10 @@ const char kJournalName[] = "ucp-sweep-journal";
 // journaled them in nondeterministic completion order), and sharded sweeps
 // declare their slice in the header. v3: rows drop the full-reanalysis
 // count and the selection fingerprint drops the removed optimizer modes.
+// v4: rows drop the warm-start and skipped-phase-1 solver counters.
 // Journals of any other version reset on open.
-constexpr std::uint32_t kJournalVersion = 3;
-constexpr std::size_t kRowCells = 38;  ///< cells of a row body
+constexpr std::uint32_t kJournalVersion = 4;
+constexpr std::size_t kRowCells = 36;  ///< cells of a row body
 
 bool parse_hex64(const std::string& cell, std::uint64_t& out) {
   if (cell.size() != 16 ||
@@ -82,8 +83,7 @@ std::string row_body(const UseCaseResult& r, std::size_t index) {
       << ',' << r.report.candidates_evaluated << ',' << r.report.passes
       << ',' << r.report.incremental_reanalyses << ','
       << r.report.nodes_reanalyzed << ',' << solver.lp_solves << ','
-      << solver.pivots << ',' << solver.bb_nodes << ',' << solver.warm_starts
-      << ',' << solver.phase1_skipped << ','
+      << solver.pivots << ',' << solver.bb_nodes << ','
       << support::escape_cell(r.fail_detail);
   return row.str();
 }
@@ -94,10 +94,10 @@ bool parse_row_body(std::string_view body, std::size_t& index,
   const std::vector<std::string> cells = support::split_cells(body);
   if (cells.size() != kRowCells || cells[0] != "row") return false;
 
-  std::uint64_t u[30];
+  std::uint64_t u[28];
   const int cols[] = {1,  5,  6,  8,  9,  10, 11, 12, 13, 14,
                       15, 16, 17, 19, 20, 21, 22, 23, 24, 26,
-                      27, 28, 29, 30, 31, 32, 33, 34, 35, 36};
+                      27, 28, 29, 30, 31, 32, 33, 34};
   for (std::size_t i = 0; i < std::size(cols); ++i)
     if (!support::parse_u64(cells[static_cast<std::size_t>(cols[i])], u[i]))
       return false;
@@ -157,9 +157,7 @@ bool parse_row_body(std::string_view body, std::size_t& index,
   r.report.solver.lp_solves = u[25];
   r.report.solver.pivots = u[26];
   r.report.solver.bb_nodes = u[27];
-  r.report.solver.warm_starts = u[28];
-  r.report.solver.phase1_skipped = u[29];
-  r.fail_detail = support::unescape_cell(cells[37]);
+  r.fail_detail = support::unescape_cell(cells[35]);
   // Reconstruct the report invariants degrade_to_original / the optimizer
   // maintain; none of these enter the fingerprint row.
   r.report.code = r.quarantined() ? r.fail_code : ErrorCode::kOk;
@@ -253,7 +251,7 @@ Status SweepJournal::append_batch(
 
 namespace {
 
-/// Parses "# ucp-sweep-journal v3 grid=<fp> sel=<fp>[ shard=<i>/<N>]".
+/// Parses "# ucp-sweep-journal v4 grid=<fp> sel=<fp>[ shard=<i>/<N>]".
 /// Returns false on anything else (including other versions: row-order
 /// semantics changed in v2, so older journals cannot be merged).
 bool parse_merge_header(const std::string& line, std::string& grid_fp,

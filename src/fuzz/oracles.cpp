@@ -189,33 +189,31 @@ OracleReport check_program(const ir::Program& program,
   }
 
   // Oracle 2: classification vs trace, conjoined over contexts.
-  if (options.check_classification) {
-    ++report.checks_run;
-    if (obs::enabled()) checks_counter.increment();
-    const analysis::PersistenceResult persistence =
-        analysis::analyze_persistence(graph, program, layout, options.config);
-    const ContextConjunction conj =
-        conjoin_contexts(graph, program, cls, persistence);
-    for (ir::InstrId id = 0; id < program.num_instr_ids(); ++id) {
-      if (!conj.seen[id]) continue;
-      if (conj.always_hit[id] && trace.misses[id] > 0) {
-        report.violation = Oracle::kMustHit;
-        report.detail = "always-hit " + locate(program, id) + " missed " +
-                        std::to_string(trace.misses[id]) + " time(s)";
-        return report;
-      }
-      if (conj.always_miss[id] && trace.hits[id] > 0) {
-        report.violation = Oracle::kMustMiss;
-        report.detail = "always-miss " + locate(program, id) + " hit " +
-                        std::to_string(trace.hits[id]) + " time(s)";
-        return report;
-      }
-      if (conj.persistent[id] && trace.misses[id] > 1) {
-        report.violation = Oracle::kPersistence;
-        report.detail = "persistent " + locate(program, id) + " missed " +
-                        std::to_string(trace.misses[id]) + " times";
-        return report;
-      }
+  ++report.checks_run;
+  if (obs::enabled()) checks_counter.increment();
+  const analysis::PersistenceResult persistence =
+      analysis::analyze_persistence(graph, program, layout, options.config);
+  const ContextConjunction conj =
+      conjoin_contexts(graph, program, cls, persistence);
+  for (ir::InstrId id = 0; id < program.num_instr_ids(); ++id) {
+    if (!conj.seen[id]) continue;
+    if (conj.always_hit[id] && trace.misses[id] > 0) {
+      report.violation = Oracle::kMustHit;
+      report.detail = "always-hit " + locate(program, id) + " missed " +
+                      std::to_string(trace.misses[id]) + " time(s)";
+      return report;
+    }
+    if (conj.always_miss[id] && trace.hits[id] > 0) {
+      report.violation = Oracle::kMustMiss;
+      report.detail = "always-miss " + locate(program, id) + " hit " +
+                      std::to_string(trace.hits[id]) + " time(s)";
+      return report;
+    }
+    if (conj.persistent[id] && trace.misses[id] > 1) {
+      report.violation = Oracle::kPersistence;
+      report.detail = "persistent " + locate(program, id) + " missed " +
+                      std::to_string(trace.misses[id]) + " times";
+      return report;
     }
   }
 
@@ -225,85 +223,81 @@ OracleReport check_program(const ir::Program& program,
   // the layout-dependent objective changes.
   analysis::CacheAnalysisResult opt_cls;
   bool have_opt_cls = false;
-  if (options.check_theorem1) {
-    std::optional<core::OptimizationResult> maybe_opt;
-    try {
-      maybe_opt = core::optimize_prefetches(program, options.config,
-                                            options.timing, options.optimizer,
-                                            &ipet);
-    } catch (const std::exception& e) {
-      report.violation = Oracle::kRuntime;
-      report.detail = std::string("optimizer threw: ") + e.what();
+  std::optional<core::OptimizationResult> maybe_opt;
+  try {
+    maybe_opt = core::optimize_prefetches(program, options.config,
+                                          options.timing, options.optimizer,
+                                          &ipet);
+  } catch (const std::exception& e) {
+    report.violation = Oracle::kRuntime;
+    report.detail = std::string("optimizer threw: ") + e.what();
+    return report;
+  }
+  const core::OptimizationResult& opt = *maybe_opt;
+  if (opt.report.code != ErrorCode::kOk) {
+    // Identity degradation (budget exhaustion inside the optimizer) is
+    // Theorem-1 sound by definition; nothing further to compare.
+    report.pipeline_note = "optimizer degraded: " + opt.report.detail;
+    report.tau_optimized = report.tau_original;
+  } else {
+    ++report.checks_run;
+    if (obs::enabled()) checks_counter.increment();
+    report.prefetches = opt.report.insertions.size();
+    const ir::Layout opt_layout(opt.program, options.config.block_bytes);
+    opt_cls = analysis::analyze_cache(graph, opt.program, opt_layout,
+                                      options.config);
+    have_opt_cls = true;
+    const wcet::WcetResult opt_wcet = ipet.solve(opt_cls, options.timing);
+    if (!opt_wcet.ok()) {
+      report.pipeline_ok = false;
+      report.pipeline_note = "IPET: " + ilp::status_name(opt_wcet.status) +
+                             " on the optimized binary";
       return report;
     }
-    const core::OptimizationResult& opt = *maybe_opt;
-    if (opt.report.code != ErrorCode::kOk) {
-      // Identity degradation (budget exhaustion inside the optimizer) is
-      // Theorem-1 sound by definition; nothing further to compare.
-      report.pipeline_note = "optimizer degraded: " + opt.report.detail;
-      report.tau_optimized = report.tau_original;
-    } else {
-      ++report.checks_run;
-      if (obs::enabled()) checks_counter.increment();
-      report.prefetches = opt.report.insertions.size();
-      const ir::Layout opt_layout(opt.program, options.config.block_bytes);
-      opt_cls = analysis::analyze_cache(graph, opt.program, opt_layout,
-                                        options.config);
-      have_opt_cls = true;
-      const wcet::WcetResult opt_wcet = ipet.solve(opt_cls, options.timing);
-      if (!opt_wcet.ok()) {
-        report.pipeline_ok = false;
-        report.pipeline_note = "IPET: " + ilp::status_name(opt_wcet.status) +
-                               " on the optimized binary";
-        return report;
-      }
-      report.tau_optimized = opt_wcet.tau_mem;
-      if (report.tau_optimized > report.tau_original) {
-        report.violation = Oracle::kTheorem1;
-        report.detail = "optimized tau_w " +
-                        std::to_string(report.tau_optimized) +
-                        " > original " + std::to_string(report.tau_original);
-        return report;
-      }
-      if (opt.report.tau_optimized != report.tau_optimized) {
-        report.violation = Oracle::kTheorem1;
-        report.detail = "optimizer-reported tau_w " +
-                        std::to_string(opt.report.tau_optimized) +
-                        " disagrees with independent re-analysis " +
-                        std::to_string(report.tau_optimized);
-        return report;
-      }
+    report.tau_optimized = opt_wcet.tau_mem;
+    if (report.tau_optimized > report.tau_original) {
+      report.violation = Oracle::kTheorem1;
+      report.detail = "optimized tau_w " +
+                      std::to_string(report.tau_optimized) +
+                      " > original " + std::to_string(report.tau_original);
+      return report;
+    }
+    if (opt.report.tau_optimized != report.tau_optimized) {
+      report.violation = Oracle::kTheorem1;
+      report.detail = "optimizer-reported tau_w " +
+                      std::to_string(opt.report.tau_optimized) +
+                      " disagrees with independent re-analysis " +
+                      std::to_string(report.tau_optimized);
+      return report;
     }
   }
 
   // Oracle 4: the dense-tableau reference solver (no shared pivoting code
   // with the sparse path) must reproduce τ_w bit-exactly — on the
   // optimized classification when one exists, else on the input's.
-  if (options.check_dense) {
-    ++report.checks_run;
-    if (obs::enabled()) checks_counter.increment();
-    const analysis::CacheAnalysisResult& dense_cls =
-        have_opt_cls ? opt_cls : cls;
-    const std::uint64_t sparse_tau =
-        have_opt_cls ? report.tau_optimized : report.tau_original;
-    const ilp::Model model =
-        ipet.model_with_objective(dense_cls, options.timing);
-    const ilp::Solution dense = ilp::solve_ilp_dense_reference(model);
-    if (dense.status != ilp::SolveStatus::kOptimal) {
-      report.pipeline_ok = false;
-      report.pipeline_note =
-          "dense reference solver returned " + ilp::status_name(dense.status);
-      return report;
-    }
-    const auto tau_dense =
-        static_cast<std::uint64_t>(std::llround(dense.objective));
-    if (tau_dense != sparse_tau) {
-      report.violation = Oracle::kSparseVsDense;
-      report.detail = "dense-reference tau_w " + std::to_string(tau_dense) +
-                      " disagrees with the sparse solver's " +
-                      std::to_string(sparse_tau);
-      return report;
-    }
+  ++report.checks_run;
+  if (obs::enabled()) checks_counter.increment();
+  const analysis::CacheAnalysisResult& dense_cls =
+      have_opt_cls ? opt_cls : cls;
+  const std::uint64_t sparse_tau =
+      have_opt_cls ? report.tau_optimized : report.tau_original;
+  const ilp::Model model =
+      ipet.model_with_objective(dense_cls, options.timing);
+  const ilp::Solution dense = ilp::solve_ilp_dense_reference(model);
+  if (dense.status != ilp::SolveStatus::kOptimal) {
+    report.pipeline_ok = false;
+    report.pipeline_note =
+        "dense reference solver returned " + ilp::status_name(dense.status);
+    return report;
+  }
+  const auto tau_dense =
+      static_cast<std::uint64_t>(std::llround(dense.objective));
+  if (tau_dense != sparse_tau) {
+    report.violation = Oracle::kSparseVsDense;
+    report.detail = "dense-reference tau_w " + std::to_string(tau_dense) +
+                    " disagrees with the sparse solver's " +
+                    std::to_string(sparse_tau);
+    return report;
   }
 
   return report;

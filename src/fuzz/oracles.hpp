@@ -29,14 +29,11 @@ const char* oracle_name(Oracle oracle);
 /// Inverse of oracle_name; throws InvalidArgument on an unknown name.
 Oracle oracle_from_name(const std::string& name);
 
-/// What to check and under which memory system.
+/// The memory system and optimizer the battery runs under.
 struct OracleOptions {
   cache::CacheConfig config;   ///< cache geometry under test
   cache::MemTiming timing;     ///< hit/miss/prefetch cycles
   core::OptimizerOptions optimizer;
-  bool check_classification = true;  ///< must/may/persistence vs trace
-  bool check_theorem1 = true;        ///< optimize and compare τ_w
-  bool check_dense = true;           ///< dense-reference ILP agreement
 };
 
 /// Verdict of one program against the oracle battery. `violation` is the

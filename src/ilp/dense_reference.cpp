@@ -1,9 +1,9 @@
 // The original two-phase dense-tableau simplex, retained verbatim as the
-// differential-testing oracle for the sparse bounded-variable kernel in
-// simplex.cpp. It is deliberately boring: no warm starts, no fault points,
-// every branch-and-bound node re-enters phase 1 from scratch. Nothing on a
-// production path may call it; tests/ilp_differential_test.cpp and the
-// micro benches are the only intended users.
+// independent oracle for the sparse bounded-variable kernel in simplex.cpp.
+// It is deliberately boring: no fault points, and every branch-and-bound
+// node rebuilds its tableau and re-enters phase 1 from scratch. It shares
+// no pivoting code with the sparse kernel, which is why the differential
+// tests, the sweep's soundness auditor and the fuzz oracles use it.
 
 #include <algorithm>
 #include <cmath>
@@ -120,12 +120,12 @@ class Tableau {
       obj_[static_cast<std::size_t>(basis_[i])] = 0.0;
   }
 
-  SolveStatus optimize(std::uint64_t max_pivots, SolveStats& stats) {
+  SolveStatus optimize(SolveStats& stats) {
     std::uint64_t pivots = 0;
     // Switch to Bland's rule after this many pivots to break any cycle.
     const std::uint64_t bland_after = 4 * (m_ + ncols_) + 64;
     while (true) {
-      if (pivots++ > max_pivots) return SolveStatus::kIterationLimit;
+      if (pivots++ > kMaxPivots) return SolveStatus::kIterationLimit;
       const bool bland = pivots > bland_after;
 
       // Entering column.
@@ -190,8 +190,7 @@ class Tableau {
   }
 
   /// Phase 1: drive artificials to zero; returns false if infeasible.
-  bool phase1(std::uint64_t max_pivots, SolveStatus& status,
-              SolveStats& stats) {
+  bool phase1(SolveStatus& status, SolveStats& stats) {
     bool any_artificial = false;
     for (std::size_t j = 0; j < ncols_; ++j) any_artificial |= artificial_[j];
     if (!any_artificial) {
@@ -202,7 +201,7 @@ class Tableau {
     for (std::size_t j = 0; j < ncols_; ++j)
       if (artificial_[j]) c[j] = -1.0;
     set_objective(c);
-    status = optimize(max_pivots, stats);
+    status = optimize(stats);
     if (status != SolveStatus::kOptimal) return false;
     if (obj_shift_ < -1e-7) {
       status = SolveStatus::kInfeasible;
@@ -226,11 +225,11 @@ class Tableau {
     return true;
   }
 
-  Solution run(const Model& model, const SolveOptions& options) {
+  Solution run(const Model& model) {
     Solution solution;
     solution.stats.lp_solves = 1;
     SolveStatus status;
-    if (!phase1(options.max_pivots, status, solution.stats)) {
+    if (!phase1(status, solution.stats)) {
       solution.status = status;
       return solution;
     }
@@ -240,7 +239,7 @@ class Tableau {
     for (const Term& t : model.objective())
       c[static_cast<std::size_t>(t.var)] += sign * t.coeff;
     set_objective(c);
-    solution.status = optimize(options.max_pivots, solution.stats);
+    solution.status = optimize(solution.stats);
     if (solution.status != SolveStatus::kOptimal) return solution;
 
     solution.values.assign(model.num_vars(), 0.0);
@@ -267,22 +266,19 @@ class Tableau {
 };
 
 Solution solve_lp_with_rows(const Model& model,
-                            const std::vector<Row>& extra_rows,
-                            const SolveOptions& options) {
+                            const std::vector<Row>& extra_rows) {
   const std::vector<Row> rows = build_rows(model, extra_rows);
   Tableau tableau(model, rows);
-  return tableau.run(model, options);
+  return tableau.run(model);
 }
 
 }  // namespace
 
-Solution solve_lp_dense_reference(const Model& model,
-                                  const SolveOptions& options) {
-  return solve_lp_with_rows(model, {}, options);
+Solution solve_lp_dense_reference(const Model& model) {
+  return solve_lp_with_rows(model, {});
 }
 
-Solution solve_ilp_dense_reference(const Model& model,
-                                   const SolveOptions& options) {
+Solution solve_ilp_dense_reference(const Model& model) {
   struct Node {
     std::vector<Row> bounds;
   };
@@ -299,7 +295,7 @@ Solution solve_ilp_dense_reference(const Model& model,
   SolveStatus worst_failure = SolveStatus::kInfeasible;
 
   while (!stack.empty()) {
-    if (++nodes > options.max_bb_nodes) {
+    if (++nodes > kMaxBbNodes) {
       if (!have_best) best.status = SolveStatus::kIterationLimit;
       best.stats = stats;
       return best;
@@ -308,7 +304,7 @@ Solution solve_ilp_dense_reference(const Model& model,
     const Node node = std::move(stack.back());
     stack.pop_back();
 
-    const Solution relaxed = solve_lp_with_rows(model, node.bounds, options);
+    const Solution relaxed = solve_lp_with_rows(model, node.bounds);
     stats.add(relaxed.stats);
     if (relaxed.status == SolveStatus::kUnbounded ||
         relaxed.status == SolveStatus::kIterationLimit) {
@@ -317,12 +313,12 @@ Solution solve_ilp_dense_reference(const Model& model,
     }
     if (relaxed.status != SolveStatus::kOptimal) continue;
     if (have_best && sign * relaxed.objective <=
-                         sign * best.objective + options.int_tolerance)
+                         sign * best.objective + kIntTolerance)
       continue;  // bound: cannot beat incumbent
 
     // Find the most fractional integer variable.
     VarId branch_var = -1;
-    double branch_frac = options.int_tolerance;
+    double branch_frac = kIntTolerance;
     for (VarId v = 0; static_cast<std::size_t>(v) < model.num_vars(); ++v) {
       if (!model.var(v).integer) continue;
       const double x = relaxed.value(v);

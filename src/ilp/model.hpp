@@ -76,21 +76,16 @@ enum class SolveStatus : std::uint8_t {
 std::string status_name(SolveStatus status);
 
 /// Work counters of one solver invocation (and, summed, of a whole sweep):
-/// where the pivots go, how often branch-and-bound actually branches, and
-/// how many simplex runs the warm-start machinery saved from a cold phase 1.
+/// where the pivots go and how often branch-and-bound actually branches.
 struct SolveStats {
-  std::uint64_t lp_solves = 0;      ///< simplex runs (root + B&B nodes)
-  std::uint64_t pivots = 0;         ///< primal + dual pivots, all runs
-  std::uint64_t bb_nodes = 0;       ///< branch-and-bound nodes expanded
-  std::uint64_t warm_starts = 0;    ///< runs reinstated from a parent basis
-  std::uint64_t phase1_skipped = 0; ///< runs that needed no fresh phase 1
+  std::uint64_t lp_solves = 0;  ///< simplex runs (root + B&B nodes)
+  std::uint64_t pivots = 0;     ///< phase-1 + primal pivots, all runs
+  std::uint64_t bb_nodes = 0;   ///< branch-and-bound nodes expanded
 
   void add(const SolveStats& other) {
     lp_solves += other.lp_solves;
     pivots += other.pivots;
     bb_nodes += other.bb_nodes;
-    warm_starts += other.warm_starts;
-    phase1_skipped += other.phase1_skipped;
   }
 };
 
@@ -104,32 +99,26 @@ struct Solution {
   double value(VarId id) const;
 };
 
-/// Options for the solvers.
-struct SolveOptions {
-  std::uint64_t max_pivots = 2'000'000;   ///< per simplex run
-  std::uint64_t max_bb_nodes = 200'000;   ///< branch-and-bound node cap
-  double int_tolerance = 1e-6;            ///< integrality threshold
-  /// Warm-start branch-and-bound children from the parent's optimal basis
-  /// via dual-simplex reinstatement instead of re-entering phase 1. Off is
-  /// only useful for differential testing and the micro benches.
-  bool warm_start = true;
-};
+/// Solver budgets and the integrality threshold, shared by the sparse
+/// solver and the dense reference. Exhausting a budget is reported as
+/// SolveStatus::kIterationLimit.
+inline constexpr std::uint64_t kMaxPivots = 2'000'000;  ///< per simplex run
+inline constexpr std::uint64_t kMaxBbNodes = 200'000;   ///< B&B node cap
+inline constexpr double kIntTolerance = 1e-6;           ///< integrality
 
 /// Solves the LP relaxation with the sparse bounded-variable revised
 /// simplex (Dantzig pricing, Bland fallback, deterministic smallest-index
 /// tie-breaking).
-Solution solve_lp(const Model& model, const SolveOptions& options = {});
+Solution solve_lp(const Model& model);
 
 /// Solves the integer program by LP-based branch-and-bound; variables not
 /// marked integer stay continuous.
-Solution solve_ilp(const Model& model, const SolveOptions& options = {});
+Solution solve_ilp(const Model& model);
 
 /// The retained dense-tableau two-phase simplex, kept verbatim as the
-/// differential-testing reference for the sparse kernel. Not on any
-/// production path: no fault points, no warm starts.
-Solution solve_lp_dense_reference(const Model& model,
-                                  const SolveOptions& options = {});
-Solution solve_ilp_dense_reference(const Model& model,
-                                   const SolveOptions& options = {});
+/// independent reference for the sparse kernel (differential tests, the
+/// sweep auditor, the fuzz oracles). It has no fault points.
+Solution solve_lp_dense_reference(const Model& model);
+Solution solve_ilp_dense_reference(const Model& model);
 
 }  // namespace ucp::ilp

@@ -1,4 +1,4 @@
-// Sparse bounded-variable revised simplex and warm-started branch-and-bound.
+// Sparse bounded-variable revised simplex and branch-and-bound.
 //
 // The solver targets the IPET problems built by ucp_wcet: a few hundred to
 // a couple thousand non-negative variables, flow-conservation equalities,
@@ -14,13 +14,13 @@
 // solver: entering columns scan ascending with strict improvement, the
 // ratio test breaks ties on the smallest basic variable index. Phase 1 is
 // a piecewise-linear infeasibility minimization run once per SparseLp;
-// solves start from that canonical snapshot, and branch-and-bound children
-// reinstate the parent's optimal basis with the dual simplex.
+// solves start from that canonical snapshot. A branch-and-bound node below
+// the root clones the same snapshot, applies its path bounds and runs
+// phase 1 again before the primal simplex.
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "ilp/model.hpp"
@@ -44,9 +44,9 @@ constexpr VS kAtLower = 0;
 constexpr VS kAtUpper = 1;
 constexpr VS kBasic = 2;
 
-/// Mutable solve state cloned from a SparseLp's canonical snapshot. All
-/// simplex variants (primal, phase-1 repair, dual reinstatement) operate
-/// on this; the owning SparseLp is never written after construction.
+/// Mutable solve state cloned from a SparseLp's canonical snapshot. Both
+/// simplex phases operate on this; the owning SparseLp is never written
+/// after construction.
 struct SimplexWorker {
   const SparseLp* lp = nullptr;
 
@@ -208,8 +208,7 @@ struct SimplexWorker {
 
   /// Tightens [lo, up] of `v` (branch-and-bound child bound). Nonbasic
   /// variables are shifted onto the moved bound immediately; a basic
-  /// variable simply becomes primal infeasible for the dual simplex (or
-  /// phase-1 repair) to fix.
+  /// variable simply becomes primal infeasible for phase 1 to repair.
   void apply_bound(std::int32_t v, double new_lo, double new_up) {
     const auto vv = static_cast<std::size_t>(v);
     lo[vv] = std::max(lo[vv], new_lo);
@@ -257,8 +256,7 @@ struct SimplexWorker {
   /// Phase 2 primal simplex: assumes a primal-feasible basis and current
   /// reduced costs `d`; maximizes `cost`. Dantzig pricing, Bland fallback,
   /// dense-compatible deterministic tie-breaking.
-  SolveStatus primal(const SolveOptions& options, SolveStats& stats,
-                     bool with_fault) {
+  SolveStatus primal(SolveStats& stats, bool with_fault) {
     const std::size_t mm = m();
     const std::size_t nn = total();
     std::uint64_t iters = 0;
@@ -266,7 +264,7 @@ struct SimplexWorker {
     const std::uint64_t bland_after = 4 * (mm + nn) + 64;
     while (true) {
       throw_if_cancelled("sparse simplex (primal)");
-      if (iters++ > options.max_pivots ||
+      if (iters++ > kMaxPivots ||
           (with_fault && UCP_FAULT_POINT("ilp.pivot")))
         return SolveStatus::kIterationLimit;
       const bool bland = iters > bland_after;
@@ -373,8 +371,7 @@ struct SimplexWorker {
   /// basic variable into its [lo, up] box; the gradient (-1 below, +1
   /// above) is recomputed each iteration, so bound crossings are handled
   /// by blocking at the crossed bound. Does not touch `cost`/`d`.
-  SolveStatus phase1(std::uint64_t max_pivots, SolveStats& stats,
-                     bool with_fault) {
+  SolveStatus phase1(SolveStats& stats, bool with_fault) {
     const std::size_t mm = m();
     const std::size_t nn = total();
     std::uint64_t iters = 0;
@@ -395,7 +392,7 @@ struct SimplexWorker {
       }
       if (!any) return SolveStatus::kOptimal;
       throw_if_cancelled("sparse simplex (phase 1)");
-      if (iters++ > max_pivots ||
+      if (iters++ > kMaxPivots ||
           (with_fault && UCP_FAULT_POINT("ilp.pivot")))
         return SolveStatus::kIterationLimit;
       const bool bland = iters > bland_after;
@@ -522,91 +519,6 @@ struct SimplexWorker {
     }
   }
 
-  /// Dual simplex: assumes dual-feasible reduced costs `d` (inherited from
-  /// the parent's optimal basis) and repairs primal feasibility after a
-  /// branch bound tightened the box. Leaving row = largest violation,
-  /// entering = smallest dual ratio |d_j|/|z_j|, both with smallest-index
-  /// tie-breaking; Bland fallback after the usual pivot budget.
-  SolveStatus dual(const SolveOptions& options, SolveStats& stats) {
-    const std::size_t mm = m();
-    const std::size_t nn = total();
-    std::uint64_t iters = 0;
-    const std::uint64_t bland_after = 4 * (mm + nn) + 64;
-    while (true) {
-      std::ptrdiff_t r = -1;
-      int sigma = 0;
-      double worst = kFeasTol;
-      for (std::size_t i = 0; i < mm; ++i) {
-        const auto bi = static_cast<std::size_t>(basis[i]);
-        const double below = lo[bi] - x[bi];
-        const double above = x[bi] - up[bi];
-        if (below > worst) {
-          worst = below;
-          r = static_cast<std::ptrdiff_t>(i);
-          sigma = +1;
-        }
-        if (above > worst) {
-          worst = above;
-          r = static_cast<std::ptrdiff_t>(i);
-          sigma = -1;
-        }
-      }
-      if (r < 0) return SolveStatus::kOptimal;
-      throw_if_cancelled("sparse simplex (dual)");
-      if (iters++ > options.max_pivots || UCP_FAULT_POINT("ilp.pivot"))
-        return SolveStatus::kIterationLimit;
-      const bool bland = iters > bland_after;
-
-      const auto rr = static_cast<std::size_t>(r);
-      compute_pivot_row(rr);
-
-      std::int32_t e = -1;
-      double best_ratio = kInfinity;
-      for (std::size_t j = 0; j < nn; ++j) {
-        if (vstat[j] == kBasic || lo[j] == up[j]) continue;
-        const double zj = zrow[j];
-        const bool eligible = (vstat[j] == kAtLower) ? (sigma * zj < -kPivTol)
-                                                     : (sigma * zj > kPivTol);
-        if (!eligible) continue;
-        if (bland) {
-          e = static_cast<std::int32_t>(j);
-          break;
-        }
-        const double ratio = std::abs(d[j]) / std::abs(zj);
-        if (e < 0 || ratio < best_ratio - kEps) {
-          e = static_cast<std::int32_t>(j);
-          best_ratio = ratio;
-        } else if (ratio < best_ratio) {
-          best_ratio = ratio;  // tie within kEps: keep the smaller index
-        }
-      }
-      if (e < 0) return SolveStatus::kInfeasible;  // dual unbounded
-
-      const auto ee = static_cast<std::size_t>(e);
-      ftran(e);
-      const auto bl = static_cast<std::size_t>(basis[rr]);
-      const double target = (sigma > 0) ? lo[bl] : up[bl];
-      // x_bl' = x_bl - alpha_r * step  =>  step drives it onto the bound.
-      const double step = (x[bl] - target) / alpha[rr];
-      for (std::size_t i = 0; i < mm; ++i) {
-        if (std::abs(alpha[i]) > kTiny)
-          x[static_cast<std::size_t>(basis[i])] -= step * alpha[i];
-      }
-      x[ee] = ((vstat[ee] == kAtLower) ? lo[ee] : up[ee]) + step;
-      x[bl] = target;
-      vstat[bl] = (sigma > 0) ? kAtLower : kAtUpper;
-      // zrow was computed for row rr on the pre-update inverse: reuse it.
-      const double dratio = d[ee] / alpha[rr];
-      if (dratio != 0.0) {
-        for (std::size_t j = 0; j < nn; ++j) d[j] -= dratio * zrow[j];
-      }
-      d[ee] = 0.0;
-      vstat[ee] = kBasic;
-      update_binv(rr, e);
-      ++stats.pivots;
-    }
-  }
-
   double objective_value() const {
     double s = 0.0;
     for (std::size_t j = 0; j < n(); ++j) s += cost[j] * x[j];
@@ -714,8 +626,7 @@ SparseLp::SparseLp(const Model& model) {
   detail::SimplexWorker w;
   w.init_from(*this);
   SolveStats stats;
-  canonical_status_ =
-      w.phase1(SolveOptions{}.max_pivots, stats, /*with_fault=*/false);
+  canonical_status_ = w.phase1(stats, /*with_fault=*/false);
   construction_pivots_ = stats.pivots;
   if (obs::enabled()) {
     // Live counterpart of IpetSystem::charge_construction: per-solve stats
@@ -766,21 +677,14 @@ void publish_solve_stats(const SolveStats& stats) {
       obs::registry().counter("ilp.solve.lp_solves");
   static obs::Counter& c_pivots = obs::registry().counter("ilp.solve.pivots");
   static obs::Counter& c_nodes = obs::registry().counter("ilp.solve.bb_nodes");
-  static obs::Counter& c_warm =
-      obs::registry().counter("ilp.solve.warm_starts");
-  static obs::Counter& c_skip =
-      obs::registry().counter("ilp.solve.phase1_skipped");
   c_solves.add(stats.lp_solves);
   c_pivots.add(stats.pivots);
   c_nodes.add(stats.bb_nodes);
-  c_warm.add(stats.warm_starts);
-  c_skip.add(stats.phase1_skipped);
 }
 
 }  // namespace
 
-Solution SparseLp::solve_lp_with(const std::vector<double>& obj,
-                                 const SolveOptions& options) const {
+Solution SparseLp::solve_lp_with(const std::vector<double>& obj) const {
   obs::Span span("ilp.solve.lp");
   SolveStats stats;
   stats.lp_solves = 1;
@@ -791,29 +695,24 @@ Solution SparseLp::solve_lp_with(const std::vector<double>& obj,
     publish_solve_stats(solution.stats);
     return solution;
   }
-  stats.phase1_skipped = 1;
   detail::SimplexWorker w;
   w.init_from(*this);
   w.set_cost(obj);
   w.compute_reduced_costs();
-  const SolveStatus status = w.primal(options, stats, /*with_fault=*/true);
+  const SolveStatus status = w.primal(stats, /*with_fault=*/true);
   if (status == SolveStatus::kOptimal) w.refresh_basic_values();
   Solution solution = extract(w, status, stats);
   publish_solve_stats(solution.stats);
   return solution;
 }
 
-Solution SparseLp::solve_ilp_with(const std::vector<double>& obj,
-                                  const SolveOptions& options) const {
+Solution SparseLp::solve_ilp_with(const std::vector<double>& obj) const {
   struct NodeBound {
     std::int32_t var;
     double lo;
     double up;
   };
-  struct Node {
-    std::vector<NodeBound> path;  ///< bound overrides along the B&B path
-    std::shared_ptr<const detail::SimplexWorker> parent;  ///< optimal state
-  };
+  using Path = std::vector<NodeBound>;  ///< bound overrides along the path
 
   obs::Span span("ilp.solve.bb");
   Solution best;
@@ -821,61 +720,40 @@ Solution SparseLp::solve_ilp_with(const std::vector<double>& obj,
   bool have_best = false;
   SolveStats stats;
 
-  std::vector<Node> stack;
+  std::vector<Path> stack;
   stack.push_back({});
   std::uint64_t nodes = 0;
   SolveStatus worst_failure = SolveStatus::kInfeasible;
 
   while (!stack.empty()) {
     throw_if_cancelled("branch-and-bound");
-    if (++nodes > options.max_bb_nodes || UCP_FAULT_POINT("ilp.bb_node")) {
+    if (++nodes > kMaxBbNodes || UCP_FAULT_POINT("ilp.bb_node")) {
       if (!have_best) best.status = SolveStatus::kIterationLimit;
       best.stats = stats;
       publish_solve_stats(best.stats);
       return best;
     }
     stats.bb_nodes = nodes;
-    Node node = std::move(stack.back());
+    const Path path = std::move(stack.back());
     stack.pop_back();
 
-    // Solve the node relaxation.
+    // Solve the node relaxation: clone the canonical snapshot, apply the
+    // path bounds, repair feasibility with phase 1 (nothing to repair at
+    // the root), then optimize.
     detail::SimplexWorker w;
-    SolveStatus status;
+    SolveStatus status = canonical_status_;
     ++stats.lp_solves;
-    if (canonical_status_ != SolveStatus::kOptimal) {
-      status = canonical_status_;
-    } else if (node.parent && options.warm_start) {
-      // Warm start: reinstate the parent's optimal basis, tighten the one
-      // new bound, and let the dual simplex repair primal feasibility.
-      w = *node.parent;
-      ++stats.warm_starts;
-      ++stats.phase1_skipped;
-      const NodeBound& nb = node.path.back();
-      w.apply_bound(nb.var, nb.lo, nb.up);
-      if (w.bound_conflict) {
-        status = SolveStatus::kInfeasible;
-      } else {
-        status = w.dual(options, stats);
-        if (status == SolveStatus::kOptimal)
-          status = w.primal(options, stats, /*with_fault=*/true);
-      }
-    } else {
-      // Cold node: clone the canonical snapshot, apply the accumulated
-      // path bounds, repair with phase 1, then optimize.
+    if (status == SolveStatus::kOptimal) {
       w.init_from(*this);
       w.set_cost(obj);
-      for (const NodeBound& nb : node.path) w.apply_bound(nb.var, nb.lo, nb.up);
+      for (const NodeBound& nb : path) w.apply_bound(nb.var, nb.lo, nb.up);
       if (w.bound_conflict) {
         status = SolveStatus::kInfeasible;
-      } else if (node.path.empty()) {
-        ++stats.phase1_skipped;  // root: canonical basis is already feasible
-        w.compute_reduced_costs();
-        status = w.primal(options, stats, /*with_fault=*/true);
       } else {
-        status = w.phase1(options.max_pivots, stats, /*with_fault=*/true);
+        status = w.phase1(stats, /*with_fault=*/true);
         if (status == SolveStatus::kOptimal) {
           w.compute_reduced_costs();
-          status = w.primal(options, stats, /*with_fault=*/true);
+          status = w.primal(stats, /*with_fault=*/true);
         }
       }
     }
@@ -888,13 +766,13 @@ Solution SparseLp::solve_ilp_with(const std::vector<double>& obj,
     if (status != SolveStatus::kOptimal) continue;
     w.refresh_basic_values();
     const double objective = w.objective_value();
-    if (have_best && objective <= best.objective + options.int_tolerance)
+    if (have_best && objective <= best.objective + kIntTolerance)
       continue;  // bound: cannot beat incumbent
 
     // Find the most fractional integer variable (strict >, so the smallest
     // index wins ties — same rule as the dense branch-and-bound).
     std::int32_t branch_var = -1;
-    double branch_frac = options.int_tolerance;
+    double branch_frac = kIntTolerance;
     for (std::size_t v = 0; v < n_; ++v) {
       if (!integer_[v]) continue;
       const double xv = w.x[v];
@@ -920,23 +798,10 @@ Solution SparseLp::solve_ilp_with(const std::vector<double>& obj,
     }
 
     const double xb = w.x[static_cast<std::size_t>(branch_var)];
-    Node down;
-    down.path = node.path;
-    down.path.push_back(NodeBound{branch_var, -kInfinity, std::floor(xb)});
-    Node up;
-    up.path = node.path;
-    up.path.push_back(NodeBound{branch_var, std::ceil(xb), kInfinity});
-    if (options.warm_start) {
-      // Share one immutable snapshot of this node's optimal state between
-      // both children. Cap resident snapshots on large systems: children
-      // beyond the cap fall back to the cold path (deterministically —
-      // the decision depends only on stack depth).
-      if (m_ < 256 || stack.size() <= 64) {
-        auto snap = std::make_shared<const detail::SimplexWorker>(std::move(w));
-        down.parent = snap;
-        up.parent = snap;
-      }
-    }
+    Path down = path;
+    down.push_back(NodeBound{branch_var, -kInfinity, std::floor(xb)});
+    Path up = path;
+    up.push_back(NodeBound{branch_var, std::ceil(xb), kInfinity});
     // DFS; push "up" last so the larger-count branch (usually the WCET
     // direction) is explored first.
     stack.push_back(std::move(down));
@@ -962,25 +827,23 @@ std::vector<double> signed_objective(const Model& model, double sign) {
 
 }  // namespace
 
-Solution solve_lp(const Model& model, const SolveOptions& options) {
+Solution solve_lp(const Model& model) {
   const double sign = model.maximize() ? 1.0 : -1.0;
   const SparseLp lp(model);
-  Solution solution = lp.solve_lp_with(signed_objective(model, sign), options);
+  Solution solution = lp.solve_lp_with(signed_objective(model, sign));
   solution.objective *= sign;
-  // The one-shot API pays for construction phase 1 here, so account for it:
-  // its pivots count, and the root's "skipped" phase 1 was not a skip.
+  // The one-shot API pays for construction phase 1 here, so its pivots
+  // count.
   solution.stats.pivots += lp.construction_pivots();
-  if (solution.stats.phase1_skipped > 0) --solution.stats.phase1_skipped;
   return solution;
 }
 
-Solution solve_ilp(const Model& model, const SolveOptions& options) {
+Solution solve_ilp(const Model& model) {
   const double sign = model.maximize() ? 1.0 : -1.0;
   const SparseLp lp(model);
-  Solution solution = lp.solve_ilp_with(signed_objective(model, sign), options);
+  Solution solution = lp.solve_ilp_with(signed_objective(model, sign));
   solution.objective *= sign;
   solution.stats.pivots += lp.construction_pivots();
-  if (solution.stats.phase1_skipped > 0) --solution.stats.phase1_skipped;
   return solution;
 }
 

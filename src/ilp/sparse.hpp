@@ -6,11 +6,12 @@
 // implicit instead of inflated into rows — and then re-solved any number
 // of times with different objective vectors. Construction runs phase 1
 // once and freezes the resulting feasible basis as an immutable canonical
-// snapshot; every solve clones that snapshot, so solves are independent
-// of call order and thread count, and a const SparseLp is safe to share
-// across threads. This is what makes the per-program IpetSystem cache
-// deterministic: the answer for (objective) never depends on which config
-// or stage asked first.
+// snapshot; every solve, and every branch-and-bound node within one,
+// clones that snapshot, so solves are independent of call order and
+// thread count, and a const SparseLp is safe to share across threads.
+// This is what makes the per-program IpetSystem cache deterministic: the
+// answer for (objective) never depends on which config or stage asked
+// first.
 
 #include <cstdint>
 #include <vector>
@@ -40,15 +41,14 @@ class SparseLp {
   /// Maximizes `obj` (dense, indexed by structural VarId, shorter vectors
   /// are zero-extended) over the LP relaxation, starting from the canonical
   /// basis — phase 1 is skipped entirely.
-  Solution solve_lp_with(const std::vector<double>& obj,
-                         const SolveOptions& options = {}) const;
+  Solution solve_lp_with(const std::vector<double>& obj) const;
 
   /// Maximizes `obj` with the model's integrality marks enforced by
-  /// branch-and-bound. With SolveOptions::warm_start (default) children
-  /// reinstate the parent's optimal basis via the dual simplex instead of
-  /// re-entering phase 1.
-  Solution solve_ilp_with(const std::vector<double>& obj,
-                          const SolveOptions& options = {}) const;
+  /// depth-first branch-and-bound. Every node clones the canonical
+  /// snapshot, applies the bounds of its branch path, repairs feasibility
+  /// with phase 1 (a no-op at the root) and optimizes with the primal
+  /// simplex.
+  Solution solve_ilp_with(const std::vector<double>& obj) const;
 
  private:
   friend struct detail::SimplexWorker;

@@ -14,8 +14,8 @@
 namespace ucp::wcet {
 
 /// Maps a solver outcome onto the pipeline-wide error channel, so IPET
-/// budget exhaustion (max_pivots / max_bb_nodes) propagates as a Status the
-/// harness can quarantine on instead of an UCP_CHECK abort.
+/// budget exhaustion (ilp::kMaxPivots / ilp::kMaxBbNodes) propagates as a
+/// Status the harness can quarantine on instead of an UCP_CHECK abort.
 ErrorCode solve_error_code(ilp::SolveStatus status);
 
 /// Per-reference worst-case memory timing: t_w(r) of Section 3.3, derived
@@ -36,7 +36,7 @@ struct WcetResult {
   std::vector<std::vector<std::uint32_t>> ref_cycles;
   /// Worst-case flow per context edge (same indexing as graph.edges()).
   std::vector<std::uint64_t> edge_counts;
-  /// Solver work behind this result (pivots, B&B nodes, warm starts).
+  /// Solver work behind this result (LP solves, pivots, B&B nodes).
   ilp::SolveStats stats;
 
   bool ok() const { return status == ilp::SolveStatus::kOptimal; }
@@ -94,13 +94,11 @@ class IpetSystem {
   std::size_t lp_rows() const { return lp_.num_rows(); }
   std::size_t lp_cols() const { return lp_.num_structural(); }
 
-  /// Folds the one-time construction cost into an aggregate: adds the
-  /// construction pivots and retracts one phase1_skipped credit (the first
-  /// solve skipped its phase 1 only because construction paid for it).
-  /// Call exactly once per IpetSystem when summing end-to-end solver work.
+  /// Folds the one-time construction cost (its phase-1 pivots) into an
+  /// aggregate. Call exactly once per IpetSystem when summing end-to-end
+  /// solver work.
   void charge_construction(ilp::SolveStats& stats) const {
     stats.pivots += lp_.construction_pivots();
-    if (stats.phase1_skipped > 0) --stats.phase1_skipped;
   }
 
  private:

@@ -86,6 +86,7 @@ struct CaseWork {
   std::uint64_t fixpoints = 0;
   std::uint64_t sim_runs = 0;
   std::uint64_t lp_solves = 0;
+  std::uint64_t constructions = 0;  ///< IPET systems built
   std::size_t measure_spans = 0;
   std::size_t optimize_spans = 0;
   std::size_t audit_spans = 0;
@@ -126,6 +127,7 @@ CaseWork case_work(const std::string& name, const char* config_id,
   work.fixpoints = delta("analysis.cache.fixpoints");
   work.sim_runs = delta("sim.interp.runs");
   work.lp_solves = delta("ilp.solve.lp_solves");
+  work.constructions = delta("ilp.solve.constructions");
   for (const obs::TraceEvent& e : events) {
     const std::string span = e.name;
     work.measure_spans += span == "exp.case.measure";
@@ -153,6 +155,7 @@ TEST(CaseWork, UnchangedProgramIsAnalysedSolvedAndSimulatedOnce) {
   EXPECT_EQ(w.fixpoints, 1u);
   EXPECT_EQ(w.sim_runs, 1u);
   EXPECT_EQ(w.lp_solves, 1u);
+  EXPECT_EQ(w.constructions, 0u);
   EXPECT_EQ(w.measure_spans, 1u);
   EXPECT_EQ(w.optimize_spans, 1u);
   EXPECT_EQ(w.audit_spans, 1u);
@@ -161,7 +164,8 @@ TEST(CaseWork, UnchangedProgramIsAnalysedSolvedAndSimulatedOnce) {
 TEST(CaseWork, ChangedProgramIsMeasuredAfreshButTheInputOnlyOnce) {
   // crc/k2 inserts two prefetches. The input is analysed once (the
   // optimizer adopts the baseline's fixpoint); the optimized binary gets
-  // its own fresh measurement and the auditor its own fresh analysis.
+  // its own fresh measurement and the auditor its own fresh analysis, both
+  // on the program's shared IPET system rather than a second one.
   const CaseWork w = case_work("crc", "k2", energy::TechNode::k32nm);
   ASSERT_EQ(w.rows.size(), 1u);
   const UseCaseResult& r = w.rows.front();
@@ -171,9 +175,43 @@ TEST(CaseWork, ChangedProgramIsMeasuredAfreshButTheInputOnlyOnce) {
   EXPECT_FALSE(r.audit.violated);
 
   EXPECT_EQ(w.fixpoints, 3u);
+  EXPECT_EQ(w.constructions, 0u);
   EXPECT_EQ(w.measure_spans, 2u);
   EXPECT_EQ(w.optimize_spans, 1u);
   EXPECT_EQ(w.audit_spans, 1u);
+}
+
+TEST(CaseWork, CaseWithoutASharedSystemBuildsOneAndChargesItOnce) {
+  // run_use_case passes no system: the group builds one up front, uses it
+  // for both binaries, the optimizer and the auditor, and charges its
+  // construction to row 0. The row is the one a shared system produces,
+  // plus exactly that charge.
+  const ir::Program p = suite::build_benchmark("crc");
+  const cache::NamedCacheConfig& config = cache::paper_cache_config("k2");
+  const ProgramSystem system(p);
+  const UseCaseResult shared =
+      run_use_case_group(p, "crc", config, {energy::TechNode::k32nm}, {},
+                         nullptr, &system.ipet)
+          .front();
+
+  const bool metrics_were = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Snapshot before = obs::registry().snapshot();
+  const UseCaseResult solo =
+      run_use_case(p, "crc", config, energy::TechNode::k32nm);
+  const obs::Snapshot after = obs::registry().snapshot();
+  obs::set_enabled(metrics_were);
+
+  ASSERT_EQ(solo.outcome, CaseOutcome::kCompleted);
+  ASSERT_FALSE(solo.report.insertions.empty());
+  EXPECT_EQ(counter_value(after, "ilp.solve.constructions") -
+                counter_value(before, "ilp.solve.constructions"),
+            1u);
+  EXPECT_EQ(sweep_cache_row(solo), sweep_cache_row(shared));
+  EXPECT_EQ(solo.original.solver.pivots,
+            shared.original.solver.pivots + system.ipet.construction_pivots());
+  EXPECT_EQ(solo.optimized.solver.pivots, shared.optimized.solver.pivots);
+  EXPECT_EQ(solo.report.solver.pivots, shared.report.solver.pivots);
 }
 
 }  // namespace

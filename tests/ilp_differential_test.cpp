@@ -18,7 +18,6 @@
 #include "cache/config.hpp"
 #include "energy/model.hpp"
 #include "ilp/model.hpp"
-#include "ilp/sparse.hpp"
 #include "ir/layout.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
@@ -116,16 +115,38 @@ TEST_P(DifferentialLp, RandomLpAgreesWithDenseReference) {
   }
 }
 
-TEST_P(DifferentialLp, RandomIlpAgreesWithDenseReference) {
-  Xorshift rng(static_cast<std::uint64_t>(GetParam()) * 7919u);
-  for (int i = 0; i < 4; ++i) {
-    const Model m = random_model(rng, /*integer_vars=*/true);
-    expect_ilp_agreement(m, "seed " + std::to_string(GetParam()) + " ilp#" +
-                                std::to_string(i));
-  }
+/// The four random ILPs of one seed.
+std::vector<Model> random_ilps(int seed) {
+  Xorshift rng(static_cast<std::uint64_t>(seed) * 7919u);
+  std::vector<Model> models;
+  for (int i = 0; i < 4; ++i)
+    models.push_back(random_model(rng, /*integer_vars=*/true));
+  return models;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialLp, ::testing::Range(1, 41));
+TEST_P(DifferentialLp, RandomIlpAgreesWithDenseReference) {
+  const std::vector<Model> models = random_ilps(GetParam());
+  for (std::size_t i = 0; i < models.size(); ++i)
+    expect_ilp_agreement(models[i], "seed " + std::to_string(GetParam()) +
+                                        " ilp#" + std::to_string(i));
+}
+
+constexpr int kFirstSeed = 1;
+constexpr int kEndSeed = 41;
+INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialLp,
+                         ::testing::Range(kFirstSeed, kEndSeed));
+
+TEST(Differential, RandomIlpSeedsReachBelowTheRoot) {
+  // The IPET relaxations of the suite are integral at the root, so the
+  // random ILPs above are what exercises branch-and-bound nodes below it
+  // (path bounds, phase-1 repair, incumbent pruning). At least one of
+  // their models must branch, or that differential covers the root only.
+  std::size_t branched = 0;
+  for (int seed = kFirstSeed; seed < kEndSeed; ++seed)
+    for (const Model& m : random_ilps(seed))
+      if (solve_ilp(m).stats.bb_nodes > 1) ++branched;
+  EXPECT_GT(branched, 0u);
+}
 
 TEST(Differential, InfeasibleRowsAgree) {
   Model m;
@@ -196,48 +217,13 @@ TEST(DifferentialIpet, EverySuiteModelAgreesWithDenseReference) {
                 1e-6 * std::max(1.0, dense.objective))
         << info.name;
 
-    // The cached-system path must agree with the standalone model bit for
-    // bit: same τ and the exact work counters of a root-level warm chain.
+    // The cached-system path must agree with the standalone model: same τ,
+    // with at least one LP solve behind it.
     const wcet::WcetResult via_system = system.solve(cls, kTiming);
     EXPECT_EQ(via_system.tau_mem,
               static_cast<std::uint64_t>(std::llround(sparse.objective)))
         << info.name;
     EXPECT_GE(via_system.stats.lp_solves, 1u) << info.name;
-  }
-}
-
-TEST(DifferentialIpet, WarmAndColdBranchAndBoundAgree) {
-  for (const char* name : {"bs", "fdct", "crc", "matmult", "statemate"}) {
-    const ir::Program program = suite::build_benchmark(name);
-    const ir::Layout layout(program, kConfig.block_bytes);
-    const analysis::ContextGraph graph(program);
-    const analysis::CacheAnalysisResult cls =
-        analysis::analyze_cache(graph, layout, kConfig);
-    const wcet::IpetSystem system(graph);
-    const Model model = system.model_with_objective(cls, kTiming);
-
-    // Rebuild the objective vector the system would solve with.
-    std::vector<double> obj;
-    for (const Term& t : model.objective()) {
-      if (static_cast<std::size_t>(t.var) >= obj.size())
-        obj.resize(static_cast<std::size_t>(t.var) + 1, 0.0);
-      obj[static_cast<std::size_t>(t.var)] = t.coeff;
-    }
-    const SparseLp lp(model);
-    SolveOptions cold;
-    cold.warm_start = false;
-    const Solution warm_sol = lp.solve_ilp_with(obj);
-    const Solution cold_sol = lp.solve_ilp_with(obj, cold);
-    ASSERT_EQ(warm_sol.status, cold_sol.status) << name;
-    ASSERT_TRUE(warm_sol.optimal()) << name;
-    EXPECT_NEAR(warm_sol.objective, cold_sol.objective,
-                1e-6 * std::max(1.0, cold_sol.objective))
-        << name;
-    // A tree that branched at all must report its warm starts.
-    if (warm_sol.stats.bb_nodes > 1) {
-      EXPECT_GT(warm_sol.stats.warm_starts, 0u) << name;
-    }
-    EXPECT_EQ(cold_sol.stats.warm_starts, 0u) << name;
   }
 }
 
@@ -278,23 +264,21 @@ TEST(DifferentialIpet, StatsAccounting) {
   const wcet::IpetSystem system(graph);
   const wcet::WcetResult r = system.solve(cls, kTiming);
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.stats.lp_solves, 1u);
   EXPECT_GE(r.stats.bb_nodes, 1u);
-  // Every node solve either warm-starts or runs from the canonical basis;
-  // the root always skips phase 1 on the cached-system path.
-  EXPECT_GE(r.stats.phase1_skipped, 1u);
+  // One LP relaxation per branch-and-bound node.
+  EXPECT_EQ(r.stats.lp_solves, r.stats.bb_nodes);
 
   // charge_construction folds the one-time phase 1 in exactly once.
   ilp::SolveStats total = r.stats;
   system.charge_construction(total);
   EXPECT_EQ(total.pivots, r.stats.pivots + system.construction_pivots());
-  EXPECT_EQ(total.phase1_skipped, r.stats.phase1_skipped - 1);
+  EXPECT_EQ(total.lp_solves, r.stats.lp_solves);
 
   // The one-shot wrapper reports the charged form.
   const wcet::WcetResult one_shot = wcet::compute_wcet(graph, cls, kTiming);
   EXPECT_EQ(one_shot.tau_mem, r.tau_mem);
   EXPECT_EQ(one_shot.stats.pivots, total.pivots);
-  EXPECT_EQ(one_shot.stats.phase1_skipped, total.phase1_skipped);
+  EXPECT_EQ(one_shot.stats.lp_solves, total.lp_solves);
 }
 
 }  // namespace

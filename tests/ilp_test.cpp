@@ -133,6 +133,10 @@ TEST(SolveIlp, BranchesToIntegrality) {
   const double xv = s.value(x), yv = s.value(y);
   EXPECT_NEAR(xv, std::round(xv), 1e-6);
   EXPECT_NEAR(yv, std::round(yv), 1e-6);
+  // The fractional root must branch: children below it take the one node
+  // path (canonical clone, path bounds, phase 1, primal).
+  EXPECT_GT(s.stats.bb_nodes, 1u);
+  EXPECT_EQ(s.stats.lp_solves, s.stats.bb_nodes);
 }
 
 TEST(SolveIlp, KnapsackStyle) {
