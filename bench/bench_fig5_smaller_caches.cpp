@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                "original on full capacity (" << grid.size()
             << " base cases)\n";
 
-  support::parallel_for_index(grid.size(), args.threads, [&](std::size_t idx) {
+  auto run_case = [&](std::size_t idx, std::uint32_t) {
     const Case& c = grid[idx];
     const ir::Program program = suite::build_benchmark(c.program);
     const exp::Metrics base =
@@ -82,7 +82,8 @@ int main(int argc, char** argv) {
       const std::lock_guard<std::mutex> lock(mu);
       rows.push_back(row);
     }
-  });
+  };
+  support::parallel_for_index(grid.size(), args.threads, run_case);
 
   TextTable table({"orig. size", "run at", "cases", "mean energy ratio",
                    "mean ACET ratio", "ACET<=1 cases", "best energy saving"});

@@ -132,7 +132,6 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
 
   // Degradation to the identity transform: the returned program is the
   // unmodified input (trivially Theorem-1 sound), with the cause recorded.
-  const auto start_time = std::chrono::steady_clock::now();
   auto degrade = [&](ErrorCode code, const std::string& detail) {
     result.program = input;
     report.reverted = !report.insertions.empty();
@@ -142,18 +141,12 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
     report.tau_optimized = report.tau_original;
     report.tau_fixed_final = report.tau_original;
   };
-  auto deadline_exceeded = [&] {
-    if (UCP_FAULT_POINT("core.deadline")) return true;
-    if (options.deadline_ms == 0) return false;
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start_time);
-    return elapsed.count() >= static_cast<std::int64_t>(options.deadline_ms);
-  };
-  // Cooperative cancellation (watchdog / SIGINT). Like a deadline, a cancel
-  // degrades to the identity transform — never a crash.
+  // Cooperative cancellation (watchdog / SIGINT): a cancel degrades to the
+  // identity transform — never a crash. The core.cancel fault site forces
+  // this exit without a watchdog.
   auto cancelled = [&] {
-    if (!cancellation_requested()) return false;
+    if (!UCP_FAULT_POINT("core.cancel") && !cancellation_requested())
+      return false;
     degrade(ErrorCode::kCancelled,
             "optimization cancelled by the supervisor on '" + input.name() +
                 "'");
@@ -240,12 +233,6 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
 
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     if (cancelled()) return result;
-    if (deadline_exceeded()) {
-      degrade(ErrorCode::kDeadlineExceeded,
-              "optimization deadline expired before pass " +
-                  std::to_string(pass + 1) + " on '" + input.name() + "'");
-      return result;
-    }
     ++report.passes;
 
     // Re-derive the WCET path against the current program. The incremental
@@ -276,15 +263,8 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
 
     bool accepted_any = false;
     for (const Candidate& c : candidates) {
-      if (report.insertions.size() >= options.max_prefetches) break;
       if (report.candidates_evaluated >= eval_budget) break;
       if (cancelled()) return result;
-      if (deadline_exceeded()) {
-        degrade(ErrorCode::kDeadlineExceeded,
-                "optimization deadline expired mid-pass on '" +
-                    input.name() + "'");
-        return result;
-      }
       // Identical physical insertions (same point, same target block) are
       // tried once; contexts share code, so they produce the same program.
       if (!tried.insert({c.evictor, c.target_block}).second) continue;

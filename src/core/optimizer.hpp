@@ -31,21 +31,12 @@ struct OptimizerOptions {
   /// Enforce Definition 10 (Λ must fit in the slack before the use).
   bool require_effectiveness = true;
   AcceptRule accept_rule = AcceptRule::kProfit;
-  std::uint64_t max_prefetches = 4096;
   /// Budget on candidate re-analyses per optimization run. Each evaluation
   /// re-runs the must/may fixpoint over the nodes its insertion affects,
   /// which dominates runtime on the largest kernels (nsichneu-class);
   /// candidates beyond the budget are left untried (reported in the
   /// rejection stats).
   std::size_t max_evaluations = 320;
-  /// Wall-clock budget for one optimization run, in milliseconds; 0 means
-  /// unlimited. On expiry the optimizer degrades to the identity transform
-  /// (the original program, trivially Theorem-1 sound) and reports
-  /// kDeadlineExceeded, so one pathological use case cannot stall a sweep.
-  /// Off by default because wall-clock cutoffs make results timing-
-  /// dependent; sweeps that want reproducible output leave this at 0 and
-  /// rely on the deterministic pivot/node/evaluation budgets instead.
-  std::uint32_t deadline_ms = 0;
 };
 
 /// One accepted insertion.

@@ -7,11 +7,9 @@
 #include <exception>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "analysis/cache_analysis.hpp"
 #include "analysis/context_graph.hpp"
@@ -25,6 +23,7 @@
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
 #include "support/fault_injection.hpp"
+#include "support/parallel.hpp"
 #include "support/record_log.hpp"
 #include "wcet/ipet.hpp"
 
@@ -186,13 +185,12 @@ std::vector<UseCaseResult> case_rows(const std::string& program_name,
 }
 
 /// Failure classes worth another rung of the retry ladder (budgets,
-/// deadlines, cancellation, contained internal errors; semantic verdicts
-/// are deterministic, so retrying cannot change them).
+/// cancellation, contained internal errors; semantic verdicts are
+/// deterministic, so retrying cannot change them).
 bool retryable(ErrorCode code) {
   switch (code) {
     case ErrorCode::kIterationLimit:
     case ErrorCode::kStepBudgetExhausted:
-    case ErrorCode::kDeadlineExceeded:
     case ErrorCode::kCancelled:
     case ErrorCode::kAnalysisFailed:
     case ErrorCode::kInternal:
@@ -315,14 +313,15 @@ std::vector<UseCaseResult> run_use_case_group(
     // mirror the original ones (re-priced per member, no solver work behind
     // them, as in degrade_to_original). An optimized binary is measured
     // afresh (fixpoint, IPET solve and run), so nothing the optimizer
-    // computed vouches for it.
+    // computed vouches for it; the auditor reuses that fresh fixpoint.
     const bool unchanged = opt.report.insertions.empty();
     Expected<Metrics> optimized = original;
+    core::InputBaseline measured;
     if (!unchanged) {
       stage_start = std::chrono::steady_clock::now();
       obs::Span span("exp.case.measure");
       optimized = measure_checked(opt.program, config.config, lead,
-                                  shared_ipet);
+                                  shared_ipet, &measured);
       if (timings) timings->measure_ns += ns_since(stage_start);
     }
     for (std::size_t m : members) {
@@ -345,7 +344,8 @@ std::vector<UseCaseResult> run_use_case_group(
     // Theorem 1 and the sim-vs-IPET bound are free; when prefetches were
     // actually inserted, the memory contribution is recomputed through the
     // dense-tableau reference ILP solver (no shared pivoting code, no fault
-    // points) on a fresh cache analysis of the optimized program. A
+    // points) on the optimized measurement's fresh cache analysis, which
+    // shares nothing with the optimizer's incremental state. A
     // contradiction demotes the case to quarantined (kAuditFailed) — the
     // sweep reports it and carries on. None of this touches the row's
     // metrics or solver counters, so audited rows stay bit-identical.
@@ -384,11 +384,8 @@ std::vector<UseCaseResult> run_use_case_group(
         // Prefetch insertion never alters the CFG, so the input program's
         // context graph (and constraint matrix) still describes the
         // optimized program; only the layout-dependent objective changes.
-        const ir::Layout opt_layout(opt.program, config.config.block_bytes);
-        const analysis::CacheAnalysisResult cls = analysis::analyze_cache(
-            shared_ipet->graph(), opt.program, opt_layout, config.config);
         const ilp::Model model =
-            shared_ipet->model_with_objective(cls, timing);
+            shared_ipet->model_with_objective(measured.analysis, timing);
         const ilp::Solution dense = ilp::solve_ilp_dense_reference(model);
         if (dense.status != ilp::SolveStatus::kOptimal) {
           audit.inconclusive = true;
@@ -627,7 +624,6 @@ std::vector<UseCaseResult> solve_case(
     ++attempts;
     core::OptimizerOptions escalated = options;
     escalated.max_evaluations *= 2;
-    if (escalated.deadline_ms > 0) escalated.deadline_ms *= 4;
     ir::Program retry_program(program.name());
     std::vector<UseCaseResult> retry =
         attempt(escalated, 4, optimized_out ? &retry_program : nullptr);
@@ -870,13 +866,6 @@ Sweep run_sweep(const SweepOptions& options) {
     }
   }
 
-  // Dynamic claim order: the pending subset of the plan's heaviest-first
-  // schedule. Workers pull from an atomic cursor over it.
-  std::vector<std::size_t> order;
-  order.reserve(tasks.size());
-  for (const std::size_t t : plan.schedule)
-    if (task_pending[t]) order.push_back(t);
-
   // Declare the work ahead in the scheduler's own weight units so the ETA
   // tracks completed *work*, not completed case counts (under heaviest-first
   // scheduling the early cases are the slow ones, so a case-count ETA is
@@ -892,73 +881,45 @@ Sweep run_sweep(const SweepOptions& options) {
   }
   reporter.begin(owned_cases, total_weight, resumed_cases, resumed_weight);
 
-  // Deterministic journal flush order (DESIGN.md §13). Finished rows stay
-  // buffered in `results` until the flush frontier — a cursor over the
-  // owned tasks in schedule order — reaches them, so the journal's byte
-  // stream is identical at every thread count: rows appear in schedule
-  // order, never completion order. Workers only mark their task ready
-  // under a cheap bookkeeping lock; whichever worker finds the frontier
-  // unattended becomes the single active flusher and appends the whole
-  // ready run as one batch (one fsync), with no lock held during the I/O.
-  // Crash window: a completed-but-unflushed task (at most one per worker
-  // plus the batch in flight) is recomputed on resume — bounded work loss,
-  // and recomputation is deterministic so the journal still completes
-  // exactly.
-  std::vector<std::size_t> flush_list;  ///< owned tasks, schedule order
-  std::vector<std::size_t> flush_pos(tasks.size(), 0);
-  for (const std::size_t t : plan.schedule) {
-    if (!owned[t]) continue;
-    flush_pos[t] = flush_list.size();
-    flush_list.push_back(t);
-  }
+  // The owned tasks in the plan's heaviest-first schedule order: the pool
+  // claims them in this order, so the longest-running cases start first.
+  std::vector<std::size_t> owned_order;
+  owned_order.reserve(tasks.size());
+  for (const std::size_t t : plan.schedule)
+    if (owned[t]) owned_order.push_back(t);
+
+  // Deterministic journal order (DESIGN.md §13.2). Finished rows stay in
+  // `results` until the commit frontier over `owned_order` reaches them, so
+  // rows appear in schedule order, never completion order, and the journal
+  // bytes are identical at every thread count. Each commit appends its run
+  // of tasks as one batch (one fsync), with no lock held during the I/O.
   // Rows already durable from a resumed journal are skipped per task (a
-  // torn tail can leave part of a task); `have_row` is frozen after open,
-  // so the skip counts are stable.
-  std::vector<std::size_t> flush_skip(flush_list.size(), 0);
-  std::vector<char> flush_ready(flush_list.size(), 0);
-  for (std::size_t i = 0; i < flush_list.size(); ++i) {
-    const SweepPlan::Task& t = tasks[flush_list[i]];
-    std::size_t k0 = 0;
-    while (k0 < options.techs.size() && have_row[t.first + k0]) ++k0;
-    flush_skip[i] = k0;
-    if (!task_pending[flush_list[i]]) flush_ready[i] = 1;
-  }
-  std::size_t flush_frontier = 0;
-  bool flusher_active = false;
-  std::mutex flush_mutex;  ///< guards flush_* state and the journal note
+  // torn tail can leave part of a task); `have_row` is frozen after open.
+  // Crash window: tasks finished behind a still-running earlier task, and
+  // the batch in flight, are not durable yet and are recomputed on resume —
+  // bounded work loss, and recomputation is deterministic so the journal
+  // still completes exactly.
+  support::CommitFrontier frontier(
+      owned_order.size(), [&](std::size_t begin, std::size_t end) {
+        if (!journal.active()) return;  // none, or disabled mid-sweep
+        std::vector<std::pair<std::size_t, std::size_t>> batch;
+        for (std::size_t i = begin; i < end; ++i) {
+          const SweepPlan::Task& t = tasks[owned_order[i]];
+          std::size_t skip = 0;
+          while (skip < options.techs.size() && have_row[t.first + skip])
+            ++skip;
+          if (skip < options.techs.size())
+            batch.emplace_back(t.first + skip, options.techs.size() - skip);
+        }
+        if (batch.empty()) return;
+        const Status appended = journal.append_batch(results, batch);
+        if (!appended.ok()) {
+          sweep.report.journal_note +=
+              "; journaling disabled mid-sweep: " + appended.message();
+          reporter.notice("journal", appended.message());
+        }
+      });
 
-  auto flush_task_done = [&](std::size_t task_id) {
-    std::unique_lock<std::mutex> lock(flush_mutex);
-    flush_ready[flush_pos[task_id]] = 1;
-    if (flusher_active) return;  // the active flusher will pick it up
-    flusher_active = true;
-    for (;;) {
-      std::vector<std::pair<std::size_t, std::size_t>> batch;
-      while (flush_frontier < flush_list.size() &&
-             flush_ready[flush_frontier] != 0) {
-        const SweepPlan::Task& t = tasks[flush_list[flush_frontier]];
-        const std::size_t skip = flush_skip[flush_frontier];
-        if (skip < options.techs.size())
-          batch.emplace_back(t.first + skip, options.techs.size() - skip);
-        ++flush_frontier;
-      }
-      if (batch.empty()) {
-        flusher_active = false;
-        return;
-      }
-      if (!journal.active()) continue;  // disabled mid-sweep: drop the batch
-      lock.unlock();
-      const Status appended = journal.append_batch(results, batch);
-      lock.lock();
-      if (!appended.ok()) {
-        sweep.report.journal_note +=
-            "; journaling disabled mid-sweep: " + appended.message();
-        reporter.notice("journal", appended.message());
-      }
-    }
-  };
-
-  std::atomic<std::size_t> next{0};
   const auto sweep_start = std::chrono::steady_clock::now();
   auto now_ms = [&] {
     return static_cast<std::int64_t>(
@@ -967,10 +928,7 @@ Sweep run_sweep(const SweepOptions& options) {
             .count());
   };
 
-  const std::uint32_t threads =
-      options.threads != 0
-          ? options.threads
-          : std::max(1u, std::thread::hardware_concurrency());
+  const std::uint32_t threads = support::worker_count(options.threads);
   sweep.report.threads_used = threads;
 
   // One watchdog slot per worker; the poll thread runs only when a
@@ -1037,51 +995,49 @@ Sweep run_sweep(const SweepOptions& options) {
     std::move(rows.begin(), rows.end(), results.begin() + t.first);
   };
 
-  auto worker = [&](std::size_t slot_index) {
-    Watchdog::Slot& slot = watchdog.slot(slot_index);
-    // The slot is claimable from the moment the worker starts and again the
-    // instant each task finishes; claimable-to-claim is the wait the
-    // *scheduler* caused, as opposed to time spent behind earlier tasks.
-    std::int64_t free_since_ms = now_ms();
-    for (;;) {
-      if (sweep_interrupt_requested()) break;
-      const std::size_t at = next.fetch_add(1);
-      if (at >= order.size()) break;
-      const SweepPlan::Task& t = tasks[order[at]];
-      {
-        obs::Span span("exp.task.run");
-        const std::int64_t claimed_ms = now_ms();
-        run_task(t, slot);
-        if (obs::enabled()) {
-          // Two distinct waits (DESIGN.md §13): enqueue_to_claim_ms counts
-          // from sweep start (every task is enqueued when the schedule is
-          // built), so it grows with queue position by construction — a
-          // depth profile, not a health signal. queue_wait_ms is
-          // claimable-to-claim: how long a free worker slot sat idle before
-          // this claim; ~0 whenever workers are saturated.
-          static obs::Histogram& h_enqueue =
-              obs::registry().histogram("exp.task.enqueue_to_claim_ms");
-          static obs::Histogram& h_wait =
-              obs::registry().histogram("exp.task.queue_wait_ms");
-          static obs::Histogram& h_run =
-              obs::registry().histogram("exp.task.run_ms");
-          h_enqueue.record(static_cast<std::uint64_t>(claimed_ms));
-          h_wait.record(
-              static_cast<std::uint64_t>(claimed_ms - free_since_ms));
-          h_run.record(static_cast<std::uint64_t>(now_ms() - claimed_ms));
+  // A slot is claimable from the moment the pool starts and again the
+  // instant its worker finishes a task; claimable-to-claim is the wait the
+  // *scheduler* caused, as opposed to time spent behind earlier tasks.
+  std::vector<std::int64_t> free_since_ms(threads, now_ms());
+  support::parallel_for_index(
+      owned_order.size(), threads, [&](std::size_t i, std::uint32_t worker) {
+        const std::size_t task_id = owned_order[i];
+        // A task restored from the journal has nothing to run or append.
+        if (!task_pending[task_id]) {
+          frontier.done(i);
+          return;
         }
-      }
-      flush_task_done(order[at]);
-      reporter.case_done(options.techs.size(), t.weight);
-      free_since_ms = now_ms();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  for (std::uint32_t t = 0; t + 1 < threads; ++t)
-    pool.emplace_back(worker, static_cast<std::size_t>(t) + 1);
-  worker(0);
-  for (std::thread& t : pool) t.join();
+        // After an interrupt a task stays unrun and unmarked, which stops
+        // the journal at it.
+        if (sweep_interrupt_requested()) return;
+        const SweepPlan::Task& t = tasks[task_id];
+        {
+          obs::Span span("exp.task.run");
+          const std::int64_t claimed_ms = now_ms();
+          run_task(t, watchdog.slot(worker));
+          if (obs::enabled()) {
+            // Two distinct waits (DESIGN.md §13): enqueue_to_claim_ms counts
+            // from sweep start (every task is enqueued when the schedule is
+            // built), so it grows with queue position by construction — a
+            // depth profile, not a health signal. queue_wait_ms is
+            // claimable-to-claim: how long a free worker slot sat idle
+            // before this claim; ~0 whenever workers are saturated.
+            static obs::Histogram& h_enqueue =
+                obs::registry().histogram("exp.task.enqueue_to_claim_ms");
+            static obs::Histogram& h_wait =
+                obs::registry().histogram("exp.task.queue_wait_ms");
+            static obs::Histogram& h_run =
+                obs::registry().histogram("exp.task.run_ms");
+            h_enqueue.record(static_cast<std::uint64_t>(claimed_ms));
+            h_wait.record(
+                static_cast<std::uint64_t>(claimed_ms - free_since_ms[worker]));
+            h_run.record(static_cast<std::uint64_t>(now_ms() - claimed_ms));
+          }
+        }
+        frontier.done(i);
+        reporter.case_done(options.techs.size(), t.weight);
+        free_since_ms[worker] = now_ms();
+      });
 
   // An interrupted sweep returns what it has: journaled + finished rows are
   // real results; everything unrun (among the tasks this shard owns) is
@@ -1091,13 +1047,16 @@ Sweep run_sweep(const SweepOptions& options) {
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
     if (!owned[ti]) continue;
     const SweepPlan::Task& t = tasks[ti];
-    if (!results[t.first].program.empty()) continue;
-    any_unrun = true;
-    std::vector<UseCaseResult> rows = case_rows(
-        names[t.program], configs[t.config], options.techs,
-        ErrorCode::kCancelled, "interrupted",
-        "sweep interrupted before this use case ran");
-    std::move(rows.begin(), rows.end(), results.begin() + t.first);
+    // Per row: a torn journal tail can restore part of a task.
+    for (std::size_t k = 0; k < options.techs.size(); ++k) {
+      UseCaseResult& r = results[t.first + k];
+      if (!r.program.empty()) continue;
+      any_unrun = true;
+      r = case_rows(names[t.program], configs[t.config], {options.techs[k]},
+                    ErrorCode::kCancelled, "interrupted",
+                    "sweep interrupted before this use case ran")
+              .front();
+    }
   }
   sweep.report.interrupted = any_unrun && sweep_interrupt_requested();
 

@@ -47,7 +47,7 @@ Metrics measure(const ir::Program& program, const cache::CacheConfig& config,
 /// instead of rebuilt (bit-identical results — see wcet::IpetSystem).
 /// `baseline`, when given (it requires `shared_ipet`), receives the
 /// analysis, IPET solution and run behind a successful measurement, for
-/// core::optimize_prefetches.
+/// core::optimize_prefetches and the soundness auditor.
 Expected<Metrics> measure_checked(const ir::Program& program,
                                   const cache::CacheConfig& config,
                                   energy::TechNode tech,
@@ -183,7 +183,7 @@ std::vector<UseCaseResult> run_use_case_group(
 /// (same inputs) under the retry-with-degradation ladder, returning rows
 /// with `attempts` and `degradation_level` set. Rung 1 uses the configured
 /// budgets; rung 2 (max_attempts >= 2) escalated ones (2x evaluations, 4x
-/// optimizer and watchdog deadlines); rung 3 (max_attempts >= 3) the
+/// watchdog deadline); rung 3 (max_attempts >= 3) the
 /// identity transform, recorded as *degraded* with the original failure as
 /// its cause. A later rung only replaces rows quarantined with a retryable
 /// cause, and every exception is contained per rung as a failed row. Rungs
@@ -380,9 +380,10 @@ void publish_sweep_metrics(const Sweep& sweep);
 
 // --- cooperative sweep interruption ----------------------------------------
 // Async-signal-safe: a SIGINT/SIGTERM handler may call
-// request_sweep_interrupt() directly. Workers stop pulling new tasks, the
-// journal keeps every finished row, and run_sweep returns with
-// report.interrupted set; unrun cases come back quarantined ("interrupted").
+// request_sweep_interrupt() directly. Workers run no further tasks, the
+// journal keeps the finished rows up to the first unrun task in schedule
+// order, and run_sweep returns with report.interrupted set; unrun cases
+// come back quarantined ("interrupted").
 
 void request_sweep_interrupt();
 bool sweep_interrupt_requested();

@@ -180,12 +180,15 @@ std::string SweepJournal::selection_fingerprint(
   h = fnv1a("attempts=" + std::to_string(options.max_attempts), h);
   h = fnv1a("deadline=" + std::to_string(options.case_deadline_ms), h);
   h = fnv1a("audit=" + std::to_string(options.audit_soundness), h);
-  // Optimizer knobs that influence which rows a sweep produces.
+  // Optimizer knobs that influence which rows a sweep produces. "4096" and
+  // the trailing "0" are the constant values of the retired max_prefetches
+  // and deadline_ms fields; they stay in the hash so existing journals
+  // still resume.
   const core::OptimizerOptions& o = options.optimizer;
   std::ostringstream opt;
   opt << "opt=" << o.max_passes << '/' << o.require_effectiveness << '/'
-      << static_cast<int>(o.accept_rule) << '/' << o.max_prefetches << '/'
-      << o.max_evaluations << '/' << o.deadline_ms;
+      << static_cast<int>(o.accept_rule) << "/4096/" << o.max_evaluations
+      << "/0";
   h = fnv1a(opt.str(), h);
   return to_hex(h);
 }

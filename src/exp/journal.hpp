@@ -18,11 +18,12 @@
 // slice for sharded sweeps.
 //
 // Row order (since format v2): rows appear in the sweep's deterministic
-// heaviest-first schedule order, whatever the thread count — workers buffer
-// finished rows and a single flusher appends them when the schedule
-// frontier reaches them (DESIGN.md §13). The journal of an N-thread run is
-// therefore byte-identical to a 1-thread run's, and merge_sweep_journals
-// can reassemble shard journals into the byte-identical unsharded file.
+// heaviest-first schedule order, whatever the thread count — finished rows
+// wait in the result array until a support::CommitFrontier over the
+// schedule reaches them, and its one committer appends them (DESIGN.md
+// §13.2). The journal of an N-thread run is therefore byte-identical to a
+// 1-thread run's, and merge_sweep_journals can reassemble shard journals
+// into the byte-identical unsharded file.
 
 #include <functional>
 #include <string>
@@ -59,7 +60,7 @@ class SweepJournal {
   /// Ranges become durable together; a crash mid-batch loses (at most) a
   /// checksummed-away torn tail. A write failure disables the journal (the
   /// sweep continues without checkpoints) and is returned as a Status. Not
-  /// thread-safe; the sweep's single flusher serializes appends.
+  /// thread-safe; the sweep's commit frontier serializes appends.
   Status append_batch(
       const std::vector<UseCaseResult>& results,
       const std::vector<std::pair<std::size_t, std::size_t>>& ranges);

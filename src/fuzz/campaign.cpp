@@ -30,7 +30,7 @@ using support::to_hex;
 const std::vector<std::string>& cross_fault_sites() {
   static const std::vector<std::string> sites = {
       "sim.step",       "ilp.pivot",     "ilp.bb_node", "wcet.solve",
-      "core.reanalyze", "core.deadline", "gen.build",   "fuzz.oracle",
+      "core.reanalyze", "core.cancel",   "gen.build",   "fuzz.oracle",
   };
   return sites;
 }
@@ -294,40 +294,36 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   };
 
   // Remaining owned cases run on the worker pool; each lands in its slot,
-  // and a completion frontier emits trace lines, journal rows and progress
-  // in index order — so every byte of output is identical at any thread
+  // and a commit frontier emits trace lines, journal rows and progress in
+  // index order — so every byte of output is identical at any thread
   // count, and the journal stays a resumable prefix.
   const std::size_t start = result.verdicts.size();
   std::vector<CaseVerdict> slots(own.size() - start);
-  std::vector<char> slot_done(slots.size(), 0);
-  std::size_t frontier = 0;
-  std::mutex flush_mutex;
-  auto flush_done = [&](std::size_t k) {
-    std::lock_guard<std::mutex> lock(flush_mutex);
-    slot_done[k] = 1;
-    std::vector<std::string> rows;
-    while (frontier < slots.size() && slot_done[frontier] != 0) {
-      const CaseVerdict& v = slots[frontier];
-      if (options.trace) std::cerr << "[fuzz] " << v.line() << "\n";
-      if (journal.active()) rows.push_back(v.line());
-      ++frontier;
-      const std::size_t emitted = start + frontier;
-      if (options.progress_every > 0 &&
-          emitted % options.progress_every == 0)
-        std::cerr << "[fuzz] " << emitted << "/" << own.size()
-                  << " cases\n";
-    }
-    // One append (one fsync) per frontier advance; a failure deactivates
-    // the journal and the campaign carries on without checkpoints.
-    if (rows.empty()) return;
-    const Status appended = journal.append(rows);
-    if (!appended.ok())
-      result.journal_note += "; journaling disabled: " + appended.message();
-  };
-  support::parallel_for_index(slots.size(), threads, [&](std::size_t k) {
-    slots[k] = run_case(own[start + k]);
-    flush_done(k);
-  });
+  support::CommitFrontier frontier(
+      slots.size(), [&](std::size_t begin, std::size_t end) {
+        std::vector<std::string> rows;
+        for (std::size_t k = begin; k < end; ++k) {
+          const std::string line = slots[k].line();
+          if (options.trace) std::cerr << "[fuzz] " << line << "\n";
+          if (journal.active()) rows.push_back(line);
+          const std::size_t emitted = start + k + 1;
+          if (options.progress_every > 0 &&
+              emitted % options.progress_every == 0)
+            std::cerr << "[fuzz] " << emitted << "/" << own.size()
+                      << " cases\n";
+        }
+        // One append (one fsync) per commit; a failure deactivates the
+        // journal and the campaign carries on without checkpoints.
+        if (rows.empty()) return;
+        const Status appended = journal.append(rows);
+        if (!appended.ok())
+          result.journal_note += "; journaling disabled: " + appended.message();
+      });
+  support::parallel_for_index(slots.size(), threads,
+                              [&](std::size_t k, std::uint32_t) {
+                                slots[k] = run_case(own[start + k]);
+                                frontier.done(k);
+                              });
   for (CaseVerdict& v : slots) result.verdicts.push_back(std::move(v));
   journal.close();
 

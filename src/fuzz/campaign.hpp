@@ -29,7 +29,7 @@ struct CampaignOptions {
   std::uint32_t progress_every = 0;  ///< progress line period; 0 = silent
   /// Worker threads (0 = 1). Cases are seed-independent, so any thread
   /// count produces the same verdicts; the journal, trace lines and
-  /// fingerprint stay in index order via a completion frontier. Forced to
+  /// fingerprint stay in index order via support::CommitFrontier. Forced to
   /// 1 when fault_every > 0: the fault registry is process-global, so an
   /// armed site could otherwise fire on the wrong thread's case.
   std::uint32_t threads = 1;

@@ -529,7 +529,7 @@ Response Server::Impl::run_pipeline(const Request& request,
   const exp::UseCaseResult row =
       exp::solve_case(
           program, "request", {request.config_id, request.config},
-          {request.tech}, options.optimizer, nullptr,
+          {request.tech}, core::OptimizerOptions{}, nullptr,
           system ? &system->ipet : nullptr, options.audit_soundness,
           &optimized,
           request.attempts > 0 ? request.attempts : options.default_attempts,

@@ -30,7 +30,6 @@
 #include <memory>
 #include <string>
 
-#include "core/optimizer.hpp"
 #include "serve/protocol.hpp"
 #include "support/status.hpp"
 
@@ -52,7 +51,6 @@ struct ServerOptions {
   /// for the process lifetime via the response cache).
   std::string journal_path;
   bool audit_soundness = true;
-  core::OptimizerOptions optimizer;
   ProtocolLimits limits;
   /// Test hook: while the pointee is true, workers idle before claiming
   /// connections, so a test can fill the admission queue deterministically.

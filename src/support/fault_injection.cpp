@@ -20,7 +20,7 @@ const char* const kSites[] = {
     "sim.step",        // interpreter dynamic instruction budget check
     "wcet.solve",      // IPET solve boundary
     "core.reanalyze",  // per-candidate re-analysis in the optimizer
-    "core.deadline",   // per-use-case wall-clock deadline check
+    "core.cancel",     // optimizer cancellation exit (as on a watchdog fire)
     "exp.measure",     // analyze+simulate boundary of one binary
     "exp.task",        // sweep worker task boundary (arbitrary exception)
     "io.journal_write",   // sweep/fuzz journal append (durable checkpoint)

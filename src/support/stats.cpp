@@ -1,65 +1,10 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/check.hpp"
 
 namespace ucp {
-
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::mean() const {
-  UCP_REQUIRE(count_ > 0, "mean of empty RunningStats");
-  return mean_;
-}
-
-double RunningStats::variance() const {
-  UCP_REQUIRE(count_ > 1, "variance needs at least two samples");
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  UCP_REQUIRE(count_ > 0, "min of empty RunningStats");
-  return min_;
-}
-
-double RunningStats::max() const {
-  UCP_REQUIRE(count_ > 0, "max of empty RunningStats");
-  return max_;
-}
 
 void SampleSet::add(double x) {
   samples_.push_back(x);
@@ -102,17 +47,6 @@ double SampleSet::quantile(double q) const {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= sorted_.size()) return sorted_.back();
   return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
-}
-
-void GeoMean::add(double ratio) {
-  UCP_REQUIRE(ratio > 0.0, "geometric mean requires positive ratios");
-  log_sum_ += std::log(ratio);
-  ++count_;
-}
-
-double GeoMean::value() const {
-  UCP_REQUIRE(count_ > 0, "geometric mean of no samples");
-  return std::exp(log_sum_ / static_cast<double>(count_));
 }
 
 }  // namespace ucp

@@ -5,29 +5,6 @@
 
 namespace ucp {
 
-/// Streaming summary statistics (Welford's algorithm for the variance).
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return count_; }
-  double mean() const;
-  double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
-  double min() const;
-  double max() const;
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
 /// Collects samples and answers order statistics. Used for the per-use-case
 /// scatter data behind Figure 7 (max/median/quantiles of WCET ratios).
 class SampleSet {
@@ -51,18 +28,6 @@ class SampleSet {
   std::vector<double> samples_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-/// Geometric mean accumulator for ratio metrics.
-class GeoMean {
- public:
-  void add(double ratio);
-  std::size_t count() const { return count_; }
-  double value() const;
-
- private:
-  double log_sum_ = 0.0;
-  std::size_t count_ = 0;
 };
 
 }  // namespace ucp

@@ -24,7 +24,7 @@ enum class ErrorCode : std::uint8_t {
   kOk = 0,
   kIterationLimit,       ///< ILP pivot / branch-and-bound node budget
   kStepBudgetExhausted,  ///< interpreter dynamic instruction budget
-  kDeadlineExceeded,     ///< wall-clock budget of an optimization run
+  kDeadlineExceeded,     ///< kept for the wire protocol; no stage returns it
   kLoopBoundViolated,    ///< declared flow fact contradicted concretely
   kAnalysisFailed,       ///< cache/WCET analysis could not complete
   kInfeasible,           ///< ILP infeasible

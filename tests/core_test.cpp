@@ -164,15 +164,6 @@ TEST(Optimizer, EffectivenessKnobRejectsShortSlack) {
   EXPECT_GT(r.report.rejected_ineffective, 0u);
 }
 
-TEST(Optimizer, RespectsMaxPrefetches) {
-  const ir::Program p = conflict_loop();
-  const cache::CacheConfig config{2, 16, 256};
-  OptimizerOptions options;
-  options.max_prefetches = 1;
-  const OptimizationResult r = optimize_prefetches(p, config, kTiming, options);
-  EXPECT_LE(r.report.insertions.size(), 1u);
-}
-
 TEST(Optimizer, UntouchedWhenNoPressure) {
   // A program far smaller than the cache has no replaced-block misses.
   IrBuilder b("tiny");

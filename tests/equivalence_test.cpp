@@ -323,16 +323,16 @@ TEST(Equivalence, GroupPathDegradedRowsMatchPerCase) {
   fault::disarm_all();
   std::vector<UseCaseResult> grouped;
   {
-    fault::ScopedFault f("core.deadline");
+    fault::ScopedFault f("core.cancel");
     grouped = run_use_case_group(p, "bs", k, techs);
   }
   ASSERT_EQ(grouped.size(), 2u);
   for (std::size_t t = 0; t < techs.size(); ++t) {
-    fault::ScopedFault f("core.deadline");
+    fault::ScopedFault f("core.cancel");
     const UseCaseResult ref = run_use_case(p, "bs", k, techs[t]);
     ASSERT_EQ(ref.outcome, CaseOutcome::kDegraded);
     expect_rows_equal(grouped[t], ref,
-                      std::string("bs deadline/") +
+                      std::string("bs cancel/") +
                           energy::tech_name(techs[t]));
   }
 }

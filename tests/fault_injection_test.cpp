@@ -49,7 +49,7 @@ SweepOptions small_sweep() {
 /// quarantine a case. (Cache I/O sites are exercised in harness_test.)
 const std::vector<std::string> kComputeSites = {
     "ilp.pivot",     "ilp.bb_node",   "sim.step",  "wcet.solve",
-    "core.reanalyze", "core.deadline", "exp.measure", "exp.task",
+    "core.reanalyze", "core.cancel",  "exp.measure", "exp.task",
 };
 
 TEST(FaultSweep, EveryComputeSiteIsContained) {
@@ -136,13 +136,13 @@ TEST(FaultUseCase, ReanalysisFaultDegradesToIdentity) {
   EXPECT_TRUE(faulted.report.insertions.empty());
 }
 
-TEST(FaultUseCase, DeadlineFaultReportsDeadlineExceeded) {
+TEST(FaultUseCase, CancelFaultReportsCancelled) {
   const ir::Program p = suite::build_benchmark("bs");
   const auto& k = cache::paper_cache_config("k1");
-  fault::ScopedFault f("core.deadline");
+  fault::ScopedFault f("core.cancel");
   const UseCaseResult r = run_use_case(p, "bs", k, energy::TechNode::k45nm);
   EXPECT_EQ(r.outcome, CaseOutcome::kDegraded);
-  EXPECT_EQ(r.fail_code, ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(r.fail_code, ErrorCode::kCancelled);
   EXPECT_DOUBLE_EQ(r.wcet_ratio(), 1.0);
 }
 

@@ -478,6 +478,32 @@ TEST(Campaign, OpeningAValidJournalLeavesItsBytesUnchanged) {
   EXPECT_EQ(slurp(journal.path), bytes);
 }
 
+TEST(Campaign, ThreadCountInvariantJournalAndFingerprint) {
+  // Workers finish cases in any order; the commit frontier appends the
+  // verdicts in index order, so a 4-thread campaign writes the 1-thread
+  // journal byte for byte.
+  fault::disarm_all();
+  TempFile serial_journal("fuzz_threads1_journal");
+  TempFile pooled_journal("fuzz_threads4_journal");
+  fuzz::CampaignOptions serial = small_campaign();
+  serial.journal_path = serial_journal.path;
+  fuzz::CampaignOptions pooled = serial;
+  pooled.journal_path = pooled_journal.path;
+  pooled.threads = 4;
+  const fuzz::CampaignResult a = fuzz::run_campaign(serial);
+  const fuzz::CampaignResult b = fuzz::run_campaign(pooled);
+
+  EXPECT_EQ(a.unexplained, 0u);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  ASSERT_EQ(a.verdicts.size(), serial.cases);
+  ASSERT_EQ(b.verdicts.size(), serial.cases);
+  for (std::size_t i = 0; i < a.verdicts.size(); ++i)
+    EXPECT_EQ(a.verdicts[i].line(), b.verdicts[i].line()) << "case " << i;
+  const std::string bytes = slurp(serial_journal.path);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(slurp(pooled_journal.path), bytes);
+}
+
 TEST(Campaign, VersionOneJournalResetsWithAVersionReason) {
   fault::disarm_all();
   TempFile journal("fuzz_v1_journal");

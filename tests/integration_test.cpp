@@ -148,7 +148,8 @@ TEST(Regimes, FiltersSelectCorrectCases) {
 TEST(ParallelForIndex, VisitsEachIndexOnce) {
   std::vector<std::atomic<int>> hits(100);
   for (auto& h : hits) h = 0;
-  support::parallel_for_index(100, 4, [&](std::size_t i) { ++hits[i]; });
+  support::parallel_for_index(
+      100, 4, [&](std::size_t i, std::uint32_t) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -157,7 +158,7 @@ TEST(ParallelForIndex, RethrowsWorkerExceptionOnCaller) {
   // process; the first one surfaces on the calling thread after the pool
   // drains.
   EXPECT_THROW(support::parallel_for_index(64, 4,
-                                           [&](std::size_t i) {
+                                           [&](std::size_t i, std::uint32_t) {
                                              if (i == 17)
                                                throw std::runtime_error(
                                                    "boom");

@@ -4,8 +4,10 @@
 // shard/merge round trip — two shard journals merged back into a byte-
 // identical full-grid journal with identical row-derived metrics, (c)
 // SIGKILL + resume of one shard feeding a still-bit-identical merge, and
-// (d) the deterministic lowest-failing-index error discipline of
-// support::parallel_for_index that all of the above is built on.
+// the two support/parallel primitives the sweep runs on: (d) the
+// deterministic lowest-failing-index error discipline of
+// support::parallel_for_index and (e) support::CommitFrontier's in-order,
+// one-committer-at-a-time commits.
 //
 // Journal byte comparisons run with obs disabled: an obs-enabled sweep
 // appends a trailing `# metrics {...}` annotation (a comment, excluded from
@@ -17,12 +19,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "energy/model.hpp"
@@ -365,11 +370,12 @@ TEST(Parallel, LowestFailingIndexWinsAtEveryThreadCount) {
       std::vector<std::atomic<char>> ran(100);
       std::string caught;
       try {
-        support::parallel_for_index(ran.size(), threads, [&](std::size_t i) {
-          ran[i].store(1, std::memory_order_relaxed);
-          if (i == 13 || i == 57)
-            throw std::runtime_error("fail@" + std::to_string(i));
-        });
+        support::parallel_for_index(
+            ran.size(), threads, [&](std::size_t i, std::uint32_t) {
+              ran[i].store(1, std::memory_order_relaxed);
+              if (i == 13 || i == 57)
+                throw std::runtime_error("fail@" + std::to_string(i));
+            });
       } catch (const std::runtime_error& e) {
         caught = e.what();
       }
@@ -383,6 +389,60 @@ TEST(Parallel, LowestFailingIndexWinsAtEveryThreadCount) {
   }
 }
 
+void spin_for(std::chrono::microseconds span) {
+  const auto until = std::chrono::steady_clock::now() + span;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(Parallel, CommitFrontierCommitsEachIndexOnceInOrder) {
+  // Workers finish indices out of order (uneven per-index work); the
+  // frontier must hand [0, n) to its commit callback exactly once, in index
+  // order, one commit at a time, and never commit past an index that was
+  // not marked done.
+  constexpr std::size_t kN = 3000;
+  constexpr std::size_t kHole = 2000;  // marked only after the pool drains
+  for (const std::uint32_t threads : {4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::mutex ranges_mutex;  // keeps the record sound even if commits overlap
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    std::atomic<bool> in_commit{false};
+    std::atomic<std::size_t> overlaps{0};
+    support::CommitFrontier frontier(
+        kN, [&](std::size_t begin, std::size_t end) {
+          if (in_commit.exchange(true)) overlaps.fetch_add(1);
+          {
+            std::lock_guard<std::mutex> lock(ranges_mutex);
+            ranges.emplace_back(begin, end);
+          }
+          // Hold the commit open long enough for other workers to finish
+          // indices and reach done() meanwhile.
+          spin_for(std::chrono::microseconds(20));
+          in_commit.store(false);
+        });
+    auto expect_prefix = [&](std::size_t want_end) {
+      std::lock_guard<std::mutex> lock(ranges_mutex);
+      std::size_t next = 0;
+      for (const auto& [begin, end] : ranges) {
+        EXPECT_EQ(begin, next);
+        EXPECT_LT(begin, end);
+        next = end;
+      }
+      EXPECT_EQ(next, want_end);
+    };
+
+    support::parallel_for_index(kN, threads, [&](std::size_t i,
+                                                 std::uint32_t) {
+      spin_for(std::chrono::microseconds((i * 7919) % 13));
+      if (i != kHole) frontier.done(i);
+    });
+    expect_prefix(kHole);  // the unmarked index stops every later commit
+    frontier.done(kHole);
+    expect_prefix(kN);
+    EXPECT_EQ(overlaps.load(), 0u);
+  }
+}
+
 TEST(Parallel, ShardedInstrumentsSumExactlyAcrossThreads) {
   // Counter/Histogram shard per thread and merge on read; concurrent
   // recording must lose nothing once the writers are quiescent.
@@ -391,7 +451,7 @@ TEST(Parallel, ShardedInstrumentsSumExactlyAcrossThreads) {
   constexpr std::size_t kEvents = 8000;
   std::uint64_t want_sum = 0;
   for (std::size_t i = 0; i < kEvents; ++i) want_sum += i % 17;
-  support::parallel_for_index(kEvents, 8, [&](std::size_t i) {
+  support::parallel_for_index(kEvents, 8, [&](std::size_t i, std::uint32_t) {
     counter.increment();
     histogram.record(i % 17);
   });

@@ -296,6 +296,54 @@ TEST(Recovery, ResumedRowsKeepTheirConfiguration) {
   }
 }
 
+TEST(Recovery, InterruptBeforeRunQuarantinesUnrunRowsAndKeepsTheJournal) {
+  // Two techs per task, so the kept journal prefix can end inside a task.
+  TempFile journal("recovery_interrupt_journal");
+  fault::disarm_all();
+  SweepOptions options = journaled_sweep(journal.path);
+  options.techs = {energy::TechNode::k45nm, energy::TechNode::k32nm};
+  const Sweep full = run_sweep(options);
+  ASSERT_TRUE(full.report.clean());
+  const std::string want_fp = sweep_results_fingerprint(full.results);
+  const std::string full_bytes = slurp(journal.path);
+
+  // Keep the header and the first five rows: two whole tasks and half of
+  // the third in schedule order.
+  constexpr std::size_t kKeptRows = 5;
+  std::size_t cut = 0;
+  for (std::size_t line = 0; line < 1 + kKeptRows; ++line) {
+    cut = full_bytes.find('\n', cut);
+    ASSERT_NE(cut, std::string::npos);
+    ++cut;
+  }
+  ASSERT_LT(cut, full_bytes.size());
+  const std::string partial = full_bytes.substr(0, cut);
+  spit(journal.path, partial);
+
+  request_sweep_interrupt();
+  const Sweep interrupted = run_sweep(options);
+  clear_sweep_interrupt();
+  EXPECT_TRUE(interrupted.report.interrupted);
+  EXPECT_EQ(interrupted.report.resumed_rows, kKeptRows);
+  ASSERT_EQ(interrupted.results.size(), full.results.size());
+  std::size_t quarantined = 0;
+  for (const UseCaseResult& r : interrupted.results) {
+    if (!r.quarantined()) continue;
+    ++quarantined;
+    EXPECT_EQ(r.fail_stage, "interrupted") << r.program << "/" << r.config_id;
+    EXPECT_EQ(r.fail_code, ErrorCode::kCancelled);
+  }
+  EXPECT_EQ(quarantined, full.results.size() - kKeptRows);
+  EXPECT_EQ(slurp(journal.path), partial);
+
+  const Sweep resumed = run_sweep(options);
+  EXPECT_TRUE(resumed.report.clean());
+  EXPECT_FALSE(resumed.report.interrupted);
+  EXPECT_EQ(resumed.report.resumed_rows, kKeptRows);
+  EXPECT_EQ(sweep_results_fingerprint(resumed.results), want_fp);
+  EXPECT_EQ(slurp(journal.path), full_bytes);
+}
+
 // --- RecordLog: the durable log under every journal -------------------------
 
 const support::RecordLog::Format kLogFormat{"ucp-test-log", 2, " key=1",

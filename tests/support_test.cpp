@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -84,39 +83,6 @@ TEST(Rng, DoubleInUnitInterval) {
   }
 }
 
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, EmptyQueriesThrow) {
-  RunningStats s;
-  EXPECT_THROW(s.mean(), InvalidArgument);
-  EXPECT_THROW(s.min(), InvalidArgument);
-  s.add(1.0);
-  EXPECT_THROW(s.variance(), InvalidArgument);  // needs two samples
-}
-
 TEST(SampleSet, Quantiles) {
   SampleSet s;
   for (int i = 10; i >= 1; --i) s.add(i);
@@ -134,15 +100,6 @@ TEST(SampleSet, QuantileAfterLaterAdds) {
   EXPECT_DOUBLE_EQ(s.median(), 1.0);
   s.add(3.0);  // invalidates the sorted cache
   EXPECT_DOUBLE_EQ(s.median(), 2.0);
-}
-
-TEST(GeoMean, MatchesClosedForm) {
-  GeoMean g;
-  g.add(2.0);
-  g.add(8.0);
-  EXPECT_NEAR(g.value(), 4.0, 1e-12);
-  EXPECT_THROW(GeoMean().value(), InvalidArgument);
-  EXPECT_THROW(g.add(0.0), InvalidArgument);
 }
 
 TEST(TextTable, AlignsAndCounts) {
