@@ -4,9 +4,9 @@
 //
 // Generates `cases` synthetic programs from the root seed and runs each
 // through the differential oracle battery (sim-vs-IPET, must/may/persistence
-// vs concrete traces, Theorem 1, sparse-vs-dense ILP). Violations are
-// delta-debug shrunk and written as self-contained repros. Exit code 1 iff
-// any UNEXPLAINED violation occurred (explained = an armed fault site).
+// vs concrete traces, Theorem 1, sparse ILP vs structural WCET). Violations
+// are delta-debug shrunk and written as self-contained repros. Exit code 1
+// iff any UNEXPLAINED violation occurred (explained = an armed fault site).
 //
 // Flags beyond the common set:
 //   --seed N          root seed (decimal or 0x hex; default 1)

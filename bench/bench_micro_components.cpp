@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "sim/interpreter.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
+#include "wcet/structural.hpp"
 
 namespace {
 
@@ -256,7 +258,7 @@ void BM_IpetSolveKernel(benchmark::State& state, const char* name,
   const ilp::Model model = system.model_with_objective(cls, kTiming);
   std::uint64_t pivots = 0;
   for (auto _ : state) {
-    const ilp::Solution s = dense ? ilp::solve_ilp_dense_reference(model)
+    const ilp::Solution s = dense ? reference::solve_ilp_dense_reference(model)
                                   : ilp::solve_ilp(model);
     pivots += s.stats.pivots;
     benchmark::DoNotOptimize(s.objective);
@@ -271,10 +273,26 @@ void BM_IpetSolveSparse(benchmark::State& state, const char* name) {
 void BM_IpetSolveDenseReference(benchmark::State& state, const char* name) {
   BM_IpetSolveKernel(state, name, /*dense=*/true);
 }
+// The soundness auditor's τ_w: the structural loop-tree collapse on the
+// same graphs and classifications, no ILP at all.
+void BM_IpetStructural(benchmark::State& state, const char* name) {
+  const ir::Program program = suite::build_benchmark(name);
+  const ir::Layout layout(program, kConfig.block_bytes);
+  const analysis::ContextGraph graph(program);
+  const auto cls = analysis::analyze_cache(graph, layout, kConfig);
+  for (auto _ : state) {
+    const std::optional<std::uint64_t> tau =
+        wcet::structural_tau(graph, cls, kTiming);
+    if (!tau) state.SkipWithError("structural collapse undecided");
+    benchmark::DoNotOptimize(tau);
+  }
+}
 BENCHMARK_CAPTURE(BM_IpetSolveSparse, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_IpetSolveDenseReference, fdct, "fdct");
+BENCHMARK_CAPTURE(BM_IpetStructural, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_IpetSolveSparse, statemate, "statemate");
 BENCHMARK_CAPTURE(BM_IpetSolveDenseReference, statemate, "statemate");
+BENCHMARK_CAPTURE(BM_IpetStructural, statemate, "statemate");
 
 // Branch-and-bound on an ILP that actually branches: a knapsack with
 // deliberately fractional LP vertices. Every child clones the canonical

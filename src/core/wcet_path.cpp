@@ -14,9 +14,8 @@ using cache::MemBlockId;
 
 std::uint64_t WcetPath::slack_between(std::size_t from, std::size_t to) const {
   UCP_REQUIRE(from <= to && to <= refs.size(), "bad slack interval");
-  std::uint64_t slack = 0;
-  for (std::size_t k = from + 1; k < to; ++k) slack += refs[k].t_w;
-  return slack;
+  UCP_CHECK(t_w_prefix.size() == refs.size() + 1);
+  return to > from + 1 ? t_w_prefix[to] - t_w_prefix[from + 1] : 0;
 }
 
 namespace {
@@ -68,6 +67,7 @@ WcetPath build_wcet_path(const ContextGraph& graph, const ir::Program& program,
                          const wcet::WcetResult& wcet) {
   UCP_REQUIRE(wcet.ok(), "WCET analysis did not produce a solution");
   WcetPath path;
+  path.t_w_prefix.push_back(0);
   PathCache cache(config);
   /// Last path position whose installation evicted each block.
   std::map<MemBlockId, std::int32_t> last_evictor;
@@ -113,6 +113,7 @@ WcetPath build_wcet_path(const ContextGraph& graph, const ir::Program& program,
         if (t.evicted) last_evictor[*t.evicted] = pos;
       }
       path.refs.push_back(ref);
+      path.t_w_prefix.push_back(path.t_w_prefix.back() + ref.t_w);
     }
 
     if (is_exit[cur]) break;

@@ -37,9 +37,12 @@ struct PathRef {
 /// (back edges are not traversed), exactly like the paper's acyclic ACFG.
 struct WcetPath {
   std::vector<PathRef> refs;
+  /// t_w_prefix[k] = Σ refs[0..k).t_w, so t_w_prefix.size() ==
+  /// refs.size() + 1. Filled by build_wcet_path together with refs.
+  std::vector<std::uint64_t> t_w_prefix;
 
   /// Sum of per-execution t_w of refs in positions (from, to) exclusive —
-  /// the slack term of Definition 10 (prefetch effectiveness).
+  /// the slack term of Definition 10 (prefetch effectiveness). O(1).
   std::uint64_t slack_between(std::size_t from, std::size_t to) const;
 };
 

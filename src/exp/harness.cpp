@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <exception>
 #include <iostream>
 #include <memory>
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/cache_analysis.hpp"
 #include "analysis/context_graph.hpp"
@@ -26,6 +26,7 @@
 #include "support/parallel.hpp"
 #include "support/record_log.hpp"
 #include "wcet/ipet.hpp"
+#include "wcet/structural.hpp"
 
 namespace ucp::exp {
 
@@ -200,6 +201,25 @@ bool retryable(ErrorCode code) {
   }
 }
 
+/// The registry snapshot a sweep journal carries as its `# metrics`
+/// annotation, without the wall-clock series (names ending in _ms, _us or
+/// _ns). What is left is fixed by the sweep's inputs, so two runs of one
+/// sweep write byte-identical journals at any thread count.
+obs::Snapshot journal_metrics(const obs::Registry& registry) {
+  auto wall_clock = [](std::string_view name) {
+    return name.ends_with("_ms") || name.ends_with("_us") ||
+           name.ends_with("_ns");
+  };
+  obs::Snapshot snapshot = registry.snapshot();
+  std::erase_if(snapshot.counters,
+                [&](const auto& c) { return wall_clock(c.first); });
+  std::erase_if(snapshot.gauges,
+                [&](const auto& g) { return wall_clock(g.first); });
+  std::erase_if(snapshot.histograms,
+                [&](const auto& h) { return wall_clock(h.name); });
+  return snapshot;
+}
+
 /// Ladder order of outcomes: completed (2) > degraded (1) > failed (0).
 int outcome_rank(const UseCaseResult& r) {
   return r.outcome == CaseOutcome::kCompleted
@@ -342,12 +362,12 @@ std::vector<UseCaseResult> run_use_case_group(
     // --- soundness auditor ------------------------------------------------
     // Every accepted optimization is re-checked over an independent path:
     // Theorem 1 and the sim-vs-IPET bound are free; when prefetches were
-    // actually inserted, the memory contribution is recomputed through the
-    // dense-tableau reference ILP solver (no shared pivoting code, no fault
-    // points) on the optimized measurement's fresh cache analysis, which
-    // shares nothing with the optimizer's incremental state. A
-    // contradiction demotes the case to quarantined (kAuditFailed) — the
-    // sweep reports it and carries on. None of this touches the row's
+    // actually inserted, the memory contribution is recomputed by the
+    // structural loop-tree collapse (wcet::structural_tau: no simplex, no
+    // presolve, no fault points) on the optimized measurement's fresh cache
+    // analysis, which shares nothing with the optimizer's incremental
+    // state. A contradiction demotes the case to quarantined (kAuditFailed)
+    // — the sweep reports it and carries on. None of this touches the row's
     // metrics or solver counters, so audited rows stay bit-identical.
     if (audit_soundness && opt.report.code == ErrorCode::kOk &&
         optimized.ok()) {
@@ -372,7 +392,7 @@ std::vector<UseCaseResult> run_use_case_group(
         // optimized binary's mem_cycles also count prefetch-issue traffic
         // that tau_w excludes by definition (prefetches fill slack), so
         // the raw comparison is not a soundness predicate on that side —
-        // the optimized binary is checked via Theorem 1 and the dense
+        // the optimized binary is checked via Theorem 1 and the structural
         // recomputation below instead.
         audit.violated = true;
         audit.detail =
@@ -382,29 +402,37 @@ std::vector<UseCaseResult> run_use_case_group(
             std::to_string(orig.tau_wcet) + ")";
       } else if (!opt.report.insertions.empty()) {
         // Prefetch insertion never alters the CFG, so the input program's
-        // context graph (and constraint matrix) still describes the
-        // optimized program; only the layout-dependent objective changes.
-        const ilp::Model model =
-            shared_ipet->model_with_objective(measured.analysis, timing);
-        const ilp::Solution dense = ilp::solve_ilp_dense_reference(model);
-        if (dense.status != ilp::SolveStatus::kOptimal) {
+        // context graph still describes the optimized program; only the
+        // node weights change.
+        const std::optional<std::uint64_t> tau = [&] {
+          obs::Span structural("exp.audit.structural");
+          return wcet::structural_tau(shared_ipet->graph(), measured.analysis,
+                                      timing);
+        }();
+        if (obs::enabled()) {
+          static obs::Counter& c_recomputed =
+              obs::registry().counter("exp.audit.recomputed");
+          static obs::Counter& c_inconclusive =
+              obs::registry().counter("exp.audit.inconclusive");
+          (tau ? c_recomputed : c_inconclusive).add(members.size());
+        }
+        if (!tau) {
           audit.inconclusive = true;
-          audit.detail = "dense reference solver returned " +
-                         ilp::status_name(dense.status) +
-                         "; optimizer result unconfirmed";
+          audit.detail =
+              "the structural WCET collapse does not cover this context "
+              "graph; optimizer result unconfirmed";
         } else {
-          audit.tau_dense =
-              static_cast<std::uint64_t>(std::llround(dense.objective));
-          if (audit.tau_dense != opti.tau_wcet) {
+          audit.tau_audit = *tau;
+          if (audit.tau_audit != opti.tau_wcet) {
             audit.violated = true;
-            audit.detail = "dense-reference tau_w " +
-                           std::to_string(audit.tau_dense) +
+            audit.detail = "structural tau_w " +
+                           std::to_string(audit.tau_audit) +
                            " disagrees with the sparse solver's " +
                            std::to_string(opti.tau_wcet);
-          } else if (audit.tau_dense > orig.tau_wcet) {
+          } else if (audit.tau_audit > orig.tau_wcet) {
             audit.violated = true;
-            audit.detail = "Theorem 1 violated by the dense reference: " +
-                           std::to_string(audit.tau_dense) + " > " +
+            audit.detail = "Theorem 1 violated by the structural tau_w: " +
+                           std::to_string(audit.tau_audit) + " > " +
                            std::to_string(orig.tau_wcet);
           }
         }
@@ -1110,7 +1138,7 @@ Sweep run_sweep(const SweepOptions& options) {
   publish_sweep_metrics(sweep);
   if (journal.active() && obs::enabled()) {
     const Status annotated = journal.annotate(
-        "metrics " + obs::snapshot_json(obs::registry().snapshot()));
+        "metrics " + obs::snapshot_json(journal_metrics(obs::registry())));
     if (!annotated.ok()) reporter.notice("journal", annotated.message());
   }
   journal.close();

@@ -68,15 +68,15 @@ const char* case_outcome_name(CaseOutcome outcome);
 
 /// What the always-on soundness auditor concluded about one use case. The
 /// auditor re-derives the accepted optimization's memory contribution over
-/// an *independent* path — the dense-tableau reference ILP solver plus the
-/// concrete cache simulator — and checks it against Theorem 1 and the sparse
-/// solver's answer. It shares no code with the paths it audits below the
-/// model layer, and none of its fault points.
+/// an *independent* path — the structural loop-tree collapse
+/// (wcet::structural_tau) plus the concrete cache simulator — and checks it
+/// against Theorem 1 and the sparse solver's answer. It shares no code with
+/// the ILP paths it audits, and none of their fault points.
 struct AuditRecord {
   bool performed = false;     ///< auditor ran on this case
-  bool violated = false;      ///< Theorem 1 or sparse/dense agreement broken
-  bool inconclusive = false;  ///< reference solver hit its own budget
-  std::uint64_t tau_dense = 0;  ///< dense-reference τ_w (0 if not recomputed)
+  bool violated = false;      ///< Theorem 1 or solver agreement broken
+  bool inconclusive = false;  ///< the structural collapse could not decide
+  std::uint64_t tau_audit = 0;  ///< structural τ_w (0 if not recomputed)
   std::string detail;           ///< human-readable verdict when not clean
 };
 
@@ -253,8 +253,8 @@ struct SweepOptions {
   /// disables the watchdog.
   std::uint32_t case_deadline_ms = 0;
   /// Always-on soundness auditor: after every accepted optimization,
-  /// re-derive the memory contribution via the dense-tableau reference
-  /// solver + cache simulator and check Theorem 1 and sparse/dense
+  /// re-derive the memory contribution via the structural loop-tree
+  /// collapse + cache simulator and check Theorem 1 and sparse/structural
   /// agreement. Violations demote the case to quarantined (kAuditFailed) —
   /// reported, never aborted.
   bool audit_soundness = true;
@@ -297,7 +297,7 @@ struct SweepReport {
   std::size_t resumed_rows = 0;  ///< rows restored from the journal
   std::size_t audited = 0;       ///< cases the soundness auditor examined
   std::size_t audit_violations = 0;    ///< auditor contradicted the optimizer
-  std::size_t audit_inconclusive = 0;  ///< reference solver budget exhausted
+  std::size_t audit_inconclusive = 0;  ///< structural collapse undecided
   bool interrupted = false;  ///< stopped early by request_sweep_interrupt()
   std::string journal_note;  ///< journal state (resumed/reset/disabled/...)
 

@@ -69,7 +69,7 @@ std::string row_body(const UseCaseResult& r, std::size_t index) {
       << static_cast<int>(r.outcome) << ',' << static_cast<int>(r.fail_code)
       << ',' << support::escape_cell(r.fail_stage) << ',' << r.attempts << ','
       << r.degradation_level << ',' << audit_flags << ','
-      << r.audit.tau_dense << ',' << r.original.tau_wcet << ','
+      << r.audit.tau_audit << ',' << r.original.tau_wcet << ','
       << r.original.run.mem_cycles << ',' << r.original.run.instructions
       << ',' << r.original.run.total_cycles << ','
       << r.original.run.cache.fetches << ',' << r.original.run.cache.misses
@@ -127,7 +127,7 @@ bool parse_row_body(std::string_view body, std::size_t& index,
   r.audit.performed = (u[5] & 1u) != 0;
   r.audit.violated = (u[5] & 2u) != 0;
   r.audit.inconclusive = (u[5] & 4u) != 0;
-  r.audit.tau_dense = u[6];
+  r.audit.tau_audit = u[6];
   r.original.tau_wcet = u[7];
   r.original.run.mem_cycles = u[8];
   r.original.run.instructions = u[9];

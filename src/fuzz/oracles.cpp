@@ -1,6 +1,5 @@
 #include "fuzz/oracles.hpp"
 
-#include <cmath>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "sim/interpreter.hpp"
 #include "support/fault_injection.hpp"
 #include "wcet/ipet.hpp"
+#include "wcet/structural.hpp"
 
 namespace ucp::fuzz {
 
@@ -34,8 +34,8 @@ const char* oracle_name(Oracle oracle) {
       return "persistence";
     case Oracle::kTheorem1:
       return "theorem1";
-    case Oracle::kSparseVsDense:
-      return "sparse-vs-dense";
+    case Oracle::kSparseVsStructural:
+      return "sparse-vs-structural";
     case Oracle::kInjected:
       return "injected";
   }
@@ -272,29 +272,24 @@ OracleReport check_program(const ir::Program& program,
     }
   }
 
-  // Oracle 4: the dense-tableau reference solver (no shared pivoting code
-  // with the sparse path) must reproduce τ_w bit-exactly — on the
-  // optimized classification when one exists, else on the input's.
+  // Oracle 4: the structural loop-tree collapse (no simplex, no presolve)
+  // must reproduce the sparse solver's τ_w bit-exactly — on the optimized
+  // classification when one exists, else on the input's.
   ++report.checks_run;
   if (obs::enabled()) checks_counter.increment();
-  const analysis::CacheAnalysisResult& dense_cls =
-      have_opt_cls ? opt_cls : cls;
   const std::uint64_t sparse_tau =
       have_opt_cls ? report.tau_optimized : report.tau_original;
-  const ilp::Model model =
-      ipet.model_with_objective(dense_cls, options.timing);
-  const ilp::Solution dense = ilp::solve_ilp_dense_reference(model);
-  if (dense.status != ilp::SolveStatus::kOptimal) {
+  const std::optional<std::uint64_t> structural = wcet::structural_tau(
+      graph, have_opt_cls ? opt_cls : cls, options.timing);
+  if (!structural) {
     report.pipeline_ok = false;
     report.pipeline_note =
-        "dense reference solver returned " + ilp::status_name(dense.status);
+        "the structural WCET collapse does not cover this context graph";
     return report;
   }
-  const auto tau_dense =
-      static_cast<std::uint64_t>(std::llround(dense.objective));
-  if (tau_dense != sparse_tau) {
-    report.violation = Oracle::kSparseVsDense;
-    report.detail = "dense-reference tau_w " + std::to_string(tau_dense) +
+  if (*structural != sparse_tau) {
+    report.violation = Oracle::kSparseVsStructural;
+    report.detail = "structural tau_w " + std::to_string(*structural) +
                     " disagrees with the sparse solver's " +
                     std::to_string(sparse_tau);
     return report;

@@ -14,15 +14,15 @@ namespace ucp::fuzz {
 /// the analyses are sound — a single counterexample is a pipeline bug (or
 /// an injected fault; kInjected pins the detection path itself).
 enum class Oracle : std::uint8_t {
-  kNone,           ///< all checks passed
-  kRuntime,        ///< pipeline threw / contradicted a loop bound
-  kSimVsIpet,      ///< concrete mem cycles exceed τ_w on the original binary
-  kMustHit,        ///< always-hit (all contexts) fetch observed a miss
-  kMustMiss,       ///< always-miss (all contexts) fetch observed a hit
-  kPersistence,    ///< persistent (all contexts) fetch missed more than once
-  kTheorem1,       ///< optimized τ_w exceeds original τ_w
-  kSparseVsDense,  ///< sparse and dense-reference solvers disagree
-  kInjected,       ///< forced by an armed fuzz.oracle fault
+  kNone,                ///< all checks passed
+  kRuntime,             ///< pipeline threw / contradicted a loop bound
+  kSimVsIpet,           ///< concrete mem cycles exceed τ_w on the input binary
+  kMustHit,             ///< always-hit (all contexts) fetch observed a miss
+  kMustMiss,            ///< always-miss (all contexts) fetch observed a hit
+  kPersistence,         ///< persistent (all contexts) fetch missed twice or more
+  kTheorem1,            ///< optimized τ_w exceeds original τ_w
+  kSparseVsStructural,  ///< sparse solver and structural collapse disagree
+  kInjected,            ///< forced by an armed fuzz.oracle fault
 };
 
 const char* oracle_name(Oracle oracle);
@@ -72,8 +72,9 @@ struct OracleReport {
 ///  4. Theorem 1: the optimizer's output, re-analyzed against the same
 ///     context graph (prefetch insertion never changes the CFG), must not
 ///     increase τ_w;
-///  5. sparse-vs-dense: the dense-tableau reference solver must reproduce
-///     the sparse solver's τ_w bit-exactly.
+///  5. sparse-vs-structural: the structural loop-tree collapse
+///     (wcet::structural_tau) must reproduce the sparse solver's τ_w
+///     bit-exactly.
 /// An armed `fuzz.oracle` fault site forces a kInjected violation first.
 OracleReport check_program(const ir::Program& program,
                            const OracleOptions& options);

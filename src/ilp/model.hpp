@@ -100,8 +100,8 @@ struct Solution {
 };
 
 /// Solver budgets and the integrality threshold, shared by the sparse
-/// solver and the dense reference. Exhausting a budget is reported as
-/// SolveStatus::kIterationLimit.
+/// solver and the test-only dense reference (tests/reference). Exhausting a
+/// budget is reported as SolveStatus::kIterationLimit.
 inline constexpr std::uint64_t kMaxPivots = 2'000'000;  ///< per simplex run
 inline constexpr std::uint64_t kMaxBbNodes = 200'000;   ///< B&B node cap
 inline constexpr double kIntTolerance = 1e-6;           ///< integrality
@@ -114,11 +114,5 @@ Solution solve_lp(const Model& model);
 /// Solves the integer program by LP-based branch-and-bound; variables not
 /// marked integer stay continuous.
 Solution solve_ilp(const Model& model);
-
-/// The retained dense-tableau two-phase simplex, kept verbatim as the
-/// independent reference for the sparse kernel (differential tests, the
-/// sweep auditor, the fuzz oracles). It has no fault points.
-Solution solve_lp_dense_reference(const Model& model);
-Solution solve_ilp_dense_reference(const Model& model);
 
 }  // namespace ucp::ilp

@@ -3,11 +3,11 @@
 // The solver targets the IPET problems built by ucp_wcet: a few hundred to
 // a couple thousand non-negative variables, flow-conservation equalities,
 // and loop-bound inequalities, with 2-4 nonzeros per column. Unlike the
-// retained dense oracle (dense_reference.cpp) it keeps the constraint
-// matrix in CSC form, handles variable bounds implicitly (no bound rows,
-// no artificials for x >= l), and maintains an explicit basis inverse with
-// eta updates, so a pivot costs O(m * touched) instead of O(m * ncols)
-// over a tableau inflated with one row per bound.
+// test-only dense oracle (tests/reference/dense_reference.cpp) it keeps
+// the constraint matrix in CSC form, handles variable bounds implicitly
+// (no bound rows, no artificials for x >= l), and maintains an explicit
+// basis inverse with eta updates, so a pivot costs O(m * touched) instead
+// of O(m * ncols) over a tableau inflated with one row per bound.
 //
 // Pricing is Dantzig with the same Bland's-rule fallback and the same
 // deterministic smallest-index tie-breaking discipline as the dense

@@ -10,6 +10,7 @@
 #include "ir/builder.hpp"
 #include "ir/layout.hpp"
 #include "sim/interpreter.hpp"
+#include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
 
 namespace ucp::core {
@@ -101,6 +102,22 @@ TEST(WcetPath, SlackSumsTimesBetween) {
             static_cast<std::uint64_t>(path.refs[1].t_w) + path.refs[2].t_w);
   EXPECT_EQ(path.slack_between(0, 1), 0u);
   EXPECT_THROW(path.slack_between(3, 0), InvalidArgument);
+}
+
+TEST(WcetPath, PrefixSlackMatchesPlainWalkOnSuiteProgram) {
+  const ir::Program p = suite::build_benchmark("fdct");
+  const WcetPath path = path_of(p, {2, 16, 1024});
+  ASSERT_GT(path.refs.size(), 100u);
+  ASSERT_EQ(path.t_w_prefix.size(), path.refs.size() + 1);
+  for (std::size_t from = 0; from < path.refs.size(); ++from) {
+    // The plain walk over positions (from, to), grown one `to` at a time.
+    std::uint64_t walk = 0;
+    for (std::size_t to = from; to <= path.refs.size(); ++to) {
+      if (to > from + 1) walk += path.refs[to - 1].t_w;
+      ASSERT_EQ(path.slack_between(from, to), walk)
+          << "from " << from << " to " << to;
+    }
+  }
 }
 
 TEST(MakePrefetch, Fields) {

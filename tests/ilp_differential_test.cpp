@@ -19,11 +19,15 @@
 #include "energy/model.hpp"
 #include "ilp/model.hpp"
 #include "ir/layout.hpp"
+#include "reference/reference.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
 
 namespace ucp::ilp {
 namespace {
+
+using reference::solve_ilp_dense_reference;
+using reference::solve_lp_dense_reference;
 
 struct Xorshift {
   std::uint64_t state;

@@ -5,10 +5,13 @@
 
 #include "ilp/model.hpp"
 #include "ilp/presolve.hpp"
+#include "reference/reference.hpp"
 #include "support/check.hpp"
 
 namespace ucp::ilp {
 namespace {
+
+using reference::solve_ilp_dense_reference;
 
 TEST(Model, BuildAndIntrospect) {
   Model m;

@@ -641,6 +641,45 @@ TEST_F(ObsTest, FullInstrumentationLeavesSweepBitIdentical) {
             traced.report.solver.lp_solves);
 }
 
+TEST_F(ObsTest, AuditCountersReconcileWithRowDerivedTotals) {
+  set_enabled(true);
+  set_trace_enabled(true);
+  const exp::Sweep sweep = exp::run_sweep(tiny_sweep());
+  set_enabled(false);
+  set_trace_enabled(false);
+  ASSERT_TRUE(sweep.report.clean());
+
+  // A row whose accepted insertions were re-derived carries the structural
+  // τ_w; fdct at k1 inserts, so the sweep exercises the recomputation.
+  std::uint64_t recomputed_rows = 0;
+  for (const exp::UseCaseResult& r : sweep.results)
+    if (r.audit.tau_audit != 0) ++recomputed_rows;
+  ASSERT_GT(recomputed_rows, 0u);
+
+  const Snapshot snapshot = registry().snapshot();
+  auto counter_value = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& [n, v] : snapshot.counters)
+      if (n == name) return v;
+    return 0;
+  };
+  EXPECT_EQ(counter_value("exp.audit.recomputed"), recomputed_rows);
+  EXPECT_EQ(counter_value("exp.audit.inconclusive"),
+            sweep.report.audit_inconclusive);
+  EXPECT_LE(counter_value("exp.audit.recomputed") +
+                counter_value("exp.audit.inconclusive"),
+            sweep.report.audited);
+
+  // One tech node per row here, so every structural solve is one row and
+  // runs under its own span, inside the case's audit span.
+  const std::vector<TraceEvent> events = drain_trace();
+  const auto structural = std::count_if(
+      events.begin(), events.end(), [](const TraceEvent& e) {
+        return std::string(e.name) == "exp.audit.structural";
+      });
+  EXPECT_EQ(static_cast<std::uint64_t>(structural),
+            recomputed_rows + sweep.report.audit_inconclusive);
+}
+
 TEST_F(ObsTest, JournalMetricsAnnotationSurvivesResume) {
   const std::string journal = testing::TempDir() + "obs_journal." +
                               std::to_string(::getpid()) + ".journal";

@@ -11,8 +11,11 @@
 //
 // Journal byte comparisons run with obs disabled: an obs-enabled sweep
 // appends a trailing `# metrics {...}` annotation (a comment, excluded from
-// resume and from the merge), which a merged journal does not carry.
+// resume and from the merge), which a merged journal does not carry. The
+// annotation itself leaves out wall-clock series, so (f) whole obs-enabled
+// journals written by separate bench processes are byte-identical too.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -109,6 +112,49 @@ TEST(Parallel, ThreadCountInvariantFingerprintAndJournalBytes) {
     EXPECT_EQ(bytes, want_journal)
         << "journal bytes diverged at threads=" << threads;
   }
+}
+
+/// Runs bench_table2_configs with `args` in a fresh process, its output
+/// discarded; returns the exit code (-1 if it did not exit normally).
+int run_table2_bench(const std::vector<std::string>& args) {
+  const pid_t child = ::fork();
+  if (child < 0) return -1;
+  if (child == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(devnull, STDERR_FILENO);
+    std::vector<char*> argv{const_cast<char*>(UCP_BENCH_TABLE2_PATH)};
+    for (const std::string& a : args)
+      argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    ::execv(UCP_BENCH_TABLE2_PATH, argv.data());
+    std::_Exit(127);
+  }
+  int wstatus = 0;
+  if (::waitpid(child, &wstatus, 0) != child) return -1;
+  return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+}
+
+TEST(Parallel, ObsEnabledJournalIsByteIdenticalAcrossRunsAndThreads) {
+  // Each run is its own process, so each starts from an empty metrics
+  // registry exactly as an operator's run does; --metrics turns obs on.
+  auto journal_of = [](const std::string& tag, std::uint32_t threads) {
+    TempFile journal("parallel_obs_journal_" + tag);
+    TempFile metrics("parallel_obs_metrics_" + tag);
+    const int code = run_table2_bench(
+        {"--sweep=6", "--programs", "bs,crc", "--threads",
+         std::to_string(threads), "--journal", journal.path,
+         "--metrics=" + metrics.path});
+    EXPECT_EQ(code, 0) << tag;
+    return read_file(journal.path);
+  };
+  const std::string first = journal_of("a4", 4);
+  const std::string second = journal_of("b4", 4);
+  const std::string serial = journal_of("c1", 1);
+  ASSERT_NE(first.find("\n# metrics {"), std::string::npos)
+      << "obs-enabled sweep wrote no metrics annotation";
+  EXPECT_EQ(first, second) << "two threads=4 runs wrote different journals";
+  EXPECT_EQ(first, serial) << "threads=1 and threads=4 journals differ";
 }
 
 TEST(Parallel, TwoShardMergeIsByteIdenticalToSingleProcess) {

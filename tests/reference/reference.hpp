@@ -10,6 +10,9 @@
 //     the unique least fixpoint, DESIGN.md §14)
 //   solve_unpresolved              vs  wcet::IpetSystem::solve
 //     (the unreduced IPET model vs the presolved one; presolve is exact)
+//   solve_{lp,ilp}_dense_reference vs  ilp::solve_{lp,ilp}
+//     (the two-phase dense tableau vs the sparse revised simplex; also the
+//     third opinion beside wcet::structural_tau on IPET models)
 //
 // Linked only by test and bench targets, never by a library under src/.
 
@@ -17,6 +20,7 @@
 #include "analysis/context_graph.hpp"
 #include "cache/config.hpp"
 #include "ir/layout.hpp"
+#include "ilp/model.hpp"
 #include "ir/program.hpp"
 #include "wcet/ipet.hpp"
 
@@ -44,5 +48,12 @@ wcet::WcetResult solve_unpresolved(
     const wcet::IpetSystem& system,
     const analysis::CacheAnalysisResult& classification,
     const cache::MemTiming& timing);
+
+/// The two-phase dense-tableau simplex on `model`'s LP relaxation, and
+/// LP-based branch-and-bound over it (every node rebuilds its tableau).
+/// Same budgets (ilp::kMaxPivots, ilp::kMaxBbNodes) and integrality
+/// tolerance as the sparse solver; no fault points.
+ilp::Solution solve_lp_dense_reference(const ilp::Model& model);
+ilp::Solution solve_ilp_dense_reference(const ilp::Model& model);
 
 }  // namespace ucp::reference

@@ -1,0 +1,249 @@
+// Structural-WCET differential suite: wcet::structural_tau against the
+// sparse IPET solve (IpetSystem::solve) and the dense-tableau reference
+// (tests/reference) on real and generated programs, for the input binary
+// and for the optimizer's output. The three share no solving code: a
+// loop-tree longest path, a revised simplex over the presolved model, and
+// a two-phase tableau over the unreduced one.
+//
+// It covers 300 src/gen programs and every Table 2 (program, config,
+// tech) case, about 9 s on 4 threads. Each program is also weighted
+// adversarially, since real cache classifications rarely make the loop
+// collapse's anti-circulation rule matter.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "analysis/cache_analysis.hpp"
+#include "analysis/context_graph.hpp"
+#include "cache/config.hpp"
+#include "core/optimizer.hpp"
+#include "energy/model.hpp"
+#include "gen/generator.hpp"
+#include "ilp/model.hpp"
+#include "ir/layout.hpp"
+#include "reference/reference.hpp"
+#include "suite/suite.hpp"
+#include "support/parallel.hpp"
+#include "support/rng.hpp"
+#include "wcet/ipet.hpp"
+#include "wcet/structural.hpp"
+
+namespace ucp::wcet {
+namespace {
+
+constexpr std::uint32_t kThreads = 4;
+
+/// Compares the solvers on one (graph, classification, timing) and returns
+/// a description of every disagreement; empty when all agree. Worker
+/// threads collect these and the test thread reports them.
+std::string disagreement(const IpetSystem& system,
+                         const analysis::CacheAnalysisResult& cls,
+                         const cache::MemTiming& timing) {
+  const WcetResult sparse = system.solve(cls, timing);
+  if (!sparse.ok()) return "sparse solve " + ilp::status_name(sparse.status);
+  const std::optional<std::uint64_t> structural =
+      structural_tau(system.graph(), cls, timing);
+  if (!structural) return "structural collapse undecided";
+  std::string out;
+  if (*structural != sparse.tau_mem)
+    out += "structural " + std::to_string(*structural) + " != sparse " +
+           std::to_string(sparse.tau_mem) + "; ";
+  const ilp::Solution dense = reference::solve_ilp_dense_reference(
+      system.model_with_objective(cls, timing));
+  if (!dense.optimal())
+    out += "dense solve " + ilp::status_name(dense.status) + "; ";
+  else if (const auto tau =
+               static_cast<std::uint64_t>(std::llround(dense.objective));
+           tau != *structural)
+    out += "structural " + std::to_string(*structural) + " != dense " +
+           std::to_string(tau) + "; ";
+  return out;
+}
+
+/// Classifications no cache produces, aimed at the loop collapse itself:
+/// a hashed per-(node, instruction) hit/miss pattern that gives the
+/// contexts of one block different weights, and a "warm FIRST" pattern in
+/// which every innermost-FIRST node hits and everything else misses. The
+/// latter makes a back-edge circulation detached from the FIRST-to-REST
+/// entry outweigh the real path, so it exposes a missing anti-circulation
+/// limit that real cold-first-iteration weights hide.
+std::vector<analysis::CacheAnalysisResult> adversarial_classifications(
+    const analysis::ContextGraph& graph) {
+  std::vector<analysis::CacheAnalysisResult> out(2);
+  for (analysis::NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const analysis::CgNode& node = graph.node(v);
+    const std::size_t instrs =
+        graph.program().block(node.block).instrs.size();
+    const bool warm_first = !node.ctx.empty() && !node.ctx.back().rest;
+    for (analysis::CacheAnalysisResult& cls : out)
+      cls.per_node.emplace_back(instrs);
+    for (std::size_t i = 0; i < instrs; ++i) {
+      out[0].per_node[v][i] = (v * 7 + i * 3) % 5 < 2
+                                  ? analysis::Classification::kAlwaysMiss
+                                  : analysis::Classification::kAlwaysHit;
+      out[1].per_node[v][i] = warm_first
+                                  ? analysis::Classification::kAlwaysHit
+                                  : analysis::Classification::kAlwaysMiss;
+    }
+  }
+  return out;
+}
+
+/// The adversarial classifications of `system`'s graph under `timing`.
+std::size_t check_adversarial(const IpetSystem& system,
+                              const cache::MemTiming& timing,
+                              const std::string& where,
+                              std::vector<std::string>& failures) {
+  std::size_t compared = 0;
+  for (const analysis::CacheAnalysisResult& cls :
+       adversarial_classifications(system.graph())) {
+    ++compared;
+    if (auto d = disagreement(system, cls, timing); !d.empty())
+      failures.push_back(where + " adversarial " + std::to_string(compared) +
+                         ": " + d);
+  }
+  return compared;
+}
+
+/// One program under one cache geometry and timing: the input binary, then
+/// the optimizer's output when it inserted anything (prefetch insertion
+/// keeps the CFG, so the input's graph describes it). Returns the number of
+/// classifications compared; appends disagreements to `failures`.
+std::size_t check_case(const ir::Program& program, const IpetSystem& system,
+                       const cache::CacheConfig& config,
+                       const cache::MemTiming& timing,
+                       const std::string& where,
+                       std::vector<std::string>& failures) {
+  const analysis::ContextGraph& graph = system.graph();
+  const ir::Layout layout(program, config.block_bytes);
+  const auto input = analysis::analyze_cache(graph, layout, config);
+  std::size_t compared = 1;
+  if (auto d = disagreement(system, input, timing); !d.empty())
+    failures.push_back(where + " input: " + d);
+
+  const core::OptimizationResult opt =
+      core::optimize_prefetches(program, config, timing, {}, &system);
+  if (opt.report.code == ErrorCode::kOk && !opt.report.insertions.empty()) {
+    const ir::Layout opt_layout(opt.program, config.block_bytes);
+    const auto optimized =
+        analysis::analyze_cache(graph, opt.program, opt_layout, config);
+    ++compared;
+    if (auto d = disagreement(system, optimized, timing); !d.empty())
+      failures.push_back(where + " optimized: " + d);
+  }
+  return compared;
+}
+
+/// One suite program with the context graph and IPET system every grid
+/// case of it shares (a const IpetSystem is safe across threads).
+struct SuiteProgram {
+  explicit SuiteProgram(const suite::BenchmarkInfo& info)
+      : name(info.name), program(info.build()), graph(program),
+        system(graph) {}
+  std::string name;
+  ir::Program program;
+  analysis::ContextGraph graph;
+  IpetSystem system;
+};
+
+/// Every (program, config) of the Table 2 grid, each distinct memory timing
+/// of its tech nodes once: every quantity compared here depends on the
+/// tech node only through the timing, exactly as in the sweep.
+TEST(StructuralDifferential, TableTwoGrid) {
+  const auto& benchmarks = suite::all_benchmarks();
+  const auto& configs = cache::paper_cache_configs();
+  std::vector<std::unique_ptr<SuiteProgram>> programs(benchmarks.size());
+  support::parallel_for_index(
+      benchmarks.size(), kThreads, [&](std::size_t b, std::uint32_t) {
+        programs[b] = std::make_unique<SuiteProgram>(benchmarks[b]);
+      });
+  // Largest graphs first, so no heavy pair is claimed last.
+  std::vector<std::size_t> order(benchmarks.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t x,
+                                                   std::size_t y) {
+    return programs[x]->graph.num_nodes() > programs[y]->graph.num_nodes();
+  });
+
+  const std::size_t pairs = order.size() * configs.size();
+  std::vector<std::vector<std::string>> failures(pairs);
+  std::vector<std::size_t> compared(pairs, 0);
+  support::parallel_for_index(pairs, kThreads, [&](std::size_t i,
+                                                   std::uint32_t) {
+    const SuiteProgram& sp = *programs[order[i / configs.size()]];
+    const cache::NamedCacheConfig& named = configs[i % configs.size()];
+    std::vector<cache::MemTiming> timings;
+    for (energy::TechNode tech :
+         {energy::TechNode::k45nm, energy::TechNode::k32nm}) {
+      const cache::MemTiming t = energy::derive_timing(named.config, tech);
+      bool seen = false;
+      for (const cache::MemTiming& s : timings)
+        seen = seen || (s.hit_cycles == t.hit_cycles &&
+                        s.miss_cycles == t.miss_cycles &&
+                        s.prefetch_latency == t.prefetch_latency);
+      if (!seen) timings.push_back(t);
+    }
+    for (const cache::MemTiming& timing : timings)
+      compared[i] += check_case(
+          sp.program, sp.system, named.config, timing,
+          sp.name + "/" + named.id + "/miss" +
+              std::to_string(timing.miss_cycles),
+          failures[i]);
+    // The adversarial weights do not depend on the geometry: once per
+    // program, under the first config's timing.
+    if (i % configs.size() == 0)
+      compared[i] += check_adversarial(sp.system, timings.front(),
+                                       sp.name, failures[i]);
+  });
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    total += compared[i];
+    for (const std::string& f : failures[i]) ADD_FAILURE() << f;
+  }
+  // 37 programs x 36 configs plus the 222 pairs whose tech nodes differ
+  // in timing, two adversarial weightings per program, and one optimized
+  // program per group that inserted.
+  EXPECT_GT(total, 37u * 36u + 222u + 2u * 37u);
+}
+
+TEST(StructuralDifferential, GeneratedPrograms) {
+  constexpr std::size_t kPrograms = 300;
+  const auto& configs = cache::paper_cache_configs();
+  std::vector<std::vector<std::string>> failures(kPrograms);
+  std::vector<std::size_t> compared(kPrograms, 0);
+  support::parallel_for_index(
+      kPrograms, kThreads, [&](std::size_t i, std::uint32_t) {
+        Rng rng(split_seed(i + 1, 0));
+        const gen::GenKnobs knobs = gen::sample_knobs(rng);
+        const ir::Program program =
+            gen::generate_program(split_seed(i + 1, 1), knobs);
+        const cache::NamedCacheConfig& named =
+            configs[(i * 7) % configs.size()];
+        const analysis::ContextGraph graph(program);
+        const IpetSystem system(graph);
+        const cache::MemTiming timing =
+            energy::derive_timing(named.config, energy::TechNode::k45nm);
+        const std::string where =
+            "gen seed " + std::to_string(i + 1) + "/" + named.id;
+        compared[i] = check_case(program, system, named.config, timing,
+                                 where, failures[i]) +
+                      check_adversarial(system, timing, where, failures[i]);
+      });
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < kPrograms; ++i) {
+    total += compared[i];
+    for (const std::string& f : failures[i]) ADD_FAILURE() << f;
+  }
+  EXPECT_GE(total, 3 * kPrograms);
+}
+
+}  // namespace
+}  // namespace ucp::wcet
