@@ -54,6 +54,8 @@ struct MemTiming {
   std::uint32_t prefetch_latency = 40; ///< Λ: time for a prefetch to land
 
   void validate() const;
+
+  friend bool operator==(const MemTiming&, const MemTiming&) = default;
 };
 
 }  // namespace ucp::cache

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,9 @@ struct OptimizationReport {
   std::size_t rejected_cannot_survive = 0;
   std::size_t passes = 0;
   // --- candidate re-analysis accounting (perf acceptance instrumentation).
+  // Trial work shared by several timings of one run is credited once, to
+  // the lowest-indexed timing that priced it, so sums over reports equal
+  // the work done.
   /// Incremental trial re-analyses (one per evaluated candidate variant).
   std::size_t incremental_reanalyses = 0;
   /// Cumulative context nodes recomputed across incremental trials; compare
@@ -82,6 +86,11 @@ struct OptimizationReport {
   /// ILP work of the initial and final IPET solves (plus the constraint
   /// system's one-time construction when this run had to build its own).
   ilp::SolveStats solver;
+  // --- lockstep accounting: describes the whole run, so only the report
+  // of timing 0 carries it (zero in the others).
+  std::size_t lanes = 0;          ///< timings optimized by this run
+  std::size_t forks = 0;          ///< state copies made for diverging lanes
+  std::size_t shared_trials = 0;  ///< trials priced by more than one lane
   std::vector<PrefetchRecord> insertions;
 
   double wcet_ratio() const {
@@ -98,14 +107,15 @@ struct OptimizationResult {
 };
 
 /// What a caller that has just measured the input already knows about it:
-/// its converged must/may analysis and its IPET solution over the shared
-/// IpetSystem's context graph, and its concrete run, all for the
-/// configuration and timing being optimized for (exp::measure_checked
-/// fills one). The optimizer adopts these instead of recomputing them.
+/// its converged must/may analysis over the shared IpetSystem's context
+/// graph (timing-free), and for each timing being optimized for, parallel
+/// to the `timings` argument, its IPET solution and its concrete run
+/// (exp::run_use_case_group fills one). The optimizer adopts these instead
+/// of recomputing them.
 struct InputBaseline {
   analysis::CacheAnalysisResult analysis;
-  wcet::WcetResult wcet;
-  sim::RunMetrics run;
+  std::vector<wcet::WcetResult> wcet;
+  std::vector<sim::RunMetrics> run;
 };
 
 /// The paper's optimization (Algorithm 3): identifies, along the WCET path,
@@ -115,20 +125,37 @@ struct InputBaseline {
 /// prefetch-equivalent to the input (Definition 5) and its memory
 /// contribution to the WCET never exceeds the input's (Theorem 1; enforced
 /// by construction plus the final audit).
+///
+/// One run optimizes for several memory timings at once and returns one
+/// result per entry of `timings`, each identical to a run for that timing
+/// alone. Each timing is a *lane* that prices the shared work itself (its
+/// τ_w, counts n_w, WCET path, effectiveness, accept rule and Condition 3).
+/// Lanes that make the same decision at every step share one incremental
+/// analysis, one program and one set of tried candidates, so each trial is
+/// built and re-analysed once; at the first disagreement they fork
+/// (DESIGN.md §8.2).
+///
 /// `shared_ipet`, when given, must have been built from `input`'s context
 /// graph; the initial and final IPET solves then reuse its cached constraint
 /// system instead of rebuilding it (bit-identical results — see
 /// wcet::IpetSystem).
 /// `baseline`, when given (it requires `shared_ipet`), is consumed: its
-/// analysis becomes the optimizer's base, its IPET solution replaces the
-/// initial solve (whose solver work the caller has already accounted), and
-/// its run is the first Condition-3 reference. The result is bit-identical
-/// to a run without it.
+/// analysis becomes the optimizer's base, its IPET solutions replace the
+/// initial solves (whose solver work the caller has already accounted),
+/// and its runs are the first Condition-3 references. The results are
+/// bit-identical to a run without it.
+std::vector<OptimizationResult> optimize_prefetches(
+    const ir::Program& input, const cache::CacheConfig& config,
+    std::span<const cache::MemTiming> timings,
+    const OptimizerOptions& options = {},
+    const wcet::IpetSystem* shared_ipet = nullptr,
+    InputBaseline* baseline = nullptr);
+
+/// One timing: the run above with a single lane.
 OptimizationResult optimize_prefetches(
     const ir::Program& input, const cache::CacheConfig& config,
     const cache::MemTiming& timing, const OptimizerOptions& options = {},
-    const wcet::IpetSystem* shared_ipet = nullptr,
-    InputBaseline* baseline = nullptr);
+    const wcet::IpetSystem* shared_ipet = nullptr);
 
 /// Builds a kPrefetch instruction for the block containing `target`.
 ir::Instruction make_prefetch(ir::InstrId target);

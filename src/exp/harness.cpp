@@ -50,39 +50,47 @@ const char* case_outcome_name(CaseOutcome outcome) {
   return "unknown";
 }
 
-Expected<Metrics> measure_checked(const ir::Program& program,
+namespace {
+
+/// The timing-free half of a measurement: one binary's code size and its
+/// must/may analysis on one cache configuration.
+struct Analysed {
+  std::uint32_t code_bytes = 0;
+  analysis::CacheAnalysisResult cls;
+};
+
+/// `graph` may have been built from the input of an optimization whose
+/// output is `program` (prefetch insertion never alters the CFG), so the
+/// analysis reads `program`, not the graph's own.
+Expected<Analysed> analyse_binary(const ir::Program& program,
                                   const cache::CacheConfig& config,
-                                  energy::TechNode tech,
-                                  const wcet::IpetSystem* shared_ipet,
-                                  core::InputBaseline* baseline) {
-  UCP_REQUIRE(baseline == nullptr || shared_ipet != nullptr,
-              "a measurement baseline is only defined on a shared IPET "
-              "system's graph");
+                                  const analysis::ContextGraph& graph) {
   if (UCP_FAULT_POINT("exp.measure")) {
     return Status(ErrorCode::kFaultInjected,
                   "injected measurement failure for '" + program.name() +
                       "'");
   }
-  const cache::MemTiming timing = energy::derive_timing(config, tech);
-
-  Metrics m;
-  // Static side: VIVU + must/may + IPET. With a shared system the context
-  // graph and IPET constraint matrix come prebuilt (they depend only on the
-  // CFG, not the configuration or the prefetches); only the
-  // classification-dependent objective is solved per call. The graph may
-  // have been built from the input of an optimization whose output is
-  // `program`, so the analysis reads `program`, not the graph's own.
   const ir::Layout layout(program, config.block_bytes);
-  m.code_bytes = layout.code_bytes();
-  std::optional<analysis::ContextGraph> own_graph;
-  if (!shared_ipet) own_graph.emplace(program);
-  const analysis::ContextGraph& graph =
-      shared_ipet ? shared_ipet->graph() : *own_graph;
-  analysis::CacheAnalysisResult cls =
-      analysis::analyze_cache(graph, program, layout, config);
-  wcet::WcetResult wcet = shared_ipet
-                              ? shared_ipet->solve(cls, timing)
-                              : wcet::compute_wcet(graph, cls, timing);
+  return Analysed{layout.code_bytes(),
+                  analysis::analyze_cache(graph, program, layout, config)};
+}
+
+/// The per-timing half: τ_w by IPET over the analysis, then the trace
+/// simulation and its energy. With an IPET system only the
+/// classification-dependent objective is solved. `wcet_out`, when given,
+/// receives the IPET solution of a successful measurement.
+Expected<Metrics> price_binary(const ir::Program& program,
+                               const Analysed& analysed,
+                               const cache::CacheConfig& config,
+                               const cache::MemTiming& timing,
+                               energy::TechNode tech,
+                               const analysis::ContextGraph& graph,
+                               const wcet::IpetSystem* ipet,
+                               wcet::WcetResult* wcet_out = nullptr) {
+  Metrics m;
+  m.code_bytes = analysed.code_bytes;
+  wcet::WcetResult wcet = ipet ? ipet->solve(analysed.cls, timing)
+                               : wcet::compute_wcet(graph, analysed.cls, timing);
   m.solver = wcet.stats;
   if (!wcet.ok()) {
     return Status(wcet::solve_error_code(wcet.status),
@@ -90,19 +98,33 @@ Expected<Metrics> measure_checked(const ir::Program& program,
                       ") for program '" + program.name() + "'");
   }
   m.tau_wcet = wcet.tau_mem;
-
-  // Dynamic side: trace simulation + energy model.
   Expected<sim::RunMetrics> run =
       sim::run_program_checked(program, config, timing);
   if (!run.ok()) return run.status();
   m.run = std::move(run).value();
   m.energy = energy::memory_energy(m.run, config, tech);
-  if (baseline) {
-    baseline->analysis = std::move(cls);
-    baseline->wcet = std::move(wcet);
-    baseline->run = m.run;
-  }
+  if (wcet_out) *wcet_out = std::move(wcet);
   return m;
+}
+
+}  // namespace
+
+Expected<Metrics> measure_checked(const ir::Program& program,
+                                  const cache::CacheConfig& config,
+                                  energy::TechNode tech,
+                                  const wcet::IpetSystem* shared_ipet) {
+  // With a shared system the context graph and IPET constraint matrix come
+  // prebuilt (they depend only on the CFG, not the configuration or the
+  // prefetches).
+  std::optional<analysis::ContextGraph> own_graph;
+  if (!shared_ipet) own_graph.emplace(program);
+  const analysis::ContextGraph& graph =
+      shared_ipet ? shared_ipet->graph() : *own_graph;
+  const Expected<Analysed> analysed = analyse_binary(program, config, graph);
+  if (!analysed.ok()) return analysed.status();
+  return price_binary(program, *analysed, config,
+                      energy::derive_timing(config, tech), tech, graph,
+                      shared_ipet);
 }
 
 Metrics measure(const ir::Program& program, const cache::CacheConfig& config,
@@ -151,6 +173,19 @@ void degrade_to_original(UseCaseResult& result, const std::string& stage,
   result.report.tau_original = result.original.tau_wcet;
   result.report.tau_optimized = result.original.tau_wcet;
   result.report.tau_fixed_final = result.original.tau_wcet;
+}
+
+/// Work done once for a lane — its IPET solves, and the optimizer's trials
+/// shared with other lanes — is credited to the lead member only, so sums
+/// over rows equal the work done. The decision counters stay per row.
+void credit_to_lead_only(core::OptimizationReport& report) {
+  report.solver = ilp::SolveStats{};
+  report.incremental_reanalyses = 0;
+  report.nodes_reanalyzed = 0;
+  report.reanalysis_ns = 0;
+  report.lanes = 0;
+  report.forks = 0;
+  report.shared_trials = 0;
 }
 
 std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
@@ -233,7 +268,7 @@ std::vector<UseCaseResult> run_use_case_group(
     const ir::Program& program, const std::string& program_name,
     const cache::NamedCacheConfig& config,
     const std::vector<energy::TechNode>& techs,
-    const core::OptimizerOptions& options, StageTimings* timings,
+    const core::OptimizerOptions& options, StageTimings* stage_timings,
     const wcet::IpetSystem* shared_ipet, bool audit_soundness,
     ir::Program* optimized_out) {
   // Identity transform until a group completes: every early-out path below
@@ -258,74 +293,98 @@ std::vector<UseCaseResult> run_use_case_group(
     shared_ipet = &own_system->ipet;
   }
 
-  // Group the tech nodes by derived memory timing: every quantity except
-  // the energy pricing depends on the tech node only through the timing, so
-  // equal timings share one analysis/optimization/simulation verbatim.
-  std::vector<cache::MemTiming> group_timing;
-  std::vector<std::vector<std::size_t>> group_members;
+  // One lane per distinct derived memory timing. Every quantity except the
+  // energy pricing depends on the tech node only through the timing, so
+  // the members of a lane share one pricing, optimization and simulation
+  // verbatim; the lanes themselves share the timing-free cache analyses
+  // and, inside the optimizer, every trial they decide alike on.
+  std::vector<cache::MemTiming> timings;
+  std::vector<std::vector<std::size_t>> members;
   for (std::size_t i = 0; i < techs.size(); ++i) {
     const cache::MemTiming t = energy::derive_timing(config.config, techs[i]);
-    std::size_t g = group_timing.size();
-    for (std::size_t k = 0; k < group_timing.size(); ++k) {
-      if (group_timing[k].hit_cycles == t.hit_cycles &&
-          group_timing[k].miss_cycles == t.miss_cycles &&
-          group_timing[k].prefetch_latency == t.prefetch_latency) {
-        g = k;
-        break;
-      }
+    const auto lane = static_cast<std::size_t>(
+        std::find(timings.begin(), timings.end(), t) - timings.begin());
+    if (lane == timings.size()) {
+      timings.push_back(t);
+      members.emplace_back();
     }
-    if (g == group_timing.size()) {
-      group_timing.push_back(t);
-      group_members.emplace_back();
-    }
-    group_members[g].push_back(i);
+    members[lane].push_back(i);
   }
+  const analysis::ContextGraph& graph = shared_ipet->graph();
 
-  for (std::size_t g = 0; g < group_timing.size(); ++g) {
-    const cache::MemTiming& timing = group_timing[g];
-    const std::vector<std::size_t>& members = group_members[g];
-    const energy::TechNode lead = techs[members.front()];
-
-    // The baseline hands the measured input's fixpoint, IPET solution and
-    // run to the optimizer, so the input is analysed and simulated once.
-    core::InputBaseline baseline;
-    auto stage_start = std::chrono::steady_clock::now();
-    const Expected<Metrics> original = [&] {
-      obs::Span span("exp.case.measure");
-      return measure_checked(program, config.config, lead, shared_ipet,
-                             &baseline);
-    }();
-    if (timings) timings->measure_ns += ns_since(stage_start);
-    if (!original.ok()) {
-      for (std::size_t m : members) {
-        out[m].outcome = CaseOutcome::kFailed;
-        out[m].fail_stage = "measure_original";
-        out[m].fail_code = original.code();
-        out[m].fail_detail = original.status().detail();
+  // The input is analysed once and priced per lane. The baseline hands that
+  // analysis and each lane's IPET solution and run to the optimizer, so the
+  // input is analysed and simulated once per timing at most.
+  core::InputBaseline baseline;
+  std::vector<std::size_t> live;  // lanes whose input measured
+  std::vector<Metrics> original(timings.size());
+  {
+    const auto stage_start = std::chrono::steady_clock::now();
+    obs::Span span("exp.case.measure");
+    Expected<Analysed> input = analyse_binary(program, config.config, graph);
+    for (std::size_t l = 0; l < timings.size(); ++l) {
+      wcet::WcetResult wcet;
+      Expected<Metrics> m =
+          input.ok() ? price_binary(program, *input, config.config,
+                                    timings[l], techs[members[l].front()],
+                                    graph, shared_ipet, &wcet)
+                     : Expected<Metrics>(input.status());
+      if (!m.ok()) {
+        for (std::size_t i : members[l]) {
+          out[i].outcome = CaseOutcome::kFailed;
+          out[i].fail_stage = "measure_original";
+          out[i].fail_code = m.code();
+          out[i].fail_detail = m.status().detail();
+        }
+        continue;
       }
-      continue;
+      original[l] = std::move(m).value();
+      baseline.wcet.push_back(std::move(wcet));
+      baseline.run.push_back(original[l].run);
+      live.push_back(l);
     }
-    for (std::size_t m : members) {
-      out[m].original = original.value();
-      out[m].original.energy =
-          energy::memory_energy(out[m].original.run, config.config, techs[m]);
-      // The solver work was spent once for the whole group; crediting it to
+    if (input.ok()) baseline.analysis = std::move(input->cls);
+    if (stage_timings) stage_timings->measure_ns += ns_since(stage_start);
+  }
+  for (std::size_t l : live) {
+    for (std::size_t i : members[l]) {
+      out[i].original = original[l];
+      out[i].original.energy =
+          energy::memory_energy(out[i].original.run, config.config, techs[i]);
+      // The solver work was spent once for the whole lane; crediting it to
       // every member would multiply it in sweep-wide sums, so only the lead
       // member carries it.
-      if (m != members.front()) out[m].original.solver = ilp::SolveStats{};
+      if (i != members[l].front()) out[i].original.solver = ilp::SolveStats{};
     }
+  }
+  if (live.empty()) {
+    if (own_system)
+      own_system->ipet.charge_construction(out.front().original.solver);
+    return out;
+  }
 
-    stage_start = std::chrono::steady_clock::now();
-    const core::OptimizationResult opt = [&] {
-      obs::Span span("exp.case.optimize");
-      return core::optimize_prefetches(program, config.config, timing,
-                                       options, shared_ipet, &baseline);
-    }();
-    if (timings) timings->optimize_ns += ns_since(stage_start);
-    if (opt.report.code != ErrorCode::kOk) {
-      for (std::size_t m : members)
-        degrade_to_original(out[m], "optimize", opt.report.code,
-                            opt.report.detail);
+  std::vector<cache::MemTiming> live_timings;
+  for (std::size_t l : live) live_timings.push_back(timings[l]);
+  auto stage_start = std::chrono::steady_clock::now();
+  const std::vector<core::OptimizationResult> opt = [&] {
+    obs::Span span("exp.case.optimize");
+    return core::optimize_prefetches(program, config.config, live_timings,
+                                     options, shared_ipet, &baseline);
+  }();
+  if (stage_timings) stage_timings->optimize_ns += ns_since(stage_start);
+
+  // Analyses of the distinct optimized programs: lanes that stayed joined
+  // in the optimizer ship the same program, which is analysed once.
+  std::vector<std::pair<const ir::Program*, Expected<Analysed>>> outputs;
+  outputs.reserve(live.size());
+  for (std::size_t j = 0; j < live.size(); ++j) {
+    const std::vector<std::size_t>& lane_members = members[live[j]];
+    const cache::MemTiming& timing = live_timings[j];
+    const core::OptimizationResult& result = opt[j];
+    if (result.report.code != ErrorCode::kOk) {
+      for (std::size_t i : lane_members)
+        degrade_to_original(out[i], "optimize", result.report.code,
+                            result.report.detail);
       continue;
     }
 
@@ -334,29 +393,46 @@ std::vector<UseCaseResult> run_use_case_group(
     // them, as in degrade_to_original). An optimized binary is measured
     // afresh (fixpoint, IPET solve and run), so nothing the optimizer
     // computed vouches for it; the auditor reuses that fresh fixpoint.
-    const bool unchanged = opt.report.insertions.empty();
-    Expected<Metrics> optimized = original;
-    core::InputBaseline measured;
+    const bool unchanged = result.report.insertions.empty();
+    Expected<Metrics> optimized = original[live[j]];
+    const Analysed* fresh = nullptr;
     if (!unchanged) {
       stage_start = std::chrono::steady_clock::now();
       obs::Span span("exp.case.measure");
-      optimized = measure_checked(opt.program, config.config, lead,
-                                  shared_ipet, &measured);
-      if (timings) timings->measure_ns += ns_since(stage_start);
+      auto same = std::find_if(outputs.begin(), outputs.end(),
+                               [&](const auto& o) {
+                                 return o.first->blocks() ==
+                                        result.program.blocks();
+                               });
+      if (same == outputs.end()) {
+        outputs.emplace_back(
+            &result.program,
+            analyse_binary(result.program, config.config, graph));
+        same = outputs.end() - 1;
+      }
+      if (same->second.ok()) {
+        fresh = &*same->second;
+        optimized = price_binary(result.program, *fresh, config.config,
+                                 timing, techs[lane_members.front()], graph,
+                                 shared_ipet);
+      } else {
+        optimized = same->second.status();
+      }
+      if (stage_timings) stage_timings->measure_ns += ns_since(stage_start);
     }
-    for (std::size_t m : members) {
-      out[m].report = opt.report;
-      if (m != members.front()) out[m].report.solver = ilp::SolveStats{};
+    for (std::size_t i : lane_members) {
+      out[i].report = result.report;
+      if (i != lane_members.front()) credit_to_lead_only(out[i].report);
       if (!optimized.ok()) {
-        degrade_to_original(out[m], "measure_optimized", optimized.code(),
+        degrade_to_original(out[i], "measure_optimized", optimized.code(),
                             optimized.status().detail());
         continue;
       }
-      out[m].optimized = optimized.value();
-      out[m].optimized.energy = energy::memory_energy(
-          out[m].optimized.run, config.config, techs[m]);
-      if (unchanged || m != members.front())
-        out[m].optimized.solver = ilp::SolveStats{};
+      out[i].optimized = optimized.value();
+      out[i].optimized.energy = energy::memory_energy(
+          out[i].optimized.run, config.config, techs[i]);
+      if (unchanged || i != lane_members.front())
+        out[i].optimized.solver = ilp::SolveStats{};
     }
 
     // --- soundness auditor ------------------------------------------------
@@ -369,13 +445,12 @@ std::vector<UseCaseResult> run_use_case_group(
     // state. A contradiction demotes the case to quarantined (kAuditFailed)
     // — the sweep reports it and carries on. None of this touches the row's
     // metrics or solver counters, so audited rows stay bit-identical.
-    if (audit_soundness && opt.report.code == ErrorCode::kOk &&
-        optimized.ok()) {
+    if (audit_soundness && optimized.ok()) {
       stage_start = std::chrono::steady_clock::now();
       obs::Span span("exp.case.audit");
       AuditRecord audit;
       audit.performed = true;
-      const Metrics& orig = original.value();
+      const Metrics& orig = original[live[j]];
       const Metrics& opti = optimized.value();
       if (UCP_FAULT_POINT("audit.mismatch")) {
         audit.violated = true;
@@ -400,21 +475,20 @@ std::vector<UseCaseResult> run_use_case_group(
             "binary (" +
             std::to_string(orig.run.mem_cycles) + " > " +
             std::to_string(orig.tau_wcet) + ")";
-      } else if (!opt.report.insertions.empty()) {
+      } else if (fresh) {
         // Prefetch insertion never alters the CFG, so the input program's
         // context graph still describes the optimized program; only the
-        // node weights change.
+        // node weights change, and they are priced per timing.
         const std::optional<std::uint64_t> tau = [&] {
           obs::Span structural("exp.audit.structural");
-          return wcet::structural_tau(shared_ipet->graph(), measured.analysis,
-                                      timing);
+          return wcet::structural_tau(graph, fresh->cls, timing);
         }();
         if (obs::enabled()) {
           static obs::Counter& c_recomputed =
               obs::registry().counter("exp.audit.recomputed");
           static obs::Counter& c_inconclusive =
               obs::registry().counter("exp.audit.inconclusive");
-          (tau ? c_recomputed : c_inconclusive).add(members.size());
+          (tau ? c_recomputed : c_inconclusive).add(lane_members.size());
         }
         if (!tau) {
           audit.inconclusive = true;
@@ -437,18 +511,18 @@ std::vector<UseCaseResult> run_use_case_group(
           }
         }
       }
-      if (timings) timings->audit_ns += ns_since(stage_start);
-      for (std::size_t m : members) {
-        out[m].audit = audit;
+      if (stage_timings) stage_timings->audit_ns += ns_since(stage_start);
+      for (std::size_t i : lane_members) {
+        out[i].audit = audit;
         if (audit.violated)
-          degrade_to_original(out[m], "audit", ErrorCode::kAuditFailed,
+          degrade_to_original(out[i], "audit", ErrorCode::kAuditFailed,
                               audit.detail);
       }
     }
 
     if (optimized_out &&
-        out[members.front()].outcome == CaseOutcome::kCompleted)
-      *optimized_out = opt.program;
+        out[lane_members.front()].outcome == CaseOutcome::kCompleted)
+      *optimized_out = result.program;
   }
   if (own_system)
     own_system->ipet.charge_construction(out.front().original.solver);

@@ -45,15 +45,14 @@ Metrics measure(const ir::Program& program, const cache::CacheConfig& config,
 /// from one it differs from only by prefetch insertions (which never alter
 /// the CFG); the context graph and IPET constraint system are then reused
 /// instead of rebuilt (bit-identical results — see wcet::IpetSystem).
-/// `baseline`, when given (it requires `shared_ipet`), receives the
-/// analysis, IPET solution and run behind a successful measurement, for
-/// core::optimize_prefetches and the soundness auditor.
+/// A measurement is a timing-free cache analysis followed by a per-timing
+/// pricing (IPET solve, trace simulation, energy); run_use_case_group runs
+/// the two halves separately, so its lanes share the analysis.
 Expected<Metrics> measure_checked(const ir::Program& program,
                                   const cache::CacheConfig& config,
                                   energy::TechNode tech,
                                   const wcet::IpetSystem* shared_ipet =
-                                      nullptr,
-                                  core::InputBaseline* baseline = nullptr);
+                                      nullptr);
 
 /// What happened to one use case in a sweep.
 enum class CaseOutcome : std::uint8_t {
@@ -154,26 +153,32 @@ struct StageTimings {
 };
 
 /// Runs one (program, configuration) pair for several technology nodes at
-/// once — the `MeasureCache` of the sweep. Technologies whose derived
-/// memory timing coincides (most of the 45nm/32nm grid: the 0.88× access
-/// scale usually rounds to the same cycle counts) share one analysis,
-/// optimization and simulation; only the energy pricing runs per tech.
-/// Rows are bit-identical to calling `run_use_case` per tech, because
-/// every shared quantity depends on the tech node only through the derived
-/// timing. Results are ordered like `techs`.
+/// once — the `MeasureCache` of the sweep. Each distinct derived memory
+/// timing is a lane: technologies whose timing coincides (most of the
+/// 45nm/32nm grid: the 0.88× access scale usually rounds to the same cycle
+/// counts) are members of one lane and share its pricing, optimization and
+/// simulation; only the energy pricing runs per tech. All lanes share the
+/// timing-free cache analysis of each distinct program (the input, and each
+/// distinct optimized output), and one core::optimize_prefetches run whose
+/// lanes share every trial they decide alike on. Rows are bit-identical to
+/// calling `run_use_case` per tech, because every shared quantity depends
+/// on the tech node only through the derived timing, and the cache
+/// analysis not at all. Work done once is credited once: a lane's solver
+/// work and the optimizer's trial work go to the lead (first) member.
+/// Results are ordered like `techs`.
 ///
 /// `shared_ipet` is the program's IPET system; without one, the call builds
 /// its own up front and charges its construction to row 0's original
 /// solver work. Either way both binaries, the optimizer and the auditor
 /// share that one system. `optimized_out`, when non-null, receives the
-/// program this call vouches for: the output of the last timing group that
+/// program this call vouches for: the output of the last lane that
 /// completed, or the input program (identity transform) when none did.
 std::vector<UseCaseResult> run_use_case_group(
     const ir::Program& program, const std::string& program_name,
     const cache::NamedCacheConfig& config,
     const std::vector<energy::TechNode>& techs,
     const core::OptimizerOptions& options = {},
-    StageTimings* timings = nullptr,
+    StageTimings* stage_timings = nullptr,
     const wcet::IpetSystem* shared_ipet = nullptr,
     bool audit_soundness = false,
     ir::Program* optimized_out = nullptr);

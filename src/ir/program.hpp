@@ -34,6 +34,8 @@ struct Instruction {
   InstrId pf_target = kInvalidInstr;
 
   bool is_prefetch() const { return op == Opcode::kPrefetch; }
+
+  friend bool operator==(const Instruction&, const Instruction&) = default;
 };
 
 /// A maximal straight-line sequence of instructions. The terminator (if any)
@@ -46,6 +48,8 @@ struct BasicBlock {
   /// Successor blocks. kBranch: {taken, not-taken}. kJump/fallthrough: {next}.
   /// kHalt: {}.
   std::vector<BlockId> succs;
+
+  friend bool operator==(const BasicBlock&, const BasicBlock&) = default;
 };
 
 /// A whole program: its CFG, the initial data-memory image, and the loop

@@ -9,6 +9,7 @@
 #include "core/wcet_path.hpp"
 #include "ir/builder.hpp"
 #include "ir/layout.hpp"
+#include "ir/text_codec.hpp"
 #include "sim/interpreter.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
@@ -230,6 +231,160 @@ TEST(Optimizer, PrefetchTargetsAreValidInstructions) {
   }
 }
 
+// --- lanes: one run for several timings -------------------------------------
+
+/// Every lane of a multi-timing run must be the run for its timing alone:
+/// same program, insertions, τ figures and decision counters.
+void expect_lane_matches_single(const OptimizationResult& lane,
+                                const OptimizationResult& single,
+                                const std::string& what) {
+  const OptimizationReport& a = lane.report;
+  const OptimizationReport& b = single.report;
+  EXPECT_EQ(ir::to_text(lane.program), ir::to_text(single.program)) << what;
+  ASSERT_EQ(a.insertions.size(), b.insertions.size()) << what;
+  for (std::size_t i = 0; i < a.insertions.size(); ++i) {
+    EXPECT_EQ(a.insertions[i].prefetch_instr, b.insertions[i].prefetch_instr)
+        << what;
+    EXPECT_EQ(a.insertions[i].target_instr, b.insertions[i].target_instr)
+        << what;
+    EXPECT_EQ(a.insertions[i].block, b.insertions[i].block) << what;
+    EXPECT_EQ(a.insertions[i].profit_tau, b.insertions[i].profit_tau) << what;
+    EXPECT_EQ(a.insertions[i].slack, b.insertions[i].slack) << what;
+  }
+  EXPECT_EQ(a.code, b.code) << what;
+  EXPECT_EQ(a.reverted, b.reverted) << what;
+  EXPECT_EQ(a.tau_original, b.tau_original) << what;
+  EXPECT_EQ(a.tau_optimized, b.tau_optimized) << what;
+  EXPECT_EQ(a.tau_fixed_final, b.tau_fixed_final) << what;
+  EXPECT_EQ(a.candidates_found, b.candidates_found) << what;
+  EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated) << what;
+  EXPECT_EQ(a.passes, b.passes) << what;
+  EXPECT_EQ(a.rejected_ineffective, b.rejected_ineffective) << what;
+  EXPECT_EQ(a.rejected_unprofitable, b.rejected_unprofitable) << what;
+  EXPECT_EQ(a.rejected_acet, b.rejected_acet) << what;
+  EXPECT_EQ(a.rejected_cannot_survive, b.rejected_cannot_survive) << what;
+}
+
+/// Runs `timings` as the lanes of one call and checks each lane against a
+/// single-timing call; returns the lanes.
+std::vector<OptimizationResult> run_lanes(
+    const ir::Program& p, const cache::CacheConfig& config,
+    const std::vector<cache::MemTiming>& timings,
+    const OptimizerOptions& options = {}) {
+  std::vector<OptimizationResult> lanes =
+      optimize_prefetches(p, config, timings, options);
+  EXPECT_EQ(lanes.size(), timings.size());
+  for (std::size_t l = 0; l < lanes.size() && l < timings.size(); ++l)
+    expect_lane_matches_single(
+        lanes[l], optimize_prefetches(p, config, timings[l], options),
+        p.name() + " lane " + std::to_string(l));
+  return lanes;
+}
+
+TEST(OptimizerLanes, EqualTimingsStayJoinedAndShareEveryTrial) {
+  const ir::Program p = conflict_loop();
+  const std::vector<OptimizationResult> lanes =
+      run_lanes(p, {2, 16, 256}, {kTiming, kTiming});
+  const OptimizationReport& lead = lanes[0].report;
+  EXPECT_EQ(lead.lanes, 2u);
+  EXPECT_EQ(lead.forks, 0u);
+  ASSERT_GT(lead.candidates_evaluated, 0u);
+  EXPECT_EQ(lead.shared_trials, lead.incremental_reanalyses);
+  // The shared work is credited once, to the lead lane.
+  EXPECT_EQ(lanes[1].report.incremental_reanalyses, 0u);
+  EXPECT_EQ(lanes[1].report.candidates_evaluated, lead.candidates_evaluated);
+}
+
+TEST(OptimizerLanes, ForkAtTheFirstCandidate) {
+  // Same hit and miss costs, so both lanes walk the same WCET path and
+  // candidates; lane 1's prefetches can never land in time, so it rejects
+  // the first candidate as ineffective while lane 0 evaluates it.
+  const ir::Program p = conflict_loop();
+  cache::MemTiming slow = kTiming;
+  slow.prefetch_latency = 1000000;
+  const std::vector<OptimizationResult> lanes =
+      run_lanes(p, {2, 16, 256}, {kTiming, slow});
+  const OptimizationReport& lead = lanes[0].report;
+  EXPECT_EQ(lead.forks, 1u);
+  EXPECT_EQ(lead.shared_trials, 0u);
+  EXPECT_GT(lead.candidates_evaluated, 0u);
+  EXPECT_EQ(lanes[1].report.candidates_evaluated, 0u);
+  EXPECT_GT(lanes[1].report.rejected_ineffective, 0u);
+}
+
+TEST(OptimizerLanes, ForkAfterASharedAcceptance) {
+  // crc at k2: with misses at 40 cycles an insertion that the 5-cycle lane
+  // also takes comes first, then a later candidate's profit changes sign
+  // between the two miss costs.
+  const ir::Program p = suite::build_benchmark("crc");
+  const cache::CacheConfig config = cache::paper_cache_config("k2").config;
+  const std::vector<cache::MemTiming> timings = {{1, 40, 40}, {1, 5, 40}};
+  const std::vector<OptimizationResult> lanes = run_lanes(p, config, timings);
+  EXPECT_EQ(lanes[0].report.forks, 1u);
+  EXPECT_GT(lanes[0].report.shared_trials, 0u);
+  EXPECT_NE(lanes[0].report.insertions.size(),
+            lanes[1].report.insertions.size());
+
+  // The same run cut short by the evaluation budget (a prefix of the full
+  // one: the budget is checked only before a candidate) has not forked yet
+  // but has already accepted an insertion, which joined lanes accept
+  // together.
+  OptimizerOptions prefix;
+  prefix.max_evaluations = lanes[0].report.shared_trials;
+  const std::vector<OptimizationResult> cut =
+      run_lanes(p, config, timings, prefix);
+  EXPECT_EQ(cut[0].report.forks, 0u);
+  EXPECT_FALSE(cut[0].report.insertions.empty());
+  EXPECT_FALSE(cut[1].report.insertions.empty());
+}
+
+TEST(OptimizerLanes, ForkBeforeTheFirstCandidateWhenTheWcetPathsDiffer) {
+  // Hits at 10 cycles against misses at 12 weigh the paths differently
+  // from hits at 1 against misses at 40: at cover/k1 the two lanes'
+  // worst-case paths, and so their candidate lists, differ from the first
+  // pass on, and they fork before trying any candidate.
+  const ir::Program p = suite::build_benchmark("cover");
+  const cache::CacheConfig config = cache::paper_cache_config("k1").config;
+  const std::vector<OptimizationResult> lanes =
+      run_lanes(p, config, {{1, 40, 40}, {10, 12, 40}});
+  EXPECT_EQ(lanes[0].report.forks, 1u);
+  EXPECT_EQ(lanes[0].report.shared_trials, 0u);
+  EXPECT_NE(lanes[0].report.candidates_found,
+            lanes[1].report.candidates_found);
+}
+
+TEST(OptimizerLanes, MixedTimingsMatchSingleRunsUnderBothAcceptRules) {
+  // Miss costs and prefetch latencies far apart, two and three lanes per
+  // run, both accept rules: lanes fork at every kind of step (and parts of
+  // one fork may accept the same trial), and every lane must still be the
+  // run for its timing alone.
+  const std::vector<std::vector<cache::MemTiming>> lane_sets = {
+      {{1, 40, 40}, {1, 5, 40}},
+      {{1, 8, 8}, {1, 80, 8}},
+      {{2, 25, 25}, {1, 25, 25}},
+      {{1, 40, 40}, {1, 5, 40}, {1, 25, 100}},
+  };
+  const std::pair<const char*, const char*> cases[] = {
+      {"crc", "k2"}, {"fdct", "k1"}, {"fdct", "k2"}, {"fir", "k2"},
+      {"cover", "k13"}};
+  std::size_t forks = 0;
+  std::size_t runs = 0;
+  for (const auto& [name, cfg] : cases) {
+    const ir::Program p = suite::build_benchmark(name);
+    const cache::CacheConfig config = cache::paper_cache_config(cfg).config;
+    for (const AcceptRule rule : {AcceptRule::kProfit, AcceptRule::kAlways}) {
+      OptimizerOptions options;
+      options.accept_rule = rule;
+      for (const std::vector<cache::MemTiming>& timings : lane_sets) {
+        SCOPED_TRACE(std::string(name) + "/" + cfg);
+        forks += run_lanes(p, config, timings, options)[0].report.forks;
+        ++runs;
+      }
+    }
+  }
+  // Vacuity guard: the forks actually happened, in many runs.
+  EXPECT_GT(forks, runs / 4);
+}
 
 TEST(Locking, SelectionRespectsGeometry) {
   const ir::Program p = conflict_loop();

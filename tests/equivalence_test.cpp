@@ -214,11 +214,14 @@ TEST(Equivalence, FusedClassificationMatchesReferenceOnLoopNests) {
 // --- tentpole layer 2: cross-tech result sharing ----------------------------
 
 TEST(Equivalence, GroupPathMatchesPerCaseRows) {
+  // k1 and k25 derive one timing for both techs (one lane, two members);
+  // k27 ... k36 derive two (two lanes in one optimizer run).
   const std::vector<energy::TechNode> techs = {energy::TechNode::k45nm,
                                                energy::TechNode::k32nm};
   for (const char* name : {"bs", "fdct", "crc"}) {
     const ir::Program p = suite::build_benchmark(name);
-    for (const char* cfg : {"k1", "k25"}) {
+    for (const char* cfg :
+         {"k1", "k25", "k27", "k30", "k32", "k33", "k35", "k36"}) {
       const auto& k = cache::paper_cache_config(cfg);
       const std::vector<UseCaseResult> grouped =
           run_use_case_group(p, name, k, techs);
@@ -305,10 +308,7 @@ const cache::NamedCacheConfig& shared_timing_config() {
         energy::derive_timing(named.config, energy::TechNode::k45nm);
     const cache::MemTiming b =
         energy::derive_timing(named.config, energy::TechNode::k32nm);
-    if (a.hit_cycles == b.hit_cycles && a.miss_cycles == b.miss_cycles &&
-        a.prefetch_latency == b.prefetch_latency) {
-      return named;
-    }
+    if (a == b) return named;
   }
   throw std::logic_error("no config with tech-invariant timing");
 }
@@ -418,6 +418,50 @@ TEST(Equivalence, GroupPathFailedRowsMatchPerCase) {
     expect_rows_equal(grouped[t], ref,
                       std::string("bs measure/") +
                           energy::tech_name(techs[t]));
+  }
+}
+
+TEST(Equivalence, SharedWorkFaultsDegradeEveryLaneOfATwoTimingGroup) {
+  // At k33 the two techs derive different timings: two lanes that share
+  // the input's cache analysis and, in the optimizer, every trial they
+  // decide alike on. A one-shot fault in that shared work lands once and
+  // degrades (or fails) both lanes, each exactly like a per-case run that
+  // hits the same fault. nsichneu evaluates candidates at k33, so
+  // core.reanalyze is reached; it fires at the first, shared, trial.
+  const std::vector<energy::TechNode> techs = {energy::TechNode::k45nm,
+                                               energy::TechNode::k32nm};
+  const auto& k = cache::paper_cache_config("k33");
+  ASSERT_NE(energy::derive_timing(k.config, techs[0]),
+            energy::derive_timing(k.config, techs[1]));
+  struct Site {
+    const char* site;
+    const char* program;
+    CaseOutcome outcome;
+    const char* stage;
+  };
+  const Site sites[] = {
+      {"exp.measure", "bs", CaseOutcome::kFailed, "measure_original"},
+      {"core.cancel", "bs", CaseOutcome::kDegraded, "optimize"},
+      {"core.reanalyze", "nsichneu", CaseOutcome::kDegraded, "optimize"},
+  };
+  fault::disarm_all();
+  for (const Site& site : sites) {
+    const ir::Program p = suite::build_benchmark(site.program);
+    std::vector<UseCaseResult> grouped;
+    {
+      fault::ScopedFault f(site.site);
+      grouped = run_use_case_group(p, site.program, k, techs);
+    }
+    ASSERT_EQ(grouped.size(), 2u);
+    for (std::size_t t = 0; t < techs.size(); ++t) {
+      const std::string what = std::string(site.site) + " " + site.program +
+                               "/" + energy::tech_name(techs[t]);
+      EXPECT_EQ(grouped[t].outcome, site.outcome) << what;
+      EXPECT_EQ(grouped[t].fail_stage, site.stage) << what;
+      fault::ScopedFault f(site.site);
+      expect_rows_equal(grouped[t], run_use_case(p, site.program, k, techs[t]),
+                        what);
+    }
   }
 }
 

@@ -22,8 +22,11 @@
 
 #include <chrono>
 
+#include "cache/config.hpp"
+#include "core/optimizer.hpp"
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
+#include "ir/text_codec.hpp"
 #include "obs/build_info.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
@@ -31,7 +34,9 @@
 #include "obs/progress.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
+#include "suite/suite.hpp"
 #include "support/fault_injection.hpp"
+#include "support/parallel.hpp"
 
 namespace ucp::obs {
 namespace {
@@ -678,6 +683,79 @@ TEST_F(ObsTest, AuditCountersReconcileWithRowDerivedTotals) {
       });
   EXPECT_EQ(static_cast<std::uint64_t>(structural),
             recomputed_rows + sweep.report.audit_inconclusive);
+}
+
+TEST_F(ObsTest, LockstepCountersReconcileOnATwoTimingSlice) {
+  // k1 derives one timing for both techs (one lane with two members; fdct
+  // evaluates candidates there); k33 derives two, and nsichneu evaluates
+  // candidates there, so its two lanes share trials.
+  exp::SweepOptions options;
+  options.programs = {"fdct", "nsichneu"};
+  options.config_stride = 32;  // k1, k33
+  options.threads = 2;
+  options.progress_every = 0;
+  set_enabled(true);
+  const exp::Sweep sweep = exp::run_sweep(options);
+  set_enabled(false);
+  ASSERT_TRUE(sweep.report.clean());
+  ASSERT_EQ(sweep.results.size(), 8u);
+
+  const Snapshot snapshot = registry().snapshot();
+  auto counter_value = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& [n, v] : snapshot.counters)
+      if (n == name) return v;
+    return 0;
+  };
+  EXPECT_EQ(counter_value("core.optimizer.runs"), 4u);
+  EXPECT_EQ(counter_value("core.optimizer.lanes"), 6u);
+  EXPECT_EQ(counter_value("core.optimizer.forks"), 0u);
+  const std::uint64_t shared = counter_value("core.optimizer.shared_trials");
+  EXPECT_GT(shared, 0u);
+  // Two lanes per shared trial: each lane counts it as evaluated, the work
+  // is done (and counted) once.
+  EXPECT_EQ(counter_value("core.optimizer.candidates_evaluated"),
+            counter_value("core.optimizer.incremental_reanalyses") + shared);
+  EXPECT_EQ(counter_value("core.optimizer.incremental_reanalyses"),
+            counter_value("analysis.incremental.trials"));
+  // Rows credit shared work to the lead member, so the sweep's row sums are
+  // the work done.
+  EXPECT_EQ(counter_value("exp.sweep.incremental_reanalyses"),
+            counter_value("core.optimizer.incremental_reanalyses"));
+  EXPECT_EQ(counter_value("exp.sweep.nodes_reanalyzed"),
+            counter_value("core.optimizer.nodes_reanalyzed"));
+}
+
+TEST_F(ObsTest, ForkingRunsOnConcurrentWorkersStayTheirOwn) {
+  // A run's lanes, and the groups they fork into, never leave its thread:
+  // concurrent runs of one forking case agree, and the registry counts
+  // each run's fork once. crc at k2 with misses at 40 and at 5 cycles forks
+  // after a shared acceptance.
+  const ir::Program p = suite::build_benchmark("crc");
+  const cache::CacheConfig config = cache::paper_cache_config("k2").config;
+  const std::vector<cache::MemTiming> timings = {{1, 40, 40}, {1, 5, 40}};
+  constexpr std::size_t kRuns = 4;
+  std::vector<std::vector<core::OptimizationResult>> runs(kRuns);
+  set_enabled(true);
+  support::parallel_for_index(kRuns, 2, [&](std::size_t i, std::uint32_t) {
+    runs[i] = core::optimize_prefetches(p, config, timings);
+  });
+  set_enabled(false);
+  for (const std::vector<core::OptimizationResult>& run : runs) {
+    ASSERT_EQ(run.size(), 2u);
+    EXPECT_EQ(run[0].report.forks, 1u);
+    for (std::size_t l = 0; l < run.size(); ++l)
+      EXPECT_EQ(ir::to_text(run[l].program), ir::to_text(runs[0][l].program));
+  }
+
+  const Snapshot snapshot = registry().snapshot();
+  auto counter_value = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& [n, v] : snapshot.counters)
+      if (n == name) return v;
+    return 0;
+  };
+  EXPECT_EQ(counter_value("core.optimizer.runs"), kRuns);
+  EXPECT_EQ(counter_value("core.optimizer.lanes"), 2 * kRuns);
+  EXPECT_EQ(counter_value("core.optimizer.forks"), kRuns);
 }
 
 TEST_F(ObsTest, JournalMetricsAnnotationSurvivesResume) {

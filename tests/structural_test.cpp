@@ -184,12 +184,8 @@ TEST(StructuralDifferential, TableTwoGrid) {
     for (energy::TechNode tech :
          {energy::TechNode::k45nm, energy::TechNode::k32nm}) {
       const cache::MemTiming t = energy::derive_timing(named.config, tech);
-      bool seen = false;
-      for (const cache::MemTiming& s : timings)
-        seen = seen || (s.hit_cycles == t.hit_cycles &&
-                        s.miss_cycles == t.miss_cycles &&
-                        s.prefetch_latency == t.prefetch_latency);
-      if (!seen) timings.push_back(t);
+      if (std::find(timings.begin(), timings.end(), t) == timings.end())
+        timings.push_back(t);
     }
     for (const cache::MemTiming& timing : timings)
       compared[i] += check_case(
