@@ -7,7 +7,7 @@
 // concurrent client threads, each looping over a fixed valid request mix:
 // real suite programs across both paper cache configurations and both
 // technology nodes. Every level runs a warm phase (the fixed mix after an
-// unmeasured warmup pass, response-cache dominated) and a cold phase
+// unmeasured warmup pass, answered from the result store) and a cold phase
 // (every request fresh, so every one runs the full pipeline). Throughout
 // every phase a scraper thread hits HEALTH / STATS / "STATS prom" /
 // PROFILE. The gate fails on any unanswered scrape, any error or transport
@@ -69,9 +69,9 @@ Args parse_args(int argc, char** argv) {
 }
 
 /// The request mix: a spread of suite programs across both paper cache
-/// configurations and both technology nodes. Small enough that the warm
-/// response cache converges within one warmup pass, varied enough that the
-/// IPET cache sees distinct topologies.
+/// configurations and both technology nodes. Small enough that the result
+/// store holds all of it after one warmup pass, varied enough that the
+/// store's program systems see distinct topologies.
 std::vector<ucp::serve::Request> build_mix() {
   using namespace ucp;
   static const char* kPrograms[] = {"bs",     "fibcall", "crc",
@@ -149,8 +149,8 @@ PhaseResult run_phase(ucp::serve::Server& server, unsigned concurrency,
       const std::uint64_t id =
           next_id.fetch_add(1, std::memory_order_relaxed);
       r.id = "load-" + std::to_string(id);
-      // A unique deadline is a semantic field: it forces a fresh
-      // fingerprint, so the response cache can never answer.
+      // A unique deadline is part of the result store's key, so the store
+      // can never answer.
       if (cold)
         r.deadline_ms = static_cast<std::uint32_t>(60000 + id % 1000000);
       const auto response = serve::call(port, r);

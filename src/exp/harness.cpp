@@ -270,11 +270,11 @@ std::vector<UseCaseResult> run_use_case_group(
     const std::vector<energy::TechNode>& techs,
     const core::OptimizerOptions& options, StageTimings* stage_timings,
     const wcet::IpetSystem* shared_ipet, bool audit_soundness,
-    ir::Program* optimized_out) {
-  // Identity transform until a group completes: every early-out path below
+    std::vector<ir::Program>* row_programs) {
+  // Identity transform until a row completes: every early-out path below
   // (failed baseline, rejected optimization, audit demotion) vouches for
   // the input program, which is trivially Theorem-1 sound.
-  if (optimized_out) *optimized_out = program;
+  if (row_programs) row_programs->assign(techs.size(), program);
   std::vector<UseCaseResult> out = case_rows(program_name, config, techs);
   if (techs.empty()) return out;
 
@@ -520,13 +520,30 @@ std::vector<UseCaseResult> run_use_case_group(
       }
     }
 
-    if (optimized_out &&
-        out[lane_members.front()].outcome == CaseOutcome::kCompleted)
-      *optimized_out = result.program;
+    if (row_programs)
+      for (std::size_t i : lane_members)
+        if (out[i].outcome == CaseOutcome::kCompleted)
+          (*row_programs)[i] = result.program;
   }
   if (own_system)
     own_system->ipet.charge_construction(out.front().original.solver);
   return out;
+}
+
+std::vector<UseCaseResult> run_use_case_group(
+    const ir::Program& program, const std::string& program_name,
+    const cache::NamedCacheConfig& config,
+    const std::vector<energy::TechNode>& techs,
+    const core::OptimizerOptions& options, StageTimings* stage_timings,
+    const wcet::IpetSystem* shared_ipet, bool audit_soundness,
+    ir::Program* optimized_out) {
+  std::vector<ir::Program> programs;
+  std::vector<UseCaseResult> rows = run_use_case_group(
+      program, program_name, config, techs, options, stage_timings,
+      shared_ipet, audit_soundness, optimized_out ? &programs : nullptr);
+  if (optimized_out)
+    *optimized_out = programs.empty() ? program : std::move(programs.front());
+  return rows;
 }
 
 UseCaseResult run_use_case(const ir::Program& program,
@@ -680,13 +697,14 @@ std::vector<UseCaseResult> solve_case(
     const std::vector<energy::TechNode>& techs,
     const core::OptimizerOptions& options, StageTimings* timings,
     const wcet::IpetSystem* shared_ipet, bool audit_soundness,
-    ir::Program* optimized_out, std::uint32_t max_attempts,
+    std::vector<ir::Program>* row_programs, std::uint32_t max_attempts,
     std::uint32_t deadline_ms, Watchdog::Slot& slot) {
   // One rung with every exception contained, CancelledError from the deep
   // kernels included, so one pathological case can never terminate a
   // sweep or the daemon. `deadline_scale` 0 runs the rung unsupervised.
   auto attempt = [&](const core::OptimizerOptions& rung_options,
-                     std::int64_t deadline_scale, ir::Program* program_out) {
+                     std::int64_t deadline_scale,
+                     std::vector<ir::Program>* programs_out) {
     const bool supervised = deadline_scale > 0;
     slot.token.reset();
     // Deterministic watchdog fault: the supervisor "cancels" the rung the
@@ -699,7 +717,7 @@ std::vector<UseCaseResult> solve_case(
     try {
       rows = run_use_case_group(program, program_name, config, techs,
                                 rung_options, timings, shared_ipet,
-                                audit_soundness, program_out);
+                                audit_soundness, programs_out);
     } catch (const CancelledError& e) {
       rows = case_rows(program_name, config, techs, ErrorCode::kCancelled,
                        "cancelled", e.what());
@@ -720,23 +738,24 @@ std::vector<UseCaseResult> solve_case(
     return std::any_of(rows.begin(), rows.end(), wants_retry);
   };
 
-  std::vector<UseCaseResult> rows = attempt(options, 1, optimized_out);
+  std::vector<UseCaseResult> rows = attempt(options, 1, row_programs);
   std::uint32_t attempts = 1;
   if (max_attempts >= 2 && any_wants_retry(rows)) {
     ++attempts;
     core::OptimizerOptions escalated = options;
     escalated.max_evaluations *= 2;
-    ir::Program retry_program(program.name());
+    std::vector<ir::Program> retry_programs;
     std::vector<UseCaseResult> retry =
-        attempt(escalated, 4, optimized_out ? &retry_program : nullptr);
+        attempt(escalated, 4, row_programs ? &retry_programs : nullptr);
     for (std::size_t k = 0; k < rows.size(); ++k) {
       if (!wants_retry(rows[k]) ||
           outcome_rank(retry[k]) <= outcome_rank(rows[k]))
         continue;
       rows[k] = std::move(retry[k]);
-      if (rows[k].outcome == CaseOutcome::kCompleted)
+      if (rows[k].outcome == CaseOutcome::kCompleted) {
         rows[k].degradation_level = 1;
-      if (k == 0 && optimized_out) *optimized_out = std::move(retry_program);
+        if (row_programs) (*row_programs)[k] = std::move(retry_programs[k]);
+      }
     }
   }
   if (max_attempts >= 3 && any_wants_retry(rows)) {
@@ -765,9 +784,14 @@ std::vector<UseCaseResult> solve_case(
     else if (r.outcome == CaseOutcome::kFailed)
       r.degradation_level = 3;
   }
-  if (optimized_out && !rows.empty() &&
-      rows.front().outcome != CaseOutcome::kCompleted)
-    *optimized_out = program;
+  // A row that did not complete ships the input (identity transform),
+  // whichever rung produced it, one that threw included.
+  if (row_programs) {
+    row_programs->resize(rows.size(), program);
+    for (std::size_t k = 0; k < rows.size(); ++k)
+      if (rows[k].outcome != CaseOutcome::kCompleted)
+        (*row_programs)[k] = program;
+  }
   return rows;
 }
 

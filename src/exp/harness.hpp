@@ -170,9 +170,10 @@ struct StageTimings {
 /// `shared_ipet` is the program's IPET system; without one, the call builds
 /// its own up front and charges its construction to row 0's original
 /// solver work. Either way both binaries, the optimizer and the auditor
-/// share that one system. `optimized_out`, when non-null, receives the
-/// program this call vouches for: the output of the last lane that
-/// completed, or the input program (identity transform) when none did.
+/// share that one system. `row_programs`, when non-null, receives one
+/// program per row, the one that row vouches for: its lane's optimized
+/// output when the row completed, else the input program (identity
+/// transform). Lanes that fork ship different programs.
 std::vector<UseCaseResult> run_use_case_group(
     const ir::Program& program, const std::string& program_name,
     const cache::NamedCacheConfig& config,
@@ -181,7 +182,17 @@ std::vector<UseCaseResult> run_use_case_group(
     StageTimings* stage_timings = nullptr,
     const wcet::IpetSystem* shared_ipet = nullptr,
     bool audit_soundness = false,
-    ir::Program* optimized_out = nullptr);
+    std::vector<ir::Program>* row_programs = nullptr);
+
+/// The same call for a caller that wants only row 0's program (the form of
+/// a single-tech caller); `optimized_out` may be null.
+std::vector<UseCaseResult> run_use_case_group(
+    const ir::Program& program, const std::string& program_name,
+    const cache::NamedCacheConfig& config,
+    const std::vector<energy::TechNode>& techs,
+    const core::OptimizerOptions& options, StageTimings* stage_timings,
+    const wcet::IpetSystem* shared_ipet, bool audit_soundness,
+    ir::Program* optimized_out);
 
 /// The case solver of run_sweep's workers and ucpd's request workers, so a
 /// request degrades like its case does in a sweep: `run_use_case_group`
@@ -195,14 +206,15 @@ std::vector<UseCaseResult> run_use_case_group(
 /// 1 and 2 run under `slot`'s token, armed at `deadline_ms` (0 = none); the
 /// identity rung is unsupervised, bounded by the simulator step budget and
 /// the ILP limits alone, so deadline pressure can degrade a case but never
-/// fail it. `optimized_out` receives the program row 0 vouches for.
+/// fail it. `row_programs` receives the program each row vouches for, as
+/// in run_use_case_group, from the rung that produced the row.
 std::vector<UseCaseResult> solve_case(
     const ir::Program& program, const std::string& program_name,
     const cache::NamedCacheConfig& config,
     const std::vector<energy::TechNode>& techs,
     const core::OptimizerOptions& options, StageTimings* timings,
     const wcet::IpetSystem* shared_ipet, bool audit_soundness,
-    ir::Program* optimized_out, std::uint32_t max_attempts,
+    std::vector<ir::Program>* row_programs, std::uint32_t max_attempts,
     std::uint32_t deadline_ms, Watchdog::Slot& slot);
 
 /// One program's configuration-independent analysis state: its context

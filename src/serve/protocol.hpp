@@ -77,7 +77,7 @@ struct Response {
   double energy_original_nj = 0.0;
   double energy_optimized_nj = 0.0;
   std::uint64_t prefetches = 0;
-  bool cached = false;    ///< served from the warm response cache
+  bool cached = false;    ///< served from the result store
   bool replayed = false;  ///< served from the request journal (idempotent)
   std::uint32_t retry_after_ms = 0;  ///< only with code kOverloaded
   std::string program_text;          ///< the vouched-for program ("" on error)
@@ -114,7 +114,7 @@ bool valid_request_id(const std::string& id);
 
 /// FNV-1a fingerprint (16 hex chars) over everything that makes two
 /// requests semantically identical: program text, cache geometry, tech,
-/// budgets. The idempotency and response-cache key.
+/// budgets. The idempotency key.
 std::string request_fingerprint(const Request& request);
 
 }  // namespace ucp::serve

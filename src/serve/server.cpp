@@ -4,11 +4,10 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
-#include <list>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
 #include "serve/request_journal.hpp"
+#include "serve/result_store.hpp"
 #include "support/cancellation.hpp"
 #include "support/fault_injection.hpp"
 #include "support/record_log.hpp"
@@ -40,9 +40,9 @@ std::int64_t now_ms() {
 using support::fnv1a;
 using support::to_hex;
 
-// Warm cross-request cache bounds, in entries (LRU eviction).
-constexpr std::size_t kResponseCacheEntries = 256;
-constexpr std::size_t kSystemCacheEntries = 16;
+// Every tech node: a miss solves its (program, geometry) for all of them.
+const std::vector<energy::TechNode> kAllTechs = {energy::TechNode::k45nm,
+                                                 energy::TechNode::k32nm};
 // Minimum gap between trigger-initiated flight dumps (an admin FLIGHT
 // scrape always answers; see dump_flight).
 constexpr std::int64_t kFlightDumpMinGapMs = 5000;
@@ -135,6 +135,50 @@ std::string stats_prom(const ucp::serve::ServerStats& s) {
   return out;
 }
 
+/// The response of one solved row; `program` is the one the row vouches
+/// for.
+Response to_response(const exp::UseCaseResult& row,
+                     const ir::Program& program) {
+  Response response;
+  response.attempts = row.attempts;
+  response.degradation_level = row.degradation_level;
+  response.audit = !row.audit.performed
+                       ? "skipped"
+                       : row.audit.violated
+                             ? "violated"
+                             : row.audit.inconclusive ? "inconclusive"
+                                                      : "clean";
+  switch (row.outcome) {
+    case exp::CaseOutcome::kCompleted:
+      response.status = ResponseStatus::kOk;
+      response.code = ErrorCode::kOk;
+      break;
+    case exp::CaseOutcome::kDegraded:
+      response.status = ResponseStatus::kDegraded;
+      response.code = row.fail_code;
+      response.detail = row.fail_detail;
+      break;
+    case exp::CaseOutcome::kFailed:
+      response.status = ResponseStatus::kError;
+      response.code = row.fail_code;
+      response.detail = row.fail_detail;
+      break;
+  }
+  if (row.outcome != exp::CaseOutcome::kFailed) {
+    response.tau_original = row.original.tau_wcet;
+    response.tau_optimized = row.optimized.tau_wcet;
+    response.mem_cycles_original = row.original.run.mem_cycles;
+    response.mem_cycles_optimized = row.optimized.run.mem_cycles;
+    response.energy_original_nj = row.original.energy.total_nj();
+    response.energy_optimized_nj = row.optimized.energy.total_nj();
+    response.prefetches = row.report.insertions.size();
+    // The program this response vouches for: the optimizer's output on ok,
+    // the canonicalized input (identity transform) on degraded.
+    response.program_text = ir::to_text(program);
+  }
+  return response;
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -166,26 +210,8 @@ struct Server::Impl {
   RequestJournal journal;
   std::string journal_note;
 
-  // --- warm cross-request caches -------------------------------------------
-  // Response cache: fingerprint -> full Response of a computed request.
-  // Invalidation is structural: the fingerprint covers the program text,
-  // cache geometry, tech node and budgets, so any semantic change misses by
-  // construction; entries only leave by LRU eviction.
-  std::mutex response_cache_mutex;
-  std::list<std::pair<std::string, Response>> response_lru;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, Response>>::iterator>
-      response_index;
-
-  // Program-system cache: program-text hash -> exp::ProgramSystem, so
-  // re-requests of a program share its graph and IPET system like the
-  // sweep's per-program sharing.
-  using SystemEntry =
-      std::pair<std::string, std::shared_ptr<const exp::ProgramSystem>>;
-  std::mutex system_cache_mutex;
-  std::list<SystemEntry> system_lru;
-  std::unordered_map<std::string, std::list<SystemEntry>::iterator>
-      system_index;
+  // Clean answers of every tech node, and each program's system.
+  ResultStore store{kResultStoreBytes};
 
   // --- stats ---------------------------------------------------------------
   std::atomic<std::uint64_t> n_accepted{0}, n_shed{0}, n_requests{0},
@@ -216,11 +242,6 @@ struct Server::Impl {
   void handle_connection(support::Socket conn, Watchdog::Slot& slot);
   Response process_request(const Request& request, Watchdog::Slot& slot);
   Response run_pipeline(const Request& request, Watchdog::Slot& slot);
-  std::shared_ptr<const exp::ProgramSystem> system_for(
-      const std::string& program_text, const ir::Program& program);
-  void cache_response(const std::string& fingerprint,
-                      const Response& response);
-  bool cached_response(const std::string& fingerprint, Response& out);
   void journal_terminal(const std::string& id, const std::string& fingerprint,
                         const Response& response);
   void send_response(const support::Socket& conn, const Response& response);
@@ -463,39 +484,29 @@ Response Server::Impl::process_request(const Request& request,
     }
   }
 
-  // Warm response cache: a fingerprint hit skips the whole pipeline. The
-  // hit is journaled under the *new* id so the idempotency contract holds
-  // for it too.
+  // Result store: a hit skips the whole pipeline. It is journaled under
+  // the *new* id so the idempotency contract holds for it too.
+  obs::Span span("serve.process");
+  std::optional<Response> hit;
   {
-    Response hit;
-    if (cached_response(fingerprint, hit)) {
-      hit.id = request.id;
-      hit.cached = true;
-      hit.replayed = false;
-      n_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      if (obs::enabled())
-        obs::registry().counter("serve.cache_hits").increment();
-      journal_terminal(request.id, fingerprint, hit);
-      return hit;
-    }
+    obs::Span lookup("serve.store_lookup");
+    hit = store.find(request);
   }
-
-  Response response = run_pipeline(request, slot);
+  Response response;
+  if (hit) {
+    response = std::move(*hit);
+    response.cached = true;
+    n_cache_hits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    response = run_pipeline(request, slot);
+  }
   response.id = request.id;
-
-  // Only full pipeline products enter the response cache; malformed-input
-  // verdicts are cheaper to recompute than to cache, and replays/hits must
-  // not re-enter (their flags differ per serving).
-  if (response.code != ErrorCode::kMalformedInput &&
-      response.code != ErrorCode::kFaultInjected)
-    cache_response(fingerprint, response);
   journal_terminal(request.id, fingerprint, response);
   return response;
 }
 
 Response Server::Impl::run_pipeline(const Request& request,
                                     Watchdog::Slot& slot) {
-  obs::Span span("serve.process");
   if (UCP_FAULT_POINT("serve.process")) {
     // Injected pipeline failure, contained to this request: the client gets
     // a structured error, the daemon keeps serving.
@@ -513,131 +524,64 @@ Response Server::Impl::run_pipeline(const Request& request,
       obs::registry().counter("serve.malformed").increment();
     return error_response(ErrorCode::kMalformedInput, detail);
   };
-  Expected<ir::Program> parsed =
-      ir::from_text_checked(request.program_text, options.limits.codec);
+  std::vector<std::string> issues;
+  Expected<ir::Program> parsed = [&] {
+    obs::Span parse("serve.parse");
+    Expected<ir::Program> p =
+        ir::from_text_checked(request.program_text, options.limits.codec);
+    if (p.ok()) issues = ir::verify(*p);
+    return p;
+  }();
   if (!parsed.ok()) return malformed_payload(parsed.status().detail());
-  const std::vector<std::string> issues = ir::verify(*parsed);
   if (!issues.empty())
     return malformed_payload(
         "program failed verification (" + std::to_string(issues.size()) +
         " issue" + (issues.size() == 1 ? "" : "s") + "): " + issues.front());
 
+  // The group is solved for every tech node at once, as in the sweep: the
+  // cache analysis does not depend on the tech, so the twin costs little
+  // and is answered from the store when it is asked for.
   const ir::Program& program = *parsed;
-  const std::shared_ptr<const exp::ProgramSystem> system =
-      system_for(request.program_text, program);
-  ir::Program optimized(program.name());
-  const exp::UseCaseResult row =
-      exp::solve_case(
-          program, "request", {request.config_id, request.config},
-          {request.tech}, core::OptimizerOptions{}, nullptr,
-          system ? &system->ipet : nullptr, options.audit_soundness,
-          &optimized,
-          request.attempts > 0 ? request.attempts : options.default_attempts,
-          request.deadline_ms > 0 ? request.deadline_ms
-                                  : options.default_deadline_ms,
-          slot)
-          .front();
-
-  if (row.audit.performed && row.audit.violated) {
-    // A soundness-audit violation is the worst thing this daemon can
-    // observe about itself; capture the flight tail while the evidence is
-    // still in the rings.
-    obs::log(obs::LogLevel::kError, "serve", "audit_violation",
-             row.fail_detail,
-             obs::LogFields().str("request", request.id));
-    dump_flight("audit_violation", /*force=*/false);
-  }
-
-  // --- row -> response -----------------------------------------------------
-  Response response;
-  response.attempts = row.attempts;
-  response.degradation_level = row.degradation_level;
-  response.audit = !row.audit.performed
-                       ? "skipped"
-                       : row.audit.violated
-                             ? "violated"
-                             : row.audit.inconclusive ? "inconclusive"
-                                                      : "clean";
-  switch (row.outcome) {
-    case exp::CaseOutcome::kCompleted:
-      response.status = ResponseStatus::kOk;
-      response.code = ErrorCode::kOk;
-      break;
-    case exp::CaseOutcome::kDegraded:
-      response.status = ResponseStatus::kDegraded;
-      response.code = row.fail_code;
-      response.detail = row.fail_detail;
-      break;
-    case exp::CaseOutcome::kFailed:
-      response.status = ResponseStatus::kError;
-      response.code = row.fail_code;
-      response.detail = row.fail_detail;
-      break;
-  }
-  if (row.outcome != exp::CaseOutcome::kFailed) {
-    response.tau_original = row.original.tau_wcet;
-    response.tau_optimized = row.optimized.tau_wcet;
-    response.mem_cycles_original = row.original.run.mem_cycles;
-    response.mem_cycles_optimized = row.optimized.run.mem_cycles;
-    response.energy_original_nj = row.original.energy.total_nj();
-    response.energy_optimized_nj = row.optimized.energy.total_nj();
-    response.prefetches = row.report.insertions.size();
-    // The program this response vouches for: the optimizer's output on ok,
-    // the canonicalized input (identity transform) on degraded.
-    response.program_text = ir::to_text(optimized);
-  }
-  return response;
-}
-
-std::shared_ptr<const exp::ProgramSystem> Server::Impl::system_for(
-    const std::string& program_text, const ir::Program& program) {
-  const std::string key = to_hex(fnv1a(program_text));
+  std::shared_ptr<const exp::ProgramSystem> system = store.system(request);
+  std::vector<ir::Program> programs;
+  std::vector<exp::UseCaseResult> rows;
   {
-    std::lock_guard<std::mutex> lock(system_cache_mutex);
-    auto it = system_index.find(key);
-    if (it != system_index.end()) {
-      system_lru.splice(system_lru.begin(), system_lru, it->second);
-      return it->second->second;
+    obs::Span pipeline("serve.pipeline");
+    if (!system) system = exp::make_program_system(program);
+    rows = exp::solve_case(
+        program, "request", {request.config_id, request.config}, kAllTechs,
+        core::OptimizerOptions{}, nullptr, system ? &system->ipet : nullptr,
+        options.audit_soundness, &programs,
+        request.attempts > 0 ? request.attempts : options.default_attempts,
+        request.deadline_ms > 0 ? request.deadline_ms
+                                : options.default_deadline_ms,
+        slot);
+  }
+
+  obs::Span encode("serve.encode");
+  Response answer;
+  std::vector<std::pair<energy::TechNode, Response>> clean;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k].audit.performed && rows[k].audit.violated) {
+      // A soundness-audit violation is the worst thing this daemon can
+      // observe about itself; capture the flight tail while the evidence
+      // is still in the rings.
+      obs::log(obs::LogLevel::kError, "serve", "audit_violation",
+               rows[k].fail_detail,
+               obs::LogFields().str("request", request.id));
+      dump_flight("audit_violation", /*force=*/false);
     }
+    Response response = to_response(rows[k], programs[k]);
+    // Only clean pipeline products enter the store: a degraded, retried,
+    // failed, unaudited or audit-doubted answer is served once and
+    // recomputed next time.
+    const bool storable = response.status == ResponseStatus::kOk &&
+                          response.attempts == 1 && response.audit == "clean";
+    if (rows[k].tech == request.tech) answer = response;
+    if (storable) clean.emplace_back(rows[k].tech, std::move(response));
   }
-  // A construction failure (nullptr) is not cached: the request measures
-  // through its own path and quarantines per case, like the sweep.
-  std::shared_ptr<const exp::ProgramSystem> built =
-      exp::make_program_system(program);
-  if (!built) return nullptr;
-  std::lock_guard<std::mutex> lock(system_cache_mutex);
-  auto it = system_index.find(key);
-  if (it != system_index.end()) return it->second->second;  // raced; share
-  system_lru.emplace_front(key, built);
-  system_index[key] = system_lru.begin();
-  while (system_lru.size() > kSystemCacheEntries) {
-    system_index.erase(system_lru.back().first);
-    system_lru.pop_back();
-  }
-  return built;
-}
-
-bool Server::Impl::cached_response(const std::string& fingerprint,
-                                   Response& out) {
-  std::lock_guard<std::mutex> lock(response_cache_mutex);
-  auto it = response_index.find(fingerprint);
-  if (it == response_index.end()) return false;
-  response_lru.splice(response_lru.begin(), response_lru, it->second);
-  out = it->second->second;
-  return true;
-}
-
-void Server::Impl::cache_response(const std::string& fingerprint,
-                                  const Response& response) {
-  std::lock_guard<std::mutex> lock(response_cache_mutex);
-  auto it = response_index.find(fingerprint);
-  if (it != response_index.end()) return;  // first computation wins
-  response_lru.emplace_front(fingerprint, response);
-  response_index[fingerprint] = response_lru.begin();
-  while (response_lru.size() > kResponseCacheEntries) {
-    response_index.erase(response_lru.back().first);
-    response_lru.pop_back();
-  }
+  store.insert(request, std::move(system), std::move(clean));
+  return answer;
 }
 
 void Server::Impl::journal_terminal(const std::string& id,

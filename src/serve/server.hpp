@@ -18,10 +18,12 @@
 //  - crash-safe idempotent replay: terminal responses are journaled
 //    (fsync'd, checksummed) before the client sees a byte, so kill -9 and
 //    restart answers re-sent ids byte-identically (serve/request_journal);
-//  - warm cross-request caches: a response cache keyed by the request
-//    fingerprint (program text + geometry + tech + budgets — any change
-//    misses by construction, which is the whole invalidation story) and an
-//    LRU of exp::ProgramSystems keyed by program text;
+//  - one result store (serve/result_store.hpp): a miss solves its
+//    (program, geometry) for every tech node, as the sweep does, and the
+//    clean answers are served from the result store afterwards, the other
+//    tech's included. Keys are request content (program text, geometry,
+//    budgets), so any change misses by construction, which is the whole
+//    invalidation story; a byte bound evicts in LRU order;
 //  - graceful drain: stop accepting, finish queued requests, join every
 //    thread; pair with the request journal for SIGKILL coverage.
 
@@ -47,8 +49,8 @@ struct ServerOptions {
   std::uint32_t retry_after_ms = 50;
   /// Per-read/-write socket deadline; a peer that stalls longer is dropped.
   int io_timeout_ms = 10000;
-  /// Idempotent-replay journal; empty = no journal (replay map only lives
-  /// for the process lifetime via the response cache).
+  /// Idempotent-replay journal; empty = no journal (a repeated body is
+  /// still answered from the result store while the process lives).
   std::string journal_path;
   bool audit_soundness = true;
   ProtocolLimits limits;
@@ -85,7 +87,7 @@ struct ServerStats {
   std::uint64_t ok = 0;             ///< status ok responses
   std::uint64_t degraded = 0;       ///< status degraded responses
   std::uint64_t errors = 0;         ///< status error responses (non-shed)
-  std::uint64_t cache_hits = 0;     ///< served from the response cache
+  std::uint64_t cache_hits = 0;     ///< served from the result store
   std::uint64_t replayed = 0;       ///< served from the request journal
   std::uint64_t retried = 0;        ///< requests that took > 1 attempt
   std::uint64_t admin_scrapes = 0;  ///< admin-plane requests answered

@@ -11,9 +11,11 @@
 #include "cache/config.hpp"
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
+#include "ir/text_codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "suite/suite.hpp"
+#include "support/fault_injection.hpp"
 
 namespace ucp::exp {
 namespace {
@@ -212,6 +214,75 @@ TEST(CaseWork, CaseWithoutASharedSystemBuildsOneAndChargesItOnce) {
             shared.original.solver.pivots + system.ipet.construction_pivots());
   EXPECT_EQ(solo.optimized.solver.pivots, shared.optimized.solver.pivots);
   EXPECT_EQ(solo.report.solver.pivots, shared.report.solver.pivots);
+}
+
+
+TEST(RowPrograms, ForkedLanesShipEachTechItsOwnProgram) {
+  // cover on an 8-way 64-byte-block 1 KiB cache: 45nm prices a hit at 2
+  // cycles and 32nm at 1, and the two lanes fork (11 insertions against
+  // 10). Each row vouches for its own lane's program, which must be the
+  // program a single-tech group of that tech ships, through both the
+  // group and the case solver.
+  const ir::Program p = suite::build_benchmark("cover");
+  const cache::NamedCacheConfig config{"custom", {8, 64, 1024}};
+  const std::vector<energy::TechNode> techs = {energy::TechNode::k45nm,
+                                               energy::TechNode::k32nm};
+  const ProgramSystem system(p);
+  std::vector<ir::Program> programs;
+  const std::vector<UseCaseResult> rows = run_use_case_group(
+      p, "cover", config, techs, {}, nullptr, &system.ipet,
+      /*audit_soundness=*/true, &programs);
+  ASSERT_EQ(programs.size(), techs.size());
+  ASSERT_EQ(rows.front().report.forks, 1u);
+  EXPECT_NE(rows[0].report.insertions.size(), rows[1].report.insertions.size());
+  EXPECT_NE(ir::to_text(programs[0]), ir::to_text(programs[1]));
+
+  Watchdog watchdog(1, false);
+  std::vector<ir::Program> solved;
+  const std::vector<UseCaseResult> solved_rows =
+      solve_case(p, "cover", config, techs, {}, nullptr, &system.ipet,
+                 /*audit_soundness=*/true, &solved, 1, 0, watchdog.slot(0));
+  ASSERT_EQ(solved.size(), techs.size());
+  for (std::size_t t = 0; t < techs.size(); ++t) {
+    SCOPED_TRACE(energy::tech_name(techs[t]));
+    ASSERT_EQ(rows[t].outcome, CaseOutcome::kCompleted);
+    ir::Program alone(p.name());
+    run_use_case_group(p, "cover", config, {techs[t]}, {}, nullptr,
+                       &system.ipet, /*audit_soundness=*/true, &alone);
+    EXPECT_EQ(ir::to_text(programs[t]), ir::to_text(alone));
+    EXPECT_EQ(ir::to_text(solved[t]), ir::to_text(alone));
+    EXPECT_EQ(sweep_cache_row(solved_rows[t]), sweep_cache_row(rows[t]));
+  }
+}
+
+
+TEST(RowPrograms, EscalatedRetryShipsTheRetryProgram) {
+  // A one-shot fault degrades fdct/k2's first rung; the escalated rung
+  // completes, and the row it produced vouches for that rung's program.
+  const ir::Program p = suite::build_benchmark("fdct");
+  const cache::NamedCacheConfig& config = cache::paper_cache_config("k2");
+  const std::vector<energy::TechNode> techs = {energy::TechNode::k45nm,
+                                               energy::TechNode::k32nm};
+  Watchdog watchdog(1, false);
+  std::vector<ir::Program> programs;
+  std::vector<UseCaseResult> rows;
+  {
+    const fault::ScopedFault fault("core.reanalyze");
+    rows = solve_case(p, "fdct", config, techs, {}, nullptr, nullptr,
+                      /*audit_soundness=*/true, &programs, 2, 0,
+                      watchdog.slot(0));
+  }
+  ASSERT_EQ(programs.size(), techs.size());
+  for (std::size_t t = 0; t < techs.size(); ++t) {
+    SCOPED_TRACE(energy::tech_name(techs[t]));
+    ASSERT_EQ(rows[t].outcome, CaseOutcome::kCompleted);
+    EXPECT_EQ(rows[t].degradation_level, 1u);
+    ASSERT_GT(rows[t].report.insertions.size(), 0u);
+    ir::Program alone(p.name());
+    run_use_case_group(p, "fdct", config, {techs[t]}, {}, nullptr, nullptr,
+                       /*audit_soundness=*/true, &alone);
+    EXPECT_EQ(ir::to_text(programs[t]), ir::to_text(alone));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // ucpd service-layer suites: wire-protocol totality on hostile bytes,
 // admission-control shedding, the per-request retry-with-degradation
-// ladder (including the Theorem-1 identity-fallback terminal rung), warm
-// response/IPET caches, idempotent journal replay across kill -9 +
-// restart of the real daemon binary, and graceful drain accounting.
+// ladder (including the Theorem-1 identity-fallback terminal rung), the
+// result store (twin tech nodes, clean-only inserts, concurrent clients,
+// LRU eviction, its counters and spans), idempotent journal replay across
+// kill -9 + restart of the real daemon binary, and graceful drain
+// accounting.
 //
 // In-process Server instances cover everything that needs fault injection
 // or the hold_workers admission gate; the Daemon suite fork/execs the
@@ -16,24 +18,31 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/config.hpp"
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "ir/text_codec.hpp"
 #include "ir/verify.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request_journal.hpp"
+#include "serve/result_store.hpp"
 #include "serve/server.hpp"
 #include "suite/suite.hpp"
 #include "support/fault_injection.hpp"
+#include "support/record_log.hpp"
 #include "support/socket.hpp"
 
 namespace ucp::serve {
@@ -264,6 +273,249 @@ TEST(Server, IpetCacheOutlivesTheRequestThatBuiltIt) {
   EXPECT_EQ(rebuilt.original.tau_wcet, second->tau_original);
   EXPECT_EQ(rebuilt.optimized.tau_wcet, second->tau_optimized);
   server.stop();
+}
+
+// --- server: the result store ---------------------------------------------
+
+/// A response's bytes without the fields that differ per serving.
+std::string answer_bytes(Response r) {
+  r.id.clear();
+  r.cached = false;
+  r.replayed = false;
+  return serialize_response(r);
+}
+
+/// The row and program an in-process single-tech group derives for
+/// `request`, with the auditor on as in the daemon.
+std::pair<exp::UseCaseResult, std::string> derive(const Request& request) {
+  const auto parsed = ir::from_text_checked(request.program_text);
+  EXPECT_TRUE(parsed.ok());
+  ir::Program shipped(parsed->name());
+  exp::UseCaseResult row =
+      exp::run_use_case_group(*parsed, "request",
+                              {request.config_id, request.config},
+                              {request.tech}, {}, nullptr, nullptr,
+                              /*audit_soundness=*/true, &shipped)
+          .front();
+  return {std::move(row), ir::to_text(shipped)};
+}
+
+void expect_derived(const Response& r, const Request& request) {
+  const auto [row, text] = derive(request);
+  ASSERT_EQ(row.outcome, exp::CaseOutcome::kCompleted);
+  EXPECT_EQ(r.tau_original, row.original.tau_wcet);
+  EXPECT_EQ(r.tau_optimized, row.optimized.tau_wcet);
+  EXPECT_EQ(r.mem_cycles_original, row.original.run.mem_cycles);
+  EXPECT_EQ(r.mem_cycles_optimized, row.optimized.run.mem_cycles);
+  EXPECT_EQ(r.energy_original_nj, row.original.energy.total_nj());
+  EXPECT_EQ(r.energy_optimized_nj, row.optimized.energy.total_nj());
+  EXPECT_EQ(r.prefetches, row.report.insertions.size());
+  EXPECT_EQ(r.program_text, text);
+}
+
+TEST(Server, TwinTechIsAnsweredFromTheStore) {
+  // A miss solves fdct/k2 for both tech nodes; the 32nm request that
+  // follows the 45nm one is a lookup, and its answer is the one a daemon
+  // that computes 32nm first gives, byte for byte.
+  fault::disarm_all();
+  Request first = fdct_request("twin-45");
+  first.tech = energy::TechNode::k45nm;
+  const Request twin = fdct_request("twin-32");
+  ASSERT_EQ(twin.tech, energy::TechNode::k32nm);
+
+  Server server(quick_options());
+  ASSERT_TRUE(server.start().ok());
+  const auto a = call(server.port(), first);
+  const auto b = call(server.port(), twin);
+  server.stop();
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_FALSE(a->cached);
+  EXPECT_TRUE(b->cached);
+  EXPECT_EQ(b->id, "twin-32");
+  EXPECT_EQ(b->status, ResponseStatus::kOk);
+  EXPECT_EQ(b->attempts, 1u);
+  EXPECT_GT(b->prefetches, 0u);
+  EXPECT_EQ(server.stats().cache_hits, 1u);
+  expect_derived(*a, first);
+  expect_derived(*b, twin);
+
+  Server fresh(quick_options());
+  ASSERT_TRUE(fresh.start().ok());
+  const auto direct = call(fresh.port(), twin);
+  fresh.stop();
+  ASSERT_TRUE(direct.ok());
+  EXPECT_FALSE(direct->cached);
+  EXPECT_EQ(answer_bytes(*b), answer_bytes(*direct));
+}
+
+TEST(Server, DegradedAnswerIsNeverStored) {
+  // A transient fault degrades one answer. The same body afterwards is
+  // computed afresh and comes back clean; only that clean answer is
+  // stored.
+  fault::disarm_all();
+  Server server(quick_options());
+  ASSERT_TRUE(server.start().ok());
+  fault::arm("core.reanalyze", /*skip=*/0, /*shots=*/2);
+  const auto degraded = call(server.port(), fdct_request("degraded-1"));
+  fault::disarm_all();
+  ASSERT_TRUE(degraded.ok()) << degraded.status().message();
+  EXPECT_EQ(degraded->status, ResponseStatus::kDegraded);
+
+  const auto clean = call(server.port(), fdct_request("degraded-2"));
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean->status, ResponseStatus::kOk);
+  EXPECT_FALSE(clean->cached);
+  EXPECT_EQ(clean->attempts, 1u);
+
+  const auto stored = call(server.port(), fdct_request("degraded-3"));
+  ASSERT_TRUE(stored.ok());
+  EXPECT_TRUE(stored->cached);
+  EXPECT_EQ(answer_bytes(*stored), answer_bytes(*clean));
+
+  // An answer the escalated retry recovered is not stored either (another
+  // deadline makes it another group).
+  Request retried = fdct_request("retried-1");
+  retried.deadline_ms = 60000;
+  fault::arm("core.reanalyze");
+  const auto recovered = call(server.port(), retried);
+  fault::disarm_all();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->status, ResponseStatus::kOk);
+  EXPECT_EQ(recovered->attempts, 2u);
+  retried.id = "retried-2";
+  const auto recomputed = call(server.port(), retried);
+  ASSERT_TRUE(recomputed.ok());
+  EXPECT_FALSE(recomputed->cached);
+  EXPECT_EQ(recomputed->attempts, 1u);
+  server.stop();
+  EXPECT_EQ(server.stats().cache_hits, 1u);
+
+  // Without the auditor nothing is audited clean, so nothing is stored.
+  ServerOptions unaudited = quick_options();
+  unaudited.audit_soundness = false;
+  Server plain(unaudited);
+  ASSERT_TRUE(plain.start().ok());
+  for (const char* id : {"unaudited-1", "unaudited-2"}) {
+    const auto r = call(plain.port(), fdct_request(id));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->status, ResponseStatus::kOk);
+    EXPECT_EQ(r->audit, "skipped");
+    EXPECT_FALSE(r->cached);
+  }
+  plain.stop();
+}
+
+TEST(Server, ConcurrentClientsShareTheStore) {
+  // Four clients against four workers, both tech nodes of each group sent
+  // back to back and every case twice, so twins race to compute and
+  // insert the same group. Every answer is the in-process derivation of
+  // its case, however it was served.
+  fault::disarm_all();
+  std::vector<Request> cases;
+  for (const char* program : {"bs", "crc", "fdct"})
+    for (const char* config : {"k1", "k2"})
+      for (const auto tech : {energy::TechNode::k45nm, energy::TechNode::k32nm}) {
+        Request r = bs_request("");
+        r.config_id = config;
+        r.config = cache::paper_cache_config(config).config;
+        r.tech = tech;
+        r.program_text = ir::to_text(suite::build_benchmark(program));
+        cases.push_back(std::move(r));
+      }
+  std::vector<Request> requests;
+  for (int round = 0; round < 2; ++round)
+    for (const Request& c : cases) {
+      requests.push_back(c);
+      requests.back().id = "mix-" + std::to_string(requests.size());
+    }
+
+  ServerOptions options = quick_options();
+  options.workers = 4;
+  Server server(options);
+  ASSERT_TRUE(server.start().ok());
+  std::vector<Response> answers(requests.size());
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c)
+    clients.emplace_back([&] {
+      for (std::size_t i; (i = next.fetch_add(1)) < requests.size();) {
+        auto r = call(server.port(), requests[i]);
+        if (r.ok()) answers[i] = std::move(r).value();
+        else ++failures;
+      }
+    });
+  for (std::thread& t : clients) t.join();
+  server.stop();
+
+  EXPECT_EQ(failures.load(), 0u);
+  std::uint64_t cached = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(answers[i].status, ResponseStatus::kOk) << requests[i].id;
+    EXPECT_EQ(answers[i].id, requests[i].id);
+    cached += answers[i].cached;
+    // Both sends of a case carry the same answer.
+    EXPECT_EQ(answer_bytes(answers[i]),
+              answer_bytes(answers[i % cases.size()]))
+        << requests[i].id;
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(requests[i].id);
+    expect_derived(answers[i], cases[i]);
+  }
+  EXPECT_EQ(server.stats().cache_hits, cached);
+  EXPECT_GT(cached, 0u);
+}
+
+TEST(ResultStore, EvictsLeastRecentlyUsedGroupsToItsByteBound) {
+  auto request = [](std::uint32_t capacity, energy::TechNode tech) {
+    Request r;
+    r.config = {1, 16, capacity};
+    r.tech = tech;
+    r.program_text = "program";
+    return r;
+  };
+  auto answer = [](char fill) {
+    Response r;
+    r.status = ResponseStatus::kOk;
+    r.program_text = std::string(1000, fill);
+    return r;
+  };
+  const auto k45 = energy::TechNode::k45nm;
+  const auto k32 = energy::TechNode::k32nm;
+
+  // One group's charge, from a store that never evicts.
+  ResultStore unbounded(SIZE_MAX);
+  EXPECT_EQ(unbounded.bytes(), 0u);
+  unbounded.insert(request(256, k45), nullptr, {{k45, answer('a')}});
+  const std::size_t group = unbounded.bytes();
+  ASSERT_GT(group, 1000u);
+  // The first insert of a tech wins; the twin joins the same group.
+  unbounded.insert(request(256, k45), nullptr, {{k45, answer('x')}});
+  EXPECT_EQ(unbounded.find(request(256, k45))->program_text[0], 'a');
+  EXPECT_FALSE(unbounded.find(request(256, k32)));
+  unbounded.insert(request(256, k32), nullptr, {{k32, answer('b')}});
+  EXPECT_EQ(unbounded.find(request(256, k32))->program_text[0], 'b');
+
+  // Room for two groups: the least recently used one leaves.
+  const std::size_t bound = 2 * group + group / 2;
+  ResultStore store(bound);
+  store.insert(request(256, k45), nullptr, {{k45, answer('a')}});
+  store.insert(request(512, k45), nullptr, {{k45, answer('b')}});
+  EXPECT_TRUE(store.find(request(256, k45)));  // 512 is now the oldest
+  store.insert(request(1024, k45), nullptr, {{k45, answer('c')}});
+  EXPECT_EQ(store.evictions(), 1u);
+  EXPECT_LE(store.bytes(), bound);
+  EXPECT_FALSE(store.find(request(512, k45)));
+  EXPECT_TRUE(store.find(request(256, k45)));
+  EXPECT_TRUE(store.find(request(1024, k45)));
+
+  // A group larger than the whole bound is not kept at all.
+  ResultStore tiny(group / 2);
+  tiny.insert(request(256, k45), nullptr, {{k45, answer('a')}});
+  EXPECT_EQ(tiny.bytes(), 0u);
+  EXPECT_EQ(tiny.evictions(), 1u);
+  EXPECT_FALSE(tiny.find(request(256, k45)));
 }
 
 TEST(Server, StopIsIdempotentAndServesNothingAfterDrain) {
@@ -950,6 +1202,70 @@ TEST(Daemon, RejectsBadArgumentsWithUsage) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
+}
+
+// Last in the file: it turns the process-wide metrics registry on, and
+// registrations persist, while Admin.* pins a scrape of a registry that
+// never saw a served request.
+TEST(StoreObs, CountersAndSpansTellHitsFromMisses) {
+  // serve.store.hits reconciles with ServerStats::cache_hits, and each
+  // request's own trace shows whether it ran the pipeline.
+  fault::disarm_all();
+  const bool metrics_were = obs::enabled();
+  const bool trace_was = obs::trace_enabled();
+  obs::set_enabled(true);
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  auto counter = [](const char* name) {
+    for (const auto& [n, v] : obs::registry().snapshot().counters)
+      if (n == name) return v;
+    return std::uint64_t{0};
+  };
+  const std::uint64_t hits_before = counter("serve.store.hits");
+  const std::uint64_t misses_before = counter("serve.store.misses");
+
+  Server server(quick_options());
+  ASSERT_TRUE(server.start().ok());
+  Request twin = bs_request("obs-twin");
+  twin.tech = energy::TechNode::k32nm;
+  Request other = bs_request("obs-other-config");
+  other.config_id = "k2";
+  other.config = cache::paper_cache_config("k2").config;
+  for (const Request& r :
+       {bs_request("obs-miss"), twin, bs_request("obs-again"), other})
+    ASSERT_TRUE(call(server.port(), r).ok());
+  server.stop();
+
+  const std::uint64_t hits = counter("serve.store.hits") - hits_before;
+  EXPECT_EQ(hits, server.stats().cache_hits);
+  EXPECT_EQ(hits, 2u);
+  EXPECT_EQ(counter("serve.store.misses") - misses_before, 2u);
+  auto spans_of = [](const std::string& id) {
+    std::vector<std::string> names;
+    std::uint64_t ctx = support::fnv1a(id);
+    if (ctx == 0) ctx = 1;
+    for (const obs::TraceEvent& e : obs::drain_trace_context(ctx))
+      names.emplace_back(e.name);
+    return names;
+  };
+  auto has = [](const std::vector<std::string>& names, const char* name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const char* id : {"obs-miss", "obs-other-config"}) {
+    const std::vector<std::string> names = spans_of(id);
+    for (const char* span : {"serve.process", "serve.store_lookup",
+                             "serve.parse", "serve.pipeline", "serve.encode"})
+      EXPECT_TRUE(has(names, span)) << id << " lacks " << span;
+  }
+  for (const char* id : {"obs-twin", "obs-again"}) {
+    const std::vector<std::string> names = spans_of(id);
+    EXPECT_TRUE(has(names, "serve.store_lookup")) << id;
+    EXPECT_FALSE(has(names, "serve.pipeline")) << id;
+    EXPECT_FALSE(has(names, "serve.parse")) << id;
+  }
+  obs::reset_trace();
+  obs::set_trace_enabled(trace_was);
+  obs::set_enabled(metrics_were);
 }
 
 }  // namespace

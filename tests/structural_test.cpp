@@ -142,12 +142,13 @@ std::size_t check_case(const ir::Program& program, const IpetSystem& system,
   return compared;
 }
 
-/// One suite program with the context graph and IPET system every grid
-/// case of it shares (a const IpetSystem is safe across threads).
+/// One suite program, in the RISC-lowered form the sweep and ucpd run,
+/// with the context graph and IPET system every grid case of it shares (a
+/// const IpetSystem is safe across threads).
 struct SuiteProgram {
   explicit SuiteProgram(const suite::BenchmarkInfo& info)
-      : name(info.name), program(info.build()), graph(program),
-        system(graph) {}
+      : name(info.name), program(suite::build_benchmark(info.name)),
+        graph(program), system(graph) {}
   std::string name;
   ir::Program program;
   analysis::ContextGraph graph;
