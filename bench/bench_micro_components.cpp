@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,7 @@
 #include "sim/interpreter.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/structural.hpp"
+#include "wcet/ipet_ilp.hpp"
 
 namespace {
 
@@ -190,9 +189,9 @@ void BM_Ipet(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_Ipet, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_Ipet, statemate, "statemate");
 
-// The sweep hot path: re-solving a prebuilt IpetSystem with a fresh
-// objective. The gap to BM_Ipet (which rebuilds the constraint system and
-// re-runs phase 1 every call) is what the per-program cache buys.
+// The sweep hot path: re-solving a prebuilt IpetSystem under a fresh
+// classification. The gap to BM_Ipet (which places every node in its loop
+// region again on each call) is what sharing the system buys.
 void BM_IpetSystemResolve(benchmark::State& state, const char* name) {
   const ir::Program program = suite::build_benchmark(name);
   const ir::Layout layout(program, kConfig.block_bytes);
@@ -207,55 +206,17 @@ void BM_IpetSystemResolve(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_IpetSystemResolve, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_IpetSystemResolve, statemate, "statemate");
 
-// ILP presolve on/off over the whole IPET life cycle (build the sparse
-// snapshot including its one-time phase 1, then solve once): the reduction
-// pays for itself when the eliminated equality rows save more
-// construction/solve pivots than the presolve passes cost. The unreduced
-// arm is the reference oracle, which builds its sparse LP from the full
-// model inside every solve. `rows` records what the simplex actually
-// factorizes in each arm.
-void BM_IpetBuildSolvePresolved(benchmark::State& state, const char* name) {
-  const ir::Program program = suite::build_benchmark(name);
-  const ir::Layout layout(program, kConfig.block_bytes);
-  const analysis::ContextGraph graph(program);
-  const auto cls = analysis::analyze_cache(graph, layout, kConfig);
-  std::size_t rows = 0;
-  for (auto _ : state) {
-    const wcet::IpetSystem system(graph);
-    const auto wcet = system.solve(cls, kTiming);
-    rows = system.lp_rows();
-    benchmark::DoNotOptimize(wcet.tau_mem);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-}
-void BM_IpetBuildSolveUnreduced(benchmark::State& state, const char* name) {
-  const ir::Program program = suite::build_benchmark(name);
-  const ir::Layout layout(program, kConfig.block_bytes);
-  const analysis::ContextGraph graph(program);
-  const auto cls = analysis::analyze_cache(graph, layout, kConfig);
-  const wcet::IpetSystem system(graph);
-  for (auto _ : state) {
-    const auto wcet = reference::solve_unpresolved(system, cls, kTiming);
-    benchmark::DoNotOptimize(wcet.tau_mem);
-  }
-  state.counters["rows"] = static_cast<double>(
-      system.model_with_objective(cls, kTiming).num_constraints());
-}
-BENCHMARK_CAPTURE(BM_IpetBuildSolvePresolved, fdct, "fdct");
-BENCHMARK_CAPTURE(BM_IpetBuildSolveUnreduced, fdct, "fdct");
-BENCHMARK_CAPTURE(BM_IpetBuildSolvePresolved, statemate, "statemate");
-BENCHMARK_CAPTURE(BM_IpetBuildSolveUnreduced, statemate, "statemate");
-
-// Sparse revised simplex vs the retained dense-tableau reference on the
-// same IPET model — the per-pivot/per-solve cost gap of the rewrite.
+// Sparse revised simplex (the ILP oracle's solver) vs the retained
+// dense-tableau reference on the same IPET model — the per-pivot/per-solve
+// cost gap of the rewrite. BM_IpetSystemResolve is the production engine
+// on the same graphs and classifications.
 void BM_IpetSolveKernel(benchmark::State& state, const char* name,
                         bool dense) {
   const ir::Program program = suite::build_benchmark(name);
   const ir::Layout layout(program, kConfig.block_bytes);
   const analysis::ContextGraph graph(program);
   const auto cls = analysis::analyze_cache(graph, layout, kConfig);
-  const wcet::IpetSystem system(graph);
-  const ilp::Model model = system.model_with_objective(cls, kTiming);
+  const ilp::Model model = wcet::ipet_model(graph, cls, kTiming);
   std::uint64_t pivots = 0;
   for (auto _ : state) {
     const ilp::Solution s = dense ? reference::solve_ilp_dense_reference(model)
@@ -273,26 +234,10 @@ void BM_IpetSolveSparse(benchmark::State& state, const char* name) {
 void BM_IpetSolveDenseReference(benchmark::State& state, const char* name) {
   BM_IpetSolveKernel(state, name, /*dense=*/true);
 }
-// The soundness auditor's τ_w: the structural loop-tree collapse on the
-// same graphs and classifications, no ILP at all.
-void BM_IpetStructural(benchmark::State& state, const char* name) {
-  const ir::Program program = suite::build_benchmark(name);
-  const ir::Layout layout(program, kConfig.block_bytes);
-  const analysis::ContextGraph graph(program);
-  const auto cls = analysis::analyze_cache(graph, layout, kConfig);
-  for (auto _ : state) {
-    const std::optional<std::uint64_t> tau =
-        wcet::structural_tau(graph, cls, kTiming);
-    if (!tau) state.SkipWithError("structural collapse undecided");
-    benchmark::DoNotOptimize(tau);
-  }
-}
 BENCHMARK_CAPTURE(BM_IpetSolveSparse, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_IpetSolveDenseReference, fdct, "fdct");
-BENCHMARK_CAPTURE(BM_IpetStructural, fdct, "fdct");
 BENCHMARK_CAPTURE(BM_IpetSolveSparse, statemate, "statemate");
 BENCHMARK_CAPTURE(BM_IpetSolveDenseReference, statemate, "statemate");
-BENCHMARK_CAPTURE(BM_IpetStructural, statemate, "statemate");
 
 // Branch-and-bound on an ILP that actually branches: a knapsack with
 // deliberately fractional LP vertices. Every child clones the canonical

@@ -560,12 +560,10 @@ class LockstepRun {
         // everything, so τ_w never increases (Theorem 1).
         const wcet::WcetResult wcet_final =
             ipet_.solve(g.incr.result(), lane.timing);
-        report.solver.add(wcet_final.stats);
         if (!wcet_final.ok()) {
           // The optimized program cannot be certified; ship the input.
-          degrade(lane, wcet::solve_error_code(wcet_final.status),
-                  "final IPET unsolved (" +
-                      ilp::status_name(wcet_final.status) +
+          degrade(lane, wcet_final.status.code(),
+                  "final IPET unsolved (" + wcet_final.status.detail() +
                       ") on optimized '" + input_.name() + "'");
           continue;
         }
@@ -678,10 +676,10 @@ std::vector<OptimizationResult> optimize_prefetches(
   } publisher{results};
 
   // The CFG never changes during optimization (prefetches are straight-line
-  // insertions), so one context graph — and one IPET constraint system,
-  // serving the initial solves and the final audits of every lane — covers
-  // the whole run. A caller that already holds the system for this program
-  // (the sweep harness) passes it in and the construction cost drops out
+  // insertions), so one context graph — and one IPET system, serving the
+  // initial solves and the final audits of every lane — covers the whole
+  // run. A caller that already holds the system for this program (the
+  // sweep harness) passes it in and the construction cost drops out
   // entirely.
   std::optional<ContextGraph> own_graph;
   std::optional<wcet::IpetSystem> own_ipet;
@@ -691,7 +689,6 @@ std::vector<OptimizationResult> optimize_prefetches(
   }
   const wcet::IpetSystem& ipet = shared_ipet ? *shared_ipet : *own_ipet;
   const ContextGraph& graph = ipet.graph();
-  if (!shared_ipet) ipet.charge_construction(lead_report.solver);
 
   // Preliminary WCET analysis. The classification is timing-free, so one
   // base analysis lives inside the first group's `incr`: every trial is
@@ -699,8 +696,7 @@ std::vector<OptimizationResult> optimize_prefetches(
   // serves each pass's path derivation and the final audits. Each lane
   // then solves its own τ_w and the frozen worst-case counts n_w its profit
   // arithmetic runs against. A caller's baseline already holds the input's
-  // fixpoint and IPET solutions; their solves were charged to the caller's
-  // measurement, so they are not charged here again.
+  // fixpoint and IPET solutions, which are adopted instead of recomputed.
   analysis::IncrementalCacheAnalysis incr =
       baseline ? analysis::IncrementalCacheAnalysis(
                      graph, input, config, std::move(baseline->analysis))
@@ -716,12 +712,10 @@ std::vector<OptimizationResult> optimize_prefetches(
     report.graph_nodes = graph.num_nodes();
     lane.wcet0 = baseline ? std::move(baseline->wcet[l])
                           : ipet.solve(incr.result(), lane.timing);
-    if (!baseline) report.solver.add(lane.wcet0.stats);
     if (!lane.wcet0.ok()) {
       report.wcet_failed = true;
-      run.degrade(lane, wcet::solve_error_code(lane.wcet0.status),
-                  "initial IPET unsolved (" +
-                      ilp::status_name(lane.wcet0.status) +
+      run.degrade(lane, lane.wcet0.status.code(),
+                  "initial IPET unsolved (" + lane.wcet0.status.detail() +
                       ") for program '" + input.name() + "'");
       continue;
     }

@@ -7,7 +7,6 @@
 
 #include "analysis/cache_analysis.hpp"
 #include "cache/config.hpp"
-#include "ilp/model.hpp"
 #include "ir/program.hpp"
 #include "sim/interpreter.hpp"
 #include "support/status.hpp"
@@ -83,9 +82,6 @@ struct OptimizationReport {
   std::size_t graph_nodes = 0;  ///< VIVU context-graph size, for scale
   /// Wall time spent in candidate re-analysis, nanoseconds.
   std::uint64_t reanalysis_ns = 0;
-  /// ILP work of the initial and final IPET solves (plus the constraint
-  /// system's one-time construction when this run had to build its own).
-  ilp::SolveStats solver;
   // --- lockstep accounting: describes the whole run, so only the report
   // of timing 0 carries it (zero in the others).
   std::size_t lanes = 0;          ///< timings optimized by this run
@@ -136,14 +132,12 @@ struct InputBaseline {
 /// (DESIGN.md §8.2).
 ///
 /// `shared_ipet`, when given, must have been built from `input`'s context
-/// graph; the initial and final IPET solves then reuse its cached constraint
-/// system instead of rebuilding it (bit-identical results — see
-/// wcet::IpetSystem).
+/// graph; the initial and final IPET solves then reuse it instead of
+/// rebuilding it (bit-identical results — see wcet::IpetSystem).
 /// `baseline`, when given (it requires `shared_ipet`), is consumed: its
 /// analysis becomes the optimizer's base, its IPET solutions replace the
-/// initial solves (whose solver work the caller has already accounted),
-/// and its runs are the first Condition-3 references. The results are
-/// bit-identical to a run without it.
+/// initial solves, and its runs are the first Condition-3 references. The
+/// results are bit-identical to a run without it.
 std::vector<OptimizationResult> optimize_prefetches(
     const ir::Program& input, const cache::CacheConfig& config,
     std::span<const cache::MemTiming> timings,

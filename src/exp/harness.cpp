@@ -26,7 +26,7 @@
 #include "support/parallel.hpp"
 #include "support/record_log.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/structural.hpp"
+#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::exp {
 
@@ -91,11 +91,10 @@ Expected<Metrics> price_binary(const ir::Program& program,
   m.code_bytes = analysed.code_bytes;
   wcet::WcetResult wcet = ipet ? ipet->solve(analysed.cls, timing)
                                : wcet::compute_wcet(graph, analysed.cls, timing);
-  m.solver = wcet.stats;
   if (!wcet.ok()) {
-    return Status(wcet::solve_error_code(wcet.status),
-                  "IPET failed (" + ilp::status_name(wcet.status) +
-                      ") for program '" + program.name() + "'");
+    return Status(wcet.status.code(),
+                  "IPET failed (" + wcet.status.detail() + ") for program '" +
+                      program.name() + "'");
   }
   m.tau_wcet = wcet.tau_mem;
   Expected<sim::RunMetrics> run =
@@ -165,8 +164,6 @@ void degrade_to_original(UseCaseResult& result, const std::string& stage,
   result.fail_code = code;
   result.fail_detail = detail;
   result.optimized = result.original;
-  // Mirrored metrics, not a second measurement: no solver work behind them.
-  result.optimized.solver = ilp::SolveStats{};
   result.report = core::OptimizationReport{};
   result.report.code = code;
   result.report.detail = detail;
@@ -175,11 +172,10 @@ void degrade_to_original(UseCaseResult& result, const std::string& stage,
   result.report.tau_fixed_final = result.original.tau_wcet;
 }
 
-/// Work done once for a lane — its IPET solves, and the optimizer's trials
-/// shared with other lanes — is credited to the lead member only, so sums
-/// over rows equal the work done. The decision counters stay per row.
+/// Work done once for a lane — the optimizer's trials shared with other
+/// lanes — is credited to the lead member only, so sums over rows equal the
+/// work done. The decision counters stay per row.
 void credit_to_lead_only(core::OptimizationReport& report) {
-  report.solver = ilp::SolveStats{};
   report.incremental_reanalyses = 0;
   report.nodes_reanalyzed = 0;
   report.reanalysis_ns = 0;
@@ -285,8 +281,7 @@ std::vector<UseCaseResult> run_use_case_group(
 
   // One context graph and IPET system serve both binaries, the optimizer
   // and the auditor: prefetch insertion never alters the CFG. A caller
-  // without a shared system gets one built here, and its one-time
-  // construction is charged to row 0 below.
+  // without a shared system gets one built here.
   std::optional<ProgramSystem> own_system;
   if (!shared_ipet) {
     own_system.emplace(program);
@@ -351,17 +346,9 @@ std::vector<UseCaseResult> run_use_case_group(
       out[i].original = original[l];
       out[i].original.energy =
           energy::memory_energy(out[i].original.run, config.config, techs[i]);
-      // The solver work was spent once for the whole lane; crediting it to
-      // every member would multiply it in sweep-wide sums, so only the lead
-      // member carries it.
-      if (i != members[l].front()) out[i].original.solver = ilp::SolveStats{};
     }
   }
-  if (live.empty()) {
-    if (own_system)
-      own_system->ipet.charge_construction(out.front().original.solver);
-    return out;
-  }
+  if (live.empty()) return out;
 
   std::vector<cache::MemTiming> live_timings;
   for (std::size_t l : live) live_timings.push_back(timings[l]);
@@ -389,8 +376,8 @@ std::vector<UseCaseResult> run_use_case_group(
     }
 
     // Without insertions the optimized binary is the input, so its metrics
-    // mirror the original ones (re-priced per member, no solver work behind
-    // them, as in degrade_to_original). An optimized binary is measured
+    // mirror the original ones (re-priced per member, as in
+    // degrade_to_original). An optimized binary is measured
     // afresh (fixpoint, IPET solve and run), so nothing the optimizer
     // computed vouches for it; the auditor reuses that fresh fixpoint.
     const bool unchanged = result.report.insertions.empty();
@@ -431,20 +418,20 @@ std::vector<UseCaseResult> run_use_case_group(
       out[i].optimized = optimized.value();
       out[i].optimized.energy = energy::memory_energy(
           out[i].optimized.run, config.config, techs[i]);
-      if (unchanged || i != lane_members.front())
-        out[i].optimized.solver = ilp::SolveStats{};
     }
 
     // --- soundness auditor ------------------------------------------------
     // Every accepted optimization is re-checked over an independent path:
     // Theorem 1 and the sim-vs-IPET bound are free; when prefetches were
-    // actually inserted, the memory contribution is recomputed by the
-    // structural loop-tree collapse (wcet::structural_tau: no simplex, no
-    // presolve, no fault points) on the optimized measurement's fresh cache
-    // analysis, which shares nothing with the optimizer's incremental
-    // state. A contradiction demotes the case to quarantined (kAuditFailed)
-    // — the sweep reports it and carries on. None of this touches the row's
-    // metrics or solver counters, so audited rows stay bit-identical.
+    // actually inserted, the memory contribution is recomputed by the ILP
+    // oracle (wcet::solve_ipet_ilp: the Li/Malik model solved by the sparse
+    // simplex, sharing no code with IpetSystem's collapse) on the optimized
+    // measurement's fresh cache analysis, which shares nothing with the
+    // optimizer's incremental state. A contradiction demotes the case to
+    // quarantined (kAuditFailed) — the sweep reports it and carries on; an
+    // oracle that cannot answer (a simplex budget, an ilp.* fault) leaves
+    // it inconclusive. None of this touches the row's metrics, so audited
+    // rows stay bit-identical.
     if (audit_soundness && optimized.ok()) {
       stage_start = std::chrono::steady_clock::now();
       obs::Span span("exp.case.audit");
@@ -467,7 +454,7 @@ std::vector<UseCaseResult> run_use_case_group(
         // optimized binary's mem_cycles also count prefetch-issue traffic
         // that tau_w excludes by definition (prefetches fill slack), so
         // the raw comparison is not a soundness predicate on that side —
-        // the optimized binary is checked via Theorem 1 and the structural
+        // the optimized binary is checked via Theorem 1 and the ILP
         // recomputation below instead.
         audit.violated = true;
         audit.detail =
@@ -479,33 +466,34 @@ std::vector<UseCaseResult> run_use_case_group(
         // Prefetch insertion never alters the CFG, so the input program's
         // context graph still describes the optimized program; only the
         // node weights change, and they are priced per timing.
-        const std::optional<std::uint64_t> tau = [&] {
-          obs::Span structural("exp.audit.structural");
-          return wcet::structural_tau(graph, fresh->cls, timing);
+        const wcet::WcetResult oracle = [&] {
+          obs::Span oracle_span("exp.audit.ilp");
+          return wcet::solve_ipet_ilp(graph, fresh->cls, timing);
         }();
         if (obs::enabled()) {
           static obs::Counter& c_recomputed =
               obs::registry().counter("exp.audit.recomputed");
           static obs::Counter& c_inconclusive =
               obs::registry().counter("exp.audit.inconclusive");
-          (tau ? c_recomputed : c_inconclusive).add(lane_members.size());
+          (oracle.ok() ? c_recomputed : c_inconclusive)
+              .add(lane_members.size());
         }
-        if (!tau) {
+        if (!oracle.ok()) {
           audit.inconclusive = true;
-          audit.detail =
-              "the structural WCET collapse does not cover this context "
-              "graph; optimizer result unconfirmed";
+          audit.detail = "the IPET ILP oracle could not answer (" +
+                         oracle.status.message() +
+                         "); optimizer result unconfirmed";
         } else {
-          audit.tau_audit = *tau;
+          audit.tau_audit = oracle.tau_mem;
           if (audit.tau_audit != opti.tau_wcet) {
             audit.violated = true;
-            audit.detail = "structural tau_w " +
+            audit.detail = "ILP oracle tau_w " +
                            std::to_string(audit.tau_audit) +
-                           " disagrees with the sparse solver's " +
+                           " disagrees with the structural engine's " +
                            std::to_string(opti.tau_wcet);
           } else if (audit.tau_audit > orig.tau_wcet) {
             audit.violated = true;
-            audit.detail = "Theorem 1 violated by the structural tau_w: " +
+            audit.detail = "Theorem 1 violated by the ILP oracle's tau_w: " +
                            std::to_string(audit.tau_audit) + " > " +
                            std::to_string(orig.tau_wcet);
           }
@@ -525,8 +513,6 @@ std::vector<UseCaseResult> run_use_case_group(
         if (out[i].outcome == CaseOutcome::kCompleted)
           (*row_programs)[i] = result.program;
   }
-  if (own_system)
-    own_system->ipet.charge_construction(out.front().original.solver);
   return out;
 }
 
@@ -661,15 +647,6 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.audited", sweep.report.audited);
   add("exp.sweep.audit_violations", sweep.report.audit_violations);
   add("exp.sweep.audit_inconclusive", sweep.report.audit_inconclusive);
-
-  add("exp.sweep.lp_solves", sweep.report.solver.lp_solves);
-  add("exp.sweep.pivots", sweep.report.solver.pivots);
-  add("exp.sweep.bb_nodes", sweep.report.solver.bb_nodes);
-  // Of the pivots above, the one-time shared-IpetSystem construction share
-  // (charge_construction). Subtracting it recovers the pure per-solve total,
-  // which equals the live ilp.solve.pivots on clean single-attempt runs —
-  // the reconciliation identity pinned by the equivalence suite.
-  add("exp.sweep.construction_pivots", sweep.report.construction_pivots);
 
   std::uint64_t attempts = 0, insertions = 0, cand_found = 0, cand_eval = 0;
   std::uint64_t passes = 0, incr_re = 0, nodes_re = 0;
@@ -863,9 +840,6 @@ SweepReport derive_row_report(const std::vector<UseCaseResult>& results) {
   SweepReport report;
   report.total = results.size();
   for (const UseCaseResult& r : results) {
-    report.solver.add(r.original.solver);
-    report.solver.add(r.report.solver);
-    report.solver.add(r.optimized.solver);
     switch (r.outcome) {
       case CaseOutcome::kCompleted:
         ++report.completed;
@@ -1207,7 +1181,7 @@ Sweep run_sweep(const SweepOptions& options) {
   // Health accounting, in deterministic grid order. The row-derived half is
   // shared with the journal merge (derive_row_report), so a merged N-shard
   // result reports exactly what an unsharded run derives from the same
-  // rows; the construction charge below is the per-process remainder.
+  // rows.
   {
     SweepReport derived = derive_row_report(results);
     sweep.report.total = derived.total;
@@ -1221,12 +1195,6 @@ Sweep run_sweep(const SweepOptions& options) {
     sweep.report.audit_violations = derived.audit_violations;
     sweep.report.audit_inconclusive = derived.audit_inconclusive;
     sweep.report.quarantine = std::move(derived.quarantine);
-    sweep.report.solver.add(derived.solver);
-  }
-  for (const std::shared_ptr<const ProgramSystem>& s : systems) {
-    if (!s) continue;
-    s->ipet.charge_construction(sweep.report.solver);
-    sweep.report.construction_pivots += s->ipet.construction_pivots();
   }
 
   // Publish the authoritative row-derived counters, then merge the metrics

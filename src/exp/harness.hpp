@@ -10,7 +10,6 @@
 #include "cache/config.hpp"
 #include "core/optimizer.hpp"
 #include "energy/model.hpp"
-#include "ilp/model.hpp"
 #include "ir/program.hpp"
 #include "sim/interpreter.hpp"
 #include "support/cancellation.hpp"
@@ -28,7 +27,6 @@ struct Metrics {
   sim::RunMetrics run;              ///< τ_a(e) = run.mem_cycles
   energy::EnergyBreakdown energy;   ///< e_a(e)
   std::uint32_t code_bytes = 0;
-  ilp::SolveStats solver;           ///< ILP work behind tau_wcet
 
   double miss_rate() const { return run.cache.miss_rate(); }
 };
@@ -38,9 +36,9 @@ struct Metrics {
 Metrics measure(const ir::Program& program, const cache::CacheConfig& config,
                 energy::TechNode tech);
 
-/// Status-channel variant: IPET failure (solver budgets, infeasibility) and
-/// simulation budget exhaustion come back as a Status instead of an
-/// exception, so a sweep can quarantine the use case and keep running.
+/// Status-channel variant: IPET failure (a graph the WCET engine does not
+/// cover, an overflow) and simulation budget exhaustion come back as a
+/// Status instead of an exception, so a sweep can quarantine the use case and keep running.
 /// `shared_ipet`, when given, must have been built from this program or
 /// from one it differs from only by prefetch insertions (which never alter
 /// the CFG); the context graph and IPET constraint system are then reused
@@ -67,15 +65,15 @@ const char* case_outcome_name(CaseOutcome outcome);
 
 /// What the always-on soundness auditor concluded about one use case. The
 /// auditor re-derives the accepted optimization's memory contribution over
-/// an *independent* path — the structural loop-tree collapse
-/// (wcet::structural_tau) plus the concrete cache simulator — and checks it
-/// against Theorem 1 and the sparse solver's answer. It shares no code with
-/// the ILP paths it audits, and none of their fault points.
+/// an *independent* path — the Li/Malik ILP solved by the sparse simplex
+/// (wcet::solve_ipet_ilp) plus the concrete cache simulator — and checks it
+/// against Theorem 1 and the structural engine's answer. It shares no code
+/// with the IpetSystem collapse it audits.
 struct AuditRecord {
   bool performed = false;     ///< auditor ran on this case
-  bool violated = false;      ///< Theorem 1 or solver agreement broken
-  bool inconclusive = false;  ///< the structural collapse could not decide
-  std::uint64_t tau_audit = 0;  ///< structural τ_w (0 if not recomputed)
+  bool violated = false;      ///< Theorem 1 or engine agreement broken
+  bool inconclusive = false;  ///< the ILP oracle could not answer
+  std::uint64_t tau_audit = 0;  ///< oracle τ_w (0 if not recomputed)
   std::string detail;           ///< human-readable verdict when not clean
 };
 
@@ -99,7 +97,7 @@ struct UseCaseResult {
 
   // --- supervision (retry ladder + auditor) --------------------------------
   /// Ladder attempts consumed (1 = first try sufficed). Attempt 2 raises
-  /// the solver/optimizer budgets; attempt 3 falls back to the identity
+  /// the optimizer budget; attempt 3 falls back to the identity
   /// transform, which needs no optimization to be Theorem-1 sound.
   std::uint32_t attempts = 1;
   /// 0 = clean first-try completion; 1 = recovered by the escalated-budget
@@ -163,14 +161,13 @@ struct StageTimings {
 /// lanes share every trial they decide alike on. Rows are bit-identical to
 /// calling `run_use_case` per tech, because every shared quantity depends
 /// on the tech node only through the derived timing, and the cache
-/// analysis not at all. Work done once is credited once: a lane's solver
-/// work and the optimizer's trial work go to the lead (first) member.
-/// Results are ordered like `techs`.
+/// analysis not at all. Work done once is credited once: the optimizer's
+/// trial work goes to the lead (first) member. Results are ordered like
+/// `techs`.
 ///
 /// `shared_ipet` is the program's IPET system; without one, the call builds
-/// its own up front and charges its construction to row 0's original
-/// solver work. Either way both binaries, the optimizer and the auditor
-/// share that one system. `row_programs`, when non-null, receives one
+/// its own up front. Either way both binaries, the optimizer and the
+/// auditor share that one system. `row_programs`, when non-null, receives one
 /// program per row, the one that row vouches for: its lane's optimized
 /// output when the row completed, else the input program (identity
 /// transform). Lanes that fork ship different programs.
@@ -204,8 +201,8 @@ std::vector<UseCaseResult> run_use_case_group(
 /// its cause. A later rung only replaces rows quarantined with a retryable
 /// cause, and every exception is contained per rung as a failed row. Rungs
 /// 1 and 2 run under `slot`'s token, armed at `deadline_ms` (0 = none); the
-/// identity rung is unsupervised, bounded by the simulator step budget and
-/// the ILP limits alone, so deadline pressure can degrade a case but never
+/// identity rung is unsupervised, bounded by the simulator step budget
+/// alone, so deadline pressure can degrade a case but never
 /// fail it. `row_programs` receives the program each row vouches for, as
 /// in run_use_case_group, from the rung that produced the row.
 std::vector<UseCaseResult> solve_case(
@@ -218,10 +215,10 @@ std::vector<UseCaseResult> solve_case(
     std::uint32_t deadline_ms, Watchdog::Slot& slot);
 
 /// One program's configuration-independent analysis state: its context
-/// graph and IPET constraint system, shared by every configuration, stage,
-/// worker and request of that program (prefetch insertion never alters the
-/// CFG, and solves clone the system's immutable canonical basis, so sharing
-/// is bit-identical to rebuilding). The graph points into the program it
+/// graph and IPET system (the graph's loop regions), shared by every
+/// configuration, stage, worker and request of that program (prefetch
+/// insertion never alters the CFG, and solves never write the system, so
+/// sharing is bit-identical to rebuilding). The graph points into the program it
 /// was built from, so the system owns its own copy and may outlive the
 /// caller's.
 struct ProgramSystem {
@@ -270,9 +267,8 @@ struct SweepOptions {
   /// disables the watchdog.
   std::uint32_t case_deadline_ms = 0;
   /// Always-on soundness auditor: after every accepted optimization,
-  /// re-derive the memory contribution via the structural loop-tree
-  /// collapse + cache simulator and check Theorem 1 and sparse/structural
-  /// agreement. Violations demote the case to quarantined (kAuditFailed) —
+  /// re-derive the memory contribution via the ILP oracle + cache
+  /// simulator and check Theorem 1 and structural/ILP agreement. Violations demote the case to quarantined (kAuditFailed) —
   /// reported, never aborted.
   bool audit_soundness = true;
   /// Process-level sharding: run only shard `shard_index` of `shard_count`.
@@ -314,21 +310,13 @@ struct SweepReport {
   std::size_t resumed_rows = 0;  ///< rows restored from the journal
   std::size_t audited = 0;       ///< cases the soundness auditor examined
   std::size_t audit_violations = 0;    ///< auditor contradicted the optimizer
-  std::size_t audit_inconclusive = 0;  ///< structural collapse undecided
+  std::size_t audit_inconclusive = 0;  ///< ILP oracle could not answer
   bool interrupted = false;  ///< stopped early by request_sweep_interrupt()
   std::string journal_note;  ///< journal state (resumed/reset/disabled/...)
 
   // --- performance accounting ----------------------------------------------
   std::uint32_t threads_used = 0;
   std::uint64_t wall_ms = 0;       ///< compute wall-clock of the sweep
-  /// ILP work summed over the whole sweep (per-case solves plus the
-  /// once-per-program constraint-system constructions).
-  ilp::SolveStats solver;
-  /// The once-per-shared-IpetSystem phase-1 pivots folded into `solver`
-  /// above (charge_construction). Published as exp.sweep.construction_pivots
-  /// so the row-derived pivot total reconciles against the live
-  /// ilp.solve.{pivots,construction_pivots} counters (DESIGN.md §14).
-  std::uint64_t construction_pivots = 0;
 
   bool clean() const { return degraded == 0 && failed == 0; }
   void print(std::ostream& os) const;
@@ -377,18 +365,16 @@ struct SweepPlan {
 SweepPlan build_sweep_plan(const SweepOptions& options);
 
 /// Derives the row-dependent half of a SweepReport — outcome totals,
-/// supervision accounting, summed per-row solver work, the quarantine list.
-/// Pure function of the rows: identical however they were computed
-/// (threads, shards, journal resume, merge). run_sweep layers the
-/// process-scoped fields (wall clock, threads_used, the journal note,
-/// IPET construction charges) on top.
+/// supervision accounting, the quarantine list. Pure function of the rows:
+/// identical however they were computed (threads, shards, journal resume,
+/// merge). run_sweep layers the process-scoped fields (wall clock,
+/// threads_used, the journal note) on top.
 SweepReport derive_row_report(const std::vector<UseCaseResult>& results);
 
 /// Publishes the sweep's health report into the obs metrics registry as the
 /// authoritative `exp.sweep.*` counters: outcome totals, supervision
-/// accounting and the summed solver/optimizer work, all derived from the
-/// finished rows. Unlike the live per-layer counters (ilp.solve.*,
-/// core.optimizer.*, ...) these also cover journal-resumed rows that never
+/// accounting and the summed optimizer work, all derived from the finished
+/// rows. Unlike the live per-layer counters (core.optimizer.*, ...) these also cover journal-resumed rows that never
 /// executed in this process, and they are what --metrics files and the
 /// journal metrics annotation report. run_sweep calls this before
 /// returning; it is a no-op while obs is disabled, and it never publishes

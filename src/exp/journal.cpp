@@ -19,10 +19,12 @@ const char kJournalName[] = "ucp-sweep-journal";
 // journaled them in nondeterministic completion order), and sharded sweeps
 // declare their slice in the header. v3: rows drop the full-reanalysis
 // count and the selection fingerprint drops the removed optimizer modes.
-// v4: rows drop the warm-start and skipped-phase-1 solver counters.
-// Journals of any other version reset on open.
-constexpr std::uint32_t kJournalVersion = 4;
-constexpr std::size_t kRowCells = 36;  ///< cells of a row body
+// v4: rows drop the warm-start and skipped-phase-1 solver counters. v5:
+// rows drop the remaining solver counters (LP solves, pivots, B&B nodes);
+// the WCET engine runs no solver. Journals of any other version reset on
+// open.
+constexpr std::uint32_t kJournalVersion = 5;
+constexpr std::size_t kRowCells = 33;  ///< cells of a row body
 
 bool parse_hex64(const std::string& cell, std::uint64_t& out) {
   if (cell.size() != 16 ||
@@ -60,9 +62,6 @@ std::string row_body(const UseCaseResult& r, std::size_t index) {
   const std::uint32_t audit_flags =
       (r.audit.performed ? 1u : 0u) | (r.audit.violated ? 2u : 0u) |
       (r.audit.inconclusive ? 4u : 0u);
-  ilp::SolveStats solver = r.original.solver;
-  solver.add(r.report.solver);
-  solver.add(r.optimized.solver);
   std::ostringstream row;
   row << "row," << index << ',' << support::escape_cell(r.program) << ','
       << r.config_id << ',' << energy::tech_name(r.tech) << ','
@@ -82,8 +81,7 @@ std::string row_body(const UseCaseResult& r, std::size_t index) {
       << r.report.insertions.size() << ',' << r.report.candidates_found
       << ',' << r.report.candidates_evaluated << ',' << r.report.passes
       << ',' << r.report.incremental_reanalyses << ','
-      << r.report.nodes_reanalyzed << ',' << solver.lp_solves << ','
-      << solver.pivots << ',' << solver.bb_nodes << ','
+      << r.report.nodes_reanalyzed << ','
       << support::escape_cell(r.fail_detail);
   return row.str();
 }
@@ -94,10 +92,9 @@ bool parse_row_body(std::string_view body, std::size_t& index,
   const std::vector<std::string> cells = support::split_cells(body);
   if (cells.size() != kRowCells || cells[0] != "row") return false;
 
-  std::uint64_t u[28];
-  const int cols[] = {1,  5,  6,  8,  9,  10, 11, 12, 13, 14,
-                      15, 16, 17, 19, 20, 21, 22, 23, 24, 26,
-                      27, 28, 29, 30, 31, 32, 33, 34};
+  std::uint64_t u[25];
+  const int cols[] = {1,  5,  6,  8,  9,  10, 11, 12, 13, 14, 15, 16, 17,
+                      19, 20, 21, 22, 23, 24, 26, 27, 28, 29, 30, 31};
   for (std::size_t i = 0; i < std::size(cols); ++i)
     if (!support::parse_u64(cells[static_cast<std::size_t>(cols[i])], u[i]))
       return false;
@@ -152,12 +149,7 @@ bool parse_row_body(std::string_view body, std::size_t& index,
   r.report.passes = static_cast<std::size_t>(u[22]);
   r.report.incremental_reanalyses = static_cast<std::size_t>(u[23]);
   r.report.nodes_reanalyzed = static_cast<std::size_t>(u[24]);
-  // The task's summed solver work rides in the report slot so a resumed
-  // sweep reports the same end-to-end solver totals as an uninterrupted one.
-  r.report.solver.lp_solves = u[25];
-  r.report.solver.pivots = u[26];
-  r.report.solver.bb_nodes = u[27];
-  r.fail_detail = support::unescape_cell(cells[35]);
+  r.fail_detail = support::unescape_cell(cells[32]);
   // Reconstruct the report invariants degrade_to_original / the optimizer
   // maintain; none of these enter the fingerprint row.
   r.report.code = r.quarantined() ? r.fail_code : ErrorCode::kOk;
@@ -254,7 +246,7 @@ Status SweepJournal::append_batch(
 
 namespace {
 
-/// Parses "# ucp-sweep-journal v4 grid=<fp> sel=<fp>[ shard=<i>/<N>]".
+/// Parses "# ucp-sweep-journal v5 grid=<fp> sel=<fp>[ shard=<i>/<N>]".
 /// Returns false on anything else (including other versions: row-order
 /// semantics changed in v2, so older journals cannot be merged).
 bool parse_merge_header(const std::string& line, std::string& grid_fp,

@@ -41,8 +41,9 @@ struct CampaignOptions {
   /// Scale factor for the campaign's LAST case: its sampled knobs are
   /// replaced by gen::scaled_knobs(scale), a generated program ~scale x the
   /// Mälardalen median, so every smoke run drives the SCC fixpoint, state
-  /// interner and ILP presolve through a model two orders of magnitude
-  /// above the shrunk-repro sizes the rest of the corpus exercises. 0 = off
+  /// interner, WCET collapse and ILP oracle through a model two orders of
+  /// magnitude above the shrunk-repro sizes the rest of the corpus
+  /// exercises. 0 = off
   /// (every case uses its sampled knobs).
   std::uint32_t large_scale = 0;
 };

@@ -15,13 +15,14 @@ namespace ucp::fuzz {
 /// an injected fault; kInjected pins the detection path itself).
 enum class Oracle : std::uint8_t {
   kNone,                ///< all checks passed
-  kRuntime,             ///< pipeline threw / contradicted a loop bound
+  kRuntime,             ///< pipeline threw, contradicted a loop bound or
+                        ///< the WCET engine failed internally
   kSimVsIpet,           ///< concrete mem cycles exceed τ_w on the input binary
   kMustHit,             ///< always-hit (all contexts) fetch observed a miss
   kMustMiss,            ///< always-miss (all contexts) fetch observed a hit
   kPersistence,         ///< persistent (all contexts) fetch missed twice or more
   kTheorem1,            ///< optimized τ_w exceeds original τ_w
-  kSparseVsStructural,  ///< sparse solver and structural collapse disagree
+  kStructuralVsSparse,  ///< structural engine and ILP oracle disagree
   kInjected,            ///< forced by an armed fuzz.oracle fault
 };
 
@@ -72,9 +73,9 @@ struct OracleReport {
 ///  4. Theorem 1: the optimizer's output, re-analyzed against the same
 ///     context graph (prefetch insertion never changes the CFG), must not
 ///     increase τ_w;
-///  5. sparse-vs-structural: the structural loop-tree collapse
-///     (wcet::structural_tau) must reproduce the sparse solver's τ_w
-///     bit-exactly.
+///  5. structural-vs-sparse: the ILP oracle (wcet::solve_ipet_ilp, the
+///     Li/Malik model solved by the sparse simplex) must reproduce the
+///     production engine's (IpetSystem) τ_w bit-exactly.
 /// An armed `fuzz.oracle` fault site forces a kInjected violation first.
 OracleReport check_program(const ir::Program& program,
                            const OracleOptions& options);

@@ -8,10 +8,8 @@
 // once and freezes the resulting feasible basis as an immutable canonical
 // snapshot; every solve, and every branch-and-bound node within one,
 // clones that snapshot, so solves are independent of call order and
-// thread count, and a const SparseLp is safe to share across threads.
-// This is what makes the per-program IpetSystem cache deterministic: the
-// answer for (objective) never depends on which config or stage asked
-// first.
+// thread count, and a const SparseLp is safe to share across threads: the
+// answer for (objective) never depends on which caller asked first.
 
 #include <cstdint>
 #include <vector>
@@ -31,8 +29,8 @@ class SparseLp {
   std::size_t num_structural() const { return n_; }
   std::size_t num_rows() const { return m_; }
   /// Pivots spent building the canonical feasible basis (one-time phase 1).
-  /// Not included in per-solve SolveStats; callers that want end-to-end
-  /// pivot accounting add this once per SparseLp.
+  /// Not included in per-solve SolveStats; ilp::solve_ilp adds it to the
+  /// one-shot solution's.
   std::uint64_t construction_pivots() const { return construction_pivots_; }
   /// kOptimal when a feasible canonical basis exists; kInfeasible /
   /// kIterationLimit otherwise (every solve then reports that status).

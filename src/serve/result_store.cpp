@@ -19,10 +19,12 @@ std::size_t answer_bytes(const Response& r) {
          r.program_text.size();
 }
 
-/// glibc's mallinfo2 puts a suite program's system at 0.9 to 1.8 KB per
-/// context-graph node (1.1 KB on nsichneu, the largest).
+/// glibc's mallinfo2 puts a suite program's system (program copy, context
+/// graph and the IPET system's loop regions) at 0.25 to 1.3 KB per
+/// context-graph node, the most on the smallest graphs; 626 B on nsichneu,
+/// the largest, and 517 B pooled over the suite.
 std::size_t system_bytes(const exp::ProgramSystem* system) {
-  return system ? 1152 * system->graph.num_nodes() : 0;
+  return system ? 640 * system->graph.num_nodes() : 0;
 }
 
 void count(const char* name, std::uint64_t n = 1) {

@@ -111,7 +111,7 @@ class RecordLog {
 
   /// Opens `path` for append. A missing file is created with `format`'s
   /// header; a file whose header differs is reset, and reset_reason() says
-  /// why ("journal format v3, expected v4"). Otherwise every valid record
+  /// why ("journal format v4, expected v5"). Otherwise every valid record
   /// is handed to `accept` in file order; the first line that fails its
   /// checksum or that `accept` rejects is truncated away together with
   /// everything after it (truncated() is then true).

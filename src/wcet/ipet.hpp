@@ -7,16 +7,9 @@
 #include "analysis/context_graph.hpp"
 #include "cache/config.hpp"
 #include "ilp/model.hpp"
-#include "ilp/presolve.hpp"
-#include "ilp/sparse.hpp"
 #include "support/status.hpp"
 
 namespace ucp::wcet {
-
-/// Maps a solver outcome onto the pipeline-wide error channel, so IPET
-/// budget exhaustion (ilp::kMaxPivots / ilp::kMaxBbNodes) propagates as a
-/// Status the harness can quarantine on instead of an UCP_CHECK abort.
-ErrorCode solve_error_code(ilp::SolveStatus status);
 
 /// Per-reference worst-case memory timing: t_w(r) of Section 3.3, derived
 /// from the cache classification (always-hit pays hit time; anything else
@@ -26,7 +19,9 @@ std::uint32_t ref_cycles(analysis::Classification cls,
 
 /// Result of the IPET analysis over a VIVU context graph.
 struct WcetResult {
-  ilp::SolveStatus status = ilp::SolveStatus::kInfeasible;
+  /// kInternal from IpetSystem when the loop-tree collapse does not cover
+  /// the graph or overflows uint64; the ILP oracle reports solver failures.
+  Status status{ErrorCode::kInternal, "not solved"};
   /// τ_w: the memory system's contribution to the WCET, in cycles (Eq. 3).
   std::uint64_t tau_mem = 0;
   /// n_w per context node: executions of each block instance in the WCET
@@ -36,10 +31,11 @@ struct WcetResult {
   std::vector<std::vector<std::uint32_t>> ref_cycles;
   /// Worst-case flow per context edge (same indexing as graph.edges()).
   std::vector<std::uint64_t> edge_counts;
-  /// Solver work behind this result (LP solves, pivots, B&B nodes).
+  /// Simplex work behind this result: filled by the ILP oracle
+  /// (solve_ipet_ilp), zero from IpetSystem, which runs no solver.
   ilp::SolveStats stats;
 
-  bool ok() const { return status == ilp::SolveStatus::kOptimal; }
+  bool ok() const { return status.ok(); }
 
   /// τ_w(r) for one reference: t_w * n_w of its node (Eq. 2).
   std::uint64_t tau_of(analysis::NodeId node, std::size_t instr_index) const {
@@ -48,76 +44,77 @@ struct WcetResult {
   }
 };
 
-/// The IPET ILP of one context graph, built once and re-solved many times.
+/// The WCET engine of one context graph: the optimum of the Li/Malik IPET
+/// (DESIGN.md §9; flow conservation, `n(rest) <= (bound-1) * n(first)` per
+/// VIVU loop instance and anti-circulation, maximizing Σ t_w(bb)·n_bb)
+/// computed by structure instead of by an ILP solver.
 ///
-/// The constraint matrix (flow conservation, VIVU loop bounds,
-/// anti-circulation) depends only on the graph topology; the cache
-/// classification and memory timing enter purely through the objective
-/// coefficients. An IpetSystem therefore factors the expensive part — the
-/// sparse LP snapshot including its one-time phase 1 — out of the per-solve
-/// cost: the optimizer's initial and final solves, the locking baselines,
-/// and all cache configurations of one program swap objective vectors over
-/// the same canonical basis. Solves clone that immutable snapshot, so a
-/// const IpetSystem is safe to share across sweep worker threads and its
-/// answers never depend on which caller solved first. Construction runs
-/// the exact ILP presolve (ilp::Presolve, DESIGN.md §14) on the constraint
-/// system before snapshotting the sparse LP; every reduction is
-/// objective-independent and exact, so solves return the optimum of the
-/// unreduced model.
+/// On the reducible graphs ContextGraph builds, that optimum is a longest
+/// path in which every loop instance is collapsed, innermost first, into
+/// one value per exit edge (a halt node's sink arc counts as an exit):
+///  - an exit taken from the FIRST body is worth the longest path from the
+///    FIRST header to that edge;
+///  - an exit taken from the REST body is worth the longest FIRST-to-REST
+///    entry, plus (bound-2) times the longest REST-header-to-back-edge
+///    cycle, plus the longest path from the REST header to that edge;
+///  - a loop without a REST node (bound < 2) is its FIRST body alone.
+/// The whole-graph answer is the longest entry-to-sink path over what the
+/// collapse leaves. Back-tracking the chosen predecessors, with the lowest
+/// edge index winning every tie, yields the flow behind it: one unit along
+/// the top-level path, and per entry of a loop instance taken through its
+/// REST body one unit of entry path, (bound-2) units of cycle and one unit
+/// of exit path. Node weights are Σ ref_cycles over each node's
+/// instructions; all arithmetic is exact. Cost is O(nodes + edges) times
+/// the loop-nesting depth.
+///
+/// Construction places every node in its region (the top level, or the
+/// FIRST or REST body of one loop instance) once per program; a solve only
+/// prices the nodes and runs the longest path. Solves keep their scratch
+/// to themselves, so a const IpetSystem is safe to share across threads.
 class IpetSystem {
  public:
   explicit IpetSystem(const analysis::ContextGraph& graph);
 
   const analysis::ContextGraph& graph() const { return *graph_; }
 
-  /// Solves max Σ t_w(bb)·n_bb for this classification/timing pair.
-  /// Bit-identical to `compute_wcet` on the same graph.
+  /// Solves max Σ t_w(bb)·n_bb for this classification/timing pair. A graph
+  /// the collapse does not cover, one without a path to a halt node, and a
+  /// uint64 overflow all fail with ErrorCode::kInternal.
   WcetResult solve(const analysis::CacheAnalysisResult& classification,
                    const cache::MemTiming& timing) const;
 
-  /// A standalone copy of the ILP with the objective for
-  /// (classification, timing) installed — what `compute_wcet` historically
-  /// built per call. Feed it to the dense reference solver in differential
-  /// tests, or to the one-shot `ilp::solve_ilp` in micro benches.
-  ilp::Model model_with_objective(
-      const analysis::CacheAnalysisResult& classification,
-      const cache::MemTiming& timing) const;
-
-  /// Pivots spent building the canonical feasible basis (one-time phase 1);
-  /// not part of any per-solve stats.
-  std::uint64_t construction_pivots() const {
-    return lp_.construction_pivots();
-  }
-
-  /// Dimensions of the system the simplex actually factorizes (post-presolve
-  /// when engaged) — the scaling bench reports the reduction.
-  std::size_t lp_rows() const { return lp_.num_rows(); }
-  std::size_t lp_cols() const { return lp_.num_structural(); }
-
-  /// Folds the one-time construction cost (its phase-1 pivots) into an
-  /// aggregate. Call exactly once per IpetSystem when summing end-to-end
-  /// solver work.
-  void charge_construction(ilp::SolveStats& stats) const {
-    stats.pivots += lp_.construction_pivots();
-  }
-
  private:
-  static ilp::Model build_model(const analysis::ContextGraph& graph);
+  class Collapse;
+
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// A loop-free piece of the graph: the top level (region 0) or the FIRST
+  /// or REST body of one loop instance (regions 1 + 2i and 2 + 2i), in
+  /// which every directly nested loop instance stands in as one item.
+  struct Region {
+    std::uint32_t parent = kNone;
+    std::uint32_t loop = kNone;   ///< loop instance; kNone at the top level
+    analysis::NodeId start = analysis::kInvalidNode;  ///< entry or header
+    std::size_t depth = 0;        ///< context length of the region's nodes
+    /// The region's nodes plus the FIRST headers of the loop instances
+    /// nested directly inside it, in ACFG topological order. An item whose
+    /// own region differs from this one stands for its whole loop instance.
+    std::vector<analysis::NodeId> items;
+  };
+
+  bool assign_regions();
+  std::uint32_t ancestor(std::uint32_t r, std::size_t depth) const;
 
   const analysis::ContextGraph* graph_;
-  ilp::Model model_;  ///< constraints + bounds; objective left empty
-  ilp::VarId source_var_ = 0;
-  /// Engaged iff the reduction removed something; the sparse snapshot
-  /// below is then built over reduced() instead of model_.
-  std::optional<ilp::Presolve> presolve_;
-  ilp::SparseLp lp_;
+  bool covered_ = false;  ///< assign_regions() placed every node
+  std::vector<Region> regions_;
+  std::vector<std::uint32_t> region_of_;   ///< per node
+  std::vector<std::uint32_t> first_loop_;  ///< instance a FIRST header opens
+  std::vector<std::uint8_t> is_exit_;      ///< halt nodes
 };
 
-/// Builds and solves the IPET ILP (Section 3.2-3.3): one flow variable per
-/// context edge plus virtual source/sink arcs, flow conservation at every
-/// node, `n(rest header) <= (bound-1) * n(first header)` per VIVU loop
-/// instance, maximizing Σ t_w(bb)·n_bb. One-shot convenience over
-/// IpetSystem; repeated solves on one graph should share an IpetSystem.
+/// One-shot convenience over IpetSystem; repeated solves on one graph
+/// should share an IpetSystem.
 WcetResult compute_wcet(const analysis::ContextGraph& graph,
                         const analysis::CacheAnalysisResult& classification,
                         const cache::MemTiming& timing);

@@ -2,19 +2,20 @@
 //
 // The optimizer evaluates every candidate with one engine, the incremental
 // trial re-analysis; the sweep shares analysis, optimization and
-// simulation across tech nodes; the fixpoint is SCC-sparse and the IPET is
-// presolved. Each of these is only admissible because it changes *no
-// output bit*, and these tests pin that claim against slower references:
-// a from-scratch analyze_cache of every trial program, per-tech
-// run_use_case rows (compared via the v2 sweep-cache row including its
-// FNV-1a checksum), and the global-worklist and unpresolved-IPET oracles of
-// the test-only ucp_reference library — on the paper grid, the fuzz corpus
-// and generated programs up to 100× the suite's size. A mismatch here means
+// simulation across tech nodes; the fixpoint is SCC-sparse and τ_w comes
+// from the structural engine. Each of these is only admissible because it
+// changes *no output bit*, and these tests pin that claim against slower
+// references: a from-scratch analyze_cache of every trial program,
+// per-tech run_use_case rows (compared via the v2 sweep-cache row
+// including its FNV-1a checksum), the global-worklist oracle of the
+// test-only ucp_reference library and the ILP oracle — on the paper grid,
+// the fuzz corpus and generated programs up to 100× the suite's size. A mismatch here means
 // the fast path is wrong, not that the test is stale.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -31,12 +32,15 @@
 #include "gen/generator.hpp"
 #include "ir/layout.hpp"
 #include "ir/program.hpp"
-#include "obs/metrics.hpp"
+#include "ir/text_codec.hpp"
 #include "reference/reference.hpp"
+#include "serve/client.hpp"
+#include "serve/server.hpp"
 #include "suite/suite.hpp"
 #include "support/fault_injection.hpp"
 #include "support/record_log.hpp"
 #include "wcet/ipet.hpp"
+#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::exp {
 namespace {
@@ -339,60 +343,96 @@ TEST(Equivalence, GroupPathDegradedRowsMatchPerCase) {
 
 // --- solver-kernel fault gates ----------------------------------------------
 // The sparse simplex consults ilp.pivot at every pivot and ilp.bb_node at
-// every branch-and-bound node. A one-shot fault on either site must hit the
-// same solve of the same use case on every run (the sweep schedule, the
-// per-program system prebuild and the solver itself are all deterministic),
-// quarantine exactly that case, and leave every row — including the
-// quarantined one — bit-identical between repeats. This pins both the
-// containment of solver budget exhaustion and the determinism of the
-// warm-started branch-and-bound under it.
+// every branch-and-bound node. Production computes τ_w by structure, so the
+// simplex runs only as the auditor's ILP oracle, and a one-shot fault on
+// either site can only leave one audit inconclusive. It must land on the
+// same case on every run (the sweep schedule and the solver are
+// deterministic), leave every row bit-identical to a fault-free sweep (an
+// inconclusive audit neither degrades nor quarantines a row), and keep the
+// doubted answer out of ucpd's result store.
 
-Sweep strided_sweep_with_fault(const char* site) {
+Sweep strided_sweep(const char* fault_site) {
   SweepOptions options;
   options.programs = {"bs", "fdct"};
   options.config_stride = 12;  // k1, k13, k25
   options.threads = 1;
   options.progress_every = 0;
-  fault::ScopedFault f(site);
+  std::optional<fault::ScopedFault> f;
+  if (fault_site) f.emplace(fault_site);
   return run_sweep(options);
+}
+
+std::vector<std::size_t> inconclusive_rows(const Sweep& sweep) {
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < sweep.results.size(); ++i)
+    if (sweep.results[i].audit.inconclusive) rows.push_back(i);
+  return rows;
 }
 
 void expect_solver_fault_contained(const char* site) {
   fault::disarm_all();
-  const Sweep a = strided_sweep_with_fault(site);
-  const Sweep b = strided_sweep_with_fault(site);
+  const Sweep base = strided_sweep(nullptr);
+  const Sweep a = strided_sweep(site);
+  const Sweep b = strided_sweep(site);
+  ASSERT_TRUE(base.report.clean());
+  EXPECT_TRUE(inconclusive_rows(base).empty());
 
-  // The fault must actually land: some case degrades or fails with the
-  // solver's iteration-limit error code instead of vanishing silently.
-  EXPECT_FALSE(a.report.clean()) << site;
-  ASSERT_FALSE(a.report.quarantine.empty()) << site;
-  bool saw_iteration_limit = false;
-  for (const DegradedCase& q : a.report.quarantine)
-    saw_iteration_limit |= q.code == ErrorCode::kIterationLimit;
-  EXPECT_TRUE(saw_iteration_limit) << site;
+  // The fault must actually land, on an audit and nowhere else.
+  const std::vector<std::size_t> doubted = inconclusive_rows(a);
+  ASSERT_FALSE(doubted.empty()) << site << " never reached the ILP oracle";
+  EXPECT_TRUE(a.report.clean()) << site;
+  EXPECT_EQ(a.report.audit_violations, 0u) << site;
+  EXPECT_EQ(a.report.audit_inconclusive, doubted.size()) << site;
+  EXPECT_EQ(sweep_results_fingerprint(a.results),
+            sweep_results_fingerprint(base.results))
+      << site;
+  for (std::size_t i : doubted) {
+    EXPECT_EQ(a.results[i].outcome, CaseOutcome::kCompleted) << site;
+    EXPECT_NE(a.results[i].audit.detail.find("ILP oracle"), std::string::npos)
+        << a.results[i].audit.detail;
+  }
 
   // And it must land identically every time.
-  ASSERT_EQ(a.results.size(), b.results.size()) << site;
-  EXPECT_EQ(sweep_results_fingerprint(a.results),
-            sweep_results_fingerprint(b.results))
+  EXPECT_EQ(inconclusive_rows(b), doubted) << site;
+  EXPECT_EQ(sweep_results_fingerprint(b.results),
+            sweep_results_fingerprint(a.results))
       << site;
-  ASSERT_EQ(a.report.quarantine.size(), b.report.quarantine.size()) << site;
-  for (std::size_t i = 0; i < a.report.quarantine.size(); ++i) {
-    EXPECT_EQ(a.report.quarantine[i].program, b.report.quarantine[i].program)
-        << site;
-    EXPECT_EQ(a.report.quarantine[i].config_id,
-              b.report.quarantine[i].config_id)
-        << site;
-    EXPECT_EQ(a.report.quarantine[i].stage, b.report.quarantine[i].stage)
-        << site;
+
+  // ucpd serves the doubted answer once and recomputes it next time; only
+  // the clean recomputation is stored. fdct at k2 inserts prefetches.
+  serve::ServerOptions options;
+  options.workers = 1;
+  serve::Server server(options);
+  ASSERT_TRUE(server.start().ok());
+  serve::Request request;
+  request.config_id = "k2";
+  request.config = cache::paper_cache_config("k2").config;
+  request.tech = energy::TechNode::k32nm;
+  request.program_text = ir::to_text(suite::build_benchmark("fdct"));
+  std::vector<serve::Response> answers;
+  for (const char* id : {"doubted", "recomputed", "stored"}) {
+    request.id = id;
+    std::optional<fault::ScopedFault> f;
+    if (answers.empty()) f.emplace(site);
+    const auto answer = serve::call(server.port(), request);
+    ASSERT_TRUE(answer.ok()) << site << ": " << answer.status().message();
+    answers.push_back(*answer);
   }
+  server.stop();
+  for (const serve::Response& r : answers)
+    EXPECT_EQ(r.status, serve::ResponseStatus::kOk) << site << " " << r.id;
+  EXPECT_EQ(answers[0].audit, "inconclusive") << site;
+  EXPECT_FALSE(answers[1].cached) << site;
+  EXPECT_EQ(answers[1].audit, "clean") << site;
+  EXPECT_TRUE(answers[2].cached) << site;
+  EXPECT_EQ(answers[0].tau_optimized, answers[2].tau_optimized) << site;
 }
 
-TEST(Equivalence, PivotFaultQuarantinesDeterministically) {
+TEST(Equivalence, PivotFaultLeavesOneAuditInconclusive) {
   expect_solver_fault_contained("ilp.pivot");
 }
 
-TEST(Equivalence, BbNodeFaultQuarantinesDeterministically) {
+TEST(Equivalence, BbNodeFaultLeavesOneAuditInconclusive) {
   expect_solver_fault_contained("ilp.bb_node");
 }
 
@@ -465,13 +505,14 @@ TEST(Equivalence, SharedWorkFaultsDegradeEveryLaneOfATwoTimingGroup) {
   }
 }
 
-// --- scaling layers: SCC-sparse fixpoint and ILP presolve -------------------
+// --- scaling layers: SCC-sparse fixpoint and structural WCET ---------------
 // The 100x-scaling work (SCC-condensation fixpoint driver with hash-consed
-// abstract states; exact objective-independent ILP presolve) replaced a
-// global FIFO worklist and the unreduced IPET model, which live on as the
-// ucp_reference oracles. These tests pin the equivalence on the paper grid
-// and on every committed fuzz repro: the fast paths must be
-// *result-identical*, not merely objective-identical.
+// abstract states) replaced a global FIFO worklist, which lives on as a
+// ucp_reference oracle; the structural WCET engine replaced the simplex,
+// which lives on as the ILP oracle (wcet::solve_ipet_ilp). These tests pin
+// the equivalence on the paper grid and on every committed fuzz repro: the
+// fixpoints must be *result-identical*, the engines τ-identical with
+// feasible counts.
 
 // Capacity/associativity spectrum of the paper grid: smallest, largest and
 // a stride through the middle (full 36-config coverage lives in the sweep
@@ -505,49 +546,21 @@ TEST(Equivalence, SccSparseFixpointMatchesGlobalWorklistOnPaperGrid) {
   }
 }
 
-// The presolved IPET system and the unreduced reference over the same graph
-// must agree on the full solve *result* — status, tau, and the worst-case
-// flow solution (node and edge counts) — not just the objective. The
-// expand_values replay (fixed vars, alias roots, reverse-order
-// substitutions) is what this pins: a wrong expansion with the right
-// objective would slip past an objective-only check but corrupts the
-// optimizer's profit criterion, which consumes the counts.
-void expect_solves_equal(const wcet::IpetSystem& system,
-                         const analysis::CacheAnalysisResult& cls,
-                         const cache::MemTiming& timing,
-                         const std::string& what) {
-  const wcet::WcetResult a = system.solve(cls, timing);
-  const wcet::WcetResult b = reference::solve_unpresolved(system, cls, timing);
-  EXPECT_EQ(a.status, b.status) << what;
+// The structural engine and the ILP oracle over the same graph must agree
+// on τ, and the engine's counts must be a feasible Li/Malik flow behind it
+// (the optimizer's profit criterion consumes them). Repros may have tied
+// optima, so the counts are not compared with the simplex's vertex.
+void expect_engines_agree(const analysis::ContextGraph& graph,
+                          const analysis::CacheAnalysisResult& cls,
+                          const cache::MemTiming& timing,
+                          const std::string& what) {
+  const wcet::WcetResult a = wcet::IpetSystem(graph).solve(cls, timing);
+  const wcet::WcetResult b = wcet::solve_ipet_ilp(graph, cls, timing);
+  ASSERT_TRUE(a.ok()) << what << ": " << a.status.message();
+  ASSERT_TRUE(b.ok()) << what << ": " << b.status.message();
   EXPECT_EQ(a.tau_mem, b.tau_mem) << what;
-  EXPECT_EQ(a.node_counts, b.node_counts) << what;
-  EXPECT_EQ(a.edge_counts, b.edge_counts) << what;
+  EXPECT_EQ(reference::ipet_flow_violation(graph, a), "") << what;
   EXPECT_EQ(a.ref_cycles, b.ref_cycles) << what;
-}
-
-TEST(Equivalence, PresolvedIpetMatchesUnpresolvedOnPaperGrid) {
-  bool saw_reduction = false;
-  for (const suite::BenchmarkInfo& info : suite::all_benchmarks()) {
-    const ir::Program p = suite::build_benchmark(info.name);
-    const analysis::ContextGraph graph(p);
-    const wcet::IpetSystem system(graph);
-    for (const std::string& cfg : grid_config_ids()) {
-      const cache::CacheConfig& k = cache::paper_cache_config(cfg).config;
-      const ir::Layout layout(p, k.block_bytes);
-      const analysis::CacheAnalysisResult cls =
-          analysis::analyze_cache(graph, layout, k);
-      const cache::MemTiming timing =
-          energy::derive_timing(k, energy::TechNode::k45nm);
-      const std::size_t unreduced_rows =
-          system.model_with_objective(cls, timing).num_constraints();
-      EXPECT_LE(system.lp_rows(), unreduced_rows) << info.name;
-      saw_reduction |= system.lp_rows() < unreduced_rows;
-      expect_solves_equal(system, cls, timing,
-                          std::string(info.name) + "/" + cfg);
-    }
-  }
-  // Vacuity guard: presolve must actually engage somewhere on the grid.
-  EXPECT_TRUE(saw_reduction);
 }
 
 // Every committed fuzz repro (found by the soundness campaign, i.e. the
@@ -563,79 +576,21 @@ TEST(Equivalence, FastPathsMatchLegacyOraclesOnCorpusRepros) {
     const ir::Layout layout(entry.program, k.block_bytes);
     expect_fixpoints_equal(graph, layout, k, entry.name);
 
-    const wcet::IpetSystem system(graph);
     const analysis::CacheAnalysisResult cls =
         analysis::analyze_cache(graph, layout, k);
     const cache::MemTiming timing =
         energy::derive_timing(k, energy::TechNode::k45nm);
-    expect_solves_equal(system, cls, timing, entry.name);
+    expect_engines_agree(graph, cls, timing, entry.name);
   }
-}
-
-// --- pivot-counter reconciliation -------------------------------------------
-// The one-time accounting discrepancy between exp.sweep.pivots (882312,
-// row-derived) and ilp.solve.pivots (805824, live) was the sparse LP's
-// phase-1 *construction* pivots: charge_construction folds them into the
-// row-side aggregate exactly once per shared IpetSystem, while the live
-// counter only ever sees per-solve work. With construction published as
-// its own live counter, the books must balance exactly on a clean run
-// (single attempt, no retry, no resume, no cache):
-//
-//   exp.sweep.pivots == ilp.solve.pivots + ilp.solve.construction_pivots
-
-std::uint64_t counter_value(const obs::Snapshot& snap, const char* name) {
-  for (const auto& [n, v] : snap.counters)
-    if (n == name) return v;
-  return 0;
-}
-
-TEST(Equivalence, SweepPivotCountersReconcile) {
-  fault::disarm_all();
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);
-  const obs::Snapshot before = obs::registry().snapshot();
-
-  SweepOptions options;
-  options.programs = {"bs", "crc"};
-  options.config_stride = 12;  // k1, k13, k25
-  options.threads = 1;
-  options.progress_every = 0;
-  // run_sweep publishes its own row-derived counters on completion (the
-  // exp.sweep.* deltas below); calling publish_sweep_metrics again here
-  // would double them.
-  const Sweep sweep = run_sweep(options);
-
-  const obs::Snapshot after = obs::registry().snapshot();
-  obs::set_enabled(was_enabled);
-
-  // The identity only holds when every solve's work landed in exactly one
-  // row: no retries (double-counted attempts) and no degraded/failed rows.
-  ASSERT_TRUE(sweep.report.clean());
-  ASSERT_EQ(sweep.report.retried, 0u);
-
-  auto delta = [&](const char* name) {
-    return counter_value(after, name) - counter_value(before, name);
-  };
-  const std::uint64_t live_solve = delta("ilp.solve.pivots");
-  const std::uint64_t live_construction =
-      delta("ilp.solve.construction_pivots");
-  const std::uint64_t row_total = delta("exp.sweep.pivots");
-  const std::uint64_t row_construction =
-      delta("exp.sweep.construction_pivots");
-
-  // The slice must do real solver work, or the identity is vacuous.
-  EXPECT_GT(live_solve, 0u);
-  EXPECT_GT(live_construction, 0u);
-  EXPECT_EQ(row_total, live_solve + live_construction);
-  EXPECT_EQ(row_construction, live_construction);
 }
 
 // --- scaling differential: generated programs far above the suite -------
 // Fixed-seed programs of gen::scaled_knobs at 10×/30×/100× the Mälardalen
-// average go through two engine pairs over the same context graph and IPET
-// system: the reference arm (global-worklist fixpoint, then the unreduced
-// Li/Malik IPET model) and the production arm (SCC-sparse fixpoint, then the
-// presolved model). Both must agree on every classification and on τ_mem.
+// average go through two engine pairs over the same context graph: the
+// reference arm (global-worklist fixpoint, then the ILP oracle on the
+// Li/Malik model) and the production arm (SCC-sparse fixpoint, then the
+// structural engine). Both must agree on every classification and on
+// τ_mem.
 // The production arm then runs the optimizer under a deterministic budget.
 // A tier's fingerprint — byte-wise FNV-1a over each program's τ_mem,
 // optimized τ, insertion count and context-node count — pins the generated
@@ -683,7 +638,7 @@ std::vector<std::string> scaling_tier_fingerprints(const ScalingTier& tier) {
     const analysis::CacheAnalysisResult ref_cls =
         reference::analyze_cache_global_worklist(graph, layout, config);
     const wcet::WcetResult ref =
-        reference::solve_unpresolved(ipet, ref_cls, timing);
+        wcet::solve_ipet_ilp(graph, ref_cls, timing);
     const analysis::CacheAnalysisResult cls =
         analysis::analyze_cache(graph, layout, config);
     const wcet::WcetResult wcet = ipet.solve(cls, timing);

@@ -18,10 +18,12 @@
 #include "cache/config.hpp"
 #include "energy/model.hpp"
 #include "ilp/model.hpp"
+#include "ilp/sparse.hpp"
 #include "ir/layout.hpp"
 #include "reference/reference.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
+#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::ilp {
 namespace {
@@ -210,8 +212,7 @@ TEST(DifferentialIpet, EverySuiteModelAgreesWithDenseReference) {
     const analysis::ContextGraph graph(program);
     const analysis::CacheAnalysisResult cls =
         analysis::analyze_cache(graph, layout, kConfig);
-    const wcet::IpetSystem system(graph);
-    const Model model = system.model_with_objective(cls, kTiming);
+    const Model model = wcet::ipet_model(graph, cls, kTiming);
 
     const Solution sparse = solve_ilp(model);
     const Solution dense = solve_ilp_dense_reference(model);
@@ -221,20 +222,25 @@ TEST(DifferentialIpet, EverySuiteModelAgreesWithDenseReference) {
                 1e-6 * std::max(1.0, dense.objective))
         << info.name;
 
-    // The cached-system path must agree with the standalone model: same τ,
-    // with at least one LP solve behind it.
-    const wcet::WcetResult via_system = system.solve(cls, kTiming);
-    EXPECT_EQ(via_system.tau_mem,
-              static_cast<std::uint64_t>(std::llround(sparse.objective)))
-        << info.name;
-    EXPECT_GE(via_system.stats.lp_solves, 1u) << info.name;
+    // The ILP oracle solves exactly this model, and the structural engine
+    // reaches its optimum without a solver.
+    const auto tau = static_cast<std::uint64_t>(std::llround(sparse.objective));
+    const wcet::WcetResult oracle = wcet::solve_ipet_ilp(graph, cls, kTiming);
+    ASSERT_TRUE(oracle.ok()) << info.name;
+    EXPECT_EQ(oracle.tau_mem, tau) << info.name;
+    EXPECT_GE(oracle.stats.lp_solves, 1u) << info.name;
+    const wcet::WcetResult structural =
+        wcet::IpetSystem(graph).solve(cls, kTiming);
+    ASSERT_TRUE(structural.ok()) << info.name;
+    EXPECT_EQ(structural.tau_mem, tau) << info.name;
+    EXPECT_EQ(structural.stats.lp_solves, 0u) << info.name;
   }
 }
 
 TEST(DifferentialIpet, SolveOrderDoesNotChangeResults) {
   // The canonical-snapshot determinism claim, pinned directly: re-solving
   // with objective A after objectives B and C gives the same vertex (values
-  // included) as solving A first on a fresh system.
+  // included) as solving A first on a fresh snapshot.
   const ir::Program program = suite::build_benchmark("fdct");
   const analysis::ContextGraph graph(program);
   const ir::Layout layout(program, kConfig.block_bytes);
@@ -242,20 +248,27 @@ TEST(DifferentialIpet, SolveOrderDoesNotChangeResults) {
       analysis::analyze_cache(graph, layout, kConfig);
   const cache::MemTiming other = energy::derive_timing(
       cache::CacheConfig{2, 16, 1024}, energy::TechNode::k32nm);
+  auto objective = [&](const cache::MemTiming& timing) {
+    const Model m = wcet::ipet_model(graph, cls, timing);
+    std::vector<double> obj(m.num_vars(), 0.0);
+    for (const Term& t : m.objective())
+      obj[static_cast<std::size_t>(t.var)] = t.coeff;
+    return obj;
+  };
+  const Model model = wcet::ipet_model(graph, cls, kTiming);
 
-  const wcet::IpetSystem fresh(graph);
-  const wcet::WcetResult first = fresh.solve(cls, kTiming);
+  const SparseLp fresh(model);
+  const Solution first = fresh.solve_ilp_with(objective(kTiming));
 
-  const wcet::IpetSystem reused(graph);
-  (void)reused.solve(cls, other);
-  (void)reused.solve(cls, other);
-  const wcet::WcetResult later = reused.solve(cls, kTiming);
+  const SparseLp reused(model);
+  (void)reused.solve_ilp_with(objective(other));
+  (void)reused.solve_ilp_with(objective(other));
+  const Solution later = reused.solve_ilp_with(objective(kTiming));
 
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(later.ok());
-  EXPECT_EQ(first.tau_mem, later.tau_mem);
-  EXPECT_EQ(first.edge_counts, later.edge_counts);
-  EXPECT_EQ(first.node_counts, later.node_counts);
+  ASSERT_TRUE(first.optimal());
+  ASSERT_TRUE(later.optimal());
+  EXPECT_EQ(first.objective, later.objective);
+  EXPECT_EQ(first.values, later.values);
 }
 
 TEST(DifferentialIpet, StatsAccounting) {
@@ -265,24 +278,28 @@ TEST(DifferentialIpet, StatsAccounting) {
   const analysis::CacheAnalysisResult cls =
       analysis::analyze_cache(graph, layout, kConfig);
 
-  const wcet::IpetSystem system(graph);
-  const wcet::WcetResult r = system.solve(cls, kTiming);
+  const wcet::WcetResult r = wcet::solve_ipet_ilp(graph, cls, kTiming);
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.stats.bb_nodes, 1u);
   // One LP relaxation per branch-and-bound node.
   EXPECT_EQ(r.stats.lp_solves, r.stats.bb_nodes);
 
-  // charge_construction folds the one-time phase 1 in exactly once.
-  ilp::SolveStats total = r.stats;
-  system.charge_construction(total);
-  EXPECT_EQ(total.pivots, r.stats.pivots + system.construction_pivots());
-  EXPECT_EQ(total.lp_solves, r.stats.lp_solves);
+  // The oracle is one-shot: its pivots are the solve's plus the snapshot's
+  // one-time phase 1.
+  const Model model = wcet::ipet_model(graph, cls, kTiming);
+  const SparseLp lp(model);
+  std::vector<double> obj(model.num_vars(), 0.0);
+  for (const Term& t : model.objective())
+    obj[static_cast<std::size_t>(t.var)] = t.coeff;
+  const Solution solve = lp.solve_ilp_with(obj);
+  EXPECT_EQ(r.stats.pivots, solve.stats.pivots + lp.construction_pivots());
+  EXPECT_EQ(r.stats.lp_solves, solve.stats.lp_solves);
 
-  // The one-shot wrapper reports the charged form.
-  const wcet::WcetResult one_shot = wcet::compute_wcet(graph, cls, kTiming);
-  EXPECT_EQ(one_shot.tau_mem, r.tau_mem);
-  EXPECT_EQ(one_shot.stats.pivots, total.pivots);
-  EXPECT_EQ(one_shot.stats.lp_solves, total.lp_solves);
+  // The structural engine runs no solver.
+  const wcet::WcetResult structural = wcet::compute_wcet(graph, cls, kTiming);
+  EXPECT_EQ(structural.tau_mem, r.tau_mem);
+  EXPECT_EQ(structural.stats.pivots, 0u);
+  EXPECT_EQ(structural.stats.lp_solves, 0u);
 }
 
 }  // namespace

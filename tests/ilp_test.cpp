@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "ilp/model.hpp"
-#include "ilp/presolve.hpp"
 #include "reference/reference.hpp"
 #include "support/check.hpp"
 
@@ -254,181 +253,6 @@ TEST_P(RandomLpTest, SolutionIsFeasibleAndNotWorseThanOrigin) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpTest, ::testing::Range(1, 25));
-
-// ---------------------------------------------------------------------------
-// Exact presolve (DESIGN.md §14): every reduction must preserve the optimal
-// objective for EVERY objective, and expand_values must reproduce a feasible
-// optimal solution of the ORIGINAL model — not just the right number.
-// ---------------------------------------------------------------------------
-
-// Full differential exercise of one (model, objective) pair: solve the
-// original with the dense reference, presolve, solve the reduced model,
-// and check objective equality plus original-space feasibility/optimality
-// of the expanded solution.
-void expect_presolve_exact(const Model& m, const std::vector<Term>& objective,
-                           const Presolve& p) {
-  Model full = m;
-  full.set_objective(objective);
-  const Solution ref = solve_ilp_dense_reference(full);
-  ASSERT_TRUE(ref.optimal());
-
-  std::vector<double> dense(m.num_vars(), 0.0);
-  for (const Term& t : objective) dense[static_cast<std::size_t>(t.var)] += t.coeff;
-  double constant = 0.0;
-  const std::vector<double> mapped = p.map_objective(dense, constant);
-
-  std::vector<double> reduced_values(p.reduced().num_vars(), 0.0);
-  double reduced_objective = 0.0;
-  if (p.reduced().num_vars() > 0) {
-    Model red = p.reduced();
-    std::vector<Term> red_obj;
-    for (std::size_t i = 0; i < mapped.size(); ++i)
-      if (mapped[i] != 0.0)
-        red_obj.push_back({static_cast<VarId>(i), mapped[i]});
-    red.set_objective(std::move(red_obj));
-    const Solution rs = solve_ilp(red);
-    ASSERT_TRUE(rs.optimal());
-    reduced_values = rs.values;
-    reduced_objective = rs.objective;
-  }
-  EXPECT_NEAR(reduced_objective + constant, ref.objective, 1e-6);
-
-  // Expanded solution: right size, inside bounds, integral where required,
-  // feasible for every original constraint, and optimal-valued.
-  const std::vector<double> x = p.expand_values(reduced_values);
-  ASSERT_EQ(x.size(), m.num_vars());
-  double expanded_objective = 0.0;
-  for (std::size_t v = 0; v < x.size(); ++v) {
-    const Model::Var& var = m.var(static_cast<VarId>(v));
-    EXPECT_GE(x[v], var.lower - 1e-6) << var.name;
-    EXPECT_LE(x[v], var.upper + 1e-6) << var.name;
-    if (var.integer) {
-      EXPECT_NEAR(x[v], std::round(x[v]), 1e-6) << var.name;
-    }
-    expanded_objective += dense[v] * x[v];
-  }
-  for (std::size_t r = 0; r < m.constraints().size(); ++r) {
-    const Model::Constraint& c = m.constraints()[r];
-    double lhs = 0.0;
-    for (const Term& t : c.terms) lhs += t.coeff * x[static_cast<std::size_t>(t.var)];
-    switch (c.rel) {
-      case Rel::kLe: EXPECT_LE(lhs, c.rhs + 1e-6) << "row " << r; break;
-      case Rel::kGe: EXPECT_GE(lhs, c.rhs - 1e-6) << "row " << r; break;
-      case Rel::kEq: EXPECT_NEAR(lhs, c.rhs, 1e-6) << "row " << r; break;
-    }
-  }
-  EXPECT_NEAR(expanded_objective, ref.objective, 1e-6);
-}
-
-TEST(Presolve, StraightLineChainCollapsesToOneColumn) {
-  // A fully serial IPET skeleton: source bounded [1,1], flow conserved
-  // down a chain. Every conservation row is an `x == y` doubleton, so the
-  // whole chain contracts into the source's column (which carries the
-  // [1,1] bounds); no constraint survives.
-  Model m;
-  const VarId s = m.add_var("s", 1, 1);
-  const VarId e1 = m.add_var("e1");
-  const VarId e2 = m.add_var("e2");
-  const VarId e3 = m.add_var("e3");
-  m.add_constraint({{s, 1.0}, {e1, -1.0}}, Rel::kEq, 0.0);
-  m.add_constraint({{e1, 1.0}, {e2, -1.0}}, Rel::kEq, 0.0);
-  m.add_constraint({{e2, 1.0}, {e3, -1.0}}, Rel::kEq, 0.0);
-
-  const auto p = Presolve::reduce(m);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->reduced().num_vars(), 1u);
-  EXPECT_EQ(p->reduced().num_constraints(), 0u);
-  EXPECT_EQ(p->stats().removed_rows, 3u);
-  EXPECT_EQ(p->stats().removed_cols, 3u);
-  EXPECT_EQ(p->stats().aliased_vars, 3u);
-  expect_presolve_exact(m, {{e1, 3.0}, {e3, 7.0}}, *p);
-}
-
-TEST(Presolve, BranchJoinDiamondSubstitutesAndAliases) {
-  // Branch/join diamond with a relative bound, the shape that dominates
-  // generated 100x programs: e1 aliases into the [1,1] source, e2/e3
-  // survive (the branch row keeps them, and its bounded source blocks the
-  // implied-free test there), the pass-through arcs alias, and the join's
-  // out-arc e6 = e4 + e5 is an implied-free substitution.
-  Model m;
-  const VarId s = m.add_var("s", 1, 1);
-  const VarId e1 = m.add_var("e1");
-  const VarId e2 = m.add_var("e2");
-  const VarId e3 = m.add_var("e3");
-  const VarId e4 = m.add_var("e4");
-  const VarId e5 = m.add_var("e5");
-  const VarId e6 = m.add_var("e6");
-  m.add_constraint({{s, 1.0}, {e1, -1.0}}, Rel::kEq, 0.0);
-  m.add_constraint({{e1, 1.0}, {e2, -1.0}, {e3, -1.0}}, Rel::kEq, 0.0);
-  m.add_constraint({{e2, 1.0}, {e4, -1.0}}, Rel::kEq, 0.0);
-  m.add_constraint({{e3, 1.0}, {e5, -1.0}}, Rel::kEq, 0.0);
-  m.add_constraint({{e4, 1.0}, {e5, 1.0}, {e6, -1.0}}, Rel::kEq, 0.0);
-  m.add_constraint({{e2, 1.0}, {e1, -3.0}}, Rel::kLe, 0.0);
-
-  const auto p = Presolve::reduce(m);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_GE(p->stats().aliased_vars, 3u);     // s==e1, e2==e4, e3==e5
-  EXPECT_GE(p->stats().substituted_vars, 1u); // e6 = e4 + e5
-  // max 5*e2 + 2*e3 + e6 with e2 + e3 == 1 integral: e2=1, e6=1 -> 6.
-  expect_presolve_exact(m, {{e2, 5.0}, {e3, 2.0}, {e6, 1.0}}, *p);
-}
-
-TEST(Presolve, ForcingAndRedundantRows) {
-  Model m;
-  const VarId x = m.add_var("x", 0, 2);
-  const VarId y = m.add_var("y", 0, 2);
-  const VarId z = m.add_var("z", 0, 9);
-  // Redundant: max activity 4 < 5. Forcing: min activity 0 == rhs pins
-  // x = y = 0 (the bound-2 back-edge shape).
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::kLe, 5.0);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::kLe, 0.0);
-  m.add_constraint({{z, 1.0}, {x, 1.0}}, Rel::kLe, 4.0);
-
-  const auto p = Presolve::reduce(m);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_GE(p->stats().fixed_vars, 2u);
-  EXPECT_GE(p->stats().removed_rows, 2u);
-  expect_presolve_exact(m, {{x, 10.0}, {y, 10.0}, {z, 1.0}}, *p);
-}
-
-TEST(Presolve, AbortsInsteadOfLying) {
-  // A fix that would pin an integer variable to a fractional value aborts
-  // the whole presolve (callers fall back to the original model)...
-  Model frac;
-  const VarId x = frac.add_var("x");
-  frac.add_constraint({{x, 2.0}}, Rel::kEq, 1.0);
-  EXPECT_FALSE(Presolve::reduce(frac).has_value());
-
-  // ...as does a detected infeasibility (bound violation)...
-  Model inf;
-  const VarId y = inf.add_var("y", 0, 1);
-  inf.add_constraint({{y, 1.0}}, Rel::kEq, 5.0);
-  EXPECT_FALSE(Presolve::reduce(inf).has_value());
-
-  // ...and a model with nothing to reduce disengages instead of returning
-  // an identity transform.
-  Model keep;
-  const VarId a = keep.add_var("a");
-  const VarId b = keep.add_var("b");
-  keep.add_constraint({{a, 1.0}, {b, 1.0}}, Rel::kLe, 4.0);
-  keep.add_constraint({{a, 1.0}, {b, 3.0}}, Rel::kLe, 6.0);
-  EXPECT_FALSE(Presolve::reduce(keep).has_value());
-}
-
-TEST(Presolve, SingletonRowsTightenAndFix) {
-  Model m;
-  const VarId x = m.add_var("x");
-  const VarId y = m.add_var("y");
-  m.add_constraint({{x, 2.0}}, Rel::kLe, 7.0);   // x <= 3.5
-  m.add_constraint({{y, 1.0}}, Rel::kEq, 2.0);   // fixes y
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::kLe, 5.0);  // folds to x <= 3
-
-  const auto p = Presolve::reduce(m);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_GE(p->stats().singleton_rows, 1u);
-  EXPECT_GE(p->stats().fixed_vars, 1u);
-  expect_presolve_exact(m, {{x, 1.0}, {y, 4.0}}, *p);
-}
 
 }  // namespace
 }  // namespace ucp::ilp

@@ -335,9 +335,9 @@ TEST(Parallel, MergeRejectionsCarryStructuredDiagnostics) {
   {
     TempFile old_format("parallel_diag_version");
     std::vector<std::string> lines = shard0_lines;
-    const std::string magic = "# ucp-sweep-journal v4 ";
+    const std::string magic = "# ucp-sweep-journal v5 ";
     ASSERT_EQ(lines[0].rfind(magic, 0), 0u) << lines[0];
-    lines[0].replace(0, magic.size(), "# ucp-sweep-journal v3 ");
+    lines[0].replace(0, magic.size(), "# ucp-sweep-journal v4 ");
     write_lines(old_format.path, lines);
     auto stale = merge_sweep_journals({old_format.path, shard1_journal.path},
                                       reduced_sweep(1), "", &diagnostic);

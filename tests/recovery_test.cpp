@@ -160,16 +160,16 @@ TEST(Recovery, OlderJournalFormatResetsWithVersionReason) {
   fault::disarm_all();
   ASSERT_TRUE(run_sweep(journaled_sweep(journal.path)).report.clean());
 
-  // Relabel the header as format v3, leaving grid and selection intact: the
+  // Relabel the header as format v4, leaving grid and selection intact: the
   // rows must not be reinterpreted, and the reset must name the version
   // rather than blame the fingerprints.
   std::ifstream in(journal.path, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   in.close();
-  const std::string magic = "# ucp-sweep-journal v4 ";
+  const std::string magic = "# ucp-sweep-journal v5 ";
   ASSERT_EQ(contents.rfind(magic, 0), 0u) << contents.substr(0, 80);
-  contents.replace(0, magic.size(), "# ucp-sweep-journal v3 ");
+  contents.replace(0, magic.size(), "# ucp-sweep-journal v4 ");
   std::ofstream out(journal.path, std::ios::binary | std::ios::trunc);
   out << contents;
   out.close();
@@ -178,7 +178,7 @@ TEST(Recovery, OlderJournalFormatResetsWithVersionReason) {
   EXPECT_TRUE(second.report.clean());
   EXPECT_EQ(second.report.resumed_rows, 0u);
   EXPECT_NE(second.report.journal_note.find(
-                "journal reset (journal format v3, expected v4)"),
+                "journal reset (journal format v4, expected v5)"),
             std::string::npos)
       << second.report.journal_note;
 }

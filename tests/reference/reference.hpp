@@ -8,13 +8,17 @@
 //   analyze_cache_global_worklist  vs  analysis::analyze_cache
 //     (global FIFO worklist fixpoint vs the SCC-sparse one; both reach
 //     the unique least fixpoint, DESIGN.md §14)
-//   solve_unpresolved              vs  wcet::IpetSystem::solve
-//     (the unreduced IPET model vs the presolved one; presolve is exact)
 //   solve_{lp,ilp}_dense_reference vs  ilp::solve_{lp,ilp}
 //     (the two-phase dense tableau vs the sparse revised simplex; also the
-//     third opinion beside wcet::structural_tau on IPET models)
+//     third opinion on wcet::ipet_model beside the structural engine and
+//     the sparse ILP oracle)
+//
+// plus ipet_flow_violation, a checker of the Li/Malik constraints for the
+// counts an IPET engine returns.
 //
 // Linked only by test and bench targets, never by a library under src/.
+
+#include <string>
 
 #include "analysis/cache_analysis.hpp"
 #include "analysis/context_graph.hpp"
@@ -39,15 +43,13 @@ analysis::CacheAnalysisResult analyze_cache_global_worklist(
     const analysis::ContextGraph& graph, const ir::Layout& layout,
     const cache::CacheConfig& config);
 
-/// Solves `system`'s IPET for (classification, timing) over the unreduced
-/// model: builds a fresh sparse LP from `system.model_with_objective` and
-/// derives edge and node counts the way IpetSystem::solve does. `stats`
-/// holds the solve's own work; the LP's phase-1 construction pivots are
-/// not included, as for IpetSystem::solve.
-wcet::WcetResult solve_unpresolved(
-    const wcet::IpetSystem& system,
-    const analysis::CacheAnalysisResult& classification,
-    const cache::MemTiming& timing);
+/// The first Li/Malik IPET constraint `result`'s flow violates, or "" when
+/// it is a feasible integral flow: node counts equal inflows, flow is
+/// conserved (one unit from the source into the entry, out through the
+/// halt nodes' sink arcs), every VIVU loop bound and anti-circulation row
+/// holds, and Σ ref_cycles · node_counts reproduces tau_mem exactly.
+std::string ipet_flow_violation(const analysis::ContextGraph& graph,
+                                const wcet::WcetResult& result);
 
 /// The two-phase dense-tableau simplex on `model`'s LP relaxation, and
 /// LP-based branch-and-bound over it (every node rebuilds its tableau).

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -518,6 +519,67 @@ TEST(ResultStore, EvictsLeastRecentlyUsedGroupsToItsByteBound) {
   EXPECT_FALSE(tiny.find(request(256, k45)));
 }
 
+TEST(StoreObs, CountersAndSpansTellHitsFromMisses) {
+  // serve.store.hits reconciles with ServerStats::cache_hits, and each
+  // request's own trace shows whether it ran the pipeline.
+  fault::disarm_all();
+  const bool metrics_were = obs::enabled();
+  const bool trace_was = obs::trace_enabled();
+  obs::set_enabled(true);
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  auto counter = [](const char* name) {
+    for (const auto& [n, v] : obs::registry().snapshot().counters)
+      if (n == name) return v;
+    return std::uint64_t{0};
+  };
+  const std::uint64_t hits_before = counter("serve.store.hits");
+  const std::uint64_t misses_before = counter("serve.store.misses");
+
+  Server server(quick_options());
+  ASSERT_TRUE(server.start().ok());
+  Request twin = bs_request("obs-twin");
+  twin.tech = energy::TechNode::k32nm;
+  Request other = bs_request("obs-other-config");
+  other.config_id = "k2";
+  other.config = cache::paper_cache_config("k2").config;
+  for (const Request& r :
+       {bs_request("obs-miss"), twin, bs_request("obs-again"), other})
+    ASSERT_TRUE(call(server.port(), r).ok());
+  server.stop();
+
+  const std::uint64_t hits = counter("serve.store.hits") - hits_before;
+  EXPECT_EQ(hits, server.stats().cache_hits);
+  EXPECT_EQ(hits, 2u);
+  EXPECT_EQ(counter("serve.store.misses") - misses_before, 2u);
+  auto spans_of = [](const std::string& id) {
+    std::vector<std::string> names;
+    std::uint64_t ctx = support::fnv1a(id);
+    if (ctx == 0) ctx = 1;
+    for (const obs::TraceEvent& e : obs::drain_trace_context(ctx))
+      names.emplace_back(e.name);
+    return names;
+  };
+  auto has = [](const std::vector<std::string>& names, const char* name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const char* id : {"obs-miss", "obs-other-config"}) {
+    const std::vector<std::string> names = spans_of(id);
+    for (const char* span : {"serve.process", "serve.store_lookup",
+                             "serve.parse", "serve.pipeline", "serve.encode"})
+      EXPECT_TRUE(has(names, span)) << id << " lacks " << span;
+  }
+  for (const char* id : {"obs-twin", "obs-again"}) {
+    const std::vector<std::string> names = spans_of(id);
+    EXPECT_TRUE(has(names, "serve.store_lookup")) << id;
+    EXPECT_FALSE(has(names, "serve.pipeline")) << id;
+    EXPECT_FALSE(has(names, "serve.parse")) << id;
+  }
+  obs::reset_trace();
+  obs::set_trace_enabled(trace_was);
+  obs::set_enabled(metrics_were);
+}
+
 TEST(Server, StopIsIdempotentAndServesNothingAfterDrain) {
   Server server(quick_options());
   ASSERT_TRUE(server.start().ok());
@@ -918,7 +980,7 @@ TEST(Admin, HealthStatsProfileFlightAndUnknownVerb) {
 
   // The same counters in Prometheus text exposition, under the ucp_ucpd_
   // namespace (the registry owns ucp_serve_*, so one scrape never emits a
-  // duplicate metric name).
+  // duplicate metric name, whatever the registry holds by now).
   const auto prom = admin_call(server.admin_port(), "STATS prom");
   ASSERT_TRUE(prom.ok()) << prom.status().message();
   EXPECT_TRUE(prom->ok);
@@ -927,7 +989,15 @@ TEST(Admin, HealthStatsProfileFlightAndUnknownVerb) {
             std::string::npos)
       << prom->payload;
   EXPECT_NE(prom->payload.find("ucp_ucpd_malformed 1\n"), std::string::npos);
-  EXPECT_EQ(prom->payload.find("ucp_serve_requests "), std::string::npos);
+  std::vector<std::string> declared;
+  std::istringstream lines(prom->payload);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("# TYPE ", 0) == 0)
+      declared.push_back(line.substr(7, line.find(' ', 7) - 7));
+  std::sort(declared.begin(), declared.end());
+  EXPECT_EQ(std::adjacent_find(declared.begin(), declared.end()),
+            declared.end())
+      << "a metric name is declared twice in one scrape";
 
   // PROFILE with tracing off explains itself instead of dumping nothing.
   const auto profile = admin_call(server.admin_port(), "PROFILE");
@@ -1202,70 +1272,6 @@ TEST(Daemon, RejectsBadArgumentsWithUsage) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
-}
-
-// Last in the file: it turns the process-wide metrics registry on, and
-// registrations persist, while Admin.* pins a scrape of a registry that
-// never saw a served request.
-TEST(StoreObs, CountersAndSpansTellHitsFromMisses) {
-  // serve.store.hits reconciles with ServerStats::cache_hits, and each
-  // request's own trace shows whether it ran the pipeline.
-  fault::disarm_all();
-  const bool metrics_were = obs::enabled();
-  const bool trace_was = obs::trace_enabled();
-  obs::set_enabled(true);
-  obs::set_trace_enabled(true);
-  obs::reset_trace();
-  auto counter = [](const char* name) {
-    for (const auto& [n, v] : obs::registry().snapshot().counters)
-      if (n == name) return v;
-    return std::uint64_t{0};
-  };
-  const std::uint64_t hits_before = counter("serve.store.hits");
-  const std::uint64_t misses_before = counter("serve.store.misses");
-
-  Server server(quick_options());
-  ASSERT_TRUE(server.start().ok());
-  Request twin = bs_request("obs-twin");
-  twin.tech = energy::TechNode::k32nm;
-  Request other = bs_request("obs-other-config");
-  other.config_id = "k2";
-  other.config = cache::paper_cache_config("k2").config;
-  for (const Request& r :
-       {bs_request("obs-miss"), twin, bs_request("obs-again"), other})
-    ASSERT_TRUE(call(server.port(), r).ok());
-  server.stop();
-
-  const std::uint64_t hits = counter("serve.store.hits") - hits_before;
-  EXPECT_EQ(hits, server.stats().cache_hits);
-  EXPECT_EQ(hits, 2u);
-  EXPECT_EQ(counter("serve.store.misses") - misses_before, 2u);
-  auto spans_of = [](const std::string& id) {
-    std::vector<std::string> names;
-    std::uint64_t ctx = support::fnv1a(id);
-    if (ctx == 0) ctx = 1;
-    for (const obs::TraceEvent& e : obs::drain_trace_context(ctx))
-      names.emplace_back(e.name);
-    return names;
-  };
-  auto has = [](const std::vector<std::string>& names, const char* name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
-  };
-  for (const char* id : {"obs-miss", "obs-other-config"}) {
-    const std::vector<std::string> names = spans_of(id);
-    for (const char* span : {"serve.process", "serve.store_lookup",
-                             "serve.parse", "serve.pipeline", "serve.encode"})
-      EXPECT_TRUE(has(names, span)) << id << " lacks " << span;
-  }
-  for (const char* id : {"obs-twin", "obs-again"}) {
-    const std::vector<std::string> names = spans_of(id);
-    EXPECT_TRUE(has(names, "serve.store_lookup")) << id;
-    EXPECT_FALSE(has(names, "serve.pipeline")) << id;
-    EXPECT_FALSE(has(names, "serve.parse")) << id;
-  }
-  obs::reset_trace();
-  obs::set_trace_enabled(trace_was);
-  obs::set_enabled(metrics_were);
 }
 
 }  // namespace

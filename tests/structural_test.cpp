@@ -1,14 +1,17 @@
-// Structural-WCET differential suite: wcet::structural_tau against the
-// sparse IPET solve (IpetSystem::solve) and the dense-tableau reference
-// (tests/reference) on real and generated programs, for the input binary
-// and for the optimizer's output. The three share no solving code: a
-// loop-tree longest path, a revised simplex over the presolved model, and
-// a two-phase tableau over the unreduced one.
+// Structural-WCET differential suite: the production engine
+// (IpetSystem::solve, a loop-tree longest path) against the ILP oracle
+// (wcet::solve_ipet_ilp, the sparse revised simplex) and the dense-tableau
+// reference (tests/reference) on real and generated programs, for the
+// input binary and for the optimizer's output. The three share no solving
+// code.
 //
-// It covers 300 src/gen programs and every Table 2 (program, config,
-// tech) case, about 9 s on 4 threads. Each program is also weighted
-// adversarially, since real cache classifications rarely make the loop
-// collapse's anti-circulation rule matter.
+// On the Table 2 grid the IPET optimum is unique, so the engine's node and
+// edge counts must equal the simplex's; elsewhere (generated programs,
+// adversarial weights) ties are possible, and the counts must instead be a
+// feasible Li/Malik flow that reproduces τ exactly. It covers 300 src/gen
+// programs and every Table 2 (program, config, tech) case. Each program is
+// also weighted adversarially, since real cache classifications rarely
+// make the loop collapse's anti-circulation rule matter.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,37 +36,53 @@
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/structural.hpp"
+#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::wcet {
 namespace {
 
 constexpr std::uint32_t kThreads = 4;
 
-/// Compares the solvers on one (graph, classification, timing) and returns
+/// How much of the engine's answer must match the simplex's.
+enum class Optimum {
+  kUnique,    ///< counts equal the sparse solver's, edge for edge
+  kMaybeTied  ///< counts form a feasible flow that reproduces τ
+};
+
+/// Compares the engines on one (graph, classification, timing) and returns
 /// a description of every disagreement; empty when all agree. Worker
 /// threads collect these and the test thread reports them.
 std::string disagreement(const IpetSystem& system,
                          const analysis::CacheAnalysisResult& cls,
-                         const cache::MemTiming& timing) {
-  const WcetResult sparse = system.solve(cls, timing);
-  if (!sparse.ok()) return "sparse solve " + ilp::status_name(sparse.status);
-  const std::optional<std::uint64_t> structural =
-      structural_tau(system.graph(), cls, timing);
-  if (!structural) return "structural collapse undecided";
+                         const cache::MemTiming& timing, Optimum optimum) {
+  const analysis::ContextGraph& graph = system.graph();
+  const WcetResult structural = system.solve(cls, timing);
+  if (!structural.ok()) return "structural " + structural.status.message();
+  const WcetResult sparse = solve_ipet_ilp(graph, cls, timing);
+  if (!sparse.ok()) return "sparse " + sparse.status.message();
   std::string out;
-  if (*structural != sparse.tau_mem)
-    out += "structural " + std::to_string(*structural) + " != sparse " +
-           std::to_string(sparse.tau_mem) + "; ";
-  const ilp::Solution dense = reference::solve_ilp_dense_reference(
-      system.model_with_objective(cls, timing));
+  if (structural.tau_mem != sparse.tau_mem)
+    out += "structural " + std::to_string(structural.tau_mem) +
+           " != sparse " + std::to_string(sparse.tau_mem) + "; ";
+  if (optimum == Optimum::kUnique) {
+    if (structural.node_counts != sparse.node_counts)
+      out += "node counts differ from the sparse solver's; ";
+    if (structural.edge_counts != sparse.edge_counts)
+      out += "edge counts differ from the sparse solver's; ";
+  } else if (const std::string v =
+                 reference::ipet_flow_violation(graph, structural);
+             !v.empty()) {
+    out += "structural counts: " + v + "; ";
+  }
+  const ilp::Solution dense =
+      reference::solve_ilp_dense_reference(ipet_model(graph, cls, timing));
   if (!dense.optimal())
     out += "dense solve " + ilp::status_name(dense.status) + "; ";
   else if (const auto tau =
                static_cast<std::uint64_t>(std::llround(dense.objective));
-           tau != *structural)
-    out += "structural " + std::to_string(*structural) + " != dense " +
-           std::to_string(tau) + "; ";
+           tau != structural.tau_mem)
+    out += "structural " + std::to_string(structural.tau_mem) +
+           " != dense " + std::to_string(tau) + "; ";
   return out;
 }
 
@@ -106,7 +124,8 @@ std::size_t check_adversarial(const IpetSystem& system,
   for (const analysis::CacheAnalysisResult& cls :
        adversarial_classifications(system.graph())) {
     ++compared;
-    if (auto d = disagreement(system, cls, timing); !d.empty())
+    if (auto d = disagreement(system, cls, timing, Optimum::kMaybeTied);
+        !d.empty())
       failures.push_back(where + " adversarial " + std::to_string(compared) +
                          ": " + d);
   }
@@ -119,14 +138,14 @@ std::size_t check_adversarial(const IpetSystem& system,
 /// classifications compared; appends disagreements to `failures`.
 std::size_t check_case(const ir::Program& program, const IpetSystem& system,
                        const cache::CacheConfig& config,
-                       const cache::MemTiming& timing,
+                       const cache::MemTiming& timing, Optimum optimum,
                        const std::string& where,
                        std::vector<std::string>& failures) {
   const analysis::ContextGraph& graph = system.graph();
   const ir::Layout layout(program, config.block_bytes);
   const auto input = analysis::analyze_cache(graph, layout, config);
   std::size_t compared = 1;
-  if (auto d = disagreement(system, input, timing); !d.empty())
+  if (auto d = disagreement(system, input, timing, optimum); !d.empty())
     failures.push_back(where + " input: " + d);
 
   const core::OptimizationResult opt =
@@ -136,7 +155,7 @@ std::size_t check_case(const ir::Program& program, const IpetSystem& system,
     const auto optimized =
         analysis::analyze_cache(graph, opt.program, opt_layout, config);
     ++compared;
-    if (auto d = disagreement(system, optimized, timing); !d.empty())
+    if (auto d = disagreement(system, optimized, timing, optimum); !d.empty())
       failures.push_back(where + " optimized: " + d);
   }
   return compared;
@@ -190,7 +209,7 @@ TEST(StructuralDifferential, TableTwoGrid) {
     }
     for (const cache::MemTiming& timing : timings)
       compared[i] += check_case(
-          sp.program, sp.system, named.config, timing,
+          sp.program, sp.system, named.config, timing, Optimum::kUnique,
           sp.name + "/" + named.id + "/miss" +
               std::to_string(timing.miss_cycles),
           failures[i]);
@@ -231,7 +250,7 @@ TEST(StructuralDifferential, GeneratedPrograms) {
         const std::string where =
             "gen seed " + std::to_string(i + 1) + "/" + named.id;
         compared[i] = check_case(program, system, named.config, timing,
-                                 where, failures[i]) +
+                                 Optimum::kMaybeTied, where, failures[i]) +
                       check_adversarial(system, timing, where, failures[i]);
       });
   std::size_t total = 0;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "analysis/cache_analysis.hpp"
 #include "analysis/context_graph.hpp"
+#include "core/optimizer.hpp"
 #include "ir/builder.hpp"
 #include "ir/layout.hpp"
 #include "ir/verify.hpp"
@@ -12,7 +15,7 @@
 #include "sim/interpreter.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/structural.hpp"
+#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::wcet {
 namespace {
@@ -317,10 +320,12 @@ TEST_P(OracleTest, IpetUpperBoundsExhaustivePathEnumeration) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleTest, ::testing::Range(1, 13));
 
 // ---------------------------------------------------------------------------
-// Structural collapse vs both ILP solvers on hand-built loop shapes. Each
+// The structural engine vs both ILP solvers on hand-built loop shapes. Each
 // shape is checked under the real cache classification and under two
 // synthetic ones that weight the FIRST and REST copies of a block
-// differently, so they pull the longest path different ways.
+// differently, so they pull the longest path different ways. Ties are
+// possible under synthetic weights, so the engine's counts are checked as
+// a feasible flow that reproduces τ rather than against the solvers'.
 // ---------------------------------------------------------------------------
 
 /// A raw CFG under construction: blocks of `nops` nops plus a terminator.
@@ -366,7 +371,7 @@ class Cfg {
   ir::Program p_;
 };
 
-void expect_structural_matches_solvers(const ir::Program& p) {
+void expect_engine_matches_solvers(const ir::Program& p) {
   const analysis::ContextGraph graph(p);
   const IpetSystem system(graph);
   for (const cache::CacheConfig& config :
@@ -393,16 +398,19 @@ void expect_structural_matches_solvers(const ir::Program& p) {
     const analysis::CacheAnalysisResult* const all[] = {&real, &hashed,
                                                         &warm_first};
     for (const analysis::CacheAnalysisResult* cls : all) {
-      const WcetResult sparse = system.solve(*cls, kTiming);
+      const WcetResult engine = system.solve(*cls, kTiming);
+      ASSERT_TRUE(engine.ok()) << p.name() << ": " << engine.status.message();
+      EXPECT_EQ(reference::ipet_flow_violation(graph, engine), "")
+          << p.name() << " " << config.to_string();
+      const WcetResult sparse = solve_ipet_ilp(graph, *cls, kTiming);
       ASSERT_TRUE(sparse.ok()) << p.name();
       const ilp::Solution dense = reference::solve_ilp_dense_reference(
-          system.model_with_objective(*cls, kTiming));
+          ipet_model(graph, *cls, kTiming));
       ASSERT_EQ(dense.status, ilp::SolveStatus::kOptimal) << p.name();
-      const std::optional<std::uint64_t> tau =
-          structural_tau(graph, *cls, kTiming);
-      ASSERT_TRUE(tau.has_value()) << p.name();
-      EXPECT_EQ(*tau, sparse.tau_mem) << p.name() << " " << config.to_string();
-      EXPECT_EQ(*tau, static_cast<std::uint64_t>(std::llround(dense.objective)))
+      EXPECT_EQ(engine.tau_mem, sparse.tau_mem)
+          << p.name() << " " << config.to_string();
+      EXPECT_EQ(engine.tau_mem,
+                static_cast<std::uint64_t>(std::llround(dense.objective)))
           << p.name() << " " << config.to_string();
     }
   }
@@ -426,7 +434,7 @@ TEST_P(StructuralBoundTest, SimpleLoopMatchesSolvers) {
   ASSERT_EQ(graph.loop_instances().size(), 1u);
   EXPECT_EQ(graph.loop_instances()[0].rest_node == analysis::kInvalidNode,
             GetParam() < 2);
-  expect_structural_matches_solvers(p);
+  expect_engine_matches_solvers(p);
 }
 
 TEST_P(StructuralBoundTest, SelfLoopMatchesSolvers) {
@@ -437,7 +445,7 @@ TEST_P(StructuralBoundTest, SelfLoopMatchesSolvers) {
   g.branch(h, h, exit);
   g.halt(exit);
   g.bound(h, GetParam());
-  expect_structural_matches_solvers(g.take());
+  expect_engine_matches_solvers(g.take());
 }
 
 INSTANTIATE_TEST_SUITE_P(Bounds, StructuralBoundTest,
@@ -454,7 +462,7 @@ TEST(Structural, LoopWithTwoLatches) {
   g.jump(l2, h);
   g.halt(exit);
   g.bound(h, 5);
-  expect_structural_matches_solvers(g.take());
+  expect_engine_matches_solvers(g.take());
 }
 
 TEST(Structural, ExitsFromFirstAndRestBodies) {
@@ -472,7 +480,7 @@ TEST(Structural, ExitsFromFirstAndRestBodies) {
   g.jump(join, exit);
   g.halt(exit);
   g.bound(h, 4);
-  expect_structural_matches_solvers(g.take());
+  expect_engine_matches_solvers(g.take());
 }
 
 TEST(Structural, HaltInsideLoopBody) {
@@ -486,7 +494,7 @@ TEST(Structural, HaltInsideLoopBody) {
   g.jump(latch, h);
   g.halt(exit);
   g.bound(h, 6);
-  expect_structural_matches_solvers(g.take());
+  expect_engine_matches_solvers(g.take());
 }
 
 TEST(Structural, BreakOutOfTwoLoopLevels) {
@@ -504,7 +512,7 @@ TEST(Structural, BreakOutOfTwoLoopLevels) {
   g.halt(exit);
   g.bound(outer, 3);
   g.bound(inner, 4);
-  expect_structural_matches_solvers(g.take());
+  expect_engine_matches_solvers(g.take());
 }
 
 TEST(Structural, ThreeDeepNest) {
@@ -526,12 +534,132 @@ TEST(Structural, ThreeDeepNest) {
   g.bound(l1, 3);
   g.bound(l2, 2);
   g.bound(l3, 4);
-  expect_structural_matches_solvers(g.take());
+  expect_engine_matches_solvers(g.take());
 }
 
 TEST(Structural, SuiteKernelsMatchSolvers) {
   for (const char* name : {"bs", "crc", "fdct", "insertsort", "cover"})
-    expect_structural_matches_solvers(suite::build_benchmark(name));
+    expect_engine_matches_solvers(suite::build_benchmark(name));
+}
+
+// ---------------------------------------------------------------------------
+// The tie rule and the engine's failure channel.
+// ---------------------------------------------------------------------------
+
+/// Eight iterations around a diamond whose arms weigh the same in the REST
+/// context (in FIRST the longer arm's cold misses decide). `flip` swaps the
+/// branch's successors and inverts its condition: the program computes the
+/// same, but ContextGraph numbers the arms' edges into the join the other
+/// way round.
+ir::Program tied_diamond(bool flip) {
+  IrBuilder b(flip ? "tied_diamond_flipped" : "tied_diamond");
+  b.movi(R(2), 0);
+  b.nop();
+  b.for_range(R(1), 0, 8, [&] {
+    b.if_then_else(
+        Cond::kEq, R(1), R(2), [&] { b.nops(11); }, [&] { b.nops(12); });
+    b.nops(2);
+  });
+  b.halt();
+  ir::Program p = b.take();
+  if (flip) {
+    for (ir::BlockId id = 0; id < p.num_blocks(); ++id) {
+      ir::BasicBlock& bb = p.block(id);
+      if (bb.succs.size() == 2 &&
+          p.block(bb.succs[0]).label.find("then") != std::string::npos) {
+        std::swap(bb.succs[0], bb.succs[1]);
+        bb.instrs.back().cond = Cond::kNe;
+      }
+    }
+    EXPECT_TRUE(ir::verify(p).empty());
+  }
+  return p;
+}
+
+const cache::CacheConfig kTieConfig{1, 16, 128};
+const cache::MemTiming kTieTiming{1, 20, 20};
+
+TEST(Ipet, EqualArmsGoToTheLowestEdgeIndex) {
+  std::vector<std::string> chosen;
+  for (const bool flip : {false, true}) {
+    SCOPED_TRACE(flip ? "flipped" : "as built");
+    const ir::Program p = tied_diamond(flip);
+    const analysis::ContextGraph g(p);
+    const ir::Layout layout(p, kTieConfig.block_bytes);
+    const auto cls = analysis::analyze_cache(g, layout, kTieConfig);
+    const WcetResult w = IpetSystem(g).solve(cls, kTieTiming);
+    ASSERT_TRUE(w.ok()) << w.status.message();
+    EXPECT_EQ(reference::ipet_flow_violation(g, w), "");
+    EXPECT_EQ(w.tau_mem, solve_ipet_ilp(g, cls, kTieTiming).tau_mem);
+
+    // The REST copy of the join has one in-edge per arm, and the arms
+    // weigh the same: a tie, which the lower edge index wins.
+    analysis::NodeId join = analysis::kInvalidNode;
+    for (analysis::NodeId v = 0; v < g.num_nodes(); ++v)
+      if (p.block(g.node(v).block).label.find("join") != std::string::npos &&
+          g.node(v).ctx.back().rest)
+        join = v;
+    ASSERT_NE(join, analysis::kInvalidNode);
+    ASSERT_EQ(g.in_edges(join).size(), 2u);
+    const std::uint32_t lo =
+        std::min(g.in_edges(join)[0], g.in_edges(join)[1]);
+    const std::uint32_t hi =
+        std::max(g.in_edges(join)[0], g.in_edges(join)[1]);
+    auto weight = [&](std::uint32_t edge) {
+      std::uint64_t sum = 0;
+      for (std::uint32_t c : w.ref_cycles[g.edges()[edge].from]) sum += c;
+      return sum;
+    };
+    ASSERT_EQ(weight(lo), weight(hi));
+    EXPECT_EQ(w.edge_counts[lo], 7u);
+    EXPECT_EQ(w.edge_counts[hi], 0u);
+    chosen.push_back(p.block(g.node(g.edges()[lo].from).block).label);
+  }
+  // Flipping the edge order hands the tie to the other arm.
+  EXPECT_NE(chosen[0], chosen[1]);
+}
+
+TEST(Ipet, TheoremOneHoldsWhicheverTiedArmThePathTakes) {
+  // The optimizer's profit test runs on the counts of the arm the tie
+  // rule picked; its final audit re-solves, so τ_w never grows either way.
+  for (const bool flip : {false, true}) {
+    SCOPED_TRACE(flip ? "flipped" : "as built");
+    const ir::Program p = tied_diamond(flip);
+    const core::OptimizationResult opt =
+        core::optimize_prefetches(p, kTieConfig, kTieTiming);
+    ASSERT_EQ(opt.report.code, ErrorCode::kOk) << opt.report.detail;
+    EXPECT_FALSE(opt.report.insertions.empty());
+    EXPECT_LE(opt.report.tau_optimized, opt.report.tau_original);
+
+    // Re-derived by the ILP oracle on the optimized program.
+    const analysis::ContextGraph g(p);
+    const ir::Layout layout(opt.program, kTieConfig.block_bytes);
+    const auto cls =
+        analysis::analyze_cache(g, opt.program, layout, kTieConfig);
+    const WcetResult oracle = solve_ipet_ilp(g, cls, kTieTiming);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(oracle.tau_mem, opt.report.tau_optimized);
+  }
+}
+
+TEST(Ipet, OverflowIsAnInternalError) {
+  // Three nested loops of 2^21 trips run the innermost body about 2^63
+  // times: τ_w does not fit in 64 bits, and the engine says so rather than
+  // wrapping around.
+  IrBuilder b("overflow");
+  b.for_range(R(1), 0, 1 << 21, [&] {
+    b.for_range(R(2), 0, 1 << 21, [&] {
+      b.for_range(R(3), 0, 1 << 21, [&] { b.nops(4); });
+    });
+  });
+  b.halt();
+  const WcetResult w = analyze(b.take());
+  EXPECT_FALSE(w.ok());
+  EXPECT_EQ(w.status.code(), ErrorCode::kInternal);
+  EXPECT_NE(w.status.detail().find("overflow"), std::string::npos)
+      << w.status.message();
+  EXPECT_EQ(w.tau_mem, 0u);
+  EXPECT_TRUE(w.node_counts.empty());
 }
 
 }  // namespace
