@@ -1,6 +1,7 @@
 #include "analysis/cache_analysis.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <unordered_map>
 
@@ -314,10 +315,12 @@ void IncrementalCacheAnalysis::sign_blocks(const ir::Program& program) {
     block_signature(program.block(b), layout_, base_sigs_[b]);
 }
 
-IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
-    const ir::Program& trial) {
+const IncrementalCacheAnalysis::TrialResult&
+IncrementalCacheAnalysis::analyze_trial(const ir::Program& trial,
+                                        std::size_t slot) {
   UCP_REQUIRE(trial.num_blocks() == graph_->program().num_blocks(),
               "trial program CFG does not match the context graph");
+  UCP_REQUIRE(slot < kTrialSlots, "trial slot out of range");
   ++trials_;
   if (obs::enabled()) {
     static obs::Counter& c_trials =
@@ -326,19 +329,27 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
   }
   const std::uint64_t copied_before =
       AbstractCache::sets_copied_on_this_thread();
-  TrialResult t{ir::Layout(trial, config_.block_bytes), {}, {}, {}, {}};
+  if (!slots_[slot]) {
+    slots_[slot].emplace(
+        TrialResult{ir::Layout(trial, config_.block_bytes), {}, {}, {}, {}});
+  } else {
+    slots_[slot]->layout.assign(trial);
+  }
+  TrialResult& t = *slots_[slot];
+  t.affected.clear();
+  t.in_states.clear();
+  t.out_states.clear();
 
   // Blocks whose abstract transfer changed: an edit to the instruction list
   // or any relocation across a memory-block boundary changes the signature
   // (an insertion strictly lengthens it, so equal-length coincidences cannot
   // mask an edit).
-  std::vector<std::uint8_t> block_changed(trial.num_blocks(), 0);
-  BlockSig sig;
+  block_changed_.assign(trial.num_blocks(), 0);
   bool any_changed = false;
   for (ir::BlockId b = 0; b < trial.num_blocks(); ++b) {
-    block_signature(trial.block(b), t.layout, sig);
-    if (sig != base_sigs_[b]) {
-      block_changed[b] = 1;
+    block_signature(trial.block(b), t.layout, sig_);
+    if (sig_ != base_sigs_[b]) {
+      block_changed_[b] = 1;
       any_changed = true;
     }
   }
@@ -350,21 +361,21 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
   // fixpoint (DESIGN.md §8).
   const std::size_t n = graph_->num_nodes();
   affected_mark_.assign(n, 0);
-  std::vector<NodeId> stack;
+  stack_.clear();
   for (NodeId id = 0; id < n; ++id) {
-    if (block_changed[graph_->node(id).block]) {
+    if (block_changed_[graph_->node(id).block]) {
       affected_mark_[id] = 1;
-      stack.push_back(id);
+      stack_.push_back(id);
     }
   }
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
+  while (!stack_.empty()) {
+    const NodeId v = stack_.back();
+    stack_.pop_back();
     for (std::uint32_t ei : graph_->out_edges(v)) {
       const NodeId w = graph_->edges()[ei].to;
       if (!affected_mark_[w]) {
         affected_mark_[w] = 1;
-        stack.push_back(w);
+        stack_.push_back(w);
       }
     }
   }
@@ -383,72 +394,75 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
     c_nodes.add(m);
   }
 
-  const MustMay empty{AbstractCache(config_), AbstractCache(config_)};
-  t.in_states.assign(m, empty);
-  t.out_states.assign(m, empty);
-  t.cls.resize(m);
-  std::vector<std::uint8_t> has_in(m, 0);
-  std::vector<std::uint8_t> has_out(m, 0);
+  if (!empty_)
+    empty_.emplace(MustMay{AbstractCache(config_), AbstractCache(config_)});
+  t.in_states.assign(m, *empty_);
+  t.out_states.assign(m, *empty_);
+  if (t.cls.size() < m) t.cls.resize(m);
+  has_in_.assign(m, 0);
+  has_out_.assign(m, 0);
 
   // Boundary seed: every unaffected predecessor's converged base out-state
   // is final in the trial too, so it contributes as a constant. The graph
   // is built by traversal from the entry, so every predecessor's state is
   // meaningful (no unreachable nodes exist).
   if (affected_mark_[graph_->entry_node()])
-    has_in[slot_of_[graph_->entry_node()]] = 1;  // cold cache at entry
+    has_in_[slot_of_[graph_->entry_node()]] = 1;  // cold cache at entry
   for (const CgEdge& e : graph_->edges()) {
     if (!affected_mark_[e.to] || affected_mark_[e.from]) continue;
     const std::size_t j = static_cast<std::size_t>(slot_of_[e.to]);
-    bool was_in = has_in[j] != 0;
+    bool was_in = has_in_[j] != 0;
     merge_in(t.in_states[j], was_in, base_.out_states[e.from]);
-    has_in[j] = 1;
+    has_in_[j] = 1;
   }
 
   // Restricted worklist fixpoint over the affected subgraph; a min-heap on
   // topo position propagates states in ACFG order (the fixpoint is the
   // same unique lfp regardless — the heap only reaches it in fewer
   // transfers when the closure spans loop nests).
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                      std::greater<std::uint32_t>>
-      work;
-  std::vector<std::uint8_t> queued(n, 0);
+  const std::greater<std::uint32_t> later;
+  work_.clear();
+  queued_.assign(n, 0);
   for (NodeId v : t.affected) {
-    work.push(graph_->topo_pos(v));
-    queued[v] = 1;
+    work_.push_back(graph_->topo_pos(v));
+    std::push_heap(work_.begin(), work_.end(), later);
+    queued_[v] = 1;
   }
   std::uint32_t pops = 0;
   std::size_t transfers = 0;
-  while (!work.empty()) {
+  while (!work_.empty()) {
     if ((++pops & 0x3F) == 0)
       throw_if_cancelled("incremental re-analysis fixpoint");
-    const NodeId v = graph_->topo_order()[work.top()];
-    work.pop();
-    queued[v] = 0;
+    std::pop_heap(work_.begin(), work_.end(), later);
+    const NodeId v = graph_->topo_order()[work_.back()];
+    work_.pop_back();
+    queued_[v] = 0;
     const std::size_t i = static_cast<std::size_t>(slot_of_[v]);
-    if (!has_in[i]) continue;
+    if (!has_in_[i]) continue;
 
     const ir::BasicBlock& bb = trial.block(graph_->node(v).block);
     MustMay out = classify_block(t.in_states[i], bb, t.layout, t.cls[i]);
     ++transfers;
-    if (has_out[i] && out == t.out_states[i]) continue;
+    if (has_out_[i] && out == t.out_states[i]) continue;
     t.out_states[i] = std::move(out);
-    has_out[i] = 1;
+    has_out_[i] = 1;
 
     for (std::uint32_t ei : graph_->out_edges(v)) {
       const NodeId w = graph_->edges()[ei].to;  // affected, by closure
       const std::size_t j = static_cast<std::size_t>(slot_of_[w]);
-      bool was_in = has_in[j] != 0;
+      bool was_in = has_in_[j] != 0;
       const bool changed = merge_in(t.in_states[j], was_in, t.out_states[i]);
-      has_in[j] = 1;
-      if (changed && !queued[w]) {
-        work.push(graph_->topo_pos(w));
-        queued[w] = 1;
+      has_in_[j] = 1;
+      if (changed && !queued_[w]) {
+        work_.push_back(graph_->topo_pos(w));
+        std::push_heap(work_.begin(), work_.end(), later);
+        queued_[w] = 1;
       }
     }
   }
 
   for (std::size_t i = 0; i < m; ++i) {
-    if (has_in[i]) continue;  // classified by its last transfer
+    if (has_in_[i]) continue;  // classified by its last transfer
     const ir::BasicBlock& bb = trial.block(graph_->node(t.affected[i]).block);
     classify_block(t.in_states[i], bb, t.layout, t.cls[i]);
   }
@@ -462,14 +476,24 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
   return t;
 }
 
+const IncrementalCacheAnalysis::TrialResult& IncrementalCacheAnalysis::trial(
+    std::size_t slot) const {
+  UCP_REQUIRE(slot < kTrialSlots && slots_[slot],
+              "trial slot holds no trial");
+  return *slots_[slot];
+}
+
 void IncrementalCacheAnalysis::promote(const ir::Program& trial_program,
-                                       TrialResult&& t) {
-  layout_ = std::move(t.layout);
+                                       std::size_t slot) {
+  UCP_REQUIRE(slot < kTrialSlots && slots_[slot],
+              "promoting a trial slot that holds no trial");
+  TrialResult& t = *slots_[slot];
+  std::swap(layout_, t.layout);
   for (std::size_t i = 0; i < t.affected.size(); ++i) {
     const NodeId v = t.affected[i];
-    base_.in_states[v] = std::move(t.in_states[i]);
-    base_.out_states[v] = std::move(t.out_states[i]);
-    base_.per_node[v] = std::move(t.cls[i]);
+    std::swap(base_.in_states[v], t.in_states[i]);
+    std::swap(base_.out_states[v], t.out_states[i]);
+    std::swap(base_.per_node[v], t.cls[i]);
   }
   sign_blocks(trial_program);
 }

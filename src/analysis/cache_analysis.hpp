@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/context_graph.hpp"
@@ -112,7 +114,8 @@ class IncrementalCacheAnalysis {
 
   /// Re-analysis of one candidate program, stored sparsely: states and
   /// classifications for the affected nodes only; every other node is
-  /// unchanged from the base.
+  /// unchanged from the base. Rows `cls[i]` for i < `affected.size()` are
+  /// the trial's; rows past that are spare storage kept for later trials.
   struct TrialResult {
     ir::Layout layout;
     std::vector<NodeId> affected;                  // ascending node ids
@@ -121,13 +124,29 @@ class IncrementalCacheAnalysis {
     std::vector<std::vector<Classification>> cls;  // parallel to affected
   };
 
-  /// Analyzes `trial` (same CFG as the base, possibly with straight-line
-  /// insertions and relocated addresses) against the base fixpoint.
-  TrialResult analyze_trial(const ir::Program& trial);
+  /// Trials that can be held at once (the optimizer's bare insertion and
+  /// its nop-padded retry).
+  static constexpr std::size_t kTrialSlots = 2;
 
-  /// Adopts a trial as the new base: `trial_program` must be the program
-  /// `t` was computed from.
-  void promote(const ir::Program& trial_program, TrialResult&& t);
+  /// Analyzes `trial` (same CFG as the base, possibly with straight-line
+  /// insertions and relocated addresses) against the base fixpoint, into
+  /// trial slot `slot`. The result stays valid until the next
+  /// analyze_trial into, or promote of, that slot. A slot keeps its
+  /// storage (layout, lists, states, rows and the worklist scratch) from
+  /// trial to trial, so a trial allocates only where it outgrows the ones
+  /// before it; a slot is first allocated by its first trial.
+  const TrialResult& analyze_trial(const ir::Program& trial,
+                                   std::size_t slot = 0);
+
+  /// Adopts the trial in `slot` as the new base: `trial_program` must be
+  /// the program it was computed from. The trial's layout, states and rows
+  /// are swapped with the base's, not copied; the slot keeps its
+  /// `affected` list and holds the replaced base values until its next
+  /// trial.
+  void promote(const ir::Program& trial_program, std::size_t slot = 0);
+
+  /// The trial last analyzed into `slot`.
+  const TrialResult& trial(std::size_t slot) const;
 
   // --- instrumentation (surfaces in OptimizationReport) -------------------
   std::size_t trials() const { return trials_; }
@@ -158,9 +177,19 @@ class IncrementalCacheAnalysis {
   std::size_t nodes_reanalyzed_ = 0;
   std::size_t transfers_ = 0;
 
-  // Scratch buffers reused across trials (one allocation, many candidates).
+  // Trial storage and worklist scratch, reused across trials; nothing
+  // here is allocated before the first trial.
+  std::array<std::optional<TrialResult>, kTrialSlots> slots_;
+  std::optional<MustMay> empty_;  ///< the cold state, shared by all slots
+  BlockSig sig_;
+  std::vector<std::uint8_t> block_changed_;
+  std::vector<NodeId> stack_;
   std::vector<std::uint8_t> affected_mark_;
   std::vector<std::int32_t> slot_of_;
+  std::vector<std::uint8_t> has_in_;
+  std::vector<std::uint8_t> has_out_;
+  std::vector<std::uint8_t> queued_;
+  std::vector<std::uint32_t> work_;  ///< min-heap of topo positions
 };
 
 }  // namespace ucp::analysis

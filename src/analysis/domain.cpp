@@ -1,7 +1,14 @@
 #include "analysis/domain.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <sstream>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "support/check.hpp"
 
@@ -168,10 +175,173 @@ std::string AbstractSet::to_string() const {
 
 namespace {
 
-/// Per-thread tally behind AbstractCache::sets_copied_on_this_thread().
-thread_local std::uint64_t t_sets_copied = 0;
+/// A freed root or chunk waiting in a StatePool: its first word links the
+/// free list.
+struct FreeBlock {
+  FreeBlock* next;
+};
+
+/// Free roots of one size (chunk count).
+struct RootFreeList {
+  std::uint32_t num_chunks = 0;
+  FreeBlock* head = nullptr;
+};
+
+/// The calling thread's state storage: its tallies and, while a StatePool
+/// is open, its free lists. A task's states share one geometry (one
+/// configuration per task), so a few root sizes cover it; a root of yet
+/// another size is simply freed.
+struct ThreadStorage {
+  std::uint64_t sets_copied = 0;
+  AbstractCache::StorageCounts counts;
+  bool pool_open = false;
+  FreeBlock* chunks = nullptr;
+  std::array<RootFreeList, 4> roots;
+};
+
+thread_local ThreadStorage t_storage;
+
+// A block waiting in a pool is poisoned past its link word, so AddressSanitizer
+// still reports a use of a freed state whose storage was not returned to
+// malloc. Freeing a poisoned block to malloc is allowed.
+#if defined(__SANITIZE_ADDRESS__)
+#define UCP_POISON_FREE_BLOCK(block, bytes)                          \
+  ASAN_POISON_MEMORY_REGION(                                         \
+      static_cast<char*>(static_cast<void*>(block)) + sizeof(FreeBlock), \
+      (bytes) - sizeof(FreeBlock))
+#define UCP_UNPOISON_BLOCK(block, bytes) \
+  ASAN_UNPOISON_MEMORY_REGION(block, bytes)
+#else
+#define UCP_POISON_FREE_BLOCK(block, bytes) static_cast<void>(0)
+#define UCP_UNPOISON_BLOCK(block, bytes) static_cast<void>(0)
+#endif
+
+void push(FreeBlock*& head, void* block) {
+  FreeBlock* b = static_cast<FreeBlock*>(block);
+  b->next = head;
+  head = b;
+}
+
+void* pop(FreeBlock*& head) {
+  FreeBlock* b = head;
+  head = b->next;
+  return b;
+}
 
 }  // namespace
+
+StatePool::StatePool() : outermost_(!t_storage.pool_open) {
+  t_storage.pool_open = true;
+}
+
+StatePool::~StatePool() {
+  if (!outermost_) return;
+  ThreadStorage& t = t_storage;
+  while (t.chunks) {
+    ::operator delete(pop(t.chunks));
+    --t.counts.retained_chunks;
+  }
+  for (RootFreeList& list : t.roots) {
+    while (list.head) {
+      ::operator delete(pop(list.head));
+      --t.counts.retained_roots;
+    }
+    list.num_chunks = 0;
+  }
+  t.pool_open = false;
+}
+
+#ifdef UCP_STATE_OWNER_CHECKED
+void AbstractCache::check_owner(const void* owner) {
+  if (owner == &t_storage) return;
+  std::fprintf(stderr,
+               "ucp: an abstract cache state was shared across threads "
+               "(made on one thread, copied, written or freed on another)\n");
+  std::abort();
+}
+#define UCP_CHECK_STATE_OWNER(node) check_owner((node)->owner)
+#define UCP_SET_STATE_OWNER(node) ((node)->owner = &t_storage)
+#else
+#define UCP_CHECK_STATE_OWNER(node) static_cast<void>(0)
+#define UCP_SET_STATE_OWNER(node) static_cast<void>(0)
+#endif
+
+AbstractCache::Root* AbstractCache::new_root(std::uint32_t num_chunks) {
+  ThreadStorage& t = t_storage;
+  const std::size_t bytes = sizeof(Root) + sizeof(Chunk*) * num_chunks;
+  void* block = nullptr;
+  if (t.pool_open) {
+    for (RootFreeList& list : t.roots) {
+      if (list.num_chunks != num_chunks || !list.head) continue;
+      block = pop(list.head);
+      UCP_UNPOISON_BLOCK(block, bytes);
+      --t.counts.retained_roots;
+      break;
+    }
+  }
+  if (!block) block = ::operator new(bytes);
+  ++t.counts.live_roots;
+  Root* root = new (block) Root;
+  root->num_chunks = num_chunks;
+  UCP_SET_STATE_OWNER(root);
+  return root;
+}
+
+AbstractCache::Chunk* AbstractCache::new_chunk(
+    const std::array<AbstractSet, kSetsPerChunk>& sets) {
+  ThreadStorage& t = t_storage;
+  void* block = nullptr;
+  if (t.pool_open && t.chunks) {
+    block = pop(t.chunks);
+    UCP_UNPOISON_BLOCK(block, sizeof(Chunk));
+    --t.counts.retained_chunks;
+  } else {
+    block = ::operator new(sizeof(Chunk));
+  }
+  ++t.counts.live_chunks;
+  Chunk* chunk = new (block) Chunk{1,
+#ifdef UCP_STATE_OWNER_CHECKED
+                                   nullptr,
+#endif
+                                   sets};
+  UCP_SET_STATE_OWNER(chunk);
+  return chunk;
+}
+
+void AbstractCache::release_chunk(Chunk* chunk) {
+  UCP_CHECK_STATE_OWNER(chunk);
+  if (--chunk->refs != 0) return;
+  chunk->~Chunk();
+  ThreadStorage& t = t_storage;
+  --t.counts.live_chunks;
+  if (t.pool_open) {
+    push(t.chunks, chunk);
+    UCP_POISON_FREE_BLOCK(chunk, sizeof(Chunk));
+    ++t.counts.retained_chunks;
+  } else {
+    ::operator delete(chunk);
+  }
+}
+
+void AbstractCache::free_root(Root* root) {
+  const std::uint32_t num_chunks = root->num_chunks;
+  for (std::uint32_t c = 0; c < num_chunks; ++c)
+    release_chunk(root->chunks()[c]);
+  root->~Root();
+  ThreadStorage& t = t_storage;
+  --t.counts.live_roots;
+  if (t.pool_open) {
+    for (RootFreeList& list : t.roots) {
+      if (list.head && list.num_chunks != num_chunks) continue;
+      list.num_chunks = num_chunks;
+      push(list.head, root);
+      UCP_POISON_FREE_BLOCK(root, sizeof(Root) + sizeof(Chunk*) * num_chunks);
+      ++t.counts.retained_roots;
+      return;
+    }
+  }
+  ::operator delete(root);
+}
 
 AbstractCache::AbstractCache(const cache::CacheConfig& config) {
   config.validate();
@@ -179,11 +349,14 @@ AbstractCache::AbstractCache(const cache::CacheConfig& config) {
   set_mask_ = config.num_sets() - 1;
   // Every chunk of the empty state is the same empty chunk; the first write
   // to a set gives its chunk a private copy.
-  auto empty = std::make_shared<Chunk>();
-  empty->sets.fill(AbstractSet(static_cast<std::uint8_t>(config.assoc)));
-  root_ = std::make_shared<Root>();
-  root_->chunks.assign((num_sets() + kSetsPerChunk - 1) / kSetsPerChunk,
-                       empty);
+  std::array<AbstractSet, kSetsPerChunk> empty_sets;
+  empty_sets.fill(AbstractSet(static_cast<std::uint8_t>(config.assoc)));
+  const std::uint32_t num_chunks =
+      (num_sets() + kSetsPerChunk - 1) / kSetsPerChunk;
+  Chunk* empty = new_chunk(empty_sets);
+  empty->refs = num_chunks;
+  root_ = new_root(num_chunks);
+  std::fill_n(root_->chunks(), num_chunks, empty);
 }
 
 const AbstractSet& AbstractCache::set_at(std::uint32_t index) const {
@@ -192,16 +365,30 @@ const AbstractSet& AbstractCache::set_at(std::uint32_t index) const {
 }
 
 std::uint64_t AbstractCache::sets_copied_on_this_thread() {
-  return t_sets_copied;
+  return t_storage.sets_copied;
+}
+
+AbstractCache::StorageCounts AbstractCache::storage_on_this_thread() {
+  return t_storage.counts;
 }
 
 void AbstractCache::detach_root() {
-  root_ = std::make_shared<Root>(*root_);
+  Root* copy = new_root(root_->num_chunks);
+  for (std::uint32_t c = 0; c < root_->num_chunks; ++c) {
+    Chunk* chunk = root_->chunks()[c];
+    UCP_CHECK_STATE_OWNER(chunk);
+    ++chunk->refs;
+    copy->chunks()[c] = chunk;
+  }
+  --root_->refs;  // shared, so another holder keeps it alive
+  root_ = copy;
 }
 
-void AbstractCache::detach_chunk(std::shared_ptr<Chunk>& chunk) {
-  chunk = std::make_shared<Chunk>(*chunk);
-  t_sets_copied += std::min(kSetsPerChunk, num_sets());
+void AbstractCache::detach_chunk(Chunk*& chunk) {
+  Chunk* copy = new_chunk(chunk->sets);
+  --chunk->refs;  // shared, so another root keeps it alive
+  chunk = copy;
+  t_storage.sets_copied += std::min(kSetsPerChunk, num_sets());
 }
 
 namespace {
@@ -236,8 +423,8 @@ bool AbstractCache::join_with(const AbstractCache& other) {
   if (root_ == other.root_) return false;  // join(x, x) = x
   bool changed = false;
   const std::uint32_t n = num_sets();
-  for (std::uint32_t c = 0; c < root_->chunks.size(); ++c) {
-    if (root_->chunks[c] == other.root_->chunks[c]) continue;
+  for (std::uint32_t c = 0; c < root_->num_chunks; ++c) {
+    if (root_->chunks()[c] == other.root_->chunks()[c]) continue;
     const std::uint32_t end = std::min(n, (c + 1) * kSetsPerChunk);
     for (std::uint32_t i = c * kSetsPerChunk; i < end; ++i) {
       const AbstractSet& theirs = other.set_ref(i);
@@ -267,9 +454,9 @@ bool AbstractCache::same_content(const AbstractCache& a,
                                  const AbstractCache& b) {
   // Unused tail sets of a partial chunk are never written, so whole-chunk
   // comparison equals comparison of the live sets.
-  for (std::size_t c = 0; c < a.root_->chunks.size(); ++c) {
-    const Chunk* ca = a.root_->chunks[c].get();
-    const Chunk* cb = b.root_->chunks[c].get();
+  for (std::uint32_t c = 0; c < a.root_->num_chunks; ++c) {
+    const Chunk* ca = a.root_->chunks()[c];
+    const Chunk* cb = b.root_->chunks()[c];
     if (ca != cb && ca->sets != cb->sets) return false;
   }
   return true;

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,6 +75,13 @@ class AbstractSet {
   SmallVector<AgedBlock, kInlineEntries> entries_;  // sorted by block id
 };
 
+/// Thread confinement of abstract cache states is checked at run time in
+/// debug builds and in the sanitizer builds (`UCP_SANITIZE`, which are
+/// RelWithDebInfo and so define NDEBUG).
+#if defined(UCP_STATE_OWNER_CHECKS) || !defined(NDEBUG)
+#define UCP_STATE_OWNER_CHECKED 1
+#endif
+
 /// A whole abstract cache state: one AbstractSet per cache set. The paper's
 /// c-hat : L -> P(S). Geometry (set count, associativity, set mapping) is
 /// borrowed from a shared CacheConfig instead of copied per state.
@@ -84,7 +90,7 @@ class AbstractSet {
 /// refcounted chunk pointer per kSetsPerChunk consecutive sets:
 ///  - copying a state (worklist seeding, incremental-trial boundary
 ///    snapshots, interning) bumps the root's refcount;
-///  - a write clones the root's pointer vector if the root is shared, then
+///  - a write clones the root's pointer array if the root is shared, then
 ///    the one chunk it touches if that chunk is shared — an LRU update
 ///    changes exactly one set, so it never copies the other sets;
 ///  - joins skip pointer-equal chunks and detach a chunk only when the join
@@ -95,12 +101,48 @@ class AbstractSet {
 /// A root or chunk is written only while its holder has the sole reference,
 /// and neither carries cached (`mutable`) fields, so shared storage is never
 /// written at all.
+///
+/// The refcounts are intrusive and non-atomic, and a root is one allocation
+/// (header plus its chunk pointers). That is sound because a state never
+/// leaves the thread that made it: an analysis, its trials and the
+/// optimizer run that prices them live inside one task on one worker, and
+/// what crosses threads (`ucpd`'s result store) holds no states. Debug and
+/// sanitizer builds check it on every refcount change and write. Storage
+/// freed while a StatePool is open on the thread is recycled by the next
+/// allocation (DESIGN.md §14.2).
 class AbstractCache {
  public:
   /// Sets per copy-on-write chunk: the unit a write detaches.
   static constexpr std::uint32_t kSetsPerChunk = 8;
 
   explicit AbstractCache(const cache::CacheConfig& config);
+  AbstractCache(const AbstractCache& other) noexcept
+      : set_mask_(other.set_mask_), root_(other.root_) {
+    if (root_) retain(root_);
+  }
+  AbstractCache(AbstractCache&& other) noexcept
+      : set_mask_(other.set_mask_), root_(other.root_) {
+    other.root_ = nullptr;
+  }
+  AbstractCache& operator=(const AbstractCache& other) noexcept {
+    if (other.root_) retain(other.root_);  // first: self-assignment is safe
+    if (root_) release(root_);
+    set_mask_ = other.set_mask_;
+    root_ = other.root_;
+    return *this;
+  }
+  AbstractCache& operator=(AbstractCache&& other) noexcept {
+    if (this != &other) {
+      if (root_) release(root_);
+      set_mask_ = other.set_mask_;
+      root_ = other.root_;
+      other.root_ = nullptr;
+    }
+    return *this;
+  }
+  ~AbstractCache() {
+    if (root_) release(root_);
+  }
 
   std::uint32_t num_sets() const { return set_mask_ + 1; }
   std::uint32_t set_index_of(MemBlockId block) const {
@@ -156,33 +198,108 @@ class AbstractCache {
   /// (DESIGN.md §11: hot paths never touch shared state).
   static std::uint64_t sets_copied_on_this_thread();
 
+  /// Roots and chunks of the calling thread: `live` ones are allocated and
+  /// not yet freed; `retained` ones were freed into the thread's open
+  /// StatePool and wait for reuse.
+  struct StorageCounts {
+    std::uint64_t live_roots = 0;
+    std::uint64_t live_chunks = 0;
+    std::uint64_t retained_roots = 0;
+    std::uint64_t retained_chunks = 0;
+
+    friend bool operator==(const StorageCounts&,
+                           const StorageCounts&) = default;
+  };
+  static StorageCounts storage_on_this_thread();
+
  private:
   struct Chunk {
+    std::uint32_t refs = 1;
+#ifdef UCP_STATE_OWNER_CHECKED
+    const void* owner = nullptr;
+#endif
     std::array<AbstractSet, kSetsPerChunk> sets;  // unused tail stays empty
   };
+  /// Header of a root; its `num_chunks` chunk pointers follow it in the
+  /// same allocation.
   struct Root {
-    std::vector<std::shared_ptr<Chunk>> chunks;
+    std::uint32_t refs = 1;
+    std::uint32_t num_chunks = 0;
+#ifdef UCP_STATE_OWNER_CHECKED
+    const void* owner = nullptr;
+#endif
+    Chunk** chunks() { return reinterpret_cast<Chunk**>(this + 1); }
+    Chunk* const* chunks() const {
+      return reinterpret_cast<Chunk* const*>(this + 1);
+    }
   };
+  static_assert(sizeof(Root) % alignof(Chunk*) == 0);
+
+#ifdef UCP_STATE_OWNER_CHECKED
+  /// Aborts unless the calling thread made `owner`'s storage.
+  static void check_owner(const void* owner);
+#define UCP_CHECK_STATE_OWNER(node) check_owner((node)->owner)
+#else
+#define UCP_CHECK_STATE_OWNER(node) static_cast<void>(0)
+#endif
+
+  static void retain(Root* root) {
+    UCP_CHECK_STATE_OWNER(root);
+    ++root->refs;
+  }
+  static void release(Root* root) {
+    UCP_CHECK_STATE_OWNER(root);
+    if (--root->refs == 0) free_root(root);
+  }
+  static void free_root(Root* root);
+  static void release_chunk(Chunk* chunk);
+  static Root* new_root(std::uint32_t num_chunks);
+  static Chunk* new_chunk(const std::array<AbstractSet, kSetsPerChunk>& sets);
 
   const AbstractSet& set_ref(std::uint32_t index) const {
-    return root_->chunks[index / kSetsPerChunk]->sets[index % kSetsPerChunk];
+    return root_->chunks()[index / kSetsPerChunk]->sets[index % kSetsPerChunk];
   }
   /// The set at `index`, writable: detaches the root and that set's chunk
   /// when either is shared.
   AbstractSet& writable_set(std::uint32_t index) {
-    if (root_.use_count() != 1) detach_root();
-    std::shared_ptr<Chunk>& chunk = root_->chunks[index / kSetsPerChunk];
-    if (chunk.use_count() != 1) detach_chunk(chunk);
+    UCP_CHECK_STATE_OWNER(root_);
+    if (root_->refs != 1) detach_root();
+    Chunk*& chunk = root_->chunks()[index / kSetsPerChunk];
+    UCP_CHECK_STATE_OWNER(chunk);
+    if (chunk->refs != 1) detach_chunk(chunk);
     return chunk->sets[index % kSetsPerChunk];
   }
   void detach_root();
-  void detach_chunk(std::shared_ptr<Chunk>& chunk);
+  void detach_chunk(Chunk*& chunk);
   template <bool kMust>
   bool join_with(const AbstractCache& other);
   static bool same_content(const AbstractCache& a, const AbstractCache& b);
 
   std::uint32_t set_mask_ = 0;  ///< num_sets - 1 (power of two)
-  std::shared_ptr<Root> root_;
+  Root* root_ = nullptr;
+};
+
+#undef UCP_CHECK_STATE_OWNER
+
+/// Recycles the storage of the abstract cache states that die on the
+/// calling thread while it is open: a freed root or chunk goes onto the
+/// pool's free list and the next allocation of its size takes it back, so
+/// the rejected trials of an optimizer run reuse each other's storage
+/// instead of returning it to malloc. Open one per task (one
+/// `run_use_case_group` call, one `optimize_prefetches` call); closing the
+/// pool frees everything it retained, so recycled storage never outlives
+/// its task. Opening costs nothing and allocates nothing. A pool opened
+/// while another is open on the thread is inert, and the outer one keeps
+/// recycling. Not movable: a pool belongs to the scope that opened it.
+class StatePool {
+ public:
+  StatePool();
+  ~StatePool();
+  StatePool(const StatePool&) = delete;
+  StatePool& operator=(const StatePool&) = delete;
+
+ private:
+  bool outermost_;
 };
 
 }  // namespace ucp::analysis

@@ -125,14 +125,12 @@ struct LaneGroup {
   bool in_pass = false;
   std::size_t next = 0;  ///< next candidate of the current pass
   bool accepted_any = false;
-};
-
-/// One tentative insertion, built and re-analysed once for every lane of a
-/// group that asks for it.
-struct Trial {
-  ir::Program program;
-  analysis::IncrementalCacheAnalysis::TrialResult analysis;
-  ir::InstrId inserted = ir::kInvalidInstr;
+  /// One trial program per variant, copy-assigned from `p` for each trial
+  /// so its block and instruction storage is reused; made by the first
+  /// trial of its variant, swapped with `p` on acceptance. The variant's
+  /// analysis lives in the same-numbered trial slot of `incr`.
+  std::array<std::optional<ir::Program>, 2> trial_programs{};
+  std::array<ir::InstrId, 2> inserted{ir::kInvalidInstr, ir::kInvalidInstr};
 };
 
 /// A lane's verdict on one candidate. Joined lanes stay joined only while
@@ -261,6 +259,7 @@ class LockstepRun {
   /// fixpoint is needed) and collects the replaced-block misses on it, in
   /// reverse execution order as Algorithm 3 prescribes.
   void collect_candidates(const LaneGroup& g, Lane& lane) const {
+    obs::Span span("core.optimizer.collect");
     OptimizationReport& report = lane.report();
     ++report.passes;
     const WcetPath path =
@@ -311,7 +310,7 @@ class LockstepRun {
     // alignment nop (an 8-byte shift), the padding a real compiler/linker
     // uses to keep hot loop bodies within their cache blocks. Each variant
     // is built and re-analysed once, for the lanes that ask for it.
-    std::array<std::optional<Trial>, 2> trials;
+    static_assert(analysis::IncrementalCacheAnalysis::kTrialSlots == 2);
     for (int variant = 0; variant < 2; ++variant) {
       std::vector<std::size_t> users;
       for (std::size_t l : g.lanes) {
@@ -329,18 +328,14 @@ class LockstepRun {
           decisions[l].verdict = Verdict::kAnalysisFailed;
         break;
       }
-      ir::Program program = g.p;
-      const ir::Program::InstrLocation loc = program.locate(key.evictor);
-      const ir::InstrId inserted = program.insert(
-          loc.block, loc.index + 1, make_prefetch(key.target));
-      if (variant == 1) {
-        ir::Instruction nop;
-        nop.op = ir::Opcode::kNop;
-        program.insert(loc.block, loc.index + 2, nop);
-      }
+      const auto v = static_cast<std::size_t>(variant);
+      const ir::Program& program = build_trial(g, v, key);
       const auto reanalysis_start = std::chrono::steady_clock::now();
-      analysis::IncrementalCacheAnalysis::TrialResult t =
-          g.incr.analyze_trial(program);
+      const auto& t = [&]() -> const auto& {
+        obs::Span span("core.optimizer.analyze_trial");
+        return g.incr.analyze_trial(program, v);
+      }();
+      obs::Span tau_span("core.optimizer.tau_delta");
       for (std::size_t l : users) {
         // τ_w is a plain sum over nodes, so a trial's τ is the base sum
         // minus the affected nodes' old contributions plus their
@@ -369,8 +364,6 @@ class LockstepRun {
               std::chrono::steady_clock::now() - reanalysis_start)
               .count());
       if (users.size() > 1) ++lead_report_.shared_trials;
-      trials[static_cast<std::size_t>(variant)].emplace(
-          Trial{std::move(program), std::move(t), inserted});
     }
 
     for (std::size_t l : g.lanes) {
@@ -396,13 +389,14 @@ class LockstepRun {
       // worst-case and average paths diverge. Cheap here — candidates
       // reaching this point are rare and the concrete runs take
       // microseconds.
+      obs::Span acet_span("core.optimizer.acet_check");
       if (!lane.acet_base) {
         Expected<sim::RunMetrics> before =
             sim::run_program_checked(g.p, config_, lane.timing);
         if (before.ok()) lane.acet_base = *before;
       }
       const Expected<sim::RunMetrics> after = sim::run_program_checked(
-          trials[static_cast<std::size_t>(d.best)]->program, config_,
+          *g.trial_programs[static_cast<std::size_t>(d.best)], config_,
           lane.timing);
       // A run that blows its budget cannot prove Condition 3; reject the
       // candidate rather than the whole optimization.
@@ -447,20 +441,12 @@ class LockstepRun {
           return same_step(decisions[a], decisions[b]);
         });
 
-    // Each part of a fork applies its own verdict; a trial accepted by
-    // several parts is copied for all but the last of them.
-    std::array<int, 2> uses{0, 0};
-    for (const std::vector<std::size_t>& part : parts) {
-      const Decision& d = decisions[part.front()];
-      if (d.verdict == Verdict::kAccept)
-        ++uses[static_cast<std::size_t>(d.best)];
-    }
+    // Each part of a fork applies its own verdict to its own copy of the
+    // trials.
     auto apply = [&](LaneGroup& part) {
       const Decision& d = decisions[part.lanes.front()];
       if (d.verdict != Verdict::kAccept) return;
-      const auto v = static_cast<std::size_t>(d.best);
-      accept(part, index, decisions,
-             --uses[v] == 0 ? std::move(*trials[v]) : Trial(*trials[v]));
+      accept(part, index, decisions, static_cast<std::size_t>(d.best));
     };
     if (parts.size() == 1) {
       apply(g);
@@ -473,18 +459,37 @@ class LockstepRun {
     return false;
   }
 
-  /// Folds the accepted `trial` into `g` and into each of its lanes' τ
+  /// Builds variant `v` of the insertion `key` in `g`'s trial program
+  /// buffer: a copy of the current program with the prefetch right after
+  /// the displacing access, plus one alignment nop for variant 1.
+  static const ir::Program& build_trial(LaneGroup& g, std::size_t v,
+                                        const Candidate& key) {
+    obs::Span span("core.optimizer.trial_build");
+    // Copy-assigning an engaged optional reuses the program's storage.
+    ir::Program& program = *(g.trial_programs[v] = g.p);
+    const ir::Program::InstrLocation loc = program.locate(key.evictor);
+    g.inserted[v] = program.insert(loc.block, loc.index + 1,
+                                   make_prefetch(key.target));
+    if (v == 1) {
+      ir::Instruction nop;
+      nop.op = ir::Opcode::kNop;
+      program.insert(loc.block, loc.index + 2, nop);
+    }
+    return program;
+  }
+
+  /// Folds trial variant `v` into `g` and into each of its lanes' τ
   /// bookkeeping (`decisions` is indexed by lane id).
   void accept(LaneGroup& g, std::size_t index,
-              const std::vector<Decision>& decisions, Trial trial) const {
-    g.p = std::move(trial.program);
-    // The affected id list survives the move — promote consumes only the
-    // state payloads.
-    const std::vector<analysis::NodeId> accepted_nodes =
-        trial.analysis.affected;
-    g.incr.promote(g.p, std::move(trial.analysis));
+              const std::vector<Decision>& decisions, std::size_t v) const {
+    std::swap(g.p, *g.trial_programs[v]);
+    g.incr.promote(g.p, v);
+    // promote keeps the slot's affected list.
+    const std::vector<analysis::NodeId>& accepted_nodes =
+        g.incr.trial(v).affected;
     g.accepted_any = true;
-    const ir::BlockId block = g.p.locate(trial.inserted).block;
+    const ir::InstrId inserted = g.inserted[v];
+    const ir::BlockId block = g.p.locate(inserted).block;
     for (std::size_t l : g.lanes) {
       Lane& lane = lanes_[l];
       lane.acet_base.reset();
@@ -496,7 +501,7 @@ class LockstepRun {
       lane.tau_current = static_cast<std::uint64_t>(
           static_cast<std::int64_t>(lane.tau_current) - decisions[l].profit);
       PrefetchRecord record;
-      record.prefetch_instr = trial.inserted;
+      record.prefetch_instr = inserted;
       record.target_instr = lane.candidates[index].target;
       record.block = block;
       record.profit_tau = decisions[l].profit;
@@ -558,8 +563,10 @@ class LockstepRun {
         // arithmetic; the audit guards the remaining gap (the true WCET
         // path may differ after insertion), and a regression reverts
         // everything, so τ_w never increases (Theorem 1).
-        const wcet::WcetResult wcet_final =
-            ipet_.solve(g.incr.result(), lane.timing);
+        const wcet::WcetResult wcet_final = [&] {
+          obs::Span span("core.optimizer.final_ipet");
+          return ipet_.solve(g.incr.result(), lane.timing);
+        }();
         if (!wcet_final.ok()) {
           // The optimized program cannot be certified; ship the input.
           degrade(lane, wcet_final.status.code(),
@@ -619,6 +626,9 @@ std::vector<OptimizationResult> optimize_prefetches(
   OptimizationReport& lead_report = results.front().report;
   lead_report.lanes = timings.size();
 
+  // The run's states (the trials above all) recycle each other's storage;
+  // the pool frees what it retained when the run returns.
+  analysis::StatePool state_pool;
   // One registry publish per run, on every exit path. Counter values are
   // the reports' own — route one source of truth into the registry, don't
   // recount.

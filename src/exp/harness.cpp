@@ -278,6 +278,10 @@ std::vector<UseCaseResult> run_use_case_group(
     throw InternalError("injected failure at the sweep task boundary for '" +
                         program_name + "'");
   }
+  // One pool for the task: the fixpoints of both binaries and the
+  // optimizer's trials recycle each other's state storage, and none of it
+  // outlives the call (a ucpd request solves through here too).
+  analysis::StatePool state_pool;
 
   // One context graph and IPET system serve both binaries, the optimizer
   // and the auditor: prefetch insertion never alters the CFG. A caller

@@ -6,9 +6,10 @@
 
 namespace ucp::ir {
 
-DominatorTree::DominatorTree(const Program& program) {
+DominatorTree::DominatorTree(const Program& program)
+    : preds_(program.predecessors()) {
   const std::vector<BlockId> rpo = program.reverse_post_order();
-  const auto preds = program.predecessors();
+  const std::vector<std::vector<BlockId>>& preds = preds_;
 
   idom_.assign(program.num_blocks(), kInvalidBlock);
   rpo_index_.assign(program.num_blocks(), kUnreached);
@@ -76,7 +77,7 @@ bool NaturalLoop::contains(BlockId bb) const {
 
 std::vector<NaturalLoop> find_natural_loops(const Program& program) {
   const DominatorTree dom(program);
-  const auto preds = program.predecessors();
+  const std::vector<std::vector<BlockId>>& preds = dom.predecessors();
 
   // Collect back edges, grouped by header.
   std::map<BlockId, std::vector<BlockId>> latches_by_header;

@@ -19,8 +19,14 @@ class DominatorTree {
   bool dominates(BlockId a, BlockId b) const;
   /// True if `bb` is reachable from the entry.
   bool reachable(BlockId bb) const;
+  /// The CFG's predecessor lists (Program::predecessors()), computed once
+  /// for the tree and kept for loop discovery.
+  const std::vector<std::vector<BlockId>>& predecessors() const {
+    return preds_;
+  }
 
  private:
+  std::vector<std::vector<BlockId>> preds_;
   std::vector<BlockId> idom_;
   std::vector<std::uint32_t> rpo_index_;  // position in RPO, for intersect()
   static constexpr std::uint32_t kUnreached = 0xffffffffu;

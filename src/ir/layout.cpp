@@ -14,11 +14,14 @@ Layout::Layout(const Program& program, std::uint32_t block_bytes,
               "block size must hold whole instructions");
   UCP_REQUIRE(base_address % block_bytes == 0,
               "base address must be block-aligned");
+  assign(program);
+}
 
+void Layout::assign(const Program& program) {
   addresses_.assign(program.num_instr_ids(), kNoAddress);
   block_start_.assign(program.num_blocks(), kNoAddress);
 
-  std::uint32_t addr = base_address;
+  std::uint32_t addr = base_address_;
   for (const BasicBlock& bb : program.blocks()) {
     block_start_[bb.id] = addr;
     for (const Instruction& in : bb.instrs) {
@@ -27,7 +30,7 @@ Layout::Layout(const Program& program, std::uint32_t block_bytes,
       addr += kInstrBytes;
     }
   }
-  code_bytes_ = addr - base_address;
+  code_bytes_ = addr - base_address_;
 }
 
 std::uint32_t Layout::address(InstrId id) const {

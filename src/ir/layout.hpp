@@ -25,6 +25,11 @@ class Layout {
   Layout(const Program& program, std::uint32_t block_bytes,
          std::uint32_t base_address = 0);
 
+  /// Lays out `program` afresh with the same block size and base address,
+  /// reusing this layout's storage: equal to `Layout(program,
+  /// block_bytes(), base_address())`.
+  void assign(const Program& program);
+
   std::uint32_t block_bytes() const { return block_bytes_; }
   std::uint32_t base_address() const { return base_address_; }
   /// Total code size in bytes.

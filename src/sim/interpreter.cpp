@@ -36,8 +36,10 @@ Interpreter::Interpreter(const ir::Program& program, const ir::Layout& layout,
   const auto& init = program_.data();
   UCP_REQUIRE(init.size() <= limits_.data_words,
               "initial data image exceeds the data memory size");
+  // Data memory grows on demand: the image, then up to the highest word
+  // stored. A run that touches a few words does not zero-fill all
+  // `data_words` of them.
   data_ = init;
-  data_.resize(limits_.data_words, 0);
 
   header_index_.assign(program_.num_blocks(), -1);
   for (const ir::NaturalLoop& loop : ir::find_natural_loops(program_)) {
@@ -63,16 +65,19 @@ std::int64_t& Interpreter::reg_ref(std::uint8_t index) {
 
 std::int64_t Interpreter::data_at(std::int64_t address) const {
   UCP_REQUIRE(address >= 0 &&
-                  address < static_cast<std::int64_t>(data_.size()),
+                  static_cast<std::uint64_t>(address) < limits_.data_words,
               "data load out of bounds");
-  return data_[static_cast<std::size_t>(address)];
+  const auto word = static_cast<std::size_t>(address);
+  return word < data_.size() ? data_[word] : 0;
 }
 
 void Interpreter::data_set(std::int64_t address, std::int64_t value) {
   UCP_REQUIRE(address >= 0 &&
-                  address < static_cast<std::int64_t>(data_.size()),
+                  static_cast<std::uint64_t>(address) < limits_.data_words,
               "data store out of bounds");
-  data_[static_cast<std::size_t>(address)] = value;
+  const auto word = static_cast<std::size_t>(address);
+  if (word >= data_.size()) data_.resize(word + 1, 0);
+  data_[word] = value;
 }
 
 std::uint32_t Interpreter::execute(const ir::Instruction& in,

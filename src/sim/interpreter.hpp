@@ -63,7 +63,10 @@ class Interpreter {
   void set_trace_hook(TraceHook hook) { trace_ = std::move(hook); }
 
   /// Register and data-memory state after (or during) a run, for test
-  /// assertions on kernel results.
+  /// assertions on kernel results. `data()` holds the initial image
+  /// extended to the highest word stored so far; every word past its end
+  /// reads 0. Two runs that load the same image and store the same values
+  /// at the same words return equal vectors.
   std::int64_t reg(std::uint8_t index) const;
   const std::vector<std::int64_t>& data() const { return data_; }
 

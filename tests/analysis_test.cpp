@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
+#include <thread>
 
 #include "analysis/cache_analysis.hpp"
 #include "analysis/context_graph.hpp"
@@ -569,6 +572,90 @@ TEST(AbstractCache, WriteAfterCopyClonesOneChunk) {
   EXPECT_FALSE(c.must_contain(5 + wide.num_sets()));
 }
 
+TEST(StatePool, RecyclesStorageOnlyWhileOpen) {
+  // 64 sets: eight chunks per root.
+  const cache::CacheConfig config{1, 16, 1024};
+  using Counts = AbstractCache::StorageCounts;
+  const Counts start = AbstractCache::storage_on_this_thread();
+  {
+    AbstractCache a(config);  // one root, one shared empty chunk
+    a.update_must(1);         // a private copy of chunk 0
+    const Counts live = AbstractCache::storage_on_this_thread();
+    EXPECT_EQ(live.live_roots, start.live_roots + 1);
+    EXPECT_EQ(live.live_chunks, start.live_chunks + 2);
+  }
+  // Without a pool, storage goes straight back to the allocator.
+  EXPECT_EQ(AbstractCache::storage_on_this_thread(), start);
+
+  {
+    StatePool pool;
+    {
+      AbstractCache a(config);
+      a.update_must(1);
+    }
+    Counts c = AbstractCache::storage_on_this_thread();
+    EXPECT_EQ(c.live_roots, start.live_roots);
+    EXPECT_EQ(c.retained_roots, 1u);
+    EXPECT_EQ(c.retained_chunks, 2u);
+    {
+      StatePool nested;  // inert: the outer pool keeps recycling
+      AbstractCache b(config);  // takes the freed root and a freed chunk
+      c = AbstractCache::storage_on_this_thread();
+      EXPECT_EQ(c.retained_roots, 0u);
+      EXPECT_EQ(c.retained_chunks, 1u);
+      AbstractCache d = b;
+      d.update_may(2);  // detaches a root and a chunk
+      EXPECT_TRUE(d.may_contain(2));
+      EXPECT_FALSE(b.may_contain(2));
+    }
+    c = AbstractCache::storage_on_this_thread();
+    EXPECT_EQ(c.live_roots, start.live_roots);
+    EXPECT_EQ(c.live_chunks, start.live_chunks);
+    EXPECT_EQ(c.retained_roots, 2u);  // survived the nested pool
+    EXPECT_GE(c.retained_chunks, 2u);
+  }
+  // Closing the pool frees what it retained.
+  EXPECT_EQ(AbstractCache::storage_on_this_thread(), start);
+}
+
+TEST(AbstractCacheDeathTest, CopyOnAnotherThreadAborts) {
+#ifdef UCP_STATE_OWNER_CHECKED
+  // The refcounts are not atomic, so a state may not be copied, written or
+  // freed off the thread that made it; checked builds abort when it is.
+  EXPECT_DEATH(
+      {
+        const AbstractCache a(kConfig);
+        std::thread other([&a] { AbstractCache b = a; });
+        other.join();
+      },
+      "shared across threads");
+#else
+  GTEST_SKIP() << "thread-confinement check compiled out (release build)";
+#endif
+}
+
+TEST(AbstractCacheDeathTest, PooledStorageStaysPoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  // A freed state's storage waits in the pool instead of going back to
+  // malloc; AddressSanitizer must still see a read through a dangling
+  // reference.
+  EXPECT_DEATH(
+      {
+        StatePool pool;
+        const AbstractSet* dangling = nullptr;
+        {
+          AbstractCache a(kConfig);
+          a.update_must(1);
+          dangling = &a.set_for_block(1);
+        }
+        std::printf("%zu\n", dangling->size());
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "not an AddressSanitizer build";
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // Property: the chunked copy-on-write state behaves exactly like a flat
 // vector of sets under any sequence of updates, joins and copies.
@@ -617,6 +704,10 @@ TEST(AbstractCache, MatchesFlatReferenceModel) {
       const auto pick = [&rng](std::uint32_t n) {
         return std::uniform_int_distribution<std::uint32_t>(0, n - 1)(rng);
       };
+      // Seeds 2 and 3 run with recycled storage: every state freed by an
+      // assignment is reused by a later detach.
+      std::optional<StatePool> pool;
+      if (seed > 1) pool.emplace();
       // Few distinct blocks per set, so updates hit, age and evict.
       const std::uint32_t block_range =
           config.num_sets() * (config.assoc + 2);

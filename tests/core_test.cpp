@@ -1,17 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "analysis/cache_analysis.hpp"
 #include "analysis/context_graph.hpp"
+#include "analysis/domain.hpp"
 #include "core/locking.hpp"
 #include "core/optimizer.hpp"
 #include "core/wcet_path.hpp"
 #include "ir/builder.hpp"
 #include "ir/layout.hpp"
 #include "ir/text_codec.hpp"
+#include "obs/trace.hpp"
 #include "sim/interpreter.hpp"
 #include "suite/suite.hpp"
+#include "support/fault_injection.hpp"
 #include "wcet/ipet.hpp"
 
 namespace ucp::core {
@@ -454,6 +460,104 @@ TEST(Optimizer, SimulatedMissesDoNotIncreaseOnWcetPathKernels) {
   const sim::RunMetrics after = sim::run_program(r.program, config, kTiming);
   EXPECT_LT(after.cache.misses, before.cache.misses);
   EXPECT_LE(after.mem_cycles, before.mem_cycles);
+}
+
+TEST(OptimizerStorage, NoStateOutlivesTheRun) {
+  // Every abstract cache state an optimizer run makes (its base analysis,
+  // its trials, the copies its forks take) is freed by the time it
+  // returns, and the run's StatePool has handed back all the storage it
+  // recycled: on a normal return, on a cancelled run and on a failed
+  // re-analysis. crc at k2 with these two timings accepts, forks and
+  // rejects; nsichneu at k33 runs many trials over 16-chunk states.
+  using analysis::AbstractCache;
+  struct Exit {
+    const char* site;  ///< fault site, or null for a normal return
+    std::uint64_t skip;
+    ErrorCode code;
+  };
+  const std::vector<Exit> exits = {{nullptr, 0, ErrorCode::kOk},
+                                   {"core.cancel", 6, ErrorCode::kCancelled},
+                                   {"core.reanalyze", 2,
+                                    ErrorCode::kAnalysisFailed}};
+  struct Case {
+    const char* program;
+    const char* config;
+    std::vector<cache::MemTiming> timings;
+  };
+  const std::vector<Case> cases = {{"crc", "k2", {{1, 40, 40}, {1, 5, 40}}},
+                                   {"nsichneu", "k33", {{1, 25, 25}}}};
+  fault::disarm_all();
+  for (const Case& c : cases) {
+    const ir::Program p = suite::build_benchmark(c.program);
+    const cache::CacheConfig config = cache::paper_cache_config(c.config).config;
+    for (const Exit& exit : exits) {
+      const std::string what = std::string(c.program) + "/" + c.config +
+                               " exit " + (exit.site ? exit.site : "normal");
+      const AbstractCache::StorageCounts before =
+          AbstractCache::storage_on_this_thread();
+      EXPECT_EQ(before.retained_roots + before.retained_chunks, 0u) << what;
+      std::vector<OptimizationResult> lanes;
+      {
+        std::optional<fault::ScopedFault> fault;
+        if (exit.site) fault.emplace(exit.site, exit.skip);
+        lanes = optimize_prefetches(p, config, c.timings);
+      }
+      EXPECT_EQ(AbstractCache::storage_on_this_thread(), before) << what;
+      // A fault ends the group it fires in; after a fork that may hold
+      // only some of the lanes.
+      EXPECT_TRUE(std::any_of(lanes.begin(), lanes.end(),
+                              [&](const OptimizationResult& r) {
+                                return r.report.code == exit.code;
+                              }))
+          << what;
+      // Vacuity: the run made trial states before it ended.
+      EXPECT_GT(lanes.front().report.incremental_reanalyses, 0u) << what;
+    }
+  }
+}
+
+TEST(OptimizerSpans, ChildSpansAccountForTheRun) {
+  // The optimizer's child spans: one candidate collection per lane and
+  // pass, one analyze_trial span per incremental re-analysis, and durations
+  // that fit inside core.optimizer.run.
+  const ir::Program p = suite::build_benchmark("crc");
+  const cache::CacheConfig config = cache::paper_cache_config("k2").config;
+  const std::vector<cache::MemTiming> timings = {{1, 40, 40}, {1, 5, 40}};
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  const std::vector<OptimizationResult> lanes =
+      optimize_prefetches(p, config, timings);
+  obs::set_trace_enabled(false);
+  const std::vector<obs::TraceEvent> events = obs::drain_trace();
+
+  std::map<std::string, std::size_t> count;
+  std::uint64_t run_ns = 0;
+  std::uint64_t children_ns = 0;
+  for (const obs::TraceEvent& e : events) {
+    const std::string name = e.name;
+    ++count[name];
+    if (name == "core.optimizer.run") {
+      run_ns += e.dur_ns;
+    } else if (name.starts_with("core.optimizer.")) {
+      children_ns += e.dur_ns;
+    }
+  }
+  std::size_t passes = 0;
+  std::size_t reanalyses = 0;
+  for (const OptimizationResult& lane : lanes) {
+    passes += lane.report.passes;
+    reanalyses += lane.report.incremental_reanalyses;
+  }
+  ASSERT_GT(lanes.front().report.insertions.size(), 0u);  // accepts happen
+  EXPECT_EQ(count["core.optimizer.run"], 1u);
+  EXPECT_EQ(count["core.optimizer.collect"], passes);
+  EXPECT_EQ(count["core.optimizer.analyze_trial"], reanalyses);
+  EXPECT_EQ(count["core.optimizer.trial_build"], reanalyses);
+  EXPECT_EQ(count["core.optimizer.tau_delta"], reanalyses);
+  EXPECT_GT(count["core.optimizer.acet_check"], 0u);
+  EXPECT_GT(count["core.optimizer.final_ipet"], 0u);
+  EXPECT_GT(children_ns, 0u);
+  EXPECT_LE(children_ns, run_ns);
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ void check_trial_walk(const ir::Program& program,
       trial.insert(loc.block, loc.index + 2, nop);
     }
 
-    analysis::IncrementalCacheAnalysis::TrialResult t =
+    const analysis::IncrementalCacheAnalysis::TrialResult& t =
         incr.analyze_trial(trial);
     const analysis::CacheAnalysisResult merged =
         merge_trial(incr.result(), t);
@@ -160,7 +160,7 @@ void check_trial_walk(const ir::Program& program,
       ++tally.changed;
 
     if (rng() % 2 == 0) {
-      incr.promote(trial, std::move(t));
+      incr.promote(trial);
       base = std::move(trial);
       ++tally.promoted;
     }
@@ -190,6 +190,73 @@ TEST(Equivalence, IncrementalTrialMatchesFromScratchAnalysis) {
   // walk must exercise promoted bases.
   EXPECT_EQ(tally.changed, tally.trials);
   EXPECT_GT(tally.promoted, tally.trials / 4);
+}
+
+TEST(Equivalence, ReusedTrialStorageMatchesFromScratchAnalysis) {
+  // One IncrementalCacheAnalysis runs the optimizer's pattern of trials:
+  // reject, reject, accept (the nop-padded variant, from trial slot 1),
+  // reject, accept (the bare variant, from slot 0). Both slots keep their
+  // storage from trial to trial and promote swaps it with the base's, so
+  // a stale state, row or layout left behind by an earlier trial would
+  // surface here. Every trial and every promoted base must equal a
+  // from-scratch analysis. k33 is an 8 KiB set-associative geometry with
+  // many copy-on-write chunks.
+  struct Step {
+    bool nop;
+    bool accept;
+  };
+  const std::vector<Step> steps = {
+      {false, false}, {true, false}, {true, true}, {false, false},
+      {false, true}};
+  std::size_t trials = 0;
+  std::size_t promoted = 0;
+  for (const char* name : {"nsichneu", "fft1", "crc"}) {
+    const ir::Program program = suite::build_benchmark(name);
+    const analysis::ContextGraph graph(program);
+    for (const char* cfg : {"k1", "k13", "k33"}) {
+      const cache::CacheConfig& config = cache::paper_cache_config(cfg).config;
+      const std::string what = std::string(name) + "/" + cfg;
+      analysis::IncrementalCacheAnalysis incr(graph, program, config);
+      std::vector<ir::InstrId> ids;
+      for (const ir::BasicBlock& bb : program.blocks())
+        for (const ir::Instruction& in : bb.instrs) ids.push_back(in.id);
+      std::mt19937_64 rng(trials + 7);
+      ir::Program base = program;
+      for (std::size_t k = 0; k < steps.size(); ++k) {
+        const std::string at = what + " step " + std::to_string(k);
+        ir::Program trial = base;
+        const ir::Program::InstrLocation loc =
+            trial.locate(ids[rng() % ids.size()]);
+        trial.insert(loc.block, loc.index + 1,
+                     core::make_prefetch(ids[rng() % ids.size()]));
+        if (steps[k].nop) {
+          ir::Instruction nop;
+          nop.op = ir::Opcode::kNop;
+          trial.insert(loc.block, loc.index + 2, nop);
+        }
+        const std::size_t slot = steps[k].nop ? 1 : 0;
+        const analysis::IncrementalCacheAnalysis::TrialResult& t =
+            incr.analyze_trial(trial, slot);
+        const ir::Layout layout(trial, config.block_bytes);
+        expect_analyses_equal(
+            merge_trial(incr.result(), t),
+            analysis::analyze_cache(graph, trial, layout, config), at);
+        ++trials;
+        if (!steps[k].accept) continue;
+        incr.promote(trial, slot);
+        base = std::move(trial);
+        ++promoted;
+        const ir::Layout base_layout(base, config.block_bytes);
+        expect_analyses_equal(
+            incr.result(),
+            analysis::analyze_cache(graph, base, base_layout, config),
+            at + " (promoted base)");
+        EXPECT_EQ(incr.layout().code_bytes(), base_layout.code_bytes()) << at;
+      }
+    }
+  }
+  EXPECT_EQ(trials, 3u * 3u * steps.size());
+  EXPECT_EQ(promoted, 3u * 3u * 2u);
 }
 
 TEST(Equivalence, FusedClassificationMatchesReferenceOnLoopNests) {

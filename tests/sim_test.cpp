@@ -153,6 +153,42 @@ TEST(Interpreter, DataOutOfBoundsThrows) {
   EXPECT_THROW(run(p), InvalidArgument);
 }
 
+TEST(Interpreter, DataMemoryGrowsOnDemandWithinItsBound) {
+  // The last word of the data memory is addressable without the run ever
+  // holding all of it; an unwritten word reads 0; one past the end throws.
+  const std::int64_t last = static_cast<std::int64_t>(RunLimits{}.data_words) - 1;
+  IrBuilder b("sparse");
+  b.movi(R(1), last);
+  b.load(R(2), R(1), 0);  // never written: 0
+  b.movi(R(3), 77);
+  b.store(R(1), 0, R(3));
+  b.load(R(4), R(1), 0);
+  b.load(R(5), R(0), 40);  // below the highest store, never written: 0
+  b.halt();
+  b.set_data({10, 20});
+  const RunResult r = run(b.take());
+  EXPECT_EQ(r.regs[2], 0);
+  EXPECT_EQ(r.regs[4], 77);
+  EXPECT_EQ(r.regs[5], 0);
+  ASSERT_EQ(r.data.size(), static_cast<std::size_t>(last) + 1);
+  EXPECT_EQ(r.data.front(), 10);
+  EXPECT_EQ(r.data[40], 0);
+  EXPECT_EQ(r.data.back(), 77);
+
+  IrBuilder past("past_end");
+  past.movi(R(1), last + 1);
+  past.store(R(1), 0, R(0));
+  past.halt();
+  EXPECT_THROW(run(past.take()), InvalidArgument);
+
+  // A run that stores nothing keeps exactly its image.
+  IrBuilder quiet("quiet");
+  quiet.load(R(1), R(0), 1);
+  quiet.halt();
+  quiet.set_data({10, 20});
+  EXPECT_EQ(run(quiet.take()).data, (std::vector<std::int64_t>{10, 20}));
+}
+
 TEST(Interpreter, StepLimitGuardsInfiniteLoops) {
   IrBuilder b("forever");
   // Structurally bounded loop (bound 3) whose body resets the counter:
