@@ -19,11 +19,11 @@
 #include "ilp/model.hpp"
 #include "ilp/sparse.hpp"
 #include "ir/layout.hpp"
+#include "reference/ipet_ilp.hpp"
 #include "reference/reference.hpp"
 #include "sim/interpreter.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/ipet_ilp.hpp"
 
 namespace {
 
@@ -216,7 +216,7 @@ void BM_IpetSolveKernel(benchmark::State& state, const char* name,
   const ir::Layout layout(program, kConfig.block_bytes);
   const analysis::ContextGraph graph(program);
   const auto cls = analysis::analyze_cache(graph, layout, kConfig);
-  const ilp::Model model = wcet::ipet_model(graph, cls, kTiming);
+  const ilp::Model model = reference::ipet_model(graph, cls, kTiming);
   std::uint64_t pivots = 0;
   for (auto _ : state) {
     const ilp::Solution s = dense ? reference::solve_ilp_dense_reference(model)

@@ -106,6 +106,11 @@ class ContextGraph {
   /// Nodes whose block ends in halt (ACFG sinks).
   const std::vector<NodeId>& exit_nodes() const { return exits_; }
 
+  /// The natural loops of the program's CFG, outermost first. Prefetch
+  /// insertion keeps the CFG, so they also describe every optimized
+  /// variant of the program.
+  const std::vector<ir::NaturalLoop>& loops() const { return loops_; }
+
   std::string to_string() const;
 
  private:

@@ -392,12 +392,13 @@ class LockstepRun {
       obs::Span acet_span("core.optimizer.acet_check");
       if (!lane.acet_base) {
         Expected<sim::RunMetrics> before =
-            sim::run_program_checked(g.p, config_, lane.timing);
+            sim::run_program_checked(g.p, ipet_.graph().loops(), config_,
+                                     lane.timing);
         if (before.ok()) lane.acet_base = *before;
       }
       const Expected<sim::RunMetrics> after = sim::run_program_checked(
-          *g.trial_programs[static_cast<std::size_t>(d.best)], config_,
-          lane.timing);
+          *g.trial_programs[static_cast<std::size_t>(d.best)],
+          ipet_.graph().loops(), config_, lane.timing);
       // A run that blows its budget cannot prove Condition 3; reject the
       // candidate rather than the whole optimization.
       d.verdict = lane.acet_base && after.ok() &&

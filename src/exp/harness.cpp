@@ -25,8 +25,8 @@
 #include "support/fault_injection.hpp"
 #include "support/parallel.hpp"
 #include "support/record_log.hpp"
+#include "wcet/certificate.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::exp {
 
@@ -98,7 +98,7 @@ Expected<Metrics> price_binary(const ir::Program& program,
   }
   m.tau_wcet = wcet.tau_mem;
   Expected<sim::RunMetrics> run =
-      sim::run_program_checked(program, config, timing);
+      sim::run_program_checked(program, graph.loops(), config, timing);
   if (!run.ok()) return run.status();
   m.run = std::move(run).value();
   m.energy = energy::memory_energy(m.run, config, tech);
@@ -387,6 +387,7 @@ std::vector<UseCaseResult> run_use_case_group(
     const bool unchanged = result.report.insertions.empty();
     Expected<Metrics> optimized = original[live[j]];
     const Analysed* fresh = nullptr;
+    wcet::WcetResult fresh_wcet;
     if (!unchanged) {
       stage_start = std::chrono::steady_clock::now();
       obs::Span span("exp.case.measure");
@@ -405,7 +406,7 @@ std::vector<UseCaseResult> run_use_case_group(
         fresh = &*same->second;
         optimized = price_binary(result.program, *fresh, config.config,
                                  timing, techs[lane_members.front()], graph,
-                                 shared_ipet);
+                                 shared_ipet, &fresh_wcet);
       } else {
         optimized = same->second.status();
       }
@@ -427,15 +428,14 @@ std::vector<UseCaseResult> run_use_case_group(
     // --- soundness auditor ------------------------------------------------
     // Every accepted optimization is re-checked over an independent path:
     // Theorem 1 and the sim-vs-IPET bound are free; when prefetches were
-    // actually inserted, the memory contribution is recomputed by the ILP
-    // oracle (wcet::solve_ipet_ilp: the Li/Malik model solved by the sparse
-    // simplex, sharing no code with IpetSystem's collapse) on the optimized
-    // measurement's fresh cache analysis, which shares nothing with the
-    // optimizer's incremental state. A contradiction demotes the case to
-    // quarantined (kAuditFailed) — the sweep reports it and carries on; an
-    // oracle that cannot answer (a simplex budget, an ilp.* fault) leaves
-    // it inconclusive. None of this touches the row's metrics, so audited
-    // rows stay bit-identical.
+    // actually inserted, the optimized measurement's τ_w (an IPET solve on
+    // a fresh cache analysis, which shares nothing with the optimizer's
+    // incremental state) must come with an optimality certificate
+    // (wcet::certificate_violation: feasible counts plus a dual solution
+    // of the Li/Malik LP, checked in exact arithmetic without a solver and
+    // without IpetSystem's collapse). A contradiction demotes the case to
+    // quarantined (kAuditFailed): the sweep reports it and carries on. None
+    // of this touches the row's metrics, so audited rows stay bit-identical.
     if (audit_soundness && optimized.ok()) {
       stage_start = std::chrono::steady_clock::now();
       obs::Span span("exp.case.audit");
@@ -458,8 +458,8 @@ std::vector<UseCaseResult> run_use_case_group(
         // optimized binary's mem_cycles also count prefetch-issue traffic
         // that tau_w excludes by definition (prefetches fill slack), so
         // the raw comparison is not a soundness predicate on that side —
-        // the optimized binary is checked via Theorem 1 and the ILP
-        // recomputation below instead.
+        // the optimized binary is checked via Theorem 1 and the
+        // certificate below instead.
         audit.violated = true;
         audit.detail =
             "simulated memory cycles exceed the IPET bound on the original "
@@ -470,36 +470,21 @@ std::vector<UseCaseResult> run_use_case_group(
         // Prefetch insertion never alters the CFG, so the input program's
         // context graph still describes the optimized program; only the
         // node weights change, and they are priced per timing.
-        const wcet::WcetResult oracle = [&] {
-          obs::Span oracle_span("exp.audit.ilp");
-          return wcet::solve_ipet_ilp(graph, fresh->cls, timing);
+        const std::string unproved = [&] {
+          obs::Span certify_span("exp.audit.certify");
+          return wcet::certificate_violation(
+              graph, fresh_wcet, wcet::make_certificate(graph, fresh_wcet));
         }();
-        if (obs::enabled()) {
-          static obs::Counter& c_recomputed =
-              obs::registry().counter("exp.audit.recomputed");
-          static obs::Counter& c_inconclusive =
-              obs::registry().counter("exp.audit.inconclusive");
-          (oracle.ok() ? c_recomputed : c_inconclusive)
-              .add(lane_members.size());
-        }
-        if (!oracle.ok()) {
-          audit.inconclusive = true;
-          audit.detail = "the IPET ILP oracle could not answer (" +
-                         oracle.status.message() +
-                         "); optimizer result unconfirmed";
+        if (!unproved.empty()) {
+          audit.violated = true;
+          audit.detail = "optimized tau_w " + std::to_string(opti.tau_wcet) +
+                         " is not certified optimal: " + unproved;
         } else {
-          audit.tau_audit = oracle.tau_mem;
-          if (audit.tau_audit != opti.tau_wcet) {
-            audit.violated = true;
-            audit.detail = "ILP oracle tau_w " +
-                           std::to_string(audit.tau_audit) +
-                           " disagrees with the structural engine's " +
-                           std::to_string(opti.tau_wcet);
-          } else if (audit.tau_audit > orig.tau_wcet) {
-            audit.violated = true;
-            audit.detail = "Theorem 1 violated by the ILP oracle's tau_w: " +
-                           std::to_string(audit.tau_audit) + " > " +
-                           std::to_string(orig.tau_wcet);
+          audit.tau_audit = fresh_wcet.tau_mem;
+          if (obs::enabled()) {
+            static obs::Counter& c_certified =
+                obs::registry().counter("exp.audit.certified");
+            c_certified.add(lane_members.size());
           }
         }
       }
@@ -601,9 +586,9 @@ void SweepReport::print(std::ostream& os) const {
      << (interrupted ? " (INTERRUPTED)" : "") << "\n";
   if (retried + recovered + resumed_rows + audited > 0)
     os << "[sweep supervision] " << audited << " audited ("
-       << audit_violations << " violations, " << audit_inconclusive
-       << " inconclusive), " << retried << " retried, " << recovered
-       << " recovered, " << resumed_rows << " rows resumed from journal\n";
+       << audit_violations << " violations), " << retried << " retried, "
+       << recovered << " recovered, " << resumed_rows
+       << " rows resumed from journal\n";
   if (!journal_note.empty()) os << "  [journal] " << journal_note << "\n";
   constexpr std::size_t kMaxListed = 8;
   for (std::size_t i = 0; i < quarantine.size() && i < kMaxListed; ++i) {
@@ -650,7 +635,6 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.resumed_rows", sweep.report.resumed_rows);
   add("exp.sweep.audited", sweep.report.audited);
   add("exp.sweep.audit_violations", sweep.report.audit_violations);
-  add("exp.sweep.audit_inconclusive", sweep.report.audit_inconclusive);
 
   std::uint64_t attempts = 0, insertions = 0, cand_found = 0, cand_eval = 0;
   std::uint64_t passes = 0, incr_re = 0, nodes_re = 0;
@@ -860,7 +844,6 @@ SweepReport derive_row_report(const std::vector<UseCaseResult>& results) {
     if (r.degradation_level == 1) ++report.recovered;
     if (r.audit.performed) ++report.audited;
     if (r.audit.violated) ++report.audit_violations;
-    if (r.audit.inconclusive) ++report.audit_inconclusive;
     if (r.quarantined())
       report.quarantine.push_back(DegradedCase{
           r.program, r.config_id, r.tech, r.outcome, r.fail_stage,
@@ -1058,14 +1041,10 @@ Sweep run_sweep(const SweepOptions& options) {
       reporter.notice("retry", names[t.program] + "/" + configs[t.config].id +
                                    " took " + std::to_string(attempts) +
                                    " attempts");
-    for (const UseCaseResult& r : rows) {
+    for (const UseCaseResult& r : rows)
       if (r.audit.violated)
         reporter.notice("audit", "soundness violation at " + r.program + "/" +
                                      r.config_id);
-      else if (r.audit.inconclusive)
-        reporter.notice("audit", "inconclusive audit at " + r.program + "/" +
-                                     r.config_id);
-    }
     if (obs::enabled()) {
       obs::Registry& reg = obs::registry();
       static obs::Counter& c_tasks = reg.counter("exp.task.runs");
@@ -1197,7 +1176,6 @@ Sweep run_sweep(const SweepOptions& options) {
     sweep.report.recovered = derived.recovered;
     sweep.report.audited = derived.audited;
     sweep.report.audit_violations = derived.audit_violations;
-    sweep.report.audit_inconclusive = derived.audit_inconclusive;
     sweep.report.quarantine = std::move(derived.quarantine);
   }
 

@@ -64,16 +64,15 @@ enum class CaseOutcome : std::uint8_t {
 const char* case_outcome_name(CaseOutcome outcome);
 
 /// What the always-on soundness auditor concluded about one use case. The
-/// auditor re-derives the accepted optimization's memory contribution over
-/// an *independent* path — the Li/Malik ILP solved by the sparse simplex
-/// (wcet::solve_ipet_ilp) plus the concrete cache simulator — and checks it
-/// against Theorem 1 and the structural engine's answer. It shares no code
-/// with the IpetSystem collapse it audits.
+/// auditor checks the accepted optimization against Theorem 1 and the
+/// concrete cache simulator and, when prefetches were inserted, proves the
+/// optimized τ_w optimal with an integer duality certificate
+/// (wcet::certificate_violation), which shares no code with the IpetSystem
+/// collapse it audits.
 struct AuditRecord {
-  bool performed = false;     ///< auditor ran on this case
-  bool violated = false;      ///< Theorem 1 or engine agreement broken
-  bool inconclusive = false;  ///< the ILP oracle could not answer
-  std::uint64_t tau_audit = 0;  ///< oracle τ_w (0 if not recomputed)
+  bool performed = false;  ///< auditor ran on this case
+  bool violated = false;   ///< Theorem 1 broken or τ_w not certified
+  std::uint64_t tau_audit = 0;  ///< certified τ_w (0 if not certified)
   std::string detail;           ///< human-readable verdict when not clean
 };
 
@@ -267,9 +266,9 @@ struct SweepOptions {
   /// disables the watchdog.
   std::uint32_t case_deadline_ms = 0;
   /// Always-on soundness auditor: after every accepted optimization,
-  /// re-derive the memory contribution via the ILP oracle + cache
-  /// simulator and check Theorem 1 and structural/ILP agreement. Violations demote the case to quarantined (kAuditFailed) —
-  /// reported, never aborted.
+  /// check Theorem 1 and the simulator's bound, and certify the optimized
+  /// τ_w optimal (wcet::certificate_violation). Violations demote the case
+  /// to quarantined (kAuditFailed) — reported, never aborted.
   bool audit_soundness = true;
   /// Process-level sharding: run only shard `shard_index` of `shard_count`.
   /// Tasks are dealt round-robin over the heaviest-first schedule order, so
@@ -310,7 +309,6 @@ struct SweepReport {
   std::size_t resumed_rows = 0;  ///< rows restored from the journal
   std::size_t audited = 0;       ///< cases the soundness auditor examined
   std::size_t audit_violations = 0;    ///< auditor contradicted the optimizer
-  std::size_t audit_inconclusive = 0;  ///< ILP oracle could not answer
   bool interrupted = false;  ///< stopped early by request_sweep_interrupt()
   std::string journal_note;  ///< journal state (resumed/reset/disabled/...)
 

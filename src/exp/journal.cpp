@@ -60,8 +60,7 @@ support::RecordLog::Format journal_format(const std::string& grid_fp,
 /// One row record without its checksum (journal_row() seals it).
 std::string row_body(const UseCaseResult& r, std::size_t index) {
   const std::uint32_t audit_flags =
-      (r.audit.performed ? 1u : 0u) | (r.audit.violated ? 2u : 0u) |
-      (r.audit.inconclusive ? 4u : 0u);
+      (r.audit.performed ? 1u : 0u) | (r.audit.violated ? 2u : 0u);
   std::ostringstream row;
   row << "row," << index << ',' << support::escape_cell(r.program) << ','
       << r.config_id << ',' << energy::tech_name(r.tech) << ','
@@ -123,7 +122,8 @@ bool parse_row_body(std::string_view body, std::size_t& index,
   r.degradation_level = static_cast<std::uint32_t>(u[4]);
   r.audit.performed = (u[5] & 1u) != 0;
   r.audit.violated = (u[5] & 2u) != 0;
-  r.audit.inconclusive = (u[5] & 4u) != 0;
+  // Bit 4 marked an audit whose ILP oracle could not answer; the
+  // certificate check always answers, and old rows read as audited.
   r.audit.tau_audit = u[6];
   r.original.tau_wcet = u[7];
   r.original.run.mem_cycles = u[8];

@@ -29,8 +29,8 @@ using support::to_hex;
 /// except fuzz.oracle, which forces a (replayable, explained) violation.
 const std::vector<std::string>& cross_fault_sites() {
   static const std::vector<std::string> sites = {
-      "sim.step",       "ilp.pivot",     "ilp.bb_node", "wcet.solve",
-      "core.reanalyze", "core.cancel",   "gen.build",   "fuzz.oracle",
+      "sim.step",    "wcet.solve", "core.reanalyze", "core.cancel",
+      "gen.build",   "fuzz.oracle",
   };
   return sites;
 }

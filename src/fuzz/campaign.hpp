@@ -41,7 +41,7 @@ struct CampaignOptions {
   /// Scale factor for the campaign's LAST case: its sampled knobs are
   /// replaced by gen::scaled_knobs(scale), a generated program ~scale x the
   /// Mälardalen median, so every smoke run drives the SCC fixpoint, state
-  /// interner, WCET collapse and ILP oracle through a model two orders of
+  /// interner, WCET collapse and its certificate through a model two orders of
   /// magnitude above the shrunk-repro sizes the rest of the corpus
   /// exercises. 0 = off
   /// (every case uses its sampled knobs).

@@ -12,8 +12,8 @@
 #include "obs/metrics.hpp"
 #include "sim/interpreter.hpp"
 #include "support/fault_injection.hpp"
+#include "wcet/certificate.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::fuzz {
 
@@ -33,8 +33,8 @@ const char* oracle_name(Oracle oracle) {
       return "persistence";
     case Oracle::kTheorem1:
       return "theorem1";
-    case Oracle::kStructuralVsSparse:
-      return "structural-vs-sparse";
+    case Oracle::kCertificate:
+      return "ipet-certificate";
     case Oracle::kInjected:
       return "injected";
   }
@@ -46,6 +46,8 @@ Oracle oracle_from_name(const std::string& name) {
     const auto o = static_cast<Oracle>(i);
     if (name == oracle_name(o)) return o;
   }
+  // The oracle's name while it compared against the sparse simplex.
+  if (name == "structural-vs-sparse") return Oracle::kCertificate;
   throw InvalidArgument("unknown oracle name '" + name + "'");
 }
 
@@ -237,6 +239,7 @@ OracleReport check_program(const ir::Program& program,
   // the layout-dependent objective changes.
   analysis::CacheAnalysisResult opt_cls;
   bool have_opt_cls = false;
+  wcet::WcetResult opt_wcet;
   std::optional<core::OptimizationResult> maybe_opt;
   try {
     maybe_opt = core::optimize_prefetches(program, options.config,
@@ -261,7 +264,7 @@ OracleReport check_program(const ir::Program& program,
     opt_cls = analysis::analyze_cache(graph, opt.program, opt_layout,
                                       options.config);
     have_opt_cls = true;
-    const wcet::WcetResult opt_wcet = ipet.solve(opt_cls, options.timing);
+    opt_wcet = ipet.solve(opt_cls, options.timing);
     if (!opt_wcet.ok()) {
       engine_failure(opt_wcet.status, "optimized", report);
       return report;
@@ -284,25 +287,18 @@ OracleReport check_program(const ir::Program& program,
     }
   }
 
-  // Oracle 4: the ILP oracle (the Li/Malik model solved by the sparse
-  // simplex) must reproduce the structural engine's τ_w bit-exactly — on
-  // the optimized classification when one exists, else on the input's.
+  // Oracle 4: the structural engine's τ_w and counts must come with an
+  // optimality certificate for the Li/Malik IPET — on the optimized
+  // classification when one exists, else on the input's.
   ++report.checks_run;
   if (obs::enabled()) checks_counter.increment();
-  const std::uint64_t structural_tau =
-      have_opt_cls ? report.tau_optimized : report.tau_original;
-  const wcet::WcetResult sparse = wcet::solve_ipet_ilp(
-      graph, have_opt_cls ? opt_cls : cls, options.timing);
-  if (!sparse.ok()) {
-    report.pipeline_ok = false;
-    report.pipeline_note = "ILP oracle: " + sparse.status.message();
-    return report;
-  }
-  if (structural_tau != sparse.tau_mem) {
-    report.violation = Oracle::kStructuralVsSparse;
-    report.detail = "structural tau_w " + std::to_string(structural_tau) +
-                    " disagrees with the sparse solver's " +
-                    std::to_string(sparse.tau_mem);
+  const wcet::WcetResult& solved = have_opt_cls ? opt_wcet : wcet;
+  if (const std::string unproved = wcet::certificate_violation(
+          graph, solved, wcet::make_certificate(graph, solved));
+      !unproved.empty()) {
+    report.violation = Oracle::kCertificate;
+    report.detail = "structural tau_w " + std::to_string(solved.tau_mem) +
+                    " is not certified optimal: " + unproved;
     return report;
   }
 

@@ -22,12 +22,15 @@ enum class Oracle : std::uint8_t {
   kMustMiss,            ///< always-miss (all contexts) fetch observed a hit
   kPersistence,         ///< persistent (all contexts) fetch missed twice or more
   kTheorem1,            ///< optimized τ_w exceeds original τ_w
-  kStructuralVsSparse,  ///< structural engine and ILP oracle disagree
+  kCertificate,         ///< the structural τ_w fails its optimality
+                        ///< certificate
   kInjected,            ///< forced by an armed fuzz.oracle fault
 };
 
 const char* oracle_name(Oracle oracle);
-/// Inverse of oracle_name; throws InvalidArgument on an unknown name.
+/// Inverse of oracle_name (which also reads "structural-vs-sparse", the
+/// certificate oracle's former name); throws InvalidArgument on an unknown
+/// name.
 Oracle oracle_from_name(const std::string& name);
 
 /// The memory system and optimizer the battery runs under.
@@ -73,9 +76,9 @@ struct OracleReport {
 ///  4. Theorem 1: the optimizer's output, re-analyzed against the same
 ///     context graph (prefetch insertion never changes the CFG), must not
 ///     increase τ_w;
-///  5. structural-vs-sparse: the ILP oracle (wcet::solve_ipet_ilp, the
-///     Li/Malik model solved by the sparse simplex) must reproduce the
-///     production engine's (IpetSystem) τ_w bit-exactly.
+///  5. ipet-certificate: the production engine's (IpetSystem) τ_w and
+///     counts must pass wcet::certificate_violation, a solver-free proof
+///     that they are the Li/Malik IPET optimum.
 /// An armed `fuzz.oracle` fault site forces a kInjected violation first.
 OracleReport check_program(const ir::Program& program,
                            const OracleOptions& options);

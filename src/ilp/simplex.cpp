@@ -29,7 +29,6 @@
 #include "obs/trace.hpp"
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
-#include "support/fault_injection.hpp"
 
 namespace ucp::ilp {
 namespace detail {
@@ -263,7 +262,7 @@ struct SimplexWorker {
   /// Phase 2 primal simplex: assumes a primal-feasible basis and current
   /// reduced costs `d`; maximizes `cost`. Dantzig pricing, Bland fallback,
   /// dense-compatible deterministic tie-breaking.
-  SolveStatus primal(SolveStats& stats, bool with_fault) {
+  SolveStatus primal(SolveStats& stats) {
     const std::size_t mm = m();
     const std::size_t nn = total();
     std::uint64_t iters = 0;
@@ -271,9 +270,7 @@ struct SimplexWorker {
     const std::uint64_t bland_after = 4 * (mm + nn) + 64;
     while (true) {
       throw_if_cancelled("sparse simplex (primal)");
-      if (iters++ > kMaxPivots ||
-          (with_fault && UCP_FAULT_POINT("ilp.pivot")))
-        return SolveStatus::kIterationLimit;
+      if (iters++ > kMaxPivots) return SolveStatus::kIterationLimit;
       const bool bland = iters > bland_after;
 
       // Entering column: ascending scan, strict improvement => smallest
@@ -378,7 +375,7 @@ struct SimplexWorker {
   /// basic variable into its [lo, up] box; the gradient (-1 below, +1
   /// above) is recomputed each iteration, so bound crossings are handled
   /// by blocking at the crossed bound. Does not touch `cost`/`d`.
-  SolveStatus phase1(SolveStats& stats, bool with_fault) {
+  SolveStatus phase1(SolveStats& stats) {
     const std::size_t mm = m();
     const std::size_t nn = total();
     std::uint64_t iters = 0;
@@ -399,9 +396,7 @@ struct SimplexWorker {
       }
       if (!any) return SolveStatus::kOptimal;
       throw_if_cancelled("sparse simplex (phase 1)");
-      if (iters++ > kMaxPivots ||
-          (with_fault && UCP_FAULT_POINT("ilp.pivot")))
-        return SolveStatus::kIterationLimit;
+      if (iters++ > kMaxPivots) return SolveStatus::kIterationLimit;
       const bool bland = iters > bland_after;
 
       // Prices of the infeasibility objective: y = g^T Binv (sparse in g).
@@ -629,11 +624,11 @@ SparseLp::SparseLp(const Model& model) {
   for (std::size_t i = 0; i < m_; ++i) binv_[i * m_ + i] = 1.0;
 
   // One-time phase 1 builds the canonical feasible basis every later solve
-  // clones. No fault point here: construction is not a per-case solve.
+  // clones.
   detail::SimplexWorker w;
   w.init_from(*this);
   SolveStats stats;
-  canonical_status_ = w.phase1(stats, /*with_fault=*/false);
+  canonical_status_ = w.phase1(stats);
   construction_pivots_ = stats.pivots;
   if (canonical_status_ == SolveStatus::kOptimal) {
     w.refresh_basic_values();
@@ -692,7 +687,7 @@ Solution SparseLp::solve_lp_with(const std::vector<double>& obj) const {
   w.init_from(*this);
   w.set_cost(obj);
   w.compute_reduced_costs();
-  const SolveStatus status = w.primal(stats, /*with_fault=*/true);
+  const SolveStatus status = w.primal(stats);
   if (status == SolveStatus::kOptimal) w.refresh_basic_values();
   Solution solution = extract(w, status, stats);
   publish_solve_stats(solution.stats);
@@ -720,7 +715,7 @@ Solution SparseLp::solve_ilp_with(const std::vector<double>& obj) const {
 
   while (!stack.empty()) {
     throw_if_cancelled("branch-and-bound");
-    if (++nodes > kMaxBbNodes || UCP_FAULT_POINT("ilp.bb_node")) {
+    if (++nodes > kMaxBbNodes) {
       if (!have_best) best.status = SolveStatus::kIterationLimit;
       best.stats = stats;
       publish_solve_stats(best.stats);
@@ -743,10 +738,10 @@ Solution SparseLp::solve_ilp_with(const std::vector<double>& obj) const {
       if (w.bound_conflict) {
         status = SolveStatus::kInfeasible;
       } else {
-        status = w.phase1(stats, /*with_fault=*/true);
+        status = w.phase1(stats);
         if (status == SolveStatus::kOptimal) {
           w.compute_reduced_costs();
-          status = w.primal(stats, /*with_fault=*/true);
+          status = w.primal(stats);
         }
       }
     }

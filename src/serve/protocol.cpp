@@ -272,6 +272,8 @@ Expected<Response> parse_response_source(LineSource& source,
       if (!v.ok()) return v.status();
       r.degradation_level = *v;
     } else if (key == "audit") {
+      // "inconclusive" is no longer written (the audit's certificate check
+      // always answers) but still reads, from journals that predate it.
       if (value != "clean" && value != "violated" &&
           value != "inconclusive" && value != "skipped")
         return malformed("unknown audit verdict '" + value + "'");

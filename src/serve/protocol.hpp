@@ -69,7 +69,9 @@ struct Response {
   std::string detail;
   std::uint32_t attempts = 0;
   std::uint32_t degradation_level = 0;
-  std::string audit = "skipped";  ///< clean | violated | inconclusive | skipped
+  /// clean | violated | skipped ("inconclusive", from older journals,
+  /// still parses)
+  std::string audit = "skipped";
   std::uint64_t tau_original = 0;
   std::uint64_t tau_optimized = 0;
   std::uint64_t mem_cycles_original = 0;

@@ -142,12 +142,9 @@ Response to_response(const exp::UseCaseResult& row,
   Response response;
   response.attempts = row.attempts;
   response.degradation_level = row.degradation_level;
-  response.audit = !row.audit.performed
-                       ? "skipped"
-                       : row.audit.violated
-                             ? "violated"
-                             : row.audit.inconclusive ? "inconclusive"
-                                                      : "clean";
+  response.audit = !row.audit.performed  ? "skipped"
+                   : row.audit.violated ? "violated"
+                                        : "clean";
   switch (row.outcome) {
     case exp::CaseOutcome::kCompleted:
       response.status = ResponseStatus::kOk;

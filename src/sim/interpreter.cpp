@@ -1,6 +1,5 @@
 #include "sim/interpreter.hpp"
 
-#include "ir/dominators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/cancellation.hpp"
@@ -28,6 +27,13 @@ std::uint32_t exec_cycles(ir::Opcode op) {
 
 Interpreter::Interpreter(const ir::Program& program, const ir::Layout& layout,
                          cache::CacheSim& cache, RunLimits limits)
+    : Interpreter(program, layout, cache, ir::find_natural_loops(program),
+                  limits) {}
+
+Interpreter::Interpreter(const ir::Program& program, const ir::Layout& layout,
+                         cache::CacheSim& cache,
+                         const std::vector<ir::NaturalLoop>& loops,
+                         RunLimits limits)
     : program_(program),
       layout_(layout),
       cache_(cache),
@@ -42,7 +48,7 @@ Interpreter::Interpreter(const ir::Program& program, const ir::Layout& layout,
   data_ = init;
 
   header_index_.assign(program_.num_blocks(), -1);
-  for (const ir::NaturalLoop& loop : ir::find_natural_loops(program_)) {
+  for (const ir::NaturalLoop& loop : loops) {
     LoopCheck check;
     check.header = loop.header;
     check.bound = program_.loop_bound(loop.header);
@@ -278,9 +284,17 @@ Expected<RunMetrics> run_program_checked(const ir::Program& program,
                                          const cache::CacheConfig& config,
                                          const cache::MemTiming& timing,
                                          RunLimits limits) {
+  return run_program_checked(program, ir::find_natural_loops(program), config,
+                             timing, limits);
+}
+
+Expected<RunMetrics> run_program_checked(
+    const ir::Program& program, const std::vector<ir::NaturalLoop>& loops,
+    const cache::CacheConfig& config, const cache::MemTiming& timing,
+    RunLimits limits) {
   const ir::Layout layout(program, config.block_bytes);
   cache::CacheSim cache(config, timing);
-  Interpreter interp(program, layout, cache, limits);
+  Interpreter interp(program, layout, cache, loops, limits);
   return interp.try_run();
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cache/cache_sim.hpp"
+#include "ir/dominators.hpp"
 #include "ir/layout.hpp"
 #include "ir/program.hpp"
 #include "support/status.hpp"
@@ -48,6 +49,11 @@ class Interpreter {
 
   Interpreter(const ir::Program& program, const ir::Layout& layout,
               cache::CacheSim& cache, RunLimits limits = {});
+  /// Same, with the program's natural loops already found (in any order),
+  /// e.g. from its analysis::ContextGraph.
+  Interpreter(const ir::Program& program, const ir::Layout& layout,
+              cache::CacheSim& cache,
+              const std::vector<ir::NaturalLoop>& loops, RunLimits limits = {});
 
   /// Runs from the entry block to halt and returns the metrics. Resource
   /// and flow-fact violations throw InvalidArgument (legacy channel).
@@ -107,5 +113,10 @@ Expected<RunMetrics> run_program_checked(const ir::Program& program,
                                          const cache::CacheConfig& config,
                                          const cache::MemTiming& timing,
                                          RunLimits limits = {});
+/// Same, with the program's natural loops already found.
+Expected<RunMetrics> run_program_checked(
+    const ir::Program& program, const std::vector<ir::NaturalLoop>& loops,
+    const cache::CacheConfig& config, const cache::MemTiming& timing,
+    RunLimits limits = {});
 
 }  // namespace ucp::sim

@@ -15,8 +15,6 @@ namespace {
 // adding both the UCP_FAULT_POINT call and an entry here, which is what
 // lets the property suite enumerate and arm each path.
 const char* const kSites[] = {
-    "ilp.pivot",       // simplex pivot budget check
-    "ilp.bb_node",     // branch-and-bound node budget check
     "sim.step",        // interpreter dynamic instruction budget check
     "wcet.solve",      // IPET solve boundary
     "core.reanalyze",  // per-candidate re-analysis in the optimizer

@@ -63,5 +63,5 @@ class ScopedFault {
 }  // namespace ucp::fault
 
 /// Evaluates to true when the named site is armed and due to fire. Usable in
-/// any boolean context: `if (over_budget || UCP_FAULT_POINT("ilp.pivot"))`.
+/// any boolean context: `if (over_budget || UCP_FAULT_POINT("sim.step"))`.
 #define UCP_FAULT_POINT(site) (::ucp::fault::should_fail(site))

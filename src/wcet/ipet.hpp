@@ -20,7 +20,8 @@ std::uint32_t ref_cycles(analysis::Classification cls,
 /// Result of the IPET analysis over a VIVU context graph.
 struct WcetResult {
   /// kInternal from IpetSystem when the loop-tree collapse does not cover
-  /// the graph or overflows uint64; the ILP oracle reports solver failures.
+  /// the graph or overflows uint64; the tests' ILP oracle reports solver
+  /// failures.
   Status status{ErrorCode::kInternal, "not solved"};
   /// τ_w: the memory system's contribution to the WCET, in cycles (Eq. 3).
   std::uint64_t tau_mem = 0;
@@ -31,8 +32,9 @@ struct WcetResult {
   std::vector<std::vector<std::uint32_t>> ref_cycles;
   /// Worst-case flow per context edge (same indexing as graph.edges()).
   std::vector<std::uint64_t> edge_counts;
-  /// Simplex work behind this result: filled by the ILP oracle
-  /// (solve_ipet_ilp), zero from IpetSystem, which runs no solver.
+  /// Simplex work behind this result: filled by the tests' ILP oracle
+  /// (reference::solve_ipet_ilp), zero from IpetSystem, which runs no
+  /// solver.
   ilp::SolveStats stats;
 
   bool ok() const { return status.ok(); }

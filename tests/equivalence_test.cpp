@@ -33,14 +33,15 @@
 #include "ir/layout.hpp"
 #include "ir/program.hpp"
 #include "ir/text_codec.hpp"
+#include "reference/ipet_ilp.hpp"
 #include "reference/reference.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "suite/suite.hpp"
 #include "support/fault_injection.hpp"
 #include "support/record_log.hpp"
+#include "wcet/certificate.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::exp {
 namespace {
@@ -408,65 +409,14 @@ TEST(Equivalence, GroupPathDegradedRowsMatchPerCase) {
   }
 }
 
-// --- solver-kernel fault gates ----------------------------------------------
-// The sparse simplex consults ilp.pivot at every pivot and ilp.bb_node at
-// every branch-and-bound node. Production computes τ_w by structure, so the
-// simplex runs only as the auditor's ILP oracle, and a one-shot fault on
-// either site can only leave one audit inconclusive. It must land on the
-// same case on every run (the sweep schedule and the solver are
-// deterministic), leave every row bit-identical to a fault-free sweep (an
-// inconclusive audit neither degrades nor quarantines a row), and keep the
-// doubted answer out of ucpd's result store.
+// --- audit violations in ucpd -----------------------------------------------
+// An answer whose soundness audit fails is served, degraded to the identity
+// transform, but never stored: the next request for it recomputes it, and
+// only that clean recomputation is stored. audit.mismatch fails the first
+// audit of the request (fdct at k2 inserts prefetches, so it is audited).
 
-Sweep strided_sweep(const char* fault_site) {
-  SweepOptions options;
-  options.programs = {"bs", "fdct"};
-  options.config_stride = 12;  // k1, k13, k25
-  options.threads = 1;
-  options.progress_every = 0;
-  std::optional<fault::ScopedFault> f;
-  if (fault_site) f.emplace(fault_site);
-  return run_sweep(options);
-}
-
-std::vector<std::size_t> inconclusive_rows(const Sweep& sweep) {
-  std::vector<std::size_t> rows;
-  for (std::size_t i = 0; i < sweep.results.size(); ++i)
-    if (sweep.results[i].audit.inconclusive) rows.push_back(i);
-  return rows;
-}
-
-void expect_solver_fault_contained(const char* site) {
+TEST(Equivalence, AuditViolationIsServedButNeverStored) {
   fault::disarm_all();
-  const Sweep base = strided_sweep(nullptr);
-  const Sweep a = strided_sweep(site);
-  const Sweep b = strided_sweep(site);
-  ASSERT_TRUE(base.report.clean());
-  EXPECT_TRUE(inconclusive_rows(base).empty());
-
-  // The fault must actually land, on an audit and nowhere else.
-  const std::vector<std::size_t> doubted = inconclusive_rows(a);
-  ASSERT_FALSE(doubted.empty()) << site << " never reached the ILP oracle";
-  EXPECT_TRUE(a.report.clean()) << site;
-  EXPECT_EQ(a.report.audit_violations, 0u) << site;
-  EXPECT_EQ(a.report.audit_inconclusive, doubted.size()) << site;
-  EXPECT_EQ(sweep_results_fingerprint(a.results),
-            sweep_results_fingerprint(base.results))
-      << site;
-  for (std::size_t i : doubted) {
-    EXPECT_EQ(a.results[i].outcome, CaseOutcome::kCompleted) << site;
-    EXPECT_NE(a.results[i].audit.detail.find("ILP oracle"), std::string::npos)
-        << a.results[i].audit.detail;
-  }
-
-  // And it must land identically every time.
-  EXPECT_EQ(inconclusive_rows(b), doubted) << site;
-  EXPECT_EQ(sweep_results_fingerprint(b.results),
-            sweep_results_fingerprint(a.results))
-      << site;
-
-  // ucpd serves the doubted answer once and recomputes it next time; only
-  // the clean recomputation is stored. fdct at k2 inserts prefetches.
   serve::ServerOptions options;
   options.workers = 1;
   serve::Server server(options);
@@ -477,30 +427,25 @@ void expect_solver_fault_contained(const char* site) {
   request.tech = energy::TechNode::k32nm;
   request.program_text = ir::to_text(suite::build_benchmark("fdct"));
   std::vector<serve::Response> answers;
-  for (const char* id : {"doubted", "recomputed", "stored"}) {
+  for (const char* id : {"violated", "recomputed", "stored"}) {
     request.id = id;
     std::optional<fault::ScopedFault> f;
-    if (answers.empty()) f.emplace(site);
+    if (answers.empty()) f.emplace("audit.mismatch");
     const auto answer = serve::call(server.port(), request);
-    ASSERT_TRUE(answer.ok()) << site << ": " << answer.status().message();
+    ASSERT_TRUE(answer.ok()) << answer.status().message();
     answers.push_back(*answer);
   }
   server.stop();
-  for (const serve::Response& r : answers)
-    EXPECT_EQ(r.status, serve::ResponseStatus::kOk) << site << " " << r.id;
-  EXPECT_EQ(answers[0].audit, "inconclusive") << site;
-  EXPECT_FALSE(answers[1].cached) << site;
-  EXPECT_EQ(answers[1].audit, "clean") << site;
-  EXPECT_TRUE(answers[2].cached) << site;
-  EXPECT_EQ(answers[0].tau_optimized, answers[2].tau_optimized) << site;
-}
-
-TEST(Equivalence, PivotFaultLeavesOneAuditInconclusive) {
-  expect_solver_fault_contained("ilp.pivot");
-}
-
-TEST(Equivalence, BbNodeFaultLeavesOneAuditInconclusive) {
-  expect_solver_fault_contained("ilp.bb_node");
+  EXPECT_EQ(answers[0].audit, "violated");
+  EXPECT_EQ(answers[0].prefetches, 0u);
+  EXPECT_EQ(answers[0].tau_optimized, answers[0].tau_original);
+  EXPECT_FALSE(answers[1].cached);
+  EXPECT_EQ(answers[1].status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(answers[1].audit, "clean");
+  EXPECT_GT(answers[1].prefetches, 0u);
+  EXPECT_TRUE(answers[2].cached);
+  EXPECT_EQ(answers[2].audit, "clean");
+  EXPECT_EQ(answers[1].tau_optimized, answers[2].tau_optimized);
 }
 
 TEST(Equivalence, GroupPathFailedRowsMatchPerCase) {
@@ -576,7 +521,7 @@ TEST(Equivalence, SharedWorkFaultsDegradeEveryLaneOfATwoTimingGroup) {
 // The 100x-scaling work (SCC-condensation fixpoint driver with hash-consed
 // abstract states) replaced a global FIFO worklist, which lives on as a
 // ucp_reference oracle; the structural WCET engine replaced the simplex,
-// which lives on as the ILP oracle (wcet::solve_ipet_ilp). These tests pin
+// which lives on as the ILP oracle (reference::solve_ipet_ilp). These tests pin
 // the equivalence on the paper grid and on every committed fuzz repro: the
 // fixpoints must be *result-identical*, the engines τ-identical with
 // feasible counts.
@@ -622,11 +567,11 @@ void expect_engines_agree(const analysis::ContextGraph& graph,
                           const cache::MemTiming& timing,
                           const std::string& what) {
   const wcet::WcetResult a = wcet::IpetSystem(graph).solve(cls, timing);
-  const wcet::WcetResult b = wcet::solve_ipet_ilp(graph, cls, timing);
+  const wcet::WcetResult b = reference::solve_ipet_ilp(graph, cls, timing);
   ASSERT_TRUE(a.ok()) << what << ": " << a.status.message();
   ASSERT_TRUE(b.ok()) << what << ": " << b.status.message();
   EXPECT_EQ(a.tau_mem, b.tau_mem) << what;
-  EXPECT_EQ(reference::ipet_flow_violation(graph, a), "") << what;
+  EXPECT_EQ(wcet::ipet_flow_violation(graph, a), "") << what;
   EXPECT_EQ(a.ref_cycles, b.ref_cycles) << what;
 }
 
@@ -705,7 +650,7 @@ std::vector<std::string> scaling_tier_fingerprints(const ScalingTier& tier) {
     const analysis::CacheAnalysisResult ref_cls =
         reference::analyze_cache_global_worklist(graph, layout, config);
     const wcet::WcetResult ref =
-        wcet::solve_ipet_ilp(graph, ref_cls, timing);
+        reference::solve_ipet_ilp(graph, ref_cls, timing);
     const analysis::CacheAnalysisResult cls =
         analysis::analyze_cache(graph, layout, config);
     const wcet::WcetResult wcet = ipet.solve(cls, timing);

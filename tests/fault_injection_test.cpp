@@ -46,10 +46,7 @@ SweepOptions small_sweep() {
 }
 
 /// Sites on the per-use-case compute path: a one-shot fault here must
-/// quarantine a case. (Cache I/O sites are exercised in harness_test; the
-/// simplex sites ilp.pivot and ilp.bb_node reach only the auditor's ILP
-/// oracle, where test_equivalence pins that they leave an audit
-/// inconclusive instead.)
+/// quarantine a case. (Cache I/O sites are exercised in harness_test.)
 const std::vector<std::string> kComputeSites = {
     "sim.step",       "wcet.solve",  "core.reanalyze",
     "core.cancel",    "exp.measure", "exp.task",

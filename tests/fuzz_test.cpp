@@ -61,7 +61,7 @@ TEST(Oracles, NamesRoundTrip) {
   for (const Oracle o :
        {Oracle::kNone, Oracle::kRuntime, Oracle::kSimVsIpet, Oracle::kMustHit,
         Oracle::kMustMiss, Oracle::kPersistence, Oracle::kTheorem1,
-        Oracle::kStructuralVsSparse, Oracle::kInjected})
+        Oracle::kCertificate, Oracle::kInjected})
     EXPECT_EQ(fuzz::oracle_from_name(fuzz::oracle_name(o)), o);
   EXPECT_THROW(fuzz::oracle_from_name("bogus"), InvalidArgument);
 }

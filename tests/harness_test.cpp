@@ -89,7 +89,7 @@ struct CaseWork {
   std::uint64_t fixpoints = 0;
   std::uint64_t sim_runs = 0;
   std::size_t ipet_solves = 0;    ///< production (structural) IPET solves
-  std::size_t oracle_solves = 0;  ///< the auditor's ILP oracle solves
+  std::size_t certificates = 0;  ///< the auditor's certificate checks
   std::size_t measure_spans = 0;
   std::size_t optimize_spans = 0;
   std::size_t audit_spans = 0;
@@ -132,7 +132,7 @@ CaseWork case_work(const std::string& name, const char* config_id,
   for (const obs::TraceEvent& e : events) {
     const std::string span = e.name;
     work.ipet_solves += span == "wcet.ipet.solve";
-    work.oracle_solves += span == "exp.audit.ilp";
+    work.certificates += span == "exp.audit.certify";
     work.measure_spans += span == "exp.case.measure";
     work.optimize_spans += span == "exp.case.optimize";
     work.audit_spans += span == "exp.case.audit";
@@ -157,7 +157,7 @@ TEST(CaseWork, UnchangedProgramIsAnalysedSolvedAndSimulatedOnce) {
   EXPECT_EQ(w.fixpoints, 1u);
   EXPECT_EQ(w.sim_runs, 1u);
   EXPECT_EQ(w.ipet_solves, 1u);
-  EXPECT_EQ(w.oracle_solves, 0u) << "nothing inserted, nothing to re-derive";
+  EXPECT_EQ(w.certificates, 0u) << "nothing inserted, nothing to re-derive";
   EXPECT_EQ(w.measure_spans, 1u);
   EXPECT_EQ(w.optimize_spans, 1u);
   EXPECT_EQ(w.audit_spans, 1u);
@@ -166,9 +166,9 @@ TEST(CaseWork, UnchangedProgramIsAnalysedSolvedAndSimulatedOnce) {
 TEST(CaseWork, ChangedProgramIsMeasuredAfreshButTheInputOnlyOnce) {
   // crc/k2 inserts two prefetches. The input is analysed once (the
   // optimizer adopts the baseline's fixpoint); the optimized binary gets
-  // its own fresh measurement, whose fixpoint the auditor's ILP oracle
-  // reuses. Production solves the input, the optimizer's final audit and
-  // the optimized measurement; the oracle solves once.
+  // its own fresh measurement, whose IPET solution the auditor certifies.
+  // Production solves the input, the optimizer's final audit and the
+  // optimized measurement; the auditor checks one certificate.
   const CaseWork w = case_work("crc", "k2", energy::TechNode::k32nm);
   ASSERT_EQ(w.rows.size(), 1u);
   const UseCaseResult& r = w.rows.front();
@@ -179,7 +179,7 @@ TEST(CaseWork, ChangedProgramIsMeasuredAfreshButTheInputOnlyOnce) {
 
   EXPECT_EQ(w.fixpoints, 2u);
   EXPECT_EQ(w.ipet_solves, 3u);
-  EXPECT_EQ(w.oracle_solves, 1u);
+  EXPECT_EQ(w.certificates, 1u);
   EXPECT_EQ(r.audit.tau_audit, r.optimized.tau_wcet);
   EXPECT_EQ(w.measure_spans, 2u);
   EXPECT_EQ(w.optimize_spans, 1u);

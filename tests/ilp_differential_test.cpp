@@ -20,10 +20,10 @@
 #include "ilp/model.hpp"
 #include "ilp/sparse.hpp"
 #include "ir/layout.hpp"
+#include "reference/ipet_ilp.hpp"
 #include "reference/reference.hpp"
 #include "suite/suite.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::ilp {
 namespace {
@@ -212,7 +212,7 @@ TEST(DifferentialIpet, EverySuiteModelAgreesWithDenseReference) {
     const analysis::ContextGraph graph(program);
     const analysis::CacheAnalysisResult cls =
         analysis::analyze_cache(graph, layout, kConfig);
-    const Model model = wcet::ipet_model(graph, cls, kTiming);
+    const Model model = reference::ipet_model(graph, cls, kTiming);
 
     const Solution sparse = solve_ilp(model);
     const Solution dense = solve_ilp_dense_reference(model);
@@ -225,7 +225,8 @@ TEST(DifferentialIpet, EverySuiteModelAgreesWithDenseReference) {
     // The ILP oracle solves exactly this model, and the structural engine
     // reaches its optimum without a solver.
     const auto tau = static_cast<std::uint64_t>(std::llround(sparse.objective));
-    const wcet::WcetResult oracle = wcet::solve_ipet_ilp(graph, cls, kTiming);
+    const wcet::WcetResult oracle =
+        reference::solve_ipet_ilp(graph, cls, kTiming);
     ASSERT_TRUE(oracle.ok()) << info.name;
     EXPECT_EQ(oracle.tau_mem, tau) << info.name;
     EXPECT_GE(oracle.stats.lp_solves, 1u) << info.name;
@@ -249,13 +250,13 @@ TEST(DifferentialIpet, SolveOrderDoesNotChangeResults) {
   const cache::MemTiming other = energy::derive_timing(
       cache::CacheConfig{2, 16, 1024}, energy::TechNode::k32nm);
   auto objective = [&](const cache::MemTiming& timing) {
-    const Model m = wcet::ipet_model(graph, cls, timing);
+    const Model m = reference::ipet_model(graph, cls, timing);
     std::vector<double> obj(m.num_vars(), 0.0);
     for (const Term& t : m.objective())
       obj[static_cast<std::size_t>(t.var)] = t.coeff;
     return obj;
   };
-  const Model model = wcet::ipet_model(graph, cls, kTiming);
+  const Model model = reference::ipet_model(graph, cls, kTiming);
 
   const SparseLp fresh(model);
   const Solution first = fresh.solve_ilp_with(objective(kTiming));
@@ -278,7 +279,7 @@ TEST(DifferentialIpet, StatsAccounting) {
   const analysis::CacheAnalysisResult cls =
       analysis::analyze_cache(graph, layout, kConfig);
 
-  const wcet::WcetResult r = wcet::solve_ipet_ilp(graph, cls, kTiming);
+  const wcet::WcetResult r = reference::solve_ipet_ilp(graph, cls, kTiming);
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.stats.bb_nodes, 1u);
   // One LP relaxation per branch-and-bound node.
@@ -286,7 +287,7 @@ TEST(DifferentialIpet, StatsAccounting) {
 
   // The oracle is one-shot: its pivots are the solve's plus the snapshot's
   // one-time phase 1.
-  const Model model = wcet::ipet_model(graph, cls, kTiming);
+  const Model model = reference::ipet_model(graph, cls, kTiming);
   const SparseLp lp(model);
   std::vector<double> obj(model.num_vars(), 0.0);
   for (const Term& t : model.objective())

@@ -10,15 +10,13 @@
 //     the unique least fixpoint, DESIGN.md §14)
 //   solve_{lp,ilp}_dense_reference vs  ilp::solve_{lp,ilp}
 //     (the two-phase dense tableau vs the sparse revised simplex; also the
-//     third opinion on wcet::ipet_model beside the structural engine and
-//     the sparse ILP oracle)
-//
-// plus ipet_flow_violation, a checker of the Li/Malik constraints for the
-// counts an IPET engine returns.
+//     third opinion on ipet_model beside the structural engine and the
+//     sparse ILP oracle)
+//   solve_ipet_ilp (ipet_ilp.hpp)   vs  wcet::IpetSystem
+//     (the Li/Malik ILP solved by the sparse simplex vs the loop-tree
+//     collapse, whose answers wcet::certificate_violation proves optimal)
 //
 // Linked only by test and bench targets, never by a library under src/.
-
-#include <string>
 
 #include "analysis/cache_analysis.hpp"
 #include "analysis/context_graph.hpp"
@@ -42,14 +40,6 @@ analysis::CacheAnalysisResult analyze_cache_global_worklist(
 analysis::CacheAnalysisResult analyze_cache_global_worklist(
     const analysis::ContextGraph& graph, const ir::Layout& layout,
     const cache::CacheConfig& config);
-
-/// The first Li/Malik IPET constraint `result`'s flow violates, or "" when
-/// it is a feasible integral flow: node counts equal inflows, flow is
-/// conserved (one unit from the source into the entry, out through the
-/// halt nodes' sink arcs), every VIVU loop bound and anti-circulation row
-/// holds, and Σ ref_cycles · node_counts reproduces tau_mem exactly.
-std::string ipet_flow_violation(const analysis::ContextGraph& graph,
-                                const wcet::WcetResult& result);
 
 /// The two-phase dense-tableau simplex on `model`'s LP relaxation, and
 /// LP-based branch-and-bound over it (every node rebuilds its tableau).

@@ -2,6 +2,7 @@
 
 #include "cache/cache_sim.hpp"
 #include "ir/builder.hpp"
+#include "ir/dominators.hpp"
 #include "ir/layout.hpp"
 #include "sim/interpreter.hpp"
 #include "support/check.hpp"
@@ -243,6 +244,12 @@ TEST(InterpreterChecked, LoopBoundViolationComesBackAsStatus) {
   const Expected<RunMetrics> r = run_program_checked(p, kConfig, kTiming);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kLoopBoundViolated);
+  // Loops handed in (outermost first, as a context graph holds them) check
+  // the same bounds.
+  const Expected<RunMetrics> given = run_program_checked(
+      p, ir::loops_outermost_first(p), kConfig, kTiming);
+  ASSERT_FALSE(given.ok());
+  EXPECT_EQ(given.code(), ErrorCode::kLoopBoundViolated);
 }
 
 TEST(InterpreterChecked, HealthyRunMatchesThrowingRun) {
@@ -256,6 +263,11 @@ TEST(InterpreterChecked, HealthyRunMatchesThrowingRun) {
   EXPECT_EQ(checked->instructions, plain.metrics.instructions);
   EXPECT_EQ(checked->total_cycles, plain.metrics.total_cycles);
   EXPECT_EQ(checked->mem_cycles, plain.metrics.mem_cycles);
+  const Expected<RunMetrics> given = run_program_checked(
+      p, ir::loops_outermost_first(p), kConfig, kTiming);
+  ASSERT_TRUE(given.ok());
+  EXPECT_EQ(given->instructions, plain.metrics.instructions);
+  EXPECT_EQ(given->mem_cycles, plain.metrics.mem_cycles);
 }
 
 TEST(Interpreter, MemCyclesMatchCacheModel) {

@@ -1,9 +1,11 @@
 // Structural-WCET differential suite: the production engine
 // (IpetSystem::solve, a loop-tree longest path) against the ILP oracle
-// (wcet::solve_ipet_ilp, the sparse revised simplex) and the dense-tableau
-// reference (tests/reference) on real and generated programs, for the
-// input binary and for the optimizer's output. The three share no solving
-// code.
+// (reference::solve_ipet_ilp, the sparse revised simplex) and the
+// dense-tableau reference (tests/reference) on real and generated
+// programs, for the input binary and for the optimizer's output. The three
+// share no solving code. Every answer must also pass its optimality
+// certificate (wcet::certificate_violation), the auditor's only IPET check,
+// and corrupted answers or certificates must fail it.
 //
 // On the Table 2 grid the IPET optimum is unique, so the engine's node and
 // edge counts must equal the simplex's; elsewhere (generated programs,
@@ -31,12 +33,13 @@
 #include "gen/generator.hpp"
 #include "ilp/model.hpp"
 #include "ir/layout.hpp"
+#include "reference/ipet_ilp.hpp"
 #include "reference/reference.hpp"
 #include "suite/suite.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "wcet/certificate.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::wcet {
 namespace {
@@ -58,9 +61,13 @@ std::string disagreement(const IpetSystem& system,
   const analysis::ContextGraph& graph = system.graph();
   const WcetResult structural = system.solve(cls, timing);
   if (!structural.ok()) return "structural " + structural.status.message();
-  const WcetResult sparse = solve_ipet_ilp(graph, cls, timing);
+  const WcetResult sparse = reference::solve_ipet_ilp(graph, cls, timing);
   if (!sparse.ok()) return "sparse " + sparse.status.message();
   std::string out;
+  if (const std::string c = certificate_violation(
+          graph, structural, make_certificate(graph, structural));
+      !c.empty())
+    out += "certificate: " + c + "; ";
   if (structural.tau_mem != sparse.tau_mem)
     out += "structural " + std::to_string(structural.tau_mem) +
            " != sparse " + std::to_string(sparse.tau_mem) + "; ";
@@ -69,13 +76,12 @@ std::string disagreement(const IpetSystem& system,
       out += "node counts differ from the sparse solver's; ";
     if (structural.edge_counts != sparse.edge_counts)
       out += "edge counts differ from the sparse solver's; ";
-  } else if (const std::string v =
-                 reference::ipet_flow_violation(graph, structural);
+  } else if (const std::string v = ipet_flow_violation(graph, structural);
              !v.empty()) {
     out += "structural counts: " + v + "; ";
   }
-  const ilp::Solution dense =
-      reference::solve_ilp_dense_reference(ipet_model(graph, cls, timing));
+  const ilp::Solution dense = reference::solve_ilp_dense_reference(
+      reference::ipet_model(graph, cls, timing));
   if (!dense.optimal())
     out += "dense solve " + ilp::status_name(dense.status) + "; ";
   else if (const auto tau =
@@ -259,6 +265,140 @@ TEST(StructuralDifferential, GeneratedPrograms) {
     for (const std::string& f : failures[i]) ADD_FAILURE() << f;
   }
   EXPECT_GE(total, 3 * kPrograms);
+}
+
+// --- the optimality certificate --------------------------------------------
+
+/// A generated program analysed under one paper configuration.
+struct Solved {
+  Solved(const ir::Program& p, const cache::CacheConfig& config)
+      : program(p), graph(program) {
+    const ir::Layout layout(program, config.block_bytes);
+    cls = analysis::analyze_cache(graph, layout, config);
+    timing = energy::derive_timing(config, energy::TechNode::k45nm);
+    result = IpetSystem(graph).solve(cls, timing);
+  }
+  ir::Program program;
+  analysis::ContextGraph graph;
+  analysis::CacheAnalysisResult cls;
+  cache::MemTiming timing;
+  WcetResult result;
+};
+
+/// Seeded src/gen programs under rotated paper configurations, plus one
+/// program at four times the Mälardalen-average size: the structural τ
+/// must equal the simplex's, and the certificate must check.
+TEST(Certificate, ProvesTheSimplexOptimumOnGeneratedPrograms) {
+  constexpr std::size_t kPrograms = 120;
+  const auto& configs = cache::paper_cache_configs();
+  std::vector<std::string> failures(kPrograms + 1);
+  support::parallel_for_index(
+      kPrograms + 1, kThreads, [&](std::size_t i, std::uint32_t) {
+        Rng rng(split_seed(1000 + i, 0));
+        const gen::GenKnobs knobs =
+            i < kPrograms ? gen::sample_knobs(rng) : gen::scaled_knobs(4);
+        const cache::NamedCacheConfig& named =
+            configs[(i * 5) % configs.size()];
+        const Solved s(gen::generate_program(split_seed(1000 + i, 1), knobs),
+                       named.config);
+        const std::string where = "gen " + std::to_string(1000 + i) + "/" +
+                                  named.id + ": ";
+        if (!s.result.ok()) {
+          failures[i] = where + s.result.status.message();
+          return;
+        }
+        const WcetResult sparse =
+            reference::solve_ipet_ilp(s.graph, s.cls, s.timing);
+        if (!sparse.ok() || sparse.tau_mem != s.result.tau_mem)
+          failures[i] = where + "simplex " + sparse.status.message() + " " +
+                        std::to_string(sparse.tau_mem) + " vs structural " +
+                        std::to_string(s.result.tau_mem) + "; ";
+        failures[i] += certificate_violation(
+            s.graph, s.result, make_certificate(s.graph, s.result));
+        if (failures[i] == where) failures[i].clear();
+      });
+  for (const std::string& f : failures)
+    if (!f.empty()) ADD_FAILURE() << f;
+}
+
+/// Generated programs whose WCET path runs through a REST loop body that
+/// cycles (some β > 0), the shape every corruption below can hit.
+std::vector<std::unique_ptr<Solved>> looping_programs() {
+  std::vector<std::unique_ptr<Solved>> out;
+  const auto& configs = cache::paper_cache_configs();
+  for (std::uint64_t seed = 1; out.size() < 8 && seed < 200; ++seed) {
+    Rng rng(split_seed(seed, 0));
+    const gen::GenKnobs knobs = gen::sample_knobs(rng);
+    auto s = std::make_unique<Solved>(
+        gen::generate_program(split_seed(seed, 1), knobs),
+        configs[seed % configs.size()].config);
+    const IpetCertificate cert = make_certificate(s->graph, s->result);
+    if (s->result.ok() &&
+        std::any_of(cert.loop_price.begin(), cert.loop_price.end(),
+                    [](__int128 b) { return b > 0; }))
+      out.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(Certificate, EveryCorruptionFailsTheCheck) {
+  const std::vector<std::unique_ptr<Solved>> programs = looping_programs();
+  ASSERT_GE(programs.size(), 8u);
+  for (const std::unique_ptr<Solved>& s : programs) {
+    SCOPED_TRACE(s->program.name());
+    const analysis::ContextGraph& g = s->graph;
+    const IpetCertificate cert = make_certificate(g, s->result);
+    ASSERT_EQ(certificate_violation(g, s->result, cert), "");
+    auto fails = [&](const WcetResult& r, const IpetCertificate& c) {
+      return !certificate_violation(g, r, c).empty();
+    };
+
+    WcetResult r = s->result;
+    ++r.tau_mem;
+    EXPECT_TRUE(fails(r, cert)) << "tau + 1";
+    r.tau_mem -= 2;
+    EXPECT_TRUE(fails(r, cert)) << "tau - 1";
+
+    // One more unit on any edge of the WCET path, and on one it misses.
+    for (bool on_path : {true, false}) {
+      r = s->result;
+      const auto e = static_cast<std::size_t>(
+          std::find_if(r.edge_counts.begin(), r.edge_counts.end(),
+                       [&](std::uint64_t n) { return (n > 0) == on_path; }) -
+          r.edge_counts.begin());
+      ASSERT_LT(e, r.edge_counts.size());
+      ++r.edge_counts[e];
+      EXPECT_TRUE(fails(r, cert)) << "edge " << e << " + 1";
+    }
+
+    // One potential - 1, at every node: a halt node's goes negative, the
+    // entry's no longer prices τ, and any other node's tightest out-edge
+    // gets a positive reduced cost.
+    for (analysis::NodeId v = 0; v < g.num_nodes(); ++v) {
+      IpetCertificate c = cert;
+      --c.potential[v];
+      EXPECT_TRUE(fails(s->result, c)) << "potential of node " << v << " - 1";
+    }
+
+    // One β - 1, on every priced loop instance: the back edge that closes
+    // its largest cycle gets a positive reduced cost.
+    for (std::size_t i = 0; i < cert.loop_price.size(); ++i) {
+      if (cert.loop_price[i] == 0) continue;
+      IpetCertificate c = cert;
+      --c.loop_price[i];
+      EXPECT_TRUE(fails(s->result, c)) << "beta of loop " << i << " - 1";
+    }
+  }
+}
+
+TEST(Certificate, ResultsThatAreNotOkGetNone) {
+  const Solved s(gen::generate_program(7, gen::GenKnobs{}),
+                 cache::paper_cache_config("k7").config);
+  WcetResult r = s.result;
+  r.status = Status(ErrorCode::kInternal, "not solved");
+  const IpetCertificate cert = make_certificate(s.graph, r);
+  EXPECT_TRUE(cert.potential.empty());
+  EXPECT_NE(certificate_violation(s.graph, s.result, cert), "");
 }
 
 }  // namespace

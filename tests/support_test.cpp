@@ -172,11 +172,11 @@ TEST(FaultInjection, RegistryListsSitesAndArmsOneShot) {
 
 TEST(FaultInjection, SkipCountDelaysTheFailure) {
   fault::disarm_all();
-  fault::arm("ilp.pivot", /*skip=*/2);
-  EXPECT_FALSE(fault::should_fail("ilp.pivot"));
-  EXPECT_FALSE(fault::should_fail("ilp.pivot"));
-  EXPECT_TRUE(fault::should_fail("ilp.pivot"));
-  EXPECT_FALSE(fault::should_fail("ilp.pivot"));
+  fault::arm("sim.step", /*skip=*/2);
+  EXPECT_FALSE(fault::should_fail("sim.step"));
+  EXPECT_FALSE(fault::should_fail("sim.step"));
+  EXPECT_TRUE(fault::should_fail("sim.step"));
+  EXPECT_FALSE(fault::should_fail("sim.step"));
   fault::disarm_all();
 }
 

@@ -11,11 +11,12 @@
 #include "ir/builder.hpp"
 #include "ir/layout.hpp"
 #include "ir/verify.hpp"
+#include "reference/ipet_ilp.hpp"
 #include "reference/reference.hpp"
 #include "sim/interpreter.hpp"
 #include "suite/suite.hpp"
+#include "wcet/certificate.hpp"
 #include "wcet/ipet.hpp"
-#include "wcet/ipet_ilp.hpp"
 
 namespace ucp::wcet {
 namespace {
@@ -400,12 +401,14 @@ void expect_engine_matches_solvers(const ir::Program& p) {
     for (const analysis::CacheAnalysisResult* cls : all) {
       const WcetResult engine = system.solve(*cls, kTiming);
       ASSERT_TRUE(engine.ok()) << p.name() << ": " << engine.status.message();
-      EXPECT_EQ(reference::ipet_flow_violation(graph, engine), "")
+      EXPECT_EQ(certificate_violation(graph, engine,
+                                      make_certificate(graph, engine)),
+                "")
           << p.name() << " " << config.to_string();
-      const WcetResult sparse = solve_ipet_ilp(graph, *cls, kTiming);
+      const WcetResult sparse = reference::solve_ipet_ilp(graph, *cls, kTiming);
       ASSERT_TRUE(sparse.ok()) << p.name();
       const ilp::Solution dense = reference::solve_ilp_dense_reference(
-          ipet_model(graph, *cls, kTiming));
+          reference::ipet_model(graph, *cls, kTiming));
       ASSERT_EQ(dense.status, ilp::SolveStatus::kOptimal) << p.name();
       EXPECT_EQ(engine.tau_mem, sparse.tau_mem)
           << p.name() << " " << config.to_string();
@@ -450,6 +453,19 @@ TEST_P(StructuralBoundTest, SelfLoopMatchesSolvers) {
 
 INSTANTIATE_TEST_SUITE_P(Bounds, StructuralBoundTest,
                          ::testing::Values(1u, 2u, 3u, 7u));
+
+TEST(Structural, LoopWithoutAnExitIsDeadCode) {
+  // entry: h | exit; h -> h, never leaving. The verifier accepts it, no
+  // flow can enter h, and the certificate must still price h's contexts,
+  // which have no path to a halt node.
+  Cfg g("dead_loop");
+  const auto entry = g.block(2), h = g.block(5), exit = g.block(3);
+  g.branch(entry, h, exit);
+  g.jump(h, h);
+  g.halt(exit);
+  g.bound(h, 4);
+  expect_engine_matches_solvers(g.take());
+}
 
 TEST(Structural, LoopWithTwoLatches) {
   Cfg g("two_latches");
@@ -589,8 +605,8 @@ TEST(Ipet, EqualArmsGoToTheLowestEdgeIndex) {
     const auto cls = analysis::analyze_cache(g, layout, kTieConfig);
     const WcetResult w = IpetSystem(g).solve(cls, kTieTiming);
     ASSERT_TRUE(w.ok()) << w.status.message();
-    EXPECT_EQ(reference::ipet_flow_violation(g, w), "");
-    EXPECT_EQ(w.tau_mem, solve_ipet_ilp(g, cls, kTieTiming).tau_mem);
+    EXPECT_EQ(wcet::ipet_flow_violation(g, w), "");
+    EXPECT_EQ(w.tau_mem, reference::solve_ipet_ilp(g, cls, kTieTiming).tau_mem);
 
     // The REST copy of the join has one in-edge per arm, and the arms
     // weigh the same: a tie, which the lower edge index wins.
@@ -636,7 +652,7 @@ TEST(Ipet, TheoremOneHoldsWhicheverTiedArmThePathTakes) {
     const ir::Layout layout(opt.program, kTieConfig.block_bytes);
     const auto cls =
         analysis::analyze_cache(g, opt.program, layout, kTieConfig);
-    const WcetResult oracle = solve_ipet_ilp(g, cls, kTieTiming);
+    const WcetResult oracle = reference::solve_ipet_ilp(g, cls, kTieTiming);
     ASSERT_TRUE(oracle.ok());
     EXPECT_EQ(oracle.tau_mem, opt.report.tau_optimized);
   }
